@@ -38,15 +38,11 @@ from .dirichlet import (
     exponential_formula_check,
     harper_sup_statistic,
     prime_cosine_sum,
-    prime_sum_real,
     zeta,
 )
 from .mellin import (
     DivergenceRow,
-    MellinEvaluation,
-    abs_mellin_integral,
     divergence_comparison,
-    evaluate_mellin,
     mellin_step_integral,
     signed_and_absolute_integrals,
     truncated_identity_residual,
@@ -87,15 +83,11 @@ __all__ = [
     "euler_product_F",
     "euler_product_F_star",
     "prime_cosine_sum",
-    "prime_sum_real",
     "exponential_formula_check",
     "harper_sup_statistic",
-    "MellinEvaluation",
     "DivergenceRow",
     "mellin_step_integral",
-    "abs_mellin_integral",
     "signed_and_absolute_integrals",
-    "evaluate_mellin",
     "truncated_identity_residual",
     "divergence_comparison",
     "ExperimentConfig",

@@ -18,21 +18,19 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
 from .experiments import (
     ExperimentConfig,
     assert_outcome,
+    load_manifest,
     replay_experiment,
     run_experiment,
     write_experiment,
 )
-from .output import atomic_write, fmt_float, sha256_text
-from .primes import build_spf_sieve
-from .series import Model, compute_series, detect_sign_changes, series_csv, sign_changes_csv
-from .signs import MultiplicativeEvaluator, SignAssignment, SignMode, load_explicit_signs
+from .output import atomic_write, csv_text, fmt_float, sha256_text
+from .series import Model, SignChangeLog, WeightedSumSeries, compute_series, detect_sign_changes
+from .signs import SignAssignment, SignMode, load_explicit_signs
 
 
 def _add_assignment_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,6 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict[str, str]:
+    """File name -> CSV text of the series command's two outputs."""
+    return {
+        "series.csv": csv_text(("x", "value"), (range(1, series.limit + 1), series.values[1:])),
+        "sign_changes.csv": csv_text(("position", "sign_after"), (log.positions, log.signs_after())),
+    }
+
+
 def _run_series(args) -> int:
     assignment = _assignment_from_args(args)
     start = time.monotonic()
@@ -163,14 +169,10 @@ def _run_series(args) -> int:
         "wall_time_seconds": None,
     }
     atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    series_text = series_csv(series)
-    changes_text = sign_changes_csv(log)
-    atomic_write(os.path.join(outdir, "series.csv"), series_text)
-    atomic_write(os.path.join(outdir, "sign_changes.csv"), changes_text)
-    manifest["csv_sha256"] = {
-        "series.csv": sha256_text(series_text),
-        "sign_changes.csv": sha256_text(changes_text),
-    }
+    texts = _series_csvs(series, log)
+    for name, text in texts.items():
+        atomic_write(os.path.join(outdir, name), text)
+    manifest["csv_sha256"] = {name: sha256_text(text) for name, text in texts.items()}
     manifest["wall_time_seconds"] = time.monotonic() - start
     atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     print(
@@ -182,19 +184,22 @@ def _run_series(args) -> int:
 
 
 def _replay_series(manifest: dict) -> tuple[bool, str]:
-    mode = SignMode(manifest["sign_mode"])
-    if mode is SignMode.IID_RADEMACHER:
-        assignment = SignAssignment.iid(int(manifest["seed"]))
-    elif mode is SignMode.ALL_MINUS_ONE:
-        assignment = SignAssignment.all_minus_one()
-    else:
-        assignment = SignAssignment.explicit(load_explicit_signs(manifest["signs_file"]))
-    series = compute_series(assignment, manifest["model"], float(manifest["alpha"]), int(manifest["limit"]))
+    try:
+        mode = SignMode(manifest["sign_mode"])
+        if mode is SignMode.IID_RADEMACHER:
+            assignment = SignAssignment.iid(int(manifest["seed"]))
+        elif mode is SignMode.ALL_MINUS_ONE:
+            assignment = SignAssignment.all_minus_one()
+        else:
+            assignment = SignAssignment.explicit(load_explicit_signs(manifest["signs_file"]))
+        model, alpha, limit = Model(manifest["model"]), float(manifest["alpha"]), int(manifest["limit"])
+    except KeyError as exc:
+        raise DomainError(f"series manifest is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed series manifest: {exc}") from None
+    series = compute_series(assignment, model, alpha, limit)
     log = detect_sign_changes(series)
-    recomputed = {
-        "series.csv": sha256_text(series_csv(series)),
-        "sign_changes.csv": sha256_text(sign_changes_csv(log)),
-    }
+    recomputed = {name: sha256_text(text) for name, text in _series_csvs(series, log).items()}
     recorded = manifest.get("csv_sha256") or {}
     ok = recomputed == recorded
     return ok, f"recorded={recorded} recomputed={recomputed}"
@@ -256,14 +261,9 @@ def _run_euler(args) -> int:
 def _run_mellin_check(args) -> int:
     assignment = _assignment_from_args(args)
     s = complex(args.sigma, args.t)
-    residual = mellin.truncated_identity_residual(
-        assignment, args.model, args.alpha, s, args.limit
-    )
-    table = build_spf_sieve(max(args.limit, 2))
-    evaluator = MultiplicativeEvaluator(assignment, table)
-    g = evaluator.values_up_to(args.limit, args.model).astype(np.float64)[1:]
-    n = np.arange(1, args.limit + 1, dtype=np.float64)
-    scale = abs(complex(np.sum(g * n ** (-s)))) + 1.0
+    lhs, rhs = mellin.truncated_identity_sides(assignment, args.model, args.alpha, s, args.limit)
+    residual = float(abs(lhs - rhs))
+    scale = abs(lhs) + 1.0
     print(
         f"model={args.model} alpha={fmt_float(args.alpha)} s={fmt_float(args.sigma)}"
         f"+{fmt_float(args.t)}i N={args.limit}"
@@ -273,8 +273,7 @@ def _run_mellin_check(args) -> int:
 
 
 def _run_replay(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_manifest(args.manifest)
     if "experiment" in manifest:
         ok, recorded, recomputed = replay_experiment(args.manifest)
         detail = f"recorded={recorded} recomputed={recomputed}"

@@ -29,7 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .output import fmt_float
 from .primes import SpfTable, build_spf_sieve, primes_up_to
 from .signs import SignAssignment, prime_sign_table
 
@@ -96,6 +95,24 @@ class EulerProduct:
     prime_limit: int
 
 
+def _prime_signs(
+    assignments,
+    prime_limit: int,
+    table: SpfTable | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(primes p <= prime_limit, int8 signs at them with one row per assignment)."""
+    if prime_limit < 2:
+        raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
+    if table is None:
+        table = build_spf_sieve(prime_limit)
+    primes = primes_up_to(table)
+    primes = primes[primes <= prime_limit]
+    signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
+    for i, assignment in enumerate(assignments):
+        signs[i] = prime_sign_table(assignment, primes)
+    return primes, signs
+
+
 def _product_factors(
     assignment: SignAssignment,
     s: complex,
@@ -104,14 +121,8 @@ def _product_factors(
 ) -> np.ndarray:
     if complex(s).real <= 0.5:
         raise DomainError(f"Euler products require Re s > 1/2, got {s}")
-    if prime_limit < 2:
-        raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
-    if table is None:
-        table = build_spf_sieve(prime_limit)
-    primes = primes_up_to(table)
-    primes = primes[primes <= prime_limit]
-    signs = prime_sign_table(assignment, primes).astype(np.float64)
-    return signs * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
+    primes, signs = _prime_signs([assignment], prime_limit, table)
+    return signs[0].astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
 
 
 def euler_product_F(
@@ -158,25 +169,6 @@ def euler_product_F_star(
 # ---------------------------------------------------------------------------
 
 
-def _prime_weights(
-    assignment: SignAssignment,
-    sigma: float,
-    prime_limit: int,
-    table: SpfTable | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f(p) * p^-sigma, log p) over primes p <= prime_limit."""
-    if sigma <= 0.5:
-        raise DomainError(f"prime sums require sigma > 1/2, got {sigma}")
-    if prime_limit < 2:
-        raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
-    if table is None:
-        table = build_spf_sieve(prime_limit)
-    primes = primes_up_to(table)
-    primes = primes[primes <= prime_limit].astype(np.float64)
-    signs = prime_sign_table(assignment, primes.astype(np.int64)).astype(np.float64)
-    return signs * primes ** (-float(sigma)), np.log(primes)
-
-
 def prime_cosine_sum(
     assignment: SignAssignment,
     sigma: float,
@@ -186,18 +178,12 @@ def prime_cosine_sum(
 ) -> float:
     """sum_{p <= prime_limit} f(p) cos(t log p) p^-sigma, accumulated in
     ascending p."""
-    weights, logp = _prime_weights(assignment, sigma, prime_limit, table)
-    return float(np.cumsum(weights * np.cos(float(t) * logp))[-1])
-
-
-def prime_sum_real(
-    assignment: SignAssignment,
-    sigma: float,
-    prime_limit: int,
-    table: SpfTable | None = None,
-) -> float:
-    """sum_{p <= prime_limit} f(p) p^-sigma (the cosine sum at t = 0)."""
-    return prime_cosine_sum(assignment, sigma, 0.0, prime_limit, table)
+    if sigma <= 0.5:
+        raise DomainError(f"prime sums require sigma > 1/2, got {sigma}")
+    primes, signs = _prime_signs([assignment], prime_limit, table)
+    primes = primes.astype(np.float64)
+    weights = signs[0].astype(np.float64) * primes ** (-float(sigma))
+    return float(np.cumsum(weights * np.cos(float(t) * np.log(primes)))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +289,66 @@ def scan_grid_max(
     return best, best_t
 
 
+def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> tuple[float, ...]:
+    """The scan's sigma grid as floats, after checking it and the grid step.
+
+    The grid must be nonempty and strictly decreasing, with every entry in
+    (low, 0.6], where the scan window is defined; low is 1/2 or above.  A
+    given grid_step must be > 0.
+    """
+    if not sigma_grid:
+        raise DomainError("sigma_grid must be nonempty")
+    grid = tuple(float(x) for x in sigma_grid)
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("sigma_grid must be sorted strictly decreasing")
+    for sig in grid:
+        if not low < sig <= 0.6:
+            raise DomainError(f"sigma must lie in ({low}, 0.6], got {sig}")
+    if grid_step is not None and not grid_step > 0:
+        raise DomainError(f"grid_step must be > 0, got {grid_step}")
+    return grid
+
+
+def sup_scans(
+    assignments,
+    sigma_grid,
+    grid_step: float | None,
+    prime_limit: int,
+    table: SpfTable | None = None,
+) -> list[list[HarperScanResult]]:
+    """Grid supremum of the prime cosine sum for every assignment and sigma.
+
+    Returns one list per assignment, one result per sigma in grid order.
+    grid_step None means default_grid_step(sigma) at each sigma.  All
+    assignments are scanned against the same cosine blocks, one
+    scan_grid_max call per sigma with one weight row per assignment.
+    """
+    grid = check_sigma_grid(sigma_grid, grid_step)
+    primes, signs = _prime_signs(assignments, prime_limit, table)
+    primes = primes.astype(np.float64)
+    signs = signs.astype(np.float64)
+    logp = np.log(primes)
+    results: list[list[HarperScanResult]] = [[] for _ in assignments]
+    for sigma in grid:
+        step = default_grid_step(sigma) if grid_step is None else float(grid_step)
+        n_points = int(math.floor((harper_window(sigma) - 1.0) / step)) + 1
+        weights = signs * primes ** (-sigma)
+        sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, n_points)
+        centered = sup_vals - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
+        for i, row in enumerate(results):
+            row.append(
+                HarperScanResult(
+                    sigma=sigma,
+                    t_star=float(t_stars[i]),
+                    sup_value=float(sup_vals[i]),
+                    centered_value=float(centered[i]),
+                    grid_step=step,
+                    prime_limit=prime_limit,
+                )
+            )
+    return results
+
+
 def harper_sup_statistic(
     assignment: SignAssignment,
     sigma: float,
@@ -316,43 +362,4 @@ def harper_sup_statistic(
     sup_value is a certified lower bound for the true supremum at the
     recorded grid_step; halving grid_step can only increase it.
     """
-    if not 0.5 < sigma <= 0.6:
-        raise DomainError(f"sup scan requires 1/2 < sigma <= 0.6, got {sigma}")
-    if grid_step is None:
-        grid_step = default_grid_step(sigma)
-    if grid_step <= 0:
-        raise DomainError(f"grid_step must be > 0, got {grid_step}")
-    t_end = harper_window(sigma)
-    if t_end < 1.0:
-        raise DomainError(f"empty scan window at sigma={sigma}")
-    n_points = int(math.floor((t_end - 1.0) / grid_step)) + 1
-    weights, logp = _prime_weights(assignment, sigma, prime_limit, table)
-    sup_vals, t_stars = scan_grid_max(weights[None, :], logp, 1.0, grid_step, n_points)
-    centering = 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
-    return HarperScanResult(
-        sigma=float(sigma),
-        t_star=float(t_stars[0]),
-        sup_value=float(sup_vals[0]),
-        centered_value=float(sup_vals[0]) - centering,
-        grid_step=float(grid_step),
-        prime_limit=prime_limit,
-    )
-
-
-def harper_scan_csv(results: list[HarperScanResult]) -> str:
-    """CSV text for scan results: one row per scan."""
-    lines = ["sigma,t_star,sup_value,centered_value,grid_step,prime_limit"]
-    for r in results:
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(r.sigma),
-                    fmt_float(r.t_star),
-                    fmt_float(r.sup_value),
-                    fmt_float(r.centered_value),
-                    fmt_float(r.grid_step),
-                    str(r.prime_limit),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return sup_scans([assignment], (sigma,), grid_step, prime_limit, table)[0][0]

@@ -28,28 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .output import fmt_float
 from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, compute_series
+from .series import Model, WeightedSumSeries, compute_series, map_ordered
 from .signs import MultiplicativeEvaluator, SignAssignment, SignMode
 from . import dirichlet
-
-
-@dataclass(frozen=True)
-class MellinEvaluation:
-    """One evaluation of the truncated identity at a point s.
-
-    signed_integral + boundary_term equals the truncated Dirichlet sum up to
-    rounding; abs_integral (real s only, else None) dominates
-    |signed_integral| / (s - alpha) by the triangle inequality.
-    """
-
-    s: complex
-    alpha: float
-    limit: int
-    signed_integral: complex
-    boundary_term: complex
-    abs_integral: float | None
 
 
 def _interval_weights(limit: int, exponent: complex) -> np.ndarray:
@@ -102,43 +84,18 @@ def signed_and_absolute_integrals(series: WeightedSumSeries, sigma: float) -> tu
     return float(np.sum(v)), float(np.sum(np.abs(v)))
 
 
-def abs_mellin_integral(series: WeightedSumSeries, sigma: float) -> float:
-    """integral_1^N |M_alpha(x)| x^-(sigma+1-alpha) dx at real sigma > alpha.
-
-    Reported without the (s - alpha) prefactor; every per-interval weight is
-    positive, so this dominates |signed integral| / (sigma - alpha).
-    """
-    return signed_and_absolute_integrals(series, sigma)[1]
-
-
-def evaluate_mellin(series: WeightedSumSeries, s: complex) -> MellinEvaluation:
-    """Signed integral, boundary term, and (real s) absolute integral at s."""
-    s = complex(s)
-    signed = mellin_step_integral(series, s)
-    bnd = boundary_term(series, s)
-    absint = abs_mellin_integral(series, s.real) if s.imag == 0.0 else None
-    return MellinEvaluation(
-        s=s,
-        alpha=series.alpha,
-        limit=series.limit,
-        signed_integral=signed,
-        boundary_term=bnd,
-        abs_integral=absint,
-    )
-
-
-def truncated_identity_residual(
+def truncated_identity_sides(
     assignment: SignAssignment,
     model: Model | str,
     alpha: float,
     s: complex,
     limit: int,
     table: SpfTable | None = None,
-) -> float:
-    """| sum_{n<=N} g(n) n^-s  -  (signed integral + boundary term) |.
+) -> tuple[complex, complex]:
+    """(sum_{n<=N} g(n) n^-s, signed integral + boundary term).
 
-    An algebraic identity for the truncation: the residual is pure rounding,
-    below 1e-9 relative to |sum| + 1 at desk scale.
+    An algebraic identity for the truncation makes the two sides equal up
+    to rounding, below 1e-9 relative to |sum| + 1 at desk scale.
     """
     model = Model(model)
     s = complex(s)
@@ -149,8 +106,20 @@ def truncated_identity_residual(
     g = evaluator.values_up_to(limit, model.value).astype(np.float64)[1:]
     n = np.arange(1, limit + 1, dtype=np.float64)
     dirichlet_sum = complex(np.sum(g * n ** (-s)))
-    rhs = mellin_step_integral(series, s) + boundary_term(series, s)
-    return float(abs(dirichlet_sum - rhs))
+    return dirichlet_sum, mellin_step_integral(series, s) + boundary_term(series, s)
+
+
+def truncated_identity_residual(
+    assignment: SignAssignment,
+    model: Model | str,
+    alpha: float,
+    s: complex,
+    limit: int,
+    table: SpfTable | None = None,
+) -> float:
+    """| sum_{n<=N} g(n) n^-s  -  (signed integral + boundary term) |: pure rounding."""
+    lhs, rhs = truncated_identity_sides(assignment, model, alpha, s, limit, table)
+    return float(abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -166,6 +135,56 @@ class DivergenceRow:
     seed: int
 
 
+def divergence_rows(
+    assignments,
+    model: Model | str,
+    alpha: float,
+    sigma_grid,
+    limit: int,
+    prime_limit: int,
+    table: SpfTable | None = None,
+    grid_step: float | None = None,
+    threads: int = 1,
+) -> list[list[DivergenceRow]]:
+    """The comparison table of each assignment: one row per sigma, in grid order.
+
+    Series and integrals run per assignment on up to `threads` threads; the
+    sup scan runs once for all assignments, then the witness product is
+    evaluated at each assignment's t* for each sigma.
+    """
+    model = Model(model)
+    grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
+    if table is None:
+        table = build_spf_sieve(max(limit, prime_limit, 2))
+
+    def integrals(assignment: SignAssignment) -> list[tuple[float, float]]:
+        series = compute_series(assignment, model, alpha, limit, table)
+        return [signed_and_absolute_integrals(series, sig) for sig in grid]
+
+    per_assignment = map_ordered(integrals, assignments, threads)
+    scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
+    product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
+    tables = []
+    for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):
+        seed = assignment.seed if assignment.mode is SignMode.IID_RADEMACHER else 0
+        rows = []
+        for (signed, absolute), scan in zip(pairs, scan_row):
+            witness_value = product(assignment, complex(scan.sigma, scan.t_star), prime_limit, table)
+            rows.append(
+                DivergenceRow(
+                    sigma=scan.sigma,
+                    signed=signed,
+                    absolute=absolute,
+                    harper_witness=float(abs(witness_value.value)) / scan.t_star,
+                    limit=limit,
+                    prime_limit=prime_limit,
+                    seed=seed,
+                )
+            )
+        tables.append(rows)
+    return tables
+
+
 def divergence_comparison(
     assignment: SignAssignment,
     model: Model | str,
@@ -178,66 +197,14 @@ def divergence_comparison(
 ) -> list[DivergenceRow]:
     """Signed vs absolute integral with a sup-scan witness, per sigma.
 
-    For each sigma (sorted decreasing toward 1/2): signed is the integral
-    without prefactor (mellin_step_integral / (sigma - alpha)); absolute is
-    abs_mellin_integral; the witness is |G(sigma + i t*)| / t* for the
-    model's truncated Euler product G, with t* from the sup scan at the same
-    prime_limit.  One fixed assignment is used across the whole grid: mixing
-    realizations across sigma would destroy the phenomenon being compared.
+    For each sigma of the strictly decreasing grid in (max(alpha, 1/2), 0.6]:
+    signed and absolute are the integrals of M_alpha and |M_alpha| without
+    prefactor (signed_and_absolute_integrals); the witness is
+    |G(sigma + i t*)| / t* for the model's truncated Euler product G, with t*
+    from the sup scan at the same prime_limit.  One fixed assignment is used
+    across the whole grid: mixing realizations across sigma would destroy the
+    phenomenon being compared.
     """
-    model = Model(model)
-    grid = [float(x) for x in sigma_grid]
-    if not grid:
-        raise DomainError("sigma_grid must be nonempty")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("sigma_grid must be sorted strictly decreasing")
-    low = max(alpha, 0.5)
-    for sig in grid:
-        if not low < sig <= 0.7:
-            raise DomainError(f"sigma_grid entries must lie in ({low}, 0.7], got {sig}")
-        if sig > 0.6:
-            raise DomainError(
-                f"sigma={sig}: the sup-scan witness is only defined for sigma <= 0.6"
-            )
-    if table is None:
-        table = build_spf_sieve(max(limit, prime_limit, 2))
-    series = compute_series(assignment, model, alpha, limit, table)
-    product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
-    seed = assignment.seed if assignment.mode is SignMode.IID_RADEMACHER else 0
-    rows = []
-    for sig in grid:
-        signed, absolute = signed_and_absolute_integrals(series, sig)
-        scan = dirichlet.harper_sup_statistic(assignment, sig, grid_step, prime_limit, table)
-        witness_value = product(assignment, complex(sig, scan.t_star), prime_limit, table)
-        rows.append(
-            DivergenceRow(
-                sigma=sig,
-                signed=signed,
-                absolute=absolute,
-                harper_witness=float(abs(witness_value.value)) / scan.t_star,
-                limit=limit,
-                prime_limit=prime_limit,
-                seed=seed,
-            )
-        )
-    return rows
-
-
-def comparison_csv(rows: list[DivergenceRow]) -> str:
-    """CSV text of a comparison table."""
-    lines = ["sigma,signed,absolute,harper_witness,N,prime_limit,seed"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(r.sigma),
-                    fmt_float(r.signed),
-                    fmt_float(r.absolute),
-                    fmt_float(r.harper_witness),
-                    str(r.limit),
-                    str(r.prime_limit),
-                    str(r.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return divergence_rows(
+        [assignment], model, alpha, sigma_grid, limit, prime_limit, table, grid_step
+    )[0]

@@ -1,4 +1,4 @@
-"""Small output helpers: lossless float text, atomic file writes, digests."""
+"""Small output helpers: lossless float text, CSV text, atomic file writes, digests."""
 
 from __future__ import annotations
 
@@ -6,10 +6,29 @@ import hashlib
 import os
 import tempfile
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     """Format with 17 significant digits: parsing the text recovers the bits."""
     return format(float(x), ".17g")
+
+
+def csv_text(header, columns) -> str:
+    """CSV text: the header row, then row i holds entry i of every column.
+
+    A column whose first entry is a float (numpy floats included) is written
+    with fmt_float, any other column with str.  Columns are formatted whole,
+    then joined row by row.
+    """
+    cells = []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        fmt = fmt_float if values and isinstance(values[0], float) else str
+        cells.append(map(fmt, values))
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path, data: str) -> None:
@@ -29,11 +48,3 @@ def atomic_write(path, data: str) -> None:
 
 def sha256_text(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()

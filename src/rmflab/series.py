@@ -13,12 +13,12 @@ reconstruction test M_alpha(x) - M_alpha(x-1) = g(x)/x^alpha quantifies it.
 from __future__ import annotations
 
 import enum
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .output import fmt_float
 from .primes import SpfTable, build_spf_sieve
 from .signs import MultiplicativeEvaluator, SignAssignment
 
@@ -87,36 +87,18 @@ class SignChangeLog:
         return self.first_sign * (-1) ** k
 
 
-def _kahan_cumsum(weights: np.ndarray) -> np.ndarray:
-    """Compensated running sum; the validation mode for the plain cumsum."""
-    out = np.empty_like(weights)
-    total = 0.0
-    carry = 0.0
-    for i, w in enumerate(weights):
-        y = w - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i] = total
-    return out
-
-
 def compute_series(
     assignment: SignAssignment,
     model: Model | str,
     alpha: float,
     limit: int,
     table: SpfTable | None = None,
-    compensated: bool = False,
 ) -> WeightedSumSeries:
     """Stream M_alpha(1..limit) for g in {f, fstar}.
 
     alpha is restricted to [0, 1]: the regime of interest is [0, 1/2], the
     rest is a convergence sanity range.  Cost is one bulk evaluation of g
     plus a cumulative sum, O(limit log limit) in the worst case.
-
-    compensated=True switches to Kahan-compensated accumulation (much
-    slower, for validating that plain float64 rounding stays negligible).
     """
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
@@ -132,10 +114,7 @@ def compute_series(
     weights = g * np.power(x, -float(alpha))
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = 0.0
-    if compensated:
-        values[1:] = _kahan_cumsum(weights[1:])
-    else:
-        np.cumsum(weights[1:], out=values[1:])
+    np.cumsum(weights[1:], out=values[1:])
     body = np.abs(values[1:])
     k = int(np.argmax(body))
     return WeightedSumSeries(
@@ -201,18 +180,14 @@ def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
     return float(np.max(np.abs(series.values[16:]) / norm))
 
 
-def series_csv(series: WeightedSumSeries) -> str:
-    """CSV text of the series: header "x,value"."""
-    lines = ["x,value"]
-    for x in range(1, series.limit + 1):
-        lines.append(f"{x},{fmt_float(series.values[x])}")
-    return "\n".join(lines) + "\n"
+def map_ordered(worker, items, threads: int) -> list:
+    """[worker(x) for x in items], on up to `threads` threads.
 
-
-def sign_changes_csv(log: SignChangeLog) -> str:
-    """CSV text of a sign-change log: header "position,sign_after"."""
-    lines = ["position,sign_after"]
-    after = log.signs_after()
-    for pos, sign in zip(log.positions, after):
-        lines.append(f"{pos},{sign}")
-    return "\n".join(lines) + "\n"
+    Results come back in item order whatever the thread count; an exception
+    raised by any call is raised here.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [worker(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, items))

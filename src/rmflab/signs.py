@@ -165,22 +165,6 @@ class MultiplicativeEvaluator:
                 value *= sign_at_prime(self.assignment, p)
         return value
 
-    def evaluate_f_star_by_convolution(self, n: int) -> int:
-        """fstar(n) computed as sum over d^2 | n of f(n/d^2).
-
-        The sum has exactly one nonzero term (d with d^2 the largest square
-        dividing n up to squarefree part), so it equals evaluate_f_star(n);
-        kept as an independent route for cross-checking.
-        """
-        self.table.check_range(n)
-        total = 0
-        d = 1
-        while d * d <= n:
-            if n % (d * d) == 0:
-                total += self.evaluate_f(n // (d * d))
-            d += 1
-        return total
-
     def sign_by_value(self, limit: int | None = None) -> np.ndarray:
         """int8 array s with s[p] = sign at p for every prime p <= limit.
 

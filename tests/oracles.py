@@ -1,0 +1,113 @@
+"""Slow or independent reference routes that only tests use.
+
+Each one recomputes something the package computes another way: a
+compensated running sum, fstar by Dirichlet convolution, a streamed file
+digest, the Mellin record at one point.  Tests compare the package against
+them.
+"""
+
+import hashlib
+from dataclasses import dataclass
+
+import numpy as np
+
+from rmflab.dirichlet import prime_cosine_sum
+from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
+from rmflab.series import Model, WeightedSumSeries
+from rmflab.signs import MultiplicativeEvaluator
+
+
+def kahan_cumsum(weights: np.ndarray) -> np.ndarray:
+    """Compensated running sum; the validation mode for the plain cumsum."""
+    out = np.empty_like(weights)
+    total = 0.0
+    carry = 0.0
+    for i, w in enumerate(weights):
+        y = w - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        out[i] = total
+    return out
+
+
+def kahan_series_values(assignment, model, alpha: float, limit: int, table) -> np.ndarray:
+    """M_alpha(0..limit) as compute_series forms it, but summed by kahan_cumsum."""
+    g = MultiplicativeEvaluator(assignment, table).values_up_to(limit, Model(model).value)
+    x = np.arange(limit + 1, dtype=np.float64)
+    x[0] = 1.0
+    weights = g.astype(np.float64) * np.power(x, -float(alpha))
+    values = np.zeros(limit + 1, dtype=np.float64)
+    values[1:] = kahan_cumsum(weights[1:])
+    return values
+
+
+def f_star_by_convolution(ev: MultiplicativeEvaluator, n: int) -> int:
+    """fstar(n) computed as sum over d^2 | n of f(n/d^2).
+
+    The sum has exactly one nonzero term (d with d^2 the largest square
+    dividing n up to squarefree part), so it equals evaluate_f_star(n).
+    """
+    ev.table.check_range(n)
+    total = 0
+    d = 1
+    while d * d <= n:
+        if n % (d * d) == 0:
+            total += ev.evaluate_f(n // (d * d))
+        d += 1
+    return total
+
+
+def sha256_file(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def prime_sum_real(assignment, sigma: float, prime_limit: int, table=None) -> float:
+    """sum_{p <= prime_limit} f(p) p^-sigma (the cosine sum at t = 0)."""
+    return prime_cosine_sum(assignment, sigma, 0.0, prime_limit, table)
+
+
+def abs_mellin_integral(series: WeightedSumSeries, sigma: float) -> float:
+    """integral_1^N |M_alpha(x)| x^-(sigma+1-alpha) dx at real sigma > alpha.
+
+    Reported without the (s - alpha) prefactor; every per-interval weight is
+    positive, so this dominates |signed integral| / (sigma - alpha).
+    """
+    return signed_and_absolute_integrals(series, sigma)[1]
+
+
+@dataclass(frozen=True)
+class MellinEvaluation:
+    """One evaluation of the truncated identity at a point s.
+
+    signed_integral + boundary_term equals the truncated Dirichlet sum up to
+    rounding; abs_integral (real s only, else None) dominates
+    |signed_integral| / (s - alpha) by the triangle inequality.
+    """
+
+    s: complex
+    alpha: float
+    limit: int
+    signed_integral: complex
+    boundary_term: complex
+    abs_integral: float | None
+
+
+def evaluate_mellin(series: WeightedSumSeries, s: complex) -> MellinEvaluation:
+    """Signed integral, boundary term, and (real s) absolute integral at s."""
+    s = complex(s)
+    signed = mellin_step_integral(series, s)
+    bnd = boundary_term(series, s)
+    absint = abs_mellin_integral(series, s.real) if s.imag == 0.0 else None
+    return MellinEvaluation(
+        s=s,
+        alpha=series.alpha,
+        limit=series.limit,
+        signed_integral=signed,
+        boundary_term=bnd,
+        abs_integral=absint,
+    )

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rmflab.cli import parse_and_dispatch
 
 
@@ -111,3 +113,46 @@ def test_divergence_command(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "d" / "trials.csv").read_text()
     assert csv_text.splitlines()[0] == "trial,seed,sigma,signed,absolute,harper_witness,N,prime_limit"
+
+
+def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RMF_LAB_THREADS", "abc")
+    code = run_cli("sign-changes", "--limit", "100", "--trials", "2", "--out", str(tmp_path / "sc"))
+    assert code == 3
+    assert "RMF_LAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ("not json {", "not a JSON manifest"),
+        ("[1, 2]", "JSON object"),
+        ('{"experiment": "growth"}', "'model'"),
+        ('{"command": "series"}', "'sign_mode'"),
+    ],
+)
+def test_malformed_manifest_exit_3(tmp_path, capsys, text, needle):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert run_cli("replay", "--manifest", str(path)) == 3
+    assert needle in capsys.readouterr().err
+
+
+def test_divergence_limit_1_exit_3(tmp_path, capsys):
+    code = run_cli(
+        "divergence", "--model", "f", "--alpha", "0.5", "--limit", "1", "--trials", "2",
+        "--sigma-grid", "0.58", "--prime-limit", "1000", "--out", str(tmp_path / "d"),
+    )
+    assert code == 3
+    assert "limit >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["harper", "divergence"])
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_bad_grid_step_exit_3(tmp_path, capsys, command, step):
+    code = run_cli(
+        command, "--limit", "100", "--trials", "2", "--sigma-grid", "0.58,0.54",
+        "--prime-limit", "1000", "--grid-step", step, "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    assert "grid_step must be > 0" in capsys.readouterr().err

@@ -9,16 +9,17 @@ from rmflab.dirichlet import (
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
-    harper_scan_csv,
     harper_sup_statistic,
     harper_window,
     prime_cosine_sum,
-    prime_sum_real,
     zeta,
 )
 from rmflab.errors import DomainError
+from rmflab.output import csv_text
 from rmflab.primes import primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
+
+from oracles import prime_sum_real
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,8 @@ def test_harper_sup_validation(table_1e5):
 def test_harper_scan_csv(table_1e5):
     a = SignAssignment.iid(17)
     scan = harper_sup_statistic(a, 0.55, None, 10**4, table_1e5)
-    text = harper_scan_csv([scan])
+    header = ("sigma", "t_star", "sup_value", "centered_value", "grid_step", "prime_limit")
+    text = csv_text(header, [[getattr(scan, name)] for name in header])
     lines = text.strip().split("\n")
     assert lines[0] == "sigma,t_star,sup_value,centered_value,grid_step,prime_limit"
     assert len(lines) == 2

@@ -19,6 +19,7 @@ from rmflab.experiments import (
     trials_csv,
     write_experiment,
 )
+from rmflab.mellin import divergence_comparison
 from rmflab.series import compute_series, detect_sign_changes
 from rmflab.signs import SignAssignment, SignMode, trial_seed
 
@@ -273,3 +274,28 @@ def test_assert_outcome_positivity(table_1e5):
     stats = run_positivity_experiment(cfg, table_1e5)
     ok, message = assert_outcome(stats)
     assert isinstance(ok, bool) and "fraction" in message
+
+
+@pytest.mark.parametrize(
+    "grid, step",
+    [
+        ((), None),
+        ((0.52, 0.56), None),
+        ((0.55, 0.55), None),
+        ((0.8, 0.6), None),
+        ((0.65, 0.55), None),
+        ((0.56, 0.5), None),
+        ((0.58, 0.54), 0.0),
+        ((0.58, 0.54), -1.0),
+    ],
+)
+def test_divergence_apis_reject_the_same_grids(table_1e5, grid, step):
+    with pytest.raises(DomainError) as single:
+        divergence_comparison(SignAssignment.iid(1), "f", 0.5, list(grid), 100, 100, table_1e5, step)
+    cfg = ExperimentConfig(
+        experiment="divergence", model="f", alpha=0.5, limit=100, trials=2,
+        sigma_grid=grid, prime_limit=100, grid_step=step,
+    )
+    with pytest.raises(DomainError) as batch:
+        run_divergence_comparison(cfg, table_1e5)
+    assert str(single.value) == str(batch.value)

@@ -5,18 +5,17 @@ from scipy.integrate import quad
 from rmflab.errors import DomainError
 from rmflab.mellin import (
     DivergenceRow,
-    MellinEvaluation,
-    abs_mellin_integral,
     boundary_term,
-    comparison_csv,
     divergence_comparison,
-    evaluate_mellin,
     mellin_step_integral,
     signed_and_absolute_integrals,
     truncated_identity_residual,
 )
+from rmflab.output import csv_text
 from rmflab.series import WeightedSumSeries, compute_series
 from rmflab.signs import SignAssignment
+
+from oracles import MellinEvaluation, abs_mellin_integral, evaluate_mellin
 
 
 def quad_oracle(series, s_real: float) -> float:
@@ -200,7 +199,9 @@ def test_divergence_comparison_rows(table_1e5):
 
 def test_comparison_csv_schema(table_1e5):
     rows = [DivergenceRow(0.58, 1.5, 2.0, 0.3, 100, 1000, 7)]
-    text = comparison_csv(rows)
+    fields = ("sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit", "seed")
+    header = ("sigma", "signed", "absolute", "harper_witness", "N", "prime_limit", "seed")
+    text = csv_text(header, [[getattr(r, name) for r in rows] for name in fields])
     lines = text.strip().split("\n")
     assert lines[0] == "sigma,signed,absolute,harper_witness,N,prime_limit,seed"
     assert lines[1].split(",")[4:] == ["100", "1000", "7"]

@@ -1,7 +1,9 @@
 import numpy as np
 
 from rmflab.experiments import resolve_threads
-from rmflab.output import atomic_write, fmt_float, sha256_file, sha256_text
+from rmflab.output import atomic_write, fmt_float, sha256_text
+
+from oracles import sha256_file
 
 
 def test_fmt_float_round_trips():

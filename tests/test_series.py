@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmflab.errors import DomainError
 from rmflab.series import (
@@ -11,12 +12,12 @@ from rmflab.series import (
     detect_sign_changes,
     growth_statistic,
     riesz_mean,
-    series_csv,
-    sign_changes_csv,
 )
+from rmflab.cli import _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
 
 from conftest import oracle_mobius
+from oracles import kahan_series_values
 
 
 def test_mertens_and_liouville_at_10(table_1e5):
@@ -65,13 +66,13 @@ def test_series_bit_determinism(table_1e5):
 def test_compensated_mode_agrees_with_plain(table_1e5):
     a = SignAssignment.iid(55)
     plain = compute_series(a, "fstar", 0.5, 10**4, table_1e5)
-    kahan = compute_series(a, "fstar", 0.5, 10**4, table_1e5, compensated=True)
-    diff = np.max(np.abs(plain.values - kahan.values))
+    kahan = kahan_series_values(a, "fstar", 0.5, 10**4, table_1e5)
+    diff = np.max(np.abs(plain.values - kahan))
     assert diff <= 1e-11
     # integer-valued sums at alpha = 0 must be identical in both modes
     plain0 = compute_series(a, "f", 0.0, 2000, table_1e5)
-    kahan0 = compute_series(a, "f", 0.0, 2000, table_1e5, compensated=True)
-    assert np.array_equal(plain0.values, kahan0.values)
+    kahan0 = kahan_series_values(a, "f", 0.0, 2000, table_1e5)
+    assert np.array_equal(plain0.values, kahan0)
 
 
 def test_alpha_range_validation(table_1e5):
@@ -90,6 +91,34 @@ def test_detect_sign_changes_stated_examples():
     assert log.first_sign == 1
     log2 = detect_sign_changes(WeightedSumSeries.from_values([1.0, 0.0, 1.0, 2.0]))
     assert log2.count == 0
+
+
+def naive_sign_changes(values) -> tuple[list[int], int]:
+    """(crossing positions, first nonzero sign) by a plain loop over x = 1..N
+    that skips zeros and records x when its sign opposes the last nonzero one."""
+    positions, first, last = [], 0, 0
+    for x, v in enumerate(values, start=1):
+        sign = (v > 0) - (v < 0)
+        if sign == 0:
+            continue
+        if last == 0:
+            first = sign
+        elif sign != last:
+            positions.append(x)
+        last = sign
+    return positions, first
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 5)), min_size=1, max_size=40))
+def test_detect_sign_changes_matches_naive_loop(runs):
+    # runs of equal integers, so zeros come in runs of up to 5
+    values = [float(v) for v, length in runs for _ in range(length)]
+    log = detect_sign_changes(WeightedSumSeries.from_values(values))
+    positions, first = naive_sign_changes(values)
+    assert log.positions.tolist() == positions
+    assert log.count == len(positions)
+    assert log.first_sign == first
 
 
 def test_detect_sign_changes_zero_bridges():
@@ -200,13 +229,14 @@ def test_high_alpha_series_stabilize(table_1e6):
 
 def test_csv_exports(table_1e5):
     series = compute_series(SignAssignment.iid(2), "f", 0.5, 20, table_1e5)
-    text = series_csv(series)
+    log = detect_sign_changes(series)
+    texts = _series_csvs(series, log)
+    text = texts["series.csv"]
     lines = text.strip().split("\n")
     assert lines[0] == "x,value"
     assert len(lines) == 21
     assert lines[1].startswith("1,1")
-    log = detect_sign_changes(series)
-    text2 = sign_changes_csv(log)
+    text2 = texts["sign_changes.csv"]
     assert text2.splitlines()[0] == "position,sign_after"
     assert len(text2.splitlines()) == 1 + log.count
 
