@@ -24,7 +24,7 @@ from .experiments import (
     ExperimentConfig,
     assert_outcome,
     load_manifest,
-    replay_experiment,
+    replay_manifest,
     run_experiment,
     write_experiment,
 )
@@ -275,7 +275,7 @@ def _run_mellin_check(args) -> int:
 def _run_replay(args) -> int:
     manifest = load_manifest(args.manifest)
     if "experiment" in manifest:
-        ok, recorded, recomputed = replay_experiment(args.manifest)
+        ok, recorded, recomputed = replay_manifest(manifest)
         detail = f"recorded={recorded} recomputed={recomputed}"
     elif manifest.get("command") == "series":
         ok, detail = _replay_series(manifest)

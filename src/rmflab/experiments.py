@@ -549,7 +549,11 @@ def replay_experiment(manifest_path) -> tuple[bool, str, str]:
 
     Returns (match, recorded_sha, recomputed_sha).
     """
-    manifest = load_manifest(manifest_path)
+    return replay_manifest(load_manifest(manifest_path))
+
+
+def replay_manifest(manifest: dict) -> tuple[bool, str, str]:
+    """replay_experiment for a manifest already loaded with load_manifest."""
     recorded = manifest.get("csv_sha256") or ""
     config = config_from_manifest(manifest)
     stats = run_experiment(config)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, compute_series, map_ordered
-from .signs import MultiplicativeEvaluator, SignAssignment, SignMode
+from .series import Model, WeightedSumSeries, compute_series, map_ordered, series_and_values
+from .signs import SignAssignment, SignMode
 from . import dirichlet
 
 
@@ -101,11 +101,9 @@ def truncated_identity_sides(
     s = complex(s)
     if table is None:
         table = build_spf_sieve(max(limit, 2))
-    series = compute_series(assignment, model, alpha, limit, table)
-    evaluator = MultiplicativeEvaluator(assignment, table)
-    g = evaluator.values_up_to(limit, model.value).astype(np.float64)[1:]
+    series, g = series_and_values(assignment, model, alpha, limit, table)
     n = np.arange(1, limit + 1, dtype=np.float64)
-    dirichlet_sum = complex(np.sum(g * n ** (-s)))
+    dirichlet_sum = complex(np.sum(g[1:] * n ** (-s)))
     return dirichlet_sum, mellin_step_integral(series, s) + boundary_term(series, s)
 
 

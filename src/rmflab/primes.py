@@ -1,8 +1,9 @@
 """Smallest-prime-factor sieve, factorization and squarefree tests.
 
 The sieve is the only piece of shared number-theoretic state in the package:
-everything downstream (sign evaluation, partial sums, prime sums) factors
-integers by repeated division by the smallest prime factor.
+everything downstream (sign evaluation, partial sums, prime sums) reads
+smallest prime factors from it, and the list of primes is derived from it
+once per table.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
 plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8).  N may not exceed
@@ -12,6 +13,7 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +39,15 @@ class SpfTable:
 
     def __post_init__(self):
         self.spf.setflags(write=False)
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        """All primes <= limit, strictly increasing, as read-only int64;
+        computed on first use."""
+        n = np.arange(2, self.limit + 1, dtype=np.uint32)
+        primes = (np.flatnonzero(self.spf[2:] == n) + 2).astype(np.int64)
+        primes.setflags(write=False)
+        return primes
 
     def check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -72,9 +83,11 @@ def build_spf_sieve(limit: int) -> SpfTable:
 
 
 def primes_up_to(table: SpfTable) -> np.ndarray:
-    """All primes <= table.limit, strictly increasing, as int64."""
-    n = np.arange(2, table.limit + 1, dtype=np.uint32)
-    return (np.flatnonzero(table.spf[2:] == n) + 2).astype(np.int64)
+    """All primes <= table.limit, strictly increasing, as read-only int64.
+
+    Computed once per table (see SpfTable.primes) and shared by every call.
+    """
+    return table.primes
 
 
 def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:

@@ -98,8 +98,20 @@ def compute_series(
 
     alpha is restricted to [0, 1]: the regime of interest is [0, 1/2], the
     rest is a convergence sanity range.  Cost is one bulk evaluation of g
-    plus a cumulative sum, O(limit log limit) in the worst case.
+    plus a cumulative sum, O(limit).
     """
+    return series_and_values(assignment, model, alpha, limit, table)[0]
+
+
+def series_and_values(
+    assignment: SignAssignment,
+    model: Model | str,
+    alpha: float,
+    limit: int,
+    table: SpfTable | None = None,
+) -> tuple[WeightedSumSeries, np.ndarray]:
+    """compute_series together with the float64 values g(0..limit) it summed
+    (index 0 unused, 0.0), for callers that need g as well."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -117,7 +129,7 @@ def compute_series(
     np.cumsum(weights[1:], out=values[1:])
     body = np.abs(values[1:])
     k = int(np.argmax(body))
-    return WeightedSumSeries(
+    series = WeightedSumSeries(
         model=model,
         alpha=float(alpha),
         limit=limit,
@@ -125,6 +137,7 @@ def compute_series(
         max_abs=float(body[k]),
         argmax=k + 1,
     )
+    return series, g
 
 
 def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
@@ -134,14 +147,16 @@ def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
     create or destroy a crossing by themselves.
     """
     v = series.values[1:]
-    s = np.sign(v)
-    nz = np.flatnonzero(s)
-    if nz.size == 0:
+    # indices of the nonzero values in v; None when no value is an exact zero
+    at = None if v.all() else np.flatnonzero(v)
+    positive = (v if at is None else v[at]) > 0
+    if positive.size == 0:
         return SignChangeLog(positions=np.empty(0, dtype=np.int64), count=0, first_sign=0)
-    sn = s[nz]
-    flips = np.flatnonzero(sn[1:] != sn[:-1])
-    positions = (nz[flips + 1] + 1).astype(np.int64)
-    return SignChangeLog(positions=positions, count=int(positions.size), first_sign=int(sn[0]))
+    flips = np.flatnonzero(positive[1:] != positive[:-1]) + 1
+    positions = ((flips if at is None else at[flips]) + 1).astype(np.int64, copy=False)
+    return SignChangeLog(
+        positions=positions, count=int(positions.size), first_sign=1 if positive[0] else -1
+    )
 
 
 def riesz_mean(

@@ -184,32 +184,33 @@ class MultiplicativeEvaluator:
         """Bulk values g(1..limit) as int8 (index 0 unused, set to 0).
 
         model 'f' gives the squarefree-supported function, 'fstar' the
-        completely multiplicative one.  Computed by stripping smallest prime
-        factors in vectorized rounds; agrees entrywise with the scalar
-        evaluators.
+        completely multiplicative one.  With p = spf(n) and q = n/p,
+        fstar(n) = fstar(q) s(p), and f(n) = f(q) s(p) when p does not
+        divide q, else 0.  As q <= n/2, each dyadic block [2^j, 2^(j+1))
+        reads g only at blocks already finished, so a block is one
+        vectorized step and the cost is O(limit).  Agrees entrywise with the
+        scalar evaluators.
         """
         if model not in ("f", "fstar"):
             raise DomainError(f"model must be 'f' or 'fstar', got {model!r}")
         self.table.check_range(limit)
         sign_of = self.sign_by_value(limit)
-        fstar = np.ones(limit + 1, dtype=np.int8)
-        squarefree = np.ones(limit + 1, dtype=bool)
         spf = self.table.spf
-        m = np.arange(limit + 1, dtype=np.int64)
-        idx = np.flatnonzero(m > 1)
-        while idx.size:
-            p = spf[m[idx]].astype(np.int64)
-            q = m[idx] // p
-            squarefree[idx[q % p == 0]] = False
-            fstar[idx] *= sign_of[p]
-            m[idx] = q
-            idx = idx[q > 1]
-        fstar[0] = 0
-        if model == "fstar":
-            return fstar
-        f = np.where(squarefree, fstar, np.int8(0))
-        f[0] = 0
-        return f
+        g = np.zeros(limit + 1, dtype=np.int8)
+        g[1] = 1
+        lo = 2
+        while lo <= limit:
+            hi = min(2 * lo, limit + 1)
+            p = spf[lo:hi]
+            # exact: p divides n, and n < 2^32 is far below 2^53
+            q = (np.arange(lo, hi, dtype=np.float64) / p).astype(np.intp)
+            s = sign_of[p]
+            if model == "f":
+                # every prime of q is >= p, so p | q exactly when spf(q) = p
+                s *= spf[q] != p
+            np.multiply(g[q], s, out=g[lo:hi])
+            lo = hi
+        return g
 
 
 def load_explicit_signs(path) -> dict[int, int]:

@@ -1,9 +1,9 @@
 """Slow or independent reference routes that only tests use.
 
-Each one recomputes something the package computes another way: a
-compensated running sum, fstar by Dirichlet convolution, a streamed file
-digest, the Mellin record at one point.  Tests compare the package against
-them.
+Each one recomputes something the package computes another way: g by
+stripping smallest prime factors, a compensated running sum, fstar by
+Dirichlet convolution, a streamed file digest, the Mellin record at one
+point.  Tests compare the package against them.
 """
 
 import hashlib
@@ -15,6 +15,31 @@ from rmflab.dirichlet import prime_cosine_sum
 from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
 from rmflab.series import Model, WeightedSumSeries
 from rmflab.signs import MultiplicativeEvaluator
+
+
+def values_by_stripping(ev: MultiplicativeEvaluator, limit: int, model: str) -> np.ndarray:
+    """g(0..limit) as int8, as values_up_to returns it, by stripping the
+    smallest prime factor from every n > 1 in vectorized rounds until only 1
+    is left; the route values_up_to took before its dyadic recurrence."""
+    sign_of = ev.sign_by_value(limit)
+    fstar = np.ones(limit + 1, dtype=np.int8)
+    squarefree = np.ones(limit + 1, dtype=bool)
+    spf = ev.table.spf
+    m = np.arange(limit + 1, dtype=np.int64)
+    idx = np.flatnonzero(m > 1)
+    while idx.size:
+        p = spf[m[idx]].astype(np.int64)
+        q = m[idx] // p
+        squarefree[idx[q % p == 0]] = False
+        fstar[idx] *= sign_of[p]
+        m[idx] = q
+        idx = idx[q > 1]
+    fstar[0] = 0
+    if model == "fstar":
+        return fstar
+    f = np.where(squarefree, fstar, np.int8(0))
+    f[0] = 0
+    return f
 
 
 def kahan_cumsum(weights: np.ndarray) -> np.ndarray:

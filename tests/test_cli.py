@@ -1,3 +1,4 @@
+import builtins
 import json
 import subprocess
 import sys
@@ -85,6 +86,26 @@ def test_experiment_manifest_matches_replay(tmp_path):
     )
     assert code == 0
     assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 0
+
+
+def test_replay_reads_the_manifest_once(tmp_path, monkeypatch):
+    outdir = tmp_path / "g"
+    code = run_cli(
+        "growth", "--trials", "2", "--seed", "4", "--limit", "100", "--out", str(outdir),
+    )
+    assert code == 0
+    manifest_path = str(outdir / "manifest.json")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == manifest_path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run_cli("replay", "--manifest", manifest_path) == 0
+    assert len(opened) == 1
 
 
 def test_console_script_entry_point():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmflab.errors import DomainError, MissingSignError
 from rmflab.primes import primes_up_to
@@ -15,7 +16,7 @@ from rmflab.signs import (
     trial_seed,
 )
 
-from oracles import f_star_by_convolution
+from oracles import f_star_by_convolution, values_by_stripping
 
 
 def test_all_minus_one_mode():
@@ -98,6 +99,37 @@ def test_bulk_matches_scalar(table_1e5):
         for n in range(1, 3001):
             assert f[n] == ev.evaluate_f(n)
             assert fstar[n] == ev.evaluate_f_star(n)
+
+
+# limits on both sides of the dyadic block edges 2^k, and anywhere in 1..5000
+LIMITS = st.one_of(
+    st.sampled_from([2**k + d for k in range(13) for d in (-1, 0, 1) if 1 <= 2**k + d <= 5000]),
+    st.integers(1, 5000),
+)
+
+
+@st.composite
+def assignments(draw, limit: int):
+    mode = draw(st.sampled_from(["iid", "minus-one", "explicit"]))
+    if mode == "iid":
+        return SignAssignment.iid(draw(st.integers(0, 2**64 - 1)))
+    if mode == "minus-one":
+        return SignAssignment.all_minus_one()
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    bits = draw(st.integers(0, 2 ** len(primes) - 1))
+    return SignAssignment.explicit({p: 1 - 2 * ((bits >> i) & 1) for i, p in enumerate(primes)})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_values_up_to_matches_stripping_oracle_and_scalars(table_1e5, data):
+    limit = data.draw(LIMITS)
+    ev = MultiplicativeEvaluator(data.draw(assignments(limit)), table_1e5)
+    for model, scalar in (("f", ev.evaluate_f), ("fstar", ev.evaluate_f_star)):
+        g = ev.values_up_to(limit, model)
+        assert g.dtype == np.int8 and g.shape == (limit + 1,)
+        assert np.array_equal(g, values_by_stripping(ev, limit, model))
+        assert g[1:].tolist() == [scalar(n) for n in range(1, limit + 1)]
 
 
 def test_convolution_identity_exhaustive(table_1e5):
