@@ -5,31 +5,30 @@ statistical expectation or a replay digest comparison failed; 2 usage error;
 3 domain/precondition error; 4 I/O error.  Statistical outcomes are reported,
 never enforced, unless --assert is given.
 
-Every run that writes data writes its manifest first, then the CSVs, then
-finalizes the manifest with their digests; all file writes go to a temp name
-and are renamed into place.
+Every command that writes data hands its results to the experiments module,
+which owns the CSV files, the manifest format, the write order and replay.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
 from .experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     assert_outcome,
-    load_manifest,
-    replay_manifest,
+    replay_experiment,
     run_experiment,
     write_experiment,
+    write_series,
 )
-from .output import atomic_write, csv_text, fmt_float, sha256_text
-from .series import Model, SignChangeLog, WeightedSumSeries, compute_series, detect_sign_changes
+from .output import fmt_float
+from .series import Model, compute_series, detect_sign_changes
 from .signs import SignAssignment, SignMode, load_explicit_signs
 
 
@@ -141,68 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict[str, str]:
-    """File name -> CSV text of the series command's two outputs."""
-    return {
-        "series.csv": csv_text(("x", "value"), (range(1, series.limit + 1), series.values[1:])),
-        "sign_changes.csv": csv_text(("position", "sign_after"), (log.positions, log.signs_after())),
-    }
-
-
 def _run_series(args) -> int:
     assignment = _assignment_from_args(args)
     start = time.monotonic()
     series = compute_series(assignment, args.model, args.alpha, args.limit)
     log = detect_sign_changes(series)
-    outdir = os.path.abspath(args.out)
-    manifest_path = os.path.join(outdir, "manifest.json")
-    manifest = {
-        "command": "series",
-        "model": args.model,
-        "alpha": args.alpha,
-        "limit": args.limit,
-        "sign_mode": assignment.mode.value,
-        "seed": args.seed,
-        "signs_file": args.signs_file,
-        "tool_version": __version__,
-        "csv_sha256": None,
-        "wall_time_seconds": None,
-    }
-    atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    texts = _series_csvs(series, log)
-    for name, text in texts.items():
-        atomic_write(os.path.join(outdir, name), text)
-    manifest["csv_sha256"] = {name: sha256_text(text) for name, text in texts.items()}
-    manifest["wall_time_seconds"] = time.monotonic() - start
-    atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    outdir = write_series(series, log, assignment, args.out, time.monotonic() - start, args.signs_file)
     print(
         f"series model={args.model} alpha={args.alpha} N={args.limit}: "
         f"M(N)={fmt_float(series.values[args.limit])} max|M|={fmt_float(series.max_abs)} "
         f"at x={series.argmax}, {log.count} sign changes -> {outdir}"
     )
     return 0
-
-
-def _replay_series(manifest: dict) -> tuple[bool, str]:
-    try:
-        mode = SignMode(manifest["sign_mode"])
-        if mode is SignMode.IID_RADEMACHER:
-            assignment = SignAssignment.iid(int(manifest["seed"]))
-        elif mode is SignMode.ALL_MINUS_ONE:
-            assignment = SignAssignment.all_minus_one()
-        else:
-            assignment = SignAssignment.explicit(load_explicit_signs(manifest["signs_file"]))
-        model, alpha, limit = Model(manifest["model"]), float(manifest["alpha"]), int(manifest["limit"])
-    except KeyError as exc:
-        raise DomainError(f"series manifest is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed series manifest: {exc}") from None
-    series = compute_series(assignment, model, alpha, limit)
-    log = detect_sign_changes(series)
-    recomputed = {name: sha256_text(text) for name, text in _series_csvs(series, log).items()}
-    recorded = manifest.get("csv_sha256") or {}
-    ok = recomputed == recorded
-    return ok, f"recorded={recorded} recomputed={recomputed}"
 
 
 def _run_experiment_command(args) -> int:
@@ -242,10 +191,8 @@ def _run_experiment_command(args) -> int:
 def _run_euler(args) -> int:
     assignment = _assignment_from_args(args)
     s = complex(args.sigma, args.t)
-    if args.model == "f":
-        result = dirichlet.euler_product_F(assignment, s, args.prime_limit)
-    else:
-        result = dirichlet.euler_product_F_star(assignment, s, args.prime_limit)
+    product = dirichlet.euler_product_F if args.model == "f" else dirichlet.euler_product_F_star
+    result = product(assignment, s, args.prime_limit)
     print(
         f"model={args.model} s={fmt_float(args.sigma)}+{fmt_float(args.t)}i "
         f"prime_limit={args.prime_limit}"
@@ -273,15 +220,11 @@ def _run_mellin_check(args) -> int:
 
 
 def _run_replay(args) -> int:
-    manifest = load_manifest(args.manifest)
-    if "experiment" in manifest:
-        ok, recorded, recomputed = replay_manifest(manifest)
-        detail = f"recorded={recorded} recomputed={recomputed}"
-    elif manifest.get("command") == "series":
-        ok, detail = _replay_series(manifest)
-    else:
-        raise DomainError(f"{args.manifest}: not a replayable manifest")
-    print(f"replay: {'MATCH' if ok else 'MISMATCH'} ({detail})")
+    ok, recorded, recomputed = replay_experiment(args.manifest)
+    print(f"replay: {'MATCH' if ok else 'MISMATCH'}")
+    for name in sorted(recorded.keys() | recomputed.keys()):
+        if recorded.get(name) != recomputed.get(name):
+            print(f"differs: {name} recorded={recorded.get(name)} recomputed={recomputed.get(name)}")
     return 0 if ok else 1
 
 
@@ -294,7 +237,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     try:
         if args.command == "series":
             return _run_series(args)
-        if args.command in ("sign-changes", "positivity", "harper", "divergence", "growth"):
+        if args.command in EXPERIMENTS:
             return _run_experiment_command(args)
         if args.command == "euler":
             return _run_euler(args)

@@ -125,6 +125,17 @@ def _product_factors(
     return signs[0].astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
 
 
+def _euler_product(assignment, s, prime_limit, table, factor) -> EulerProduct:
+    """prod_{p <= prime_limit} factor(f(p)/p^s), factors multiplied in ascending p."""
+    factors = factor(_product_factors(assignment, s, prime_limit, table))
+    value = complex(np.multiply.accumulate(factors)[-1])
+    return EulerProduct(
+        value=value,
+        last_factor_deviation=float(abs(factors[-1] - 1.0)),
+        prime_limit=prime_limit,
+    )
+
+
 def euler_product_F(
     assignment: SignAssignment,
     s: complex,
@@ -133,14 +144,7 @@ def euler_product_F(
 ) -> EulerProduct:
     """prod_{p <= prime_limit} (1 + f(p)/p^s), factors multiplied in
     ascending p."""
-    x = _product_factors(assignment, s, prime_limit, table)
-    factors = 1.0 + x
-    value = complex(np.multiply.accumulate(factors)[-1])
-    return EulerProduct(
-        value=value,
-        last_factor_deviation=float(abs(factors[-1] - 1.0)),
-        prime_limit=prime_limit,
-    )
+    return _euler_product(assignment, s, prime_limit, table, lambda x: 1.0 + x)
 
 
 def euler_product_F_star(
@@ -154,14 +158,7 @@ def euler_product_F_star(
     Each factor needs |f(p)/p^s| < 1, which holds automatically for p >= 2
     and Re s > 1/2.
     """
-    x = _product_factors(assignment, s, prime_limit, table)
-    factors = 1.0 / (1.0 - x)
-    value = complex(np.multiply.accumulate(factors)[-1])
-    return EulerProduct(
-        value=value,
-        last_factor_deviation=float(abs(factors[-1] - 1.0)),
-        prime_limit=prime_limit,
-    )
+    return _euler_product(assignment, s, prime_limit, table, lambda x: 1.0 / (1.0 - x))
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,19 @@ import numpy as np
 
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
-from .output import atomic_write, csv_text, sha256_text
+from .output import atomic_write, csv_text, sha256_file, sha256_text
 from .primes import SpfTable, build_spf_sieve
 from .primes import primes_up_to  # noqa: F401  the benchmark's tests read this binding
 from .series import (
     Model,
+    SignChangeLog,
     WeightedSumSeries,
     compute_series,
     detect_sign_changes,
     growth_statistic,
     map_ordered,
 )
-from .signs import SignAssignment, SignMode, trial_seed
+from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
 
 EXPERIMENTS = ("sign-changes", "positivity", "harper", "divergence", "growth")
 
@@ -447,7 +448,7 @@ def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> A
 
 
 # ---------------------------------------------------------------------------
-# Serialization: per-trial CSV, manifest, replay
+# Serialization: CSVs, the manifest of every command that writes files, replay
 # ---------------------------------------------------------------------------
 
 
@@ -456,76 +457,66 @@ def trials_csv(stats: AggregateStats) -> str:
     return csv_text(stats.columns, [[r[c] for r in stats.per_trial] for c in stats.columns])
 
 
-def manifest_dict(
-    stats: AggregateStats,
-    csv_sha256: str | None = None,
-    wall_time: float | None = None,
-) -> dict:
-    cfg = stats.config
+def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict[str, str]:
+    """File name -> CSV text of the series command's two outputs."""
     return {
-        "experiment": cfg.experiment,
-        "model": cfg.model.value,
-        "alpha": cfg.alpha,
-        "N": cfg.limit,
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "sign_mode": cfg.sign_mode.value,
-        "sigma_grid": list(cfg.sigma_grid) if cfg.sigma_grid else None,
-        "prime_limit": cfg.prime_limit,
-        "grid_step": cfg.grid_step,
-        "thresholds": {
-            "min_sign_changes": cfg.min_sign_changes,
-            "pass_rate": cfg.pass_rate,
-            "positivity_rate": cfg.positivity_rate,
-        },
-        "reporting_only": cfg.reporting_only,
-        "columns": list(stats.columns),
-        "tool_version": __version__,
-        "wall_time": wall_time,
-        "csv_sha256": csv_sha256,
-        "summary": stats.summary,
+        "series.csv": csv_text(("x", "value"), (range(1, series.limit + 1), series.values[1:])),
+        "sign_changes.csv": csv_text(("position", "sign_after"), (log.positions, log.signs_after())),
     }
 
 
-def load_manifest(path) -> dict:
-    """The JSON object in a manifest file; DomainError if it is not one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise DomainError(f"{path}: not a JSON manifest ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise DomainError(f"{path}: manifest must be a JSON object")
-    return manifest
+def _manifest(command, model, alpha, limit, sign_mode, wall_time, **specific) -> dict:
+    """The keys every manifest carries, around the command's own keys.
+
+    The writer adds csv_sha256, the map file name -> sha256 of each CSV.
+    """
+    return {
+        "command": command,
+        "tool_version": __version__,
+        "model": model.value,
+        "alpha": alpha,
+        "N": limit,
+        "sign_mode": sign_mode.value,
+        **specific,
+        "wall_time": wall_time,
+    }
 
 
-def config_from_manifest(manifest: dict) -> ExperimentConfig:
-    try:
-        thresholds = manifest.get("thresholds", {})
-        return ExperimentConfig(
-            experiment=manifest["experiment"],
-            model=Model(manifest["model"]),
-            alpha=float(manifest["alpha"]),
-            limit=int(manifest["N"]),
-            trials=int(manifest["trials"]),
-            base_seed=int(manifest["base_seed"]),
-            sign_mode=SignMode(manifest.get("sign_mode", "iid")),
-            sigma_grid=tuple(manifest["sigma_grid"]) if manifest.get("sigma_grid") else None,
-            prime_limit=manifest.get("prime_limit"),
-            grid_step=manifest.get("grid_step"),
-            min_sign_changes=int(thresholds.get("min_sign_changes", 5)),
-            pass_rate=float(thresholds.get("pass_rate", 0.95)),
-            positivity_rate=float(thresholds.get("positivity_rate", 0.99)),
-        )
-    except KeyError as exc:
-        raise DomainError(f"experiment manifest is missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"malformed experiment manifest: {exc}") from None
+def manifest_dict(stats: AggregateStats, wall_time: float | None = None) -> dict:
+    cfg = stats.config
+    return _manifest(
+        cfg.experiment, cfg.model, cfg.alpha, cfg.limit, cfg.sign_mode, wall_time,
+        trials=cfg.trials,
+        base_seed=cfg.base_seed,
+        sigma_grid=list(cfg.sigma_grid) if cfg.sigma_grid else None,
+        prime_limit=cfg.prime_limit,
+        grid_step=cfg.grid_step,
+        thresholds={k: getattr(cfg, k) for k in ("min_sign_changes", "pass_rate", "positivity_rate")},
+        reporting_only=cfg.reporting_only,
+        columns=list(stats.columns),
+        summary=stats.summary,
+    )
+
+
+def _write_run(outdir, manifest: dict, texts: dict[str, str]) -> list[str]:
+    """Write manifest.json with csv_sha256 null, then each CSV, then the
+    manifest again with csv_sha256 mapping each file name to its sha256.
+
+    Every write is temp-file + rename, so a manifest whose csv_sha256 is
+    null marks a run that did not finish.  Returns the absolute paths
+    written, manifest first.
+    """
+    paths = [os.path.join(os.path.abspath(outdir), name) for name in ("manifest.json", *texts)]
+    atomic_write(paths[0], json.dumps({**manifest, "csv_sha256": None}, indent=2) + "\n")
+    for path, text in zip(paths[1:], texts.values()):
+        atomic_write(path, text)
+    digests = {name: sha256_text(text) for name, text in texts.items()}
+    atomic_write(paths[0], json.dumps({**manifest, "csv_sha256": digests}, indent=2) + "\n")
+    return paths
 
 
 def write_experiment(stats: AggregateStats, outdir=None, wall_time: float | None = None):
-    """Write manifest.json then trials.csv, finalizing the manifest with the
-    CSV digest; all writes are temp-file + rename.
+    """Write the manifest and trials.csv (see _write_run); returns their paths.
 
     outdir defaults to the config's output_path.
     """
@@ -533,31 +524,94 @@ def write_experiment(stats: AggregateStats, outdir=None, wall_time: float | None
         outdir = stats.config.output_path
     if not outdir:
         raise DomainError("no output directory: pass outdir or set config.output_path")
-    outdir = os.path.abspath(outdir)
-    manifest_path = os.path.join(outdir, "manifest.json")
-    csv_path = os.path.join(outdir, "trials.csv")
-    atomic_write(manifest_path, json.dumps(manifest_dict(stats), indent=2) + "\n")
-    csv_text = trials_csv(stats)
-    atomic_write(csv_path, csv_text)
-    final = manifest_dict(stats, csv_sha256=sha256_text(csv_text), wall_time=wall_time)
-    atomic_write(manifest_path, json.dumps(final, indent=2) + "\n")
-    return manifest_path, csv_path
+    return tuple(_write_run(outdir, manifest_dict(stats, wall_time), {"trials.csv": trials_csv(stats)}))
 
 
-def replay_experiment(manifest_path) -> tuple[bool, str, str]:
-    """Re-run the manifest's config and compare CSV digests.
+def write_series(
+    series: WeightedSumSeries, log: SignChangeLog, assignment: SignAssignment, outdir,
+    wall_time: float | None = None, signs_file: str | None = None,
+) -> str:
+    """Write the manifest, series.csv and sign_changes.csv of one series run
+    (see _write_run); returns the absolute outdir.
 
-    Returns (match, recorded_sha, recomputed_sha).
+    signs_file names the file an explicit assignment was read from; its
+    sha256 is recorded so that replay can tell a changed input from a
+    changed program.
     """
-    return replay_manifest(load_manifest(manifest_path))
+    manifest = _manifest(
+        "series", series.model, series.alpha, series.limit, assignment.mode, wall_time,
+        seed=assignment.seed,
+        signs_file=signs_file,
+        signs_sha256=sha256_file(signs_file) if signs_file else None,
+    )
+    return os.path.dirname(_write_run(outdir, manifest, _series_csvs(series, log))[0])
 
 
-def replay_manifest(manifest: dict) -> tuple[bool, str, str]:
-    """replay_experiment for a manifest already loaded with load_manifest."""
-    recorded = manifest.get("csv_sha256") or ""
-    config = config_from_manifest(manifest)
-    stats = run_experiment(config)
-    recomputed = sha256_text(trials_csv(stats))
+def config_from_manifest(manifest: dict) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(
+            experiment=manifest["command"],
+            model=Model(manifest["model"]),
+            alpha=float(manifest["alpha"]),
+            limit=int(manifest["N"]),
+            trials=int(manifest["trials"]),
+            base_seed=int(manifest["base_seed"]),
+            sign_mode=SignMode(manifest["sign_mode"]),
+            sigma_grid=tuple(manifest["sigma_grid"]) if manifest.get("sigma_grid") else None,
+            prime_limit=manifest.get("prime_limit"),
+            grid_step=manifest.get("grid_step"),
+            **manifest.get("thresholds", {}),
+        )
+    except KeyError as exc:
+        raise DomainError(f"not a replayable manifest: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"not a replayable manifest: {exc}") from None
+
+
+def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
+    """Re-run the command of the manifest at manifest_path; compare digest maps.
+
+    Returns (match, recorded, recomputed), each a map file name -> sha256.
+    A series run from a signs file first hashes that file again: if it
+    changed, nothing is recomputed and the maps hold the signs file's
+    recorded and current digests.
+    """
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{manifest_path}: not a JSON manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DomainError(f"{manifest_path}: manifest must be a JSON object")
+    command = manifest.get("command")
+    if command in EXPERIMENTS:
+        texts = {"trials.csv": trials_csv(run_experiment(config_from_manifest(manifest)))}
+    elif command == "series":
+        try:
+            mode = SignMode(manifest["sign_mode"])
+            model, alpha, limit = Model(manifest["model"]), float(manifest["alpha"]), int(manifest["N"])
+            seed, signs_file = int(manifest["seed"]), str(manifest["signs_file"])
+        except KeyError as exc:
+            raise DomainError(f"not a replayable manifest: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"not a replayable manifest: {exc}") from None
+        if mode is SignMode.EXPLICIT:
+            recorded, current = manifest.get("signs_sha256"), sha256_file(signs_file)
+            if current != recorded:
+                return False, {signs_file: recorded}, {signs_file: current}
+            assignment = SignAssignment.explicit(load_explicit_signs(signs_file))
+        elif mode is SignMode.ALL_MINUS_ONE:
+            assignment = SignAssignment.all_minus_one()
+        else:
+            assignment = SignAssignment.iid(seed)
+        series = compute_series(assignment, model, alpha, limit)
+        texts = _series_csvs(series, detect_sign_changes(series))
+    else:
+        raise DomainError(f"not a replayable manifest: unknown command {command!r}")
+    recorded = manifest.get("csv_sha256")
+    # null (a run that did not finish) or not a map: every file differs
+    recorded = recorded if isinstance(recorded, dict) else {}
+    recomputed = {name: sha256_text(text) for name, text in texts.items()}
     return recomputed == recorded, recorded, recomputed
 
 

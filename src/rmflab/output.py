@@ -48,3 +48,12 @@ def atomic_write(path, data: str) -> None:
 
 def sha256_text(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def sha256_file(path) -> str:
+    """sha256 of a file's bytes, read in 1 MiB blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()

@@ -54,13 +54,18 @@ class WeightedSumSeries:
         arr = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
         if arr.size < 2:
             raise DomainError("series needs at least one value")
-        body = np.abs(arr[1:])
+        return cls._wrap(arr, model, alpha)
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray, model: Model | str, alpha: float):
+        """The series held in values[1:] (values[0] = 0.0), without a copy."""
+        body = np.abs(values[1:])
         k = int(np.argmax(body))
         return cls(
             model=Model(model),
             alpha=float(alpha),
-            limit=arr.size - 1,
-            values=arr,
+            limit=values.size - 1,
+            values=values,
             max_abs=float(body[k]),
             argmax=k + 1,
         )
@@ -127,17 +132,7 @@ def series_and_values(
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = 0.0
     np.cumsum(weights[1:], out=values[1:])
-    body = np.abs(values[1:])
-    k = int(np.argmax(body))
-    series = WeightedSumSeries(
-        model=model,
-        alpha=float(alpha),
-        limit=limit,
-        values=values,
-        max_abs=float(body[k]),
-        argmax=k + 1,
-    )
-    return series, g
+    return WeightedSumSeries._wrap(values, model, alpha), g
 
 
 def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:

@@ -2,11 +2,9 @@
 
 Each one recomputes something the package computes another way: g by
 stripping smallest prime factors, a compensated running sum, fstar by
-Dirichlet convolution, a streamed file digest, the Mellin record at one
-point.  Tests compare the package against them.
+Dirichlet convolution, the Mellin record at one point.  Tests compare the package against them.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +79,6 @@ def f_star_by_convolution(ev: MultiplicativeEvaluator, n: int) -> int:
             total += ev.evaluate_f(n // (d * d))
         d += 1
     return total
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 def prime_sum_real(assignment, sigma: float, prime_limit: int, table=None) -> float:

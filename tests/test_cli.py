@@ -1,10 +1,13 @@
 import builtins
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from rmflab import experiments
 from rmflab.cli import parse_and_dispatch
 
 
@@ -57,15 +60,29 @@ def test_series_write_and_replay(tmp_path, capsys):
     assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 0
 
 
-def test_replay_detects_tampering(tmp_path):
+def test_replay_detects_tampering(tmp_path, capsys):
     outdir = tmp_path / "run"
     assert run_cli("sign-changes", "--model", "f", "--alpha", "0.5", "--limit", "2000",
                    "--trials", "4", "--seed", "5", "--out", str(outdir)) == 0
     manifest_path = outdir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["csv_sha256"] = "0" * 64
+    manifest["csv_sha256"]["trials.csv"] = "0" * 64
     manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
     assert run_cli("replay", "--manifest", str(manifest_path)) == 1
+    assert "differs: trials.csv" in capsys.readouterr().out
+
+    outdir = tmp_path / "series"
+    assert run_cli("series", "--model", "f", "--alpha", "0.5", "--limit", "500",
+                   "--seed", "5", "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["csv_sha256"]["sign_changes.csv"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 1
+    out = capsys.readouterr().out
+    assert "differs: sign_changes.csv" in out and "series.csv" not in out
 
 
 def test_experiment_command_with_assert_pass(tmp_path, capsys):
@@ -78,14 +95,79 @@ def test_experiment_command_with_assert_pass(tmp_path, capsys):
     assert "assert:" in out
 
 
-def test_experiment_manifest_matches_replay(tmp_path):
-    outdir = tmp_path / "h"
-    code = run_cli(
-        "harper", "--trials", "2", "--seed", "4", "--sigma-grid", "0.58,0.55",
-        "--prime-limit", "5000", "--limit", "1", "--out", str(outdir),
-    )
-    assert code == 0
+def _signs_file(tmp_path):
+    """An explicit assignment for every prime below 100, alternating signs."""
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    path = tmp_path / "signs.txt"
+    path.write_text("".join(f"{p} {(-1) ** i}\n" for i, p in enumerate(primes)))
+    return path
+
+
+WRITING_COMMANDS = {
+    "sign-changes": ["sign-changes", "--model", "f", "--alpha", "0.25", "--limit", "2000",
+                     "--trials", "3", "--seed", "4"],
+    "positivity": ["positivity", "--limit", "200", "--trials", "5", "--seed", "4"],
+    "harper": ["harper", "--trials", "2", "--seed", "4", "--sigma-grid", "0.58,0.55",
+               "--prime-limit", "5000", "--limit", "1"],
+    "divergence": ["divergence", "--model", "f", "--alpha", "0.5", "--limit", "2000",
+                   "--trials", "2", "--seed", "11", "--sigma-grid", "0.58,0.54",
+                   "--prime-limit", "4000"],
+    "growth": ["growth", "--limit", "100", "--trials", "2", "--seed", "4"],
+    "series": ["series", "--model", "fstar", "--alpha", "0.5", "--limit", "99", "--seed", "3"],
+    "series-minus-one": ["series", "--model", "f", "--alpha", "0", "--limit", "99", "--minus-one"],
+    "series-signs-file": ["series", "--model", "f", "--alpha", "0.5", "--limit", "99",
+                          "--signs-file", "SIGNS"],
+}
+
+
+@pytest.mark.parametrize("case", list(WRITING_COMMANDS))
+def test_experiment_manifest_matches_replay(tmp_path, case):
+    argv = [str(_signs_file(tmp_path)) if a == "SIGNS" else a for a in WRITING_COMMANDS[case]]
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(outdir)) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    for name, digest in manifest["csv_sha256"].items():
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
     assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 0
+
+
+@pytest.mark.parametrize("case", ["series", "growth"])
+def test_manifest_is_written_before_and_after_the_csvs(tmp_path, monkeypatch, case):
+    writes = []
+    real_write = experiments.atomic_write
+
+    def recording_write(path, data):
+        name = os.path.basename(path)
+        writes.append((name, json.loads(data)["csv_sha256"] if name == "manifest.json" else data))
+        real_write(path, data)
+
+    monkeypatch.setattr(experiments, "atomic_write", recording_write)
+    assert run_cli(*WRITING_COMMANDS[case], "--out", str(tmp_path / "out")) == 0
+    names = [name for name, _ in writes]
+    assert names[0] == names[-1] == "manifest.json"
+    assert "manifest.json" not in names[1:-1] and names[1:-1]
+    assert writes[0][1] is None
+    assert writes[-1][1] == {
+        name: hashlib.sha256(text.encode()).hexdigest() for name, text in writes[1:-1]
+    }
+
+
+def test_replay_names_a_changed_signs_file(tmp_path, capsys):
+    signs = _signs_file(tmp_path)
+    outdir = tmp_path / "out"
+    assert run_cli("series", "--model", "f", "--alpha", "0.5", "--limit", "99",
+                   "--signs-file", str(signs), "--out", str(outdir)) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["signs_file"] == str(signs)
+    assert manifest["signs_sha256"] == hashlib.sha256(signs.read_bytes()).hexdigest()
+    signs.write_text(signs.read_text().replace("2 1\n", "2 -1\n", 1))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and f"differs: {signs}" in out
+    # the input check comes first: the changed sign at 2 is never recomputed
+    assert ".csv" not in out
 
 
 def test_replay_reads_the_manifest_once(tmp_path, monkeypatch):
@@ -148,8 +230,15 @@ def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys):
     [
         ("not json {", "not a JSON manifest"),
         ("[1, 2]", "JSON object"),
-        ('{"experiment": "growth"}', "'model'"),
+        ('{"command": "growth"}', "'model'"),
         ('{"command": "series"}', "'sign_mode'"),
+        pytest.param('{"experiment": "growth"}', "not a replayable manifest", id="parent-experiment"),
+        pytest.param(
+            '{"command": "series", "model": "f", "alpha": 0.5, "limit": 10, "sign_mode": "iid",'
+            ' "seed": 0, "signs_file": null}',
+            "not a replayable manifest",
+            id="parent-series",
+        ),
     ],
 )
 def test_malformed_manifest_exit_3(tmp_path, capsys, text, needle):

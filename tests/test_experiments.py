@@ -231,8 +231,8 @@ def test_manifest_round_trip(table_1e5):
         sigma_grid=(0.56, 0.54), prime_limit=10**4,
     )
     stats = run_divergence_comparison(cfg, table_1e5)
-    manifest = manifest_dict(stats, csv_sha256="x", wall_time=1.0)
-    for key in ("experiment", "model", "alpha", "N", "trials", "base_seed",
+    manifest = manifest_dict(stats, wall_time=1.0)
+    for key in ("command", "model", "alpha", "N", "trials", "base_seed",
                 "prime_limit", "sigma_grid", "tool_version", "wall_time"):
         assert key in manifest
     cfg2 = config_from_manifest(manifest)

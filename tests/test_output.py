@@ -1,9 +1,7 @@
 import numpy as np
 
 from rmflab.experiments import resolve_threads
-from rmflab.output import atomic_write, fmt_float, sha256_text
-
-from oracles import sha256_file
+from rmflab.output import atomic_write, fmt_float, sha256_file, sha256_text
 
 
 def test_fmt_float_round_trips():

@@ -13,7 +13,7 @@ from rmflab.series import (
     growth_statistic,
     riesz_mean,
 )
-from rmflab.cli import _series_csvs
+from rmflab.experiments import _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
 
 from conftest import oracle_mobius
