@@ -20,6 +20,7 @@ from . import __version__, dirichlet, mellin
 from .errors import DomainError
 from .experiments import (
     EXPERIMENTS,
+    FIXED_MODEL,
     ExperimentConfig,
     assert_outcome,
     replay_experiment,
@@ -28,7 +29,7 @@ from .experiments import (
     write_series,
 )
 from .output import fmt_float
-from .series import Model, compute_series, detect_sign_changes
+from .series import compute_series, detect_sign_changes
 from .signs import SignAssignment, SignMode, load_explicit_signs
 
 
@@ -155,22 +156,17 @@ def _run_series(args) -> int:
 
 
 def _run_experiment_command(args) -> int:
-    sigma_grid = _sigma_grid(getattr(args, "sigma_grid", None))
-    model = getattr(args, "model", None)
-    alpha = getattr(args, "alpha", None)
-    if args.command == "positivity":
-        model, alpha = "fstar", 1.0
-    elif args.command in ("growth", "harper"):
-        model, alpha = "f", 0.0
+    # positivity, harper and growth have no --model/--alpha: their pair is fixed
+    model, alpha = FIXED_MODEL.get(args.command) or (args.model, args.alpha)
     config = ExperimentConfig(
         experiment=args.command,
-        model=Model(model),
-        alpha=float(alpha),
+        model=model,
+        alpha=alpha,
         limit=args.limit,
         trials=args.trials,
         base_seed=args.seed,
         sign_mode=SignMode.ALL_MINUS_ONE if args.minus_one else SignMode.IID_RADEMACHER,
-        sigma_grid=sigma_grid,
+        sigma_grid=_sigma_grid(getattr(args, "sigma_grid", None)),
         prime_limit=getattr(args, "prime_limit", None),
         grid_step=getattr(args, "grid_step", None),
         threads=args.threads,

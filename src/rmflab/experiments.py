@@ -1,5 +1,11 @@
 """Multi-seed experiment drivers with reproducible seeding and summaries.
 
+run_experiment is the one runner.  It validates the config, builds one
+sieve, derives every trial's seed and assignment, and hands them to the
+experiment's body, which returns each trial's rows and the summary; the
+runner prefixes every row with its trial index and seed.  Each body's row
+literal is the experiment's CSV schema.
+
 Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
 worker count; aggregation is an ordered fold by trial index.  Trials are
@@ -7,9 +13,9 @@ embarrassingly parallel and share nothing mutable beyond the result sink
 (per-trial series are transient: only sign-change logs, extremes, and scalar
 statistics are retained).
 
-Statistical thresholds (minimum sign-change count, pass rates, majority
-fractions) are configuration defaults calibrated by a pilot run, not
-constants of any theorem; they are recorded in every manifest and reports
+The statistical thresholds (MIN_SIGN_CHANGES, PASS_RATE, POSITIVITY_RATE
+and the divergence majority 1/2) are module constants calibrated by a pilot
+run, not constants of any theorem; every manifest records them, and reports
 never fail on them unless the caller asks for assert mode.  The
 completely-multiplicative model at alpha = 1/2 is always reporting-only:
 whether those sums keep changing sign is open, and the tool must not claim
@@ -18,6 +24,7 @@ a pass or a fail there.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,38 +48,17 @@ from .series import (
 )
 from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
 
-EXPERIMENTS = ("sign-changes", "positivity", "harper", "divergence", "growth")
-
 DEFAULT_HARPER_GRID = (0.58, 0.55, 0.52, 0.51)
 DEFAULT_DIVERGENCE_GRID = (0.56, 0.54, 0.52)
 GROWTH_THETAS = (0.0, 0.25, 0.5)
 GROWTH_CHECKPOINTS = (10**4, 10**5, 10**6)
+#: The (model, alpha) of the experiments that study one fixed series.
+FIXED_MODEL = {"positivity": (Model.F_STAR, 1.0), "harper": (Model.F, 0.0), "growth": (Model.F, 0.0)}
 
-CSV_COLUMNS = {
-    "sign-changes": ("trial", "seed", "count", "last_position"),
-    "positivity": ("trial", "seed", "all_positive", "min_value"),
-    "harper": (
-        "trial",
-        "seed",
-        "sigma",
-        "t_star",
-        "sup_value",
-        "centered_value",
-        "grid_step",
-        "prime_limit",
-    ),
-    "divergence": (
-        "trial",
-        "seed",
-        "sigma",
-        "signed",
-        "absolute",
-        "harper_witness",
-        "N",
-        "prime_limit",
-    ),
-    "growth": ("trial", "seed", "theta", "N", "value"),
-}
+# Statistical acceptance thresholds, calibrated by pilot (see README).
+MIN_SIGN_CHANGES = 5
+PASS_RATE = 0.95
+POSITIVITY_RATE = 0.99
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -104,10 +90,6 @@ class ExperimentConfig:
     grid_step: float | None = None
     threads: int | None = None
     output_path: str | None = None
-    # Statistical acceptance defaults, calibrated by pilot (see README).
-    min_sign_changes: int = 5
-    pass_rate: float = 0.95
-    positivity_rate: float = 0.99
 
     def __post_init__(self):
         self.model = Model(self.model)
@@ -125,13 +107,8 @@ class ExperimentConfig:
     def reporting_only(self) -> bool:
         """No pass/fail is ever attached: the open alpha = 1/2 fstar probe
         and the growth envelope report distributions only."""
-        if self.experiment == "growth":
-            return True
-        return (
-            self.experiment == "sign-changes"
-            and self.model is Model.F_STAR
-            and self.alpha == 0.5
-        )
+        open_probe = self.model is Model.F_STAR and self.alpha == 0.5
+        return self.experiment == "growth" or (self.experiment == "sign-changes" and open_probe)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -140,19 +117,18 @@ class ExperimentConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.limit < 1:
             raise DomainError(f"limit must be >= 1, got {self.limit}")
-        if self.experiment == "sign-changes":
-            if not 0.0 <= self.alpha <= 0.5:
+        if self.experiment in FIXED_MODEL:
+            model, alpha = FIXED_MODEL[self.experiment]
+            if self.model is not model or self.alpha != alpha:
                 raise DomainError(
-                    f"model {self.model.value} sign changes need alpha in [0, 1/2], got {self.alpha}"
+                    f"{self.experiment} experiment requires model {model.value} and alpha = {alpha:g}"
                 )
-        elif self.experiment == "positivity":
-            if self.model is not Model.F_STAR or self.alpha != 1.0:
-                raise DomainError("positivity experiment requires model fstar and alpha = 1")
-        elif self.experiment == "growth":
-            if self.model is not Model.F or self.alpha != 0.0:
-                raise DomainError("growth experiment requires model f and alpha = 0")
-            if self.limit < 16:
-                raise DomainError("growth experiment requires limit >= 16")
+        if self.experiment == "sign-changes" and not 0.0 <= self.alpha <= 0.5:
+            raise DomainError(
+                f"model {self.model.value} sign changes need alpha in [0, 1/2], got {self.alpha}"
+            )
+        if self.experiment == "growth" and self.limit < 16:
+            raise DomainError("growth experiment requires limit >= 16")
         if self.experiment in ("harper", "divergence"):
             low = 0.5 if self.experiment == "harper" else max(self.alpha, 0.5)
             dirichlet.check_sigma_grid(self.sigma_grid, self.grid_step, low)
@@ -168,16 +144,13 @@ class ExperimentConfig:
                     f"model fstar divergence needs alpha in [0, 1/2), got {self.alpha}"
                 )
 
-    def assignment_for_trial(self, index: int) -> tuple[int, SignAssignment]:
-        seed = trial_seed(self.base_seed, index)
-        if self.sign_mode is SignMode.ALL_MINUS_ONE:
-            return seed, SignAssignment.all_minus_one()
-        return seed, SignAssignment.iid(seed)
-
     def trial_assignments(self) -> tuple[list[int], list[SignAssignment]]:
-        """(seeds, assignments) of every trial, in trial order."""
-        pairs = [self.assignment_for_trial(i) for i in range(self.trials)]
-        return [seed for seed, _ in pairs], [assignment for _, assignment in pairs]
+        """(seeds, assignments) of every trial, in trial order; all-minus-one
+        mode ignores the seeds."""
+        seeds = [trial_seed(self.base_seed, i) for i in range(self.trials)]
+        if self.sign_mode is SignMode.ALL_MINUS_ONE:
+            return seeds, [SignAssignment.all_minus_one() for _ in seeds]
+        return seeds, [SignAssignment.iid(seed) for seed in seeds]
 
 
 @dataclass
@@ -190,7 +163,8 @@ class AggregateStats:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        return CSV_COLUMNS[self.config.experiment]
+        """The CSV schema: the keys of the records, in record order."""
+        return tuple(self.per_trial[0])
 
 
 def _quantile_summary(values, prefix: str) -> dict:
@@ -203,9 +177,14 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _map_trials(config: ExperimentConfig, worker) -> list:
-    """Run worker(i) for each trial, results ordered by trial index."""
-    return map_ordered(worker, range(config.trials), resolve_threads(config.threads))
+def _map_series(config: ExperimentConfig, table: SpfTable, assignments, reduce) -> list:
+    """reduce(M_alpha of the assignment) for each trial, in trial order, on
+    the run's worker threads; each series is dropped once it is reduced."""
+
+    def worker(assignment: SignAssignment):
+        return reduce(compute_series(assignment, config.model, config.alpha, config.limit, table))
+
+    return map_ordered(worker, assignments, resolve_threads(config.threads))
 
 
 def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
@@ -218,79 +197,50 @@ def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
 
 
 # ---------------------------------------------------------------------------
-# Individual experiments
+# The experiments.  Each body takes (config, table, assignments) and returns
+# (rows of each trial, summary); run_experiment adds trial and seed.
 # ---------------------------------------------------------------------------
 
 
-def run_sign_change_experiment(
-    config: ExperimentConfig, table: SpfTable | None = None
-) -> AggregateStats:
-    """Sign-change census of M_alpha over independent realizations.
+def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments):
+    """Sign-change census of M_alpha: per trial the crossing count and the
+    last crossing position; the summary holds count quantiles and, except in
+    the reporting-only regime, the fraction of trials with at least
+    MIN_SIGN_CHANGES crossings."""
 
-    Per trial: crossing count and last crossing position.  The summary holds
-    count quantiles and, except in the reporting-only regime, the fraction
-    of trials with at least min_sign_changes crossings.
-    """
-    config.validate()
-    if config.experiment != "sign-changes":
-        raise DomainError("config.experiment must be 'sign-changes'")
-    tab = _shared_table(config, table)
-
-    def worker(i: int) -> dict:
-        seed, assignment = config.assignment_for_trial(i)
-        series = compute_series(assignment, config.model, config.alpha, config.limit, tab)
+    def reduce(series):
         log = detect_sign_changes(series)
-        return {
-            "trial": i,
-            "seed": seed,
-            "count": log.count,
-            "last_position": int(log.positions[-1]) if log.count else 0,
-        }
+        return [{"count": log.count, "last_position": int(log.positions[-1]) if log.count else 0}]
 
-    records = _map_trials(config, worker)
-    counts = [r["count"] for r in records]
+    rows = _map_series(config, table, assignments, reduce)
+    counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
     if not config.reporting_only:
-        summary["pass_fraction"] = float(
-            np.mean([c >= config.min_sign_changes for c in counts])
-        )
-        summary["min_sign_changes"] = config.min_sign_changes
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+        summary["pass_fraction"] = float(np.mean([c >= MIN_SIGN_CHANGES for c in counts]))
+        summary["min_sign_changes"] = MIN_SIGN_CHANGES
+    return rows, summary
 
 
-def run_positivity_experiment(
-    config: ExperimentConfig, table: SpfTable | None = None
-) -> AggregateStats:
+def _positivity(config: ExperimentConfig, table: SpfTable, assignments):
     """Probability that the harmonic fstar sums stay strictly positive.
 
     Per trial: the minimum of M_1(x) over 1 <= x <= N and the indicator that
     it is positive (equivalently that M_1(x) > 0 for all 2 <= x <= N, since
     M_1(1) = 1).
     """
-    config.validate()
-    if config.experiment != "positivity":
-        raise DomainError("config.experiment must be 'positivity'")
-    tab = _shared_table(config, table)
 
-    def worker(i: int) -> dict:
-        seed, assignment = config.assignment_for_trial(i)
-        series = compute_series(assignment, Model.F_STAR, 1.0, config.limit, tab)
+    def reduce(series):
         min_value = float(np.min(series.values[1:]))
-        return {
-            "trial": i,
-            "seed": seed,
-            "all_positive": int(min_value > 0.0),
-            "min_value": min_value,
-        }
+        return [{"all_positive": int(min_value > 0.0), "min_value": min_value}]
 
-    records = _map_trials(config, worker)
-    summary = _quantile_summary([r["min_value"] for r in records], "min_value")
-    summary["pass_fraction"] = float(np.mean([r["all_positive"] for r in records]))
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+    rows = _map_series(config, table, assignments, reduce)
+    summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
+    summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
+    return rows, summary
 
 
-def run_harper_scan(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
+def _harper(config: ExperimentConfig, table: SpfTable, assignments):
     """Sup-scan statistics per trial and sigma, with the trend summary.
 
     All trials of one sigma are scanned against shared cosine blocks (the
@@ -299,19 +249,7 @@ def run_harper_scan(config: ExperimentConfig, table: SpfTable | None = None) -> 
     sigma and whether the medians increase at every step of the
     (decreasing-sigma) grid.
     """
-    config.validate()
-    if config.experiment != "harper":
-        raise DomainError("config.experiment must be 'harper'")
-    tab = _shared_table(config, table)
-    seeds, assignments = config.trial_assignments()
-    scans = dirichlet.sup_scans(
-        assignments, config.sigma_grid, config.grid_step, config.prime_limit, tab
-    )
-    records = [
-        {"trial": i, "seed": seeds[i], **asdict(scan)}
-        for i, row in enumerate(scans)
-        for scan in row
-    ]
+    scans = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit, table)
     med_list = [
         float(np.quantile([row[k].centered_value for row in scans], 0.5))
         for k in range(len(config.sigma_grid))
@@ -323,12 +261,10 @@ def run_harper_scan(config: ExperimentConfig, table: SpfTable | None = None) -> 
         "trend_steps_total": max(len(med_list) - 1, 0),
         "trend_increasing": trend_steps == max(len(med_list) - 1, 0),
     }
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+    return [[asdict(scan) for scan in row] for row in scans], summary
 
 
-def run_divergence_comparison(
-    config: ExperimentConfig, table: SpfTable | None = None
-) -> AggregateStats:
+def _divergence(config: ExperimentConfig, table: SpfTable, assignments):
     """Signed vs absolute Mellin integrals with sup-scan witnesses, per trial.
 
     One assignment per trial is shared across the whole sigma grid.  The
@@ -336,115 +272,79 @@ def run_divergence_comparison(
     increases monotonically toward sigma = 1/2 and whether the triangle
     inequality absolute >= |signed| held everywhere (it must).
     """
-    config.validate()
-    if config.experiment != "divergence":
-        raise DomainError("config.experiment must be 'divergence'")
-    tab = _shared_table(config, table)
-    seeds, assignments = config.trial_assignments()
     tables = mellin.divergence_rows(
         assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-        config.prime_limit, tab, config.grid_step, resolve_threads(config.threads),
+        config.prime_limit, table, config.grid_step, resolve_threads(config.threads),
     )
-
-    records = []
+    rows = [
+        [{"sigma": row.sigma, "signed": row.signed, "absolute": row.absolute,
+          "harper_witness": row.harper_witness, "N": row.limit, "prime_limit": row.prime_limit}
+         for row in trial]
+        for trial in tables
+    ]
     monotone_flags = []
-    triangle_ok = True
-    for i, rows in enumerate(tables):
-        ratios = []
-        for row in rows:
-            if row.absolute < abs(row.signed):
-                triangle_ok = False
-            ratios.append(row.absolute / abs(row.signed) if row.signed != 0.0 else math.inf)
-            records.append(
-                {
-                    "trial": i,
-                    "seed": seeds[i],
-                    "sigma": row.sigma,
-                    "signed": row.signed,
-                    "absolute": row.absolute,
-                    "harper_witness": row.harper_witness,
-                    "N": row.limit,
-                    "prime_limit": row.prime_limit,
-                }
-            )
+    for trial in tables:
+        ratios = [row.absolute / abs(row.signed) if row.signed != 0.0 else math.inf for row in trial]
         monotone_flags.append(all(b > a for a, b in zip(ratios, ratios[1:])))
     summary = {
         "fraction_ratio_monotone": float(np.mean(monotone_flags)),
-        "triangle_inequality_ok": triangle_ok,
+        "triangle_inequality_ok": all(row.absolute >= abs(row.signed) for trial in tables for row in trial),
         "median_ratio": {
             repr(float(sigma)): float(
                 np.quantile(
-                    [rows[k].absolute / abs(rows[k].signed) for rows in tables if rows[k].signed != 0.0],
+                    [trial[k].absolute / abs(trial[k].signed) for trial in tables if trial[k].signed != 0.0],
                     0.5,
                 )
             )
             for k, sigma in enumerate(config.sigma_grid)
         },
     }
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+    return rows, summary
 
 
-def run_growth_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
+def _growth(config: ExperimentConfig, table: SpfTable, assignments):
     """Growth-envelope statistics max |M_0(x)| / (sqrt(x) (log log x)^theta).
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
     admit no finite-N pass/fail.
     """
-    config.validate()
-    if config.experiment != "growth":
-        raise DomainError("config.experiment must be 'growth'")
-    tab = _shared_table(config, table)
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
 
-    def worker(i: int) -> list[dict]:
-        seed, assignment = config.assignment_for_trial(i)
-        series = compute_series(assignment, Model.F, 0.0, config.limit, tab)
+    def reduce(series):
         rows = []
         for n in checkpoints:
-            prefix = series.values[1 : n + 1]
-            sub = WeightedSumSeries.from_values(prefix, model=Model.F, alpha=0.0)
-            for theta in GROWTH_THETAS:
-                rows.append(
-                    {
-                        "trial": i,
-                        "seed": seed,
-                        "theta": float(theta),
-                        "N": n,
-                        "value": growth_statistic(sub, theta),
-                    }
-                )
+            prefix = WeightedSumSeries.from_values(series.values[1 : n + 1])
+            rows += [
+                {"theta": float(theta), "N": n, "value": growth_statistic(prefix, theta)}
+                for theta in GROWTH_THETAS
+            ]
         return rows
 
-    nested = _map_trials(config, worker)
-    records = [row for rows in nested for row in rows]
+    rows = _map_series(config, table, assignments, reduce)
     cells = []
-    for n in checkpoints:
-        for theta in GROWTH_THETAS:
-            vals = [r["value"] for r in records if r["N"] == n and r["theta"] == theta]
-            cells.append(
-                {
-                    "theta": float(theta),
-                    "N": n,
-                    "median": float(np.quantile(vals, 0.5)),
-                    "q95": float(np.quantile(vals, 0.95)),
-                }
-            )
-    summary = {"cells": cells, "reporting_only": True}
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+    for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
+        values = [trial[k]["value"] for trial in rows]
+        cells.append({"theta": float(theta), "N": n, "median": float(np.quantile(values, 0.5)),
+                      "q95": float(np.quantile(values, 0.95))})
+    return rows, {"cells": cells, "reporting_only": True}
 
 
-_RUNNERS = {
-    "sign-changes": run_sign_change_experiment,
-    "positivity": run_positivity_experiment,
-    "harper": run_harper_scan,
-    "divergence": run_divergence_comparison,
-    "growth": run_growth_experiment,
-}
+_BODIES = {"sign-changes": _sign_changes, "positivity": _positivity, "harper": _harper,
+           "divergence": _divergence, "growth": _growth}
+EXPERIMENTS = tuple(_BODIES)
 
 
 def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
+    """Run every trial of the config's experiment and summarize them.
+
+    table, if given, must cover max(limit, prime_limit); otherwise one sieve
+    is built.  Records come in trial order, each prefixed by trial and seed.
+    """
     config.validate()
-    return _RUNNERS[config.experiment](config, table)
+    seeds, assignments = config.trial_assignments()
+    rows, summary = _BODIES[config.experiment](config, _shared_table(config, table), assignments)
+    records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
+    return AggregateStats(config=config, per_trial=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +391,7 @@ def manifest_dict(stats: AggregateStats, wall_time: float | None = None) -> dict
         sigma_grid=list(cfg.sigma_grid) if cfg.sigma_grid else None,
         prime_limit=cfg.prime_limit,
         grid_step=cfg.grid_step,
-        thresholds={k: getattr(cfg, k) for k in ("min_sign_changes", "pass_rate", "positivity_rate")},
+        thresholds=dict(min_sign_changes=MIN_SIGN_CHANGES, pass_rate=PASS_RATE, positivity_rate=POSITIVITY_RATE),
         reporting_only=cfg.reporting_only,
         columns=list(stats.columns),
         summary=stats.summary,
@@ -541,7 +441,7 @@ def write_series(
     manifest = _manifest(
         "series", series.model, series.alpha, series.limit, assignment.mode, wall_time,
         seed=assignment.seed,
-        signs_file=signs_file,
+        signs_file=os.path.abspath(signs_file) if signs_file else None,
         signs_sha256=sha256_file(signs_file) if signs_file else None,
     )
     return os.path.dirname(_write_run(outdir, manifest, _series_csvs(series, log))[0])
@@ -560,7 +460,6 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
             sigma_grid=tuple(manifest["sigma_grid"]) if manifest.get("sigma_grid") else None,
             prime_limit=manifest.get("prime_limit"),
             grid_step=manifest.get("grid_step"),
-            **manifest.get("thresholds", {}),
         )
     except KeyError as exc:
         raise DomainError(f"not a replayable manifest: missing key {exc}") from None
@@ -572,9 +471,11 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
     """Re-run the command of the manifest at manifest_path; compare digest maps.
 
     Returns (match, recorded, recomputed), each a map file name -> sha256.
-    A series run from a signs file first hashes that file again: if it
-    changed, nothing is recomputed and the maps hold the signs file's
-    recorded and current digests.
+    Two checks come before any recomputation.  A csv_sha256 that is null (a
+    run that did not finish) or not a map is reported as the one difference,
+    under the key "csv_sha256".  A series run from a signs file hashes that
+    file again: if it changed, the maps hold the signs file's recorded and
+    current digests.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
@@ -585,7 +486,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
         raise DomainError(f"{manifest_path}: manifest must be a JSON object")
     command = manifest.get("command")
     if command in EXPERIMENTS:
-        texts = {"trials.csv": trials_csv(run_experiment(config_from_manifest(manifest)))}
+        config = config_from_manifest(manifest)
     elif command == "series":
         try:
             mode = SignMode(manifest["sign_mode"])
@@ -595,10 +496,18 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
             raise DomainError(f"not a replayable manifest: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise DomainError(f"not a replayable manifest: {exc}") from None
+    else:
+        raise DomainError(f"not a replayable manifest: unknown command {command!r}")
+    recorded = manifest.get("csv_sha256")
+    if not isinstance(recorded, dict):
+        return False, {"csv_sha256": recorded}, {"csv_sha256": "(not recomputed)"}
+    if command in EXPERIMENTS:
+        texts = {"trials.csv": trials_csv(run_experiment(config))}
+    else:
         if mode is SignMode.EXPLICIT:
-            recorded, current = manifest.get("signs_sha256"), sha256_file(signs_file)
-            if current != recorded:
-                return False, {signs_file: recorded}, {signs_file: current}
+            recorded_signs, current = manifest.get("signs_sha256"), sha256_file(signs_file)
+            if current != recorded_signs:
+                return False, {signs_file: recorded_signs}, {signs_file: current}
             assignment = SignAssignment.explicit(load_explicit_signs(signs_file))
         elif mode is SignMode.ALL_MINUS_ONE:
             assignment = SignAssignment.all_minus_one()
@@ -606,11 +515,6 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
             assignment = SignAssignment.iid(seed)
         series = compute_series(assignment, model, alpha, limit)
         texts = _series_csvs(series, detect_sign_changes(series))
-    else:
-        raise DomainError(f"not a replayable manifest: unknown command {command!r}")
-    recorded = manifest.get("csv_sha256")
-    # null (a run that did not finish) or not a map: every file differs
-    recorded = recorded if isinstance(recorded, dict) else {}
     recomputed = {name: sha256_text(text) for name, text in texts.items()}
     return recomputed == recorded, recorded, recomputed
 
@@ -625,14 +529,14 @@ def assert_outcome(stats: AggregateStats) -> tuple[bool, str]:
     if cfg.reporting_only:
         return True, "reporting-only: no statistical assertion attached"
     if cfg.experiment == "sign-changes":
-        ok = s["pass_fraction"] >= cfg.pass_rate
+        ok = s["pass_fraction"] >= PASS_RATE
         return ok, (
-            f"fraction of trials with >= {cfg.min_sign_changes} sign changes: "
-            f"{s['pass_fraction']:.4f} (needs >= {cfg.pass_rate})"
+            f"fraction of trials with >= {MIN_SIGN_CHANGES} sign changes: "
+            f"{s['pass_fraction']:.4f} (needs >= {PASS_RATE})"
         )
     if cfg.experiment == "positivity":
-        ok = s["pass_fraction"] >= cfg.positivity_rate
-        return ok, f"all-positive fraction: {s['pass_fraction']:.4f} (needs >= {cfg.positivity_rate})"
+        ok = s["pass_fraction"] >= POSITIVITY_RATE
+        return ok, f"all-positive fraction: {s['pass_fraction']:.4f} (needs >= {POSITIVITY_RATE})"
     if cfg.experiment == "harper":
         ok = s["trend_increasing"]
         return ok, (

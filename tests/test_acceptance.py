@@ -14,14 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from rmflab.dirichlet import euler_product_F, euler_product_F_star, zeta
-from rmflab.experiments import (
-    ExperimentConfig,
-    run_divergence_comparison,
-    run_harper_scan,
-    run_positivity_experiment,
-    run_sign_change_experiment,
-    write_experiment,
-)
+from rmflab.experiments import ExperimentConfig, run_experiment, write_experiment
 from rmflab.mellin import boundary_term, mellin_step_integral, truncated_identity_residual
 from rmflab.primes import build_spf_sieve
 from rmflab.series import compute_series
@@ -176,7 +169,7 @@ def test_3a_theorem1_shadow_sign_changes_f(table):
     for alpha in (0.0, 0.25, 0.5):
         cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=alpha,
                                limit=10**6, trials=100, base_seed=BASE_SEED)
-        stats = run_sign_change_experiment(cfg, table)
+        stats = run_experiment(cfg, table)
         fractions[alpha] = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = all(v >= 0.95 for v in fractions.values()) and elapsed < 900
@@ -191,7 +184,7 @@ def test_3b_theorem2_shadow_sign_changes_fstar(table):
     for alpha in (0.0, 0.25):
         cfg = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=alpha,
                                limit=10**6, trials=100, base_seed=BASE_SEED)
-        stats = run_sign_change_experiment(cfg, table)
+        stats = run_experiment(cfg, table)
         fractions[alpha] = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = all(v >= 0.95 for v in fractions.values()) and elapsed < 900
@@ -203,7 +196,7 @@ def test_3b_theorem2_shadow_sign_changes_fstar(table):
 def test_3c_open_question_probe_reporting_only(table):
     cfg = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=0.5,
                            limit=10**6, trials=100, base_seed=BASE_SEED)
-    stats = run_sign_change_experiment(cfg, table)
+    stats = run_experiment(cfg, table)
     counts = sorted(r["count"] for r in stats.per_trial)
     ok = stats.summary["reporting_only"] and "pass_fraction" not in stats.summary
     assert report("3c open-question probe (fstar, alpha=1/2)", ok,
@@ -216,7 +209,7 @@ def test_3d_positivity_shadow(table):
     start = time.monotonic()
     cfg = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0,
                            limit=10**4, trials=10**4, base_seed=BASE_SEED)
-    stats = run_positivity_experiment(cfg, table)
+    stats = run_experiment(cfg, table)
     frac = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = frac >= 0.99 and elapsed < 600
@@ -229,7 +222,7 @@ def test_3e_harper_trend(table):
     start = time.monotonic()
     cfg = ExperimentConfig(experiment="harper", trials=100, base_seed=BASE_SEED,
                            limit=1, prime_limit=10**6)
-    stats = run_harper_scan(cfg, table)
+    stats = run_experiment(cfg, table)
     medians = stats.summary["median_centered"]
     elapsed = time.monotonic() - start
     ok = stats.summary["trend_increasing"] and elapsed < 1200
@@ -248,7 +241,7 @@ def test_3f_divergence_gap(table):
         cfg = ExperimentConfig(experiment="divergence", model=model, alpha=alpha,
                                limit=10**6, trials=50, base_seed=BASE_SEED,
                                prime_limit=10**6)
-        stats = run_divergence_comparison(cfg, table)
+        stats = run_experiment(cfg, table)
         results[(model, alpha)] = (
             stats.summary["triangle_inequality_ok"],
             stats.summary["fraction_ratio_monotone"],
@@ -282,8 +275,6 @@ def test_4_determinism_across_workers(table, tmp_path):
         texts = set()
         for threads in (1, 4, 8):
             cfg = ExperimentConfig(**base, threads=threads)
-            from rmflab.experiments import run_experiment
-
             stats = run_experiment(cfg, table)
             out = tmp_path / f"{base['experiment']}-{threads}"
             manifest_path, csv_path = write_experiment(stats, out)

@@ -120,6 +120,17 @@ WRITING_COMMANDS = {
 }
 
 
+# The trials.csv schema of each experiment, as written since manifests
+# gained a `columns` key; the records that produce them must not drift.
+TRIALS_COLUMNS = {
+    "sign-changes": ("trial", "seed", "count", "last_position"),
+    "positivity": ("trial", "seed", "all_positive", "min_value"),
+    "harper": ("trial", "seed", "sigma", "t_star", "sup_value", "centered_value", "grid_step", "prime_limit"),
+    "divergence": ("trial", "seed", "sigma", "signed", "absolute", "harper_witness", "N", "prime_limit"),
+    "growth": ("trial", "seed", "theta", "N", "value"),
+}
+
+
 @pytest.mark.parametrize("case", list(WRITING_COMMANDS))
 def test_experiment_manifest_matches_replay(tmp_path, case):
     argv = [str(_signs_file(tmp_path)) if a == "SIGNS" else a for a in WRITING_COMMANDS[case]]
@@ -129,6 +140,10 @@ def test_experiment_manifest_matches_replay(tmp_path, case):
     assert manifest["command"] == argv[0]
     for name, digest in manifest["csv_sha256"].items():
         assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
+    if case in TRIALS_COLUMNS:
+        columns = TRIALS_COLUMNS[case]
+        assert (outdir / "trials.csv").read_text().split("\n", 1)[0] == ",".join(columns)
+        assert manifest["columns"] == list(columns)
     assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 0
 
 
@@ -168,6 +183,53 @@ def test_replay_names_a_changed_signs_file(tmp_path, capsys):
     assert "MISMATCH" in out and f"differs: {signs}" in out
     # the input check comes first: the changed sign at 2 is never recomputed
     assert ".csv" not in out
+
+
+def test_relative_signs_file_replays_from_another_directory(tmp_path, monkeypatch, capsys):
+    run_dir = tmp_path / "a"
+    run_dir.mkdir()
+    _signs_file(run_dir)
+    monkeypatch.chdir(run_dir)
+    assert run_cli("series", "--model", "f", "--alpha", "0.5", "--limit", "99",
+                   "--signs-file", "signs.txt", "--out", "run") == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", os.path.join("a", "run", "manifest.json")) == 0
+    assert "replay: MATCH" in capsys.readouterr().out
+
+
+def test_replay_checks_the_digest_map_before_recomputing(tmp_path, monkeypatch, capsys):
+    outdir = tmp_path / "g"
+    assert run_cli("growth", "--trials", "2", "--seed", "4", "--limit", "100", "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["csv_sha256"] = None
+    manifest_path.write_text(json.dumps(manifest))
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("replay recomputed a run that has no digest map")
+
+    monkeypatch.setattr(experiments, "run_experiment", no_recompute)
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out
+    assert [line for line in out.splitlines() if line.startswith("differs:")] == [
+        "differs: csv_sha256 recorded=None recomputed=(not recomputed)"
+    ]
+
+
+def test_harper_with_another_model_exit_3(tmp_path, capsys):
+    outdir = tmp_path / "h"
+    assert run_cli(*WRITING_COMMANDS["harper"], "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for model, alpha in (("fstar", 0.0), ("f", 0.25)):
+        manifest["model"], manifest["alpha"] = model, alpha
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("replay", "--manifest", str(manifest_path)) == 3
+        assert "harper experiment requires model f and alpha = 0" in capsys.readouterr().err
 
 
 def test_replay_reads_the_manifest_once(tmp_path, monkeypatch):
