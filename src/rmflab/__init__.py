@@ -12,15 +12,8 @@ with reproducible seeding and CSV/manifest output.
 __version__ = "0.1.0"
 
 from .errors import DomainError, MissingSignError, ResourceError
-from .primes import SpfTable, build_spf_sieve, factorize, is_squarefree, primes_up_to
-from .signs import (
-    SignAssignment,
-    SignMode,
-    MultiplicativeEvaluator,
-    load_explicit_signs,
-    sign_at_prime,
-    trial_seed,
-)
+from .primes import SpfTable, build_spf_sieve, primes_up_to
+from .signs import MultiplicativeEvaluator, SignAssignment, SignMode, load_explicit_signs, trial_seed
 from .series import (
     Model,
     SignChangeLog,
@@ -28,7 +21,6 @@ from .series import (
     compute_series,
     detect_sign_changes,
     growth_statistic,
-    riesz_mean,
 )
 from .dirichlet import (
     EulerProduct,
@@ -37,7 +29,6 @@ from .dirichlet import (
     euler_product_F_star,
     exponential_formula_check,
     harper_sup_statistic,
-    prime_cosine_sum,
     zeta,
 )
 from .mellin import (
@@ -62,12 +53,9 @@ __all__ = [
     "SpfTable",
     "build_spf_sieve",
     "primes_up_to",
-    "factorize",
-    "is_squarefree",
     "SignMode",
     "SignAssignment",
     "MultiplicativeEvaluator",
-    "sign_at_prime",
     "load_explicit_signs",
     "trial_seed",
     "Model",
@@ -75,14 +63,12 @@ __all__ = [
     "SignChangeLog",
     "compute_series",
     "detect_sign_changes",
-    "riesz_mean",
     "growth_statistic",
     "EulerProduct",
     "HarperScanResult",
     "zeta",
     "euler_product_F",
     "euler_product_F_star",
-    "prime_cosine_sum",
     "exponential_formula_check",
     "harper_sup_statistic",
     "DivergenceRow",

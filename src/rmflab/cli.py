@@ -16,9 +16,12 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
 from .experiments import (
+    DEFAULT_PRIME_LIMIT,
     EXPERIMENTS,
     FIXED_MODEL,
     ExperimentConfig,
@@ -78,10 +81,15 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, model: bool = True) -
     )
 
 
-def _sigma_grid(text: str | None):
-    if text is None:
-        return None
+def _sigma_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
+
+
+def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
+    """The sup-scan flags; a flag left out takes ExperimentConfig's default."""
+    parser.add_argument("--sigma-grid", type=_sigma_grid, default=None, help="comma-separated, strictly decreasing")
+    parser.add_argument("--prime-limit", type=int, default=None, help=f"default {DEFAULT_PRIME_LIMIT}")
+    parser.add_argument("--grid-step", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,15 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harper", help="sup scan of the prime cosine sum across trials")
     _add_experiment_flags(p, model=False)
-    p.add_argument("--sigma-grid", type=str, default=None, help="comma-separated, strictly decreasing")
-    p.add_argument("--prime-limit", type=int, default=10**6)
-    p.add_argument("--grid-step", type=float, default=None)
+    _add_scan_flags(p)
 
     p = sub.add_parser("divergence", help="signed vs absolute Mellin integral comparison")
     _add_experiment_flags(p)
-    p.add_argument("--sigma-grid", type=str, default=None)
-    p.add_argument("--prime-limit", type=int, default=10**6)
-    p.add_argument("--grid-step", type=float, default=None)
+    _add_scan_flags(p)
 
     p = sub.add_parser("growth", help="growth-envelope statistics (reporting only)")
     _add_experiment_flags(p, model=False)
@@ -147,10 +151,12 @@ def _run_series(args) -> int:
     series = compute_series(assignment, args.model, args.alpha, args.limit)
     log = detect_sign_changes(series)
     outdir = write_series(series, log, assignment, args.out, time.monotonic() - start, args.signs_file)
+    magnitude = np.abs(series.values[1:])
+    k = int(np.argmax(magnitude))  # the first x where |M| is largest
     print(
         f"series model={args.model} alpha={args.alpha} N={args.limit}: "
-        f"M(N)={fmt_float(series.values[args.limit])} max|M|={fmt_float(series.max_abs)} "
-        f"at x={series.argmax}, {log.count} sign changes -> {outdir}"
+        f"M(N)={fmt_float(series.values[args.limit])} max|M|={fmt_float(magnitude[k])} "
+        f"at x={k + 1}, {log.count} sign changes -> {outdir}"
     )
     return 0
 
@@ -166,7 +172,7 @@ def _run_experiment_command(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         sign_mode=SignMode.ALL_MINUS_ONE if args.minus_one else SignMode.IID_RADEMACHER,
-        sigma_grid=_sigma_grid(getattr(args, "sigma_grid", None)),
+        sigma_grid=getattr(args, "sigma_grid", None),
         prime_limit=getattr(args, "prime_limit", None),
         grid_step=getattr(args, "grid_step", None),
         threads=args.threads,

@@ -162,28 +162,6 @@ def euler_product_F_star(
 
 
 # ---------------------------------------------------------------------------
-# Prime sums
-# ---------------------------------------------------------------------------
-
-
-def prime_cosine_sum(
-    assignment: SignAssignment,
-    sigma: float,
-    t: float,
-    prime_limit: int,
-    table: SpfTable | None = None,
-) -> float:
-    """sum_{p <= prime_limit} f(p) cos(t log p) p^-sigma, accumulated in
-    ascending p."""
-    if sigma <= 0.5:
-        raise DomainError(f"prime sums require sigma > 1/2, got {sigma}")
-    primes, signs = _prime_signs([assignment], prime_limit, table)
-    primes = primes.astype(np.float64)
-    weights = signs[0].astype(np.float64) * primes ** (-float(sigma))
-    return float(np.cumsum(weights * np.cos(float(t) * np.log(primes)))[-1])
-
-
-# ---------------------------------------------------------------------------
 # Exponential formula residual
 # ---------------------------------------------------------------------------
 

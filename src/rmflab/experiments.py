@@ -50,6 +50,7 @@ from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
 
 DEFAULT_HARPER_GRID = (0.58, 0.55, 0.52, 0.51)
 DEFAULT_DIVERGENCE_GRID = (0.56, 0.54, 0.52)
+DEFAULT_PRIME_LIMIT = 10**6
 GROWTH_THETAS = (0.0, 0.25, 0.5)
 GROWTH_CHECKPOINTS = (10**4, 10**5, 10**6)
 #: The (model, alpha) of the experiments that study one fixed series.
@@ -101,7 +102,7 @@ class ExperimentConfig:
         if self.experiment == "divergence" and self.sigma_grid is None:
             self.sigma_grid = DEFAULT_DIVERGENCE_GRID
         if self.experiment in ("harper", "divergence") and self.prime_limit is None:
-            self.prime_limit = 10**6
+            self.prime_limit = DEFAULT_PRIME_LIMIT
 
     @property
     def reporting_only(self) -> bool:
@@ -117,6 +118,8 @@ class ExperimentConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.limit < 1:
             raise DomainError(f"limit must be >= 1, got {self.limit}")
+        if self.sign_mode is SignMode.EXPLICIT:
+            raise DomainError("experiments need iid or all-minus-one signs, got explicit")
         if self.experiment in FIXED_MODEL:
             model, alpha = FIXED_MODEL[self.experiment]
             if self.model is not model or self.alpha != alpha:
@@ -177,14 +180,14 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _map_series(config: ExperimentConfig, table: SpfTable, assignments, reduce) -> list:
+def _map_series(config: ExperimentConfig, table: SpfTable, assignments, threads: int, reduce) -> list:
     """reduce(M_alpha of the assignment) for each trial, in trial order, on
-    the run's worker threads; each series is dropped once it is reduced."""
+    `threads` worker threads; each series is dropped once it is reduced."""
 
     def worker(assignment: SignAssignment):
         return reduce(compute_series(assignment, config.model, config.alpha, config.limit, table))
 
-    return map_ordered(worker, assignments, resolve_threads(config.threads))
+    return map_ordered(worker, assignments, threads)
 
 
 def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
@@ -197,12 +200,12 @@ def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
 
 
 # ---------------------------------------------------------------------------
-# The experiments.  Each body takes (config, table, assignments) and returns
-# (rows of each trial, summary); run_experiment adds trial and seed.
+# The experiments.  Each body takes (config, table, assignments, threads) and
+# returns (rows of each trial, summary); run_experiment adds trial and seed.
 # ---------------------------------------------------------------------------
 
 
-def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments):
+def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
     """Sign-change census of M_alpha: per trial the crossing count and the
     last crossing position; the summary holds count quantiles and, except in
     the reporting-only regime, the fraction of trials with at least
@@ -212,7 +215,7 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments):
         log = detect_sign_changes(series)
         return [{"count": log.count, "last_position": int(log.positions[-1]) if log.count else 0}]
 
-    rows = _map_series(config, table, assignments, reduce)
+    rows = _map_series(config, table, assignments, threads, reduce)
     counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
@@ -222,7 +225,7 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments):
     return rows, summary
 
 
-def _positivity(config: ExperimentConfig, table: SpfTable, assignments):
+def _positivity(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
     """Probability that the harmonic fstar sums stay strictly positive.
 
     Per trial: the minimum of M_1(x) over 1 <= x <= N and the indicator that
@@ -234,13 +237,13 @@ def _positivity(config: ExperimentConfig, table: SpfTable, assignments):
         min_value = float(np.min(series.values[1:]))
         return [{"all_positive": int(min_value > 0.0), "min_value": min_value}]
 
-    rows = _map_series(config, table, assignments, reduce)
+    rows = _map_series(config, table, assignments, threads, reduce)
     summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
     summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
     return rows, summary
 
 
-def _harper(config: ExperimentConfig, table: SpfTable, assignments):
+def _harper(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
     """Sup-scan statistics per trial and sigma, with the trend summary.
 
     All trials of one sigma are scanned against shared cosine blocks (the
@@ -264,7 +267,7 @@ def _harper(config: ExperimentConfig, table: SpfTable, assignments):
     return [[asdict(scan) for scan in row] for row in scans], summary
 
 
-def _divergence(config: ExperimentConfig, table: SpfTable, assignments):
+def _divergence(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
     """Signed vs absolute Mellin integrals with sup-scan witnesses, per trial.
 
     One assignment per trial is shared across the whole sigma grid.  The
@@ -274,7 +277,7 @@ def _divergence(config: ExperimentConfig, table: SpfTable, assignments):
     """
     tables = mellin.divergence_rows(
         assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-        config.prime_limit, table, config.grid_step, resolve_threads(config.threads),
+        config.prime_limit, table, config.grid_step, threads,
     )
     rows = [
         [{"sigma": row.sigma, "signed": row.signed, "absolute": row.absolute,
@@ -302,7 +305,7 @@ def _divergence(config: ExperimentConfig, table: SpfTable, assignments):
     return rows, summary
 
 
-def _growth(config: ExperimentConfig, table: SpfTable, assignments):
+def _growth(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
     """Growth-envelope statistics max |M_0(x)| / (sqrt(x) (log log x)^theta).
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
@@ -313,14 +316,14 @@ def _growth(config: ExperimentConfig, table: SpfTable, assignments):
     def reduce(series):
         rows = []
         for n in checkpoints:
-            prefix = WeightedSumSeries.from_values(series.values[1 : n + 1])
+            prefix = WeightedSumSeries(series.model, series.alpha, series.values[: n + 1])
             rows += [
                 {"theta": float(theta), "N": n, "value": growth_statistic(prefix, theta)}
                 for theta in GROWTH_THETAS
             ]
         return rows
 
-    rows = _map_series(config, table, assignments, reduce)
+    rows = _map_series(config, table, assignments, threads, reduce)
     cells = []
     for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
         values = [trial[k]["value"] for trial in rows]
@@ -341,8 +344,9 @@ def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> A
     is built.  Records come in trial order, each prefixed by trial and seed.
     """
     config.validate()
+    threads = resolve_threads(config.threads)
     seeds, assignments = config.trial_assignments()
-    rows, summary = _BODIES[config.experiment](config, _shared_table(config, table), assignments)
+    rows, summary = _BODIES[config.experiment](config, _shared_table(config, table), assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
     return AggregateStats(config=config, per_trial=records, summary=summary)
 

@@ -1,4 +1,4 @@
-"""Smallest-prime-factor sieve, factorization and squarefree tests.
+"""Smallest-prime-factor sieve and the list of primes it yields.
 
 The sieve is the only piece of shared number-theoretic state in the package:
 everything downstream (sign evaluation, partial sums, prime sums) reads
@@ -89,32 +89,3 @@ def primes_up_to(table: SpfTable) -> np.ndarray:
     """
     return table.primes
 
-
-def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
-    """Prime factorization of n as (prime, exponent) pairs, primes increasing.
-
-    n = 1 yields the empty list (empty product).
-    """
-    table.check_range(n)
-    out: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = int(table.spf[m])
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        out.append((p, a))
-    return out
-
-
-def is_squarefree(n: int, table: SpfTable) -> bool:
-    """True iff no prime divides n twice (mu^2(n) = 1)."""
-    table.check_range(n)
-    m = n
-    while m > 1:
-        p = int(table.spf[m])
-        m //= p
-        if m % p == 0:
-            return False
-    return True

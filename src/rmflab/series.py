@@ -35,17 +35,18 @@ class Model(str, enum.Enum):
 class WeightedSumSeries:
     """M_alpha(1..limit) for one model, one assignment realization.
 
-    ``values[x]`` holds M_alpha(x) for 1 <= x <= limit (index 0 unused, 0.0).
-    max_abs is the running maximum of |M_alpha(x)|, argmax the smallest x
-    attaining it.
+    ``values[x]`` holds M_alpha(x) for 1 <= x <= limit (index 0 unused, 0.0),
+    so limit is values.size - 1.  A series wraps its values array without a
+    copy; a prefix up to n is WeightedSumSeries(model, alpha, values[: n + 1]).
     """
 
     model: Model
     alpha: float
-    limit: int
     values: np.ndarray = field(repr=False)
-    max_abs: float
-    argmax: int
+
+    @property
+    def limit(self) -> int:
+        return self.values.size - 1
 
     @classmethod
     def from_values(cls, values, model: Model | str = Model.F, alpha: float = 0.0):
@@ -54,21 +55,7 @@ class WeightedSumSeries:
         arr = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
         if arr.size < 2:
             raise DomainError("series needs at least one value")
-        return cls._wrap(arr, model, alpha)
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray, model: Model | str, alpha: float):
-        """The series held in values[1:] (values[0] = 0.0), without a copy."""
-        body = np.abs(values[1:])
-        k = int(np.argmax(body))
-        return cls(
-            model=Model(model),
-            alpha=float(alpha),
-            limit=values.size - 1,
-            values=values,
-            max_abs=float(body[k]),
-            argmax=k + 1,
-        )
+        return cls(Model(model), float(alpha), arr)
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,7 @@ def series_and_values(
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = 0.0
     np.cumsum(weights[1:], out=values[1:])
-    return WeightedSumSeries._wrap(values, model, alpha), g
+    return WeightedSumSeries(model, float(alpha), values), g
 
 
 def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
@@ -152,26 +139,6 @@ def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
     return SignChangeLog(
         positions=positions, count=int(positions.size), first_sign=1 if positive[0] else -1
     )
-
-
-def riesz_mean(
-    assignment: SignAssignment,
-    x: int,
-    table: SpfTable | None = None,
-) -> float:
-    """sum_{n<=x} (f(n)/sqrt(n)) * log(x/n), natural log.
-
-    The smoothed average that approximates sum_{n<=x} fstar(n)/sqrt(n) after
-    convolving f with the perfect-square indicator.
-    """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if table is None:
-        table = build_spf_sieve(max(x, 2))
-    evaluator = MultiplicativeEvaluator(assignment, table)
-    f = evaluator.values_up_to(x, "f").astype(np.float64)[1:]
-    n = np.arange(1, x + 1, dtype=np.float64)
-    return float(np.sum(f / np.sqrt(n) * np.log(x / n)))
 
 
 def growth_statistic(series: WeightedSumSeries, theta: float) -> float:

@@ -7,14 +7,16 @@ count, or machine: scattered and parallel evaluation agree bit-for-bit with
 sequential evaluation.
 
 From an assignment and an spf table, :class:`MultiplicativeEvaluator`
-evaluates
+evaluates in bulk, for every n up to a limit at once,
 
 * ``f(n)``  -- zero unless n is squarefree, otherwise the product of the
   signs at the distinct primes dividing n, and
 * ``fstar(n)`` -- the completely multiplicative extension: the product of
   sign(p)^a over the prime powers p^a exactly dividing n.
 
-Both take the value 1 at n = 1 (empty product).
+Both take the value 1 at n = 1 (empty product).  Scalar routes that evaluate
+one prime or one n by factorization live in ``tests/oracles.py``, where the
+tests check the bulk routes against them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, MissingSignError
-from .primes import SpfTable, factorize, primes_up_to
+from .primes import SpfTable, primes_up_to
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -103,24 +105,10 @@ class SignAssignment:
         return cls(mode=SignMode.EXPLICIT, explicit_signs=dict(signs))
 
 
-def sign_at_prime(assignment: SignAssignment, p: int) -> int:
-    """The +-1 value attached to the prime p (primality is caller-verified)."""
-    if assignment.mode is SignMode.ALL_MINUS_ONE:
-        return -1
-    if assignment.mode is SignMode.EXPLICIT:
-        signs = assignment.explicit_signs or {}
-        if p not in signs:
-            raise MissingSignError(f"explicit assignment has no sign for p={p}")
-        return signs[p]
-    z = mix64((assignment.seed + p * _GOLDEN) & _MASK64)
-    return 1 if z >> 63 == 0 else -1
-
-
 def prime_sign_table(assignment: SignAssignment, primes: np.ndarray) -> np.ndarray:
-    """Vectorized signs at an array of primes, as int8.
+    """Signs at an array of primes, as int8, by the rule of SignAssignment.
 
-    Bit-identical to calling sign_at_prime on each entry; offered for hot
-    loops that would otherwise pay per-call overhead.
+    Checked entry by entry against the scalar oracles.sign_at_prime.
     """
     if assignment.mode is SignMode.ALL_MINUS_ONE:
         return np.full(len(primes), -1, dtype=np.int8)
@@ -145,34 +133,12 @@ class MultiplicativeEvaluator:
         self.assignment = assignment
         self.table = table
 
-    def evaluate_f(self, n: int) -> int:
-        """f(n): 0 if n is not squarefree, else the product of the signs at
-        the distinct primes dividing n; f(1) = 1."""
-        self.table.check_range(n)
-        value = 1
-        for p, a in factorize(n, self.table):
-            if a >= 2:
-                return 0
-            value *= sign_at_prime(self.assignment, p)
-        return value
-
-    def evaluate_f_star(self, n: int) -> int:
-        """fstar(n): product of sign(p)^a over p^a exactly dividing n; never 0."""
-        self.table.check_range(n)
-        value = 1
-        for p, a in factorize(n, self.table):
-            if a % 2 == 1:
-                value *= sign_at_prime(self.assignment, p)
-        return value
-
-    def sign_by_value(self, limit: int | None = None) -> np.ndarray:
+    def sign_by_value(self, limit: int) -> np.ndarray:
         """int8 array s with s[p] = sign at p for every prime p <= limit.
 
         Entries at non-prime indices are 0.  Explicit assignments must cover
         every prime <= limit.
         """
-        if limit is None:
-            limit = self.table.limit
         self.table.check_range(max(limit, 1))
         primes = primes_up_to(self.table)
         primes = primes[primes <= limit]
@@ -189,7 +155,7 @@ class MultiplicativeEvaluator:
         divide q, else 0.  As q <= n/2, each dyadic block [2^j, 2^(j+1))
         reads g only at blocks already finished, so a block is one
         vectorized step and the cost is O(limit).  Agrees entrywise with the
-        scalar evaluators.
+        scalar oracles.evaluate_f and oracles.evaluate_f_star.
         """
         if model not in ("f", "fstar"):
             raise DomainError(f"model must be 'f' or 'fstar', got {model!r}")

@@ -1,18 +1,96 @@
 """Slow or independent reference routes that only tests use.
 
-Each one recomputes something the package computes another way: g by
-stripping smallest prime factors, a compensated running sum, fstar by
-Dirichlet convolution, the Mellin record at one point.  Tests compare the package against them.
+Each one recomputes something the package computes another way: a sign or
+g(n) one prime or one n at a time by factorization, g by stripping smallest
+prime factors, a compensated running sum, fstar by Dirichlet convolution,
+the prime cosine sum and the Riesz mean at one point, the Mellin record at
+one point.  Tests compare the package against them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from rmflab.dirichlet import prime_cosine_sum
+from rmflab.errors import DomainError, MissingSignError
 from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
+from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to
 from rmflab.series import Model, WeightedSumSeries
-from rmflab.signs import MultiplicativeEvaluator
+from rmflab.signs import (
+    _GOLDEN,
+    _MASK64,
+    MultiplicativeEvaluator,
+    SignAssignment,
+    SignMode,
+    mix64,
+    prime_sign_table,
+)
+
+
+def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
+    """Prime factorization of n as (prime, exponent) pairs, primes increasing.
+
+    n = 1 yields the empty list (empty product).
+    """
+    table.check_range(n)
+    out: list[tuple[int, int]] = []
+    m = n
+    while m > 1:
+        p = int(table.spf[m])
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        out.append((p, a))
+    return out
+
+
+def is_squarefree(n: int, table: SpfTable) -> bool:
+    """True iff no prime divides n twice (mu^2(n) = 1)."""
+    table.check_range(n)
+    m = n
+    while m > 1:
+        p = int(table.spf[m])
+        m //= p
+        if m % p == 0:
+            return False
+    return True
+
+
+def sign_at_prime(assignment: SignAssignment, p: int) -> int:
+    """The +-1 value attached to the prime p (primality is caller-verified),
+    one prime at a time; prime_sign_table is the bulk route."""
+    if assignment.mode is SignMode.ALL_MINUS_ONE:
+        return -1
+    if assignment.mode is SignMode.EXPLICIT:
+        signs = assignment.explicit_signs or {}
+        if p not in signs:
+            raise MissingSignError(f"explicit assignment has no sign for p={p}")
+        return signs[p]
+    z = mix64((assignment.seed + p * _GOLDEN) & _MASK64)
+    return 1 if z >> 63 == 0 else -1
+
+
+def evaluate_f(ev: MultiplicativeEvaluator, n: int) -> int:
+    """f(n) by factorization: 0 if n is not squarefree, else the product of
+    the signs at the distinct primes dividing n; f(1) = 1."""
+    ev.table.check_range(n)
+    value = 1
+    for p, a in factorize(n, ev.table):
+        if a >= 2:
+            return 0
+        value *= sign_at_prime(ev.assignment, p)
+    return value
+
+
+def evaluate_f_star(ev: MultiplicativeEvaluator, n: int) -> int:
+    """fstar(n) by factorization: product of sign(p)^a over p^a exactly
+    dividing n; never 0."""
+    ev.table.check_range(n)
+    value = 1
+    for p, a in factorize(n, ev.table):
+        if a % 2 == 1:
+            value *= sign_at_prime(ev.assignment, p)
+    return value
 
 
 def values_by_stripping(ev: MultiplicativeEvaluator, limit: int, model: str) -> np.ndarray:
@@ -69,16 +147,45 @@ def f_star_by_convolution(ev: MultiplicativeEvaluator, n: int) -> int:
     """fstar(n) computed as sum over d^2 | n of f(n/d^2).
 
     The sum has exactly one nonzero term (d with d^2 the largest square
-    dividing n up to squarefree part), so it equals evaluate_f_star(n).
+    dividing n up to squarefree part), so it equals evaluate_f_star(ev, n).
     """
     ev.table.check_range(n)
     total = 0
     d = 1
     while d * d <= n:
         if n % (d * d) == 0:
-            total += ev.evaluate_f(n // (d * d))
+            total += evaluate_f(ev, n // (d * d))
         d += 1
     return total
+
+
+def prime_cosine_sum(assignment, sigma: float, t: float, prime_limit: int, table=None) -> float:
+    """sum_{p <= prime_limit} f(p) cos(t log p) p^-sigma, accumulated in
+    ascending p; the single-point value that the sup scan maximizes over t."""
+    if sigma <= 0.5:
+        raise DomainError(f"prime sums require sigma > 1/2, got {sigma}")
+    if prime_limit < 2:
+        raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
+    primes = primes_up_to(table if table is not None else build_spf_sieve(prime_limit))
+    primes = primes[primes <= prime_limit]
+    signs = prime_sign_table(assignment, primes).astype(np.float64)
+    p = primes.astype(np.float64)
+    return float(np.cumsum(signs * p ** (-float(sigma)) * np.cos(float(t) * np.log(p)))[-1])
+
+
+def riesz_mean(assignment, x: int, table=None) -> float:
+    """sum_{n<=x} (f(n)/sqrt(n)) * log(x/n), natural log.
+
+    The smoothed average that approximates sum_{n<=x} fstar(n)/sqrt(n) after
+    convolving f with the perfect-square indicator.
+    """
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if table is None:
+        table = build_spf_sieve(max(x, 2))
+    f = MultiplicativeEvaluator(assignment, table).values_up_to(x, "f").astype(np.float64)[1:]
+    n = np.arange(1, x + 1, dtype=np.float64)
+    return float(np.sum(f / np.sqrt(n) * np.log(x / n)))
 
 
 def prime_sum_real(assignment, sigma: float, prime_limit: int, table=None) -> float:

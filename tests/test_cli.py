@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -280,11 +281,51 @@ def test_divergence_command(tmp_path):
     assert csv_text.splitlines()[0] == "trial,seed,sigma,signed,absolute,harper_witness,N,prime_limit"
 
 
-def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", experiments.EXPERIMENTS)
+def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("RMF_LAB_THREADS", "abc")
-    code = run_cli("sign-changes", "--limit", "100", "--trials", "2", "--out", str(tmp_path / "sc"))
+    code = run_cli(*WRITING_COMMANDS[command], "--out", str(tmp_path / "o"))
     assert code == 3
     assert "RMF_LAB_THREADS" in capsys.readouterr().err
+
+
+def test_replay_of_an_explicit_sign_mode_experiment_exit_3(tmp_path, capsys):
+    outdir = tmp_path / "sc"
+    assert run_cli(*WRITING_COMMANDS["sign-changes"], "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sign_mode"] = "explicit"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 3
+    assert "explicit" in capsys.readouterr().err
+
+
+def _mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    value, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            value = -value
+        d += 1
+    return -value if n > 1 else value
+
+
+def test_series_prints_max_abs_at_its_first_x(tmp_path, capsys):
+    # |M(x)| of the Mertens function first reaches its largest value on
+    # [1, 100] at x = 31
+    mertens = list(itertools.accumulate(_mobius(n) for n in range(1, 101)))
+    peak = max(abs(m) for m in mertens)
+    first = 1 + [abs(m) for m in mertens].index(peak)
+    assert (peak, first) == (4, 31)
+    assert run_cli("series", "--model", "f", "--alpha", "0", "--limit", "100", "--minus-one",
+                   "--out", str(tmp_path / "mertens")) == 0
+    assert f"max|M|={peak} at x={first}," in capsys.readouterr().out
+    assert run_cli("series", "--limit", "1", "--out", str(tmp_path / "one")) == 0
+    assert "max|M|=1 at x=1," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -317,6 +358,16 @@ def test_divergence_limit_1_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "limit >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["harper", "divergence"])
+def test_malformed_sigma_grid_exit_2(tmp_path, capsys, command):
+    code = run_cli(
+        command, "--limit", "100", "--trials", "2", "--sigma-grid", "0.58,x",
+        "--prime-limit", "1000", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "--sigma-grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["harper", "divergence"])

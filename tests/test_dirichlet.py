@@ -11,7 +11,6 @@ from rmflab.dirichlet import (
     exponential_formula_check,
     harper_sup_statistic,
     harper_window,
-    prime_cosine_sum,
     zeta,
 )
 from rmflab.errors import DomainError
@@ -19,7 +18,7 @@ from rmflab.output import csv_text
 from rmflab.primes import primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
-from oracles import prime_sum_real
+from oracles import prime_cosine_sum, prime_sum_real
 
 
 # ---------------------------------------------------------------------------

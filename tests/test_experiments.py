@@ -42,6 +42,12 @@ def test_config_validation():
         ExperimentConfig(experiment="divergence", model="fstar", alpha=0.5).validate()
 
 
+def test_explicit_sign_mode_is_rejected(table_1e5):
+    config = ExperimentConfig(experiment="sign-changes", limit=100, trials=2, sign_mode=SignMode.EXPLICIT)
+    with pytest.raises(DomainError, match="explicit"):
+        run_experiment(config, table_1e5)
+
+
 def test_default_grids_applied():
     cfg = ExperimentConfig(experiment="harper")
     assert cfg.sigma_grid == (0.58, 0.55, 0.52, 0.51)

@@ -1,8 +1,9 @@
-"""The package's public names, and the functions the benchmark traces, resolve.
+"""The package's public surface is what its commands run, and the
+functions the benchmark traces resolve.
 
 perfbench/spans.py wraps rmflab functions by "module:qualname"; a rename or
 deletion in the package would otherwise surface only in a traced benchmark
-run.
+run.  Scalar cross-check routes live in tests/oracles.py, not in the package.
 """
 
 import importlib
@@ -21,6 +22,32 @@ def _perfbench_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+PUBLIC_NAMES = [
+    "AggregateStats", "DivergenceRow", "DomainError", "EulerProduct", "ExperimentConfig",
+    "HarperScanResult", "MissingSignError", "Model", "MultiplicativeEvaluator", "ResourceError",
+    "SignAssignment", "SignChangeLog", "SignMode", "SpfTable", "WeightedSumSeries", "__version__",
+    "build_spf_sieve", "compute_series", "detect_sign_changes", "divergence_comparison",
+    "euler_product_F", "euler_product_F_star", "exponential_formula_check", "growth_statistic",
+    "harper_sup_statistic", "load_explicit_signs", "mellin_step_integral", "primes_up_to",
+    "replay_experiment", "run_experiment", "signed_and_absolute_integrals", "trial_seed",
+    "truncated_identity_residual", "write_experiment", "zeta",
+]
+
+
+def test_public_surface():
+    assert sorted(rmflab.__all__) == PUBLIC_NAMES
+    moved = [
+        (rmflab.primes, "factorize"),
+        (rmflab.primes, "is_squarefree"),
+        (rmflab.signs, "sign_at_prime"),
+        (rmflab.dirichlet, "prime_cosine_sum"),
+        (rmflab.series, "riesz_mean"),
+        (rmflab.signs.MultiplicativeEvaluator, "evaluate_f"),
+        (rmflab.signs.MultiplicativeEvaluator, "evaluate_f_star"),
+    ]
+    assert [name for owner, name in moved if hasattr(owner, name)] == []
 
 
 def test_every_public_name_resolves():

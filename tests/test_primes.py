@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rmflab.errors import DomainError
-from rmflab.primes import build_spf_sieve, factorize, is_squarefree, primes_up_to
+from rmflab.primes import build_spf_sieve, primes_up_to
 
 from conftest import oracle_prime_mask
+from oracles import factorize, is_squarefree
 
 
 def test_spf_limit_10():

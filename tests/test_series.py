@@ -11,13 +11,12 @@ from rmflab.series import (
     compute_series,
     detect_sign_changes,
     growth_statistic,
-    riesz_mean,
 )
 from rmflab.experiments import _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
 
 from conftest import oracle_mobius
-from oracles import kahan_series_values
+from oracles import evaluate_f, kahan_series_values, riesz_mean
 
 
 def test_mertens_and_liouville_at_10(table_1e5):
@@ -33,7 +32,6 @@ def test_series_n1_is_one(table_1e5):
         series = compute_series(SignAssignment.iid(seed), "f", 0.0, 1, table_1e5)
         assert series.values[1] == 1.0
         assert series.limit == 1
-        assert series.max_abs == 1.0 and series.argmax == 1
 
 
 def test_m_alpha_starts_at_one(table_1e5):
@@ -187,7 +185,7 @@ def test_riesz_mean_reverse_summation_oracle(table_1e5):
     ev = MultiplicativeEvaluator(a, table_1e5)
     total = 0.0
     for n in range(x, 0, -1):  # reverse order, scalar evaluator
-        total += ev.evaluate_f(n) / math.sqrt(n) * math.log(x / n)
+        total += evaluate_f(ev, n) / math.sqrt(n) * math.log(x / n)
     value = riesz_mean(a, x, table_1e5)
     assert abs(value - total) <= 1e-12 * max(1.0, abs(total))
 
