@@ -2,8 +2,9 @@
 
 Exit codes: 0 all requested computations completed; 1 an --assert mode
 statistical expectation or a replay digest comparison failed; 2 usage error;
-3 domain/precondition error; 4 I/O error.  Statistical outcomes are reported,
-never enforced, unless --assert is given.
+3 domain/precondition error, or an allocation larger than the host's memory;
+4 I/O error.  Statistical outcomes are reported, never enforced, unless
+--assert is given.
 
 Every command that writes data hands its results to the experiments module,
 which owns the CSV files, the manifest format, the write order and replay.
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, dirichlet, mellin
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .experiments import (
     DEFAULT_PRIME_LIMIT,
     EXPERIMENTS,
@@ -249,7 +250,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
             return _run_replay(args)
         parser.error(f"unknown command {args.command!r}")
         return 2
-    except DomainError as exc:
+    except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -17,18 +17,22 @@ reports |last factor - 1| as a Cauchy-style convergence diagnostic.
 The sup statistic scans t over the window [1, 2 (log(1/(sigma-1/2)))^2] for
 the largest value of sum_p f(p) cos(t log p) / p^sigma on a uniform grid.
 A uniform grid with recorded step gives a certified lower bound on the sup,
-which is the direction the comparison in the mellin module needs.
+which is the direction the comparison in the mellin module needs.  The scan
+fills its cosine rows by the three-term (Chebyshev, Goertzel) recurrence in
+t, seeded with exact cosines at fixed grid indices, and reports the cosine sum
+recomputed exactly at the grid point it selects.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .primes import SpfTable, build_spf_sieve, primes_up_to
 from .signs import SignAssignment, prime_sign_table
 
@@ -95,22 +99,14 @@ class EulerProduct:
     prime_limit: int
 
 
-def _prime_signs(
-    assignments,
-    prime_limit: int,
-    table: SpfTable | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(primes p <= prime_limit, int8 signs at them with one row per assignment)."""
+def _primes_to(prime_limit: int, table: SpfTable | None) -> np.ndarray:
+    """The primes p <= prime_limit, from table or from a new sieve."""
     if prime_limit < 2:
         raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
     if table is None:
         table = build_spf_sieve(prime_limit)
     primes = primes_up_to(table)
-    primes = primes[primes <= prime_limit]
-    signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
-    for i, assignment in enumerate(assignments):
-        signs[i] = prime_sign_table(assignment, primes)
-    return primes, signs
+    return primes[primes <= prime_limit]
 
 
 def _product_factors(
@@ -121,8 +117,9 @@ def _product_factors(
 ) -> np.ndarray:
     if complex(s).real <= 0.5:
         raise DomainError(f"Euler products require Re s > 1/2, got {s}")
-    primes, signs = _prime_signs([assignment], prime_limit, table)
-    return signs[0].astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
+    primes = _primes_to(prime_limit, table)
+    signs = prime_sign_table(assignment, primes)
+    return signs.astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
 
 
 def _euler_product(assignment, s, prime_limit, table, factor) -> EulerProduct:
@@ -221,6 +218,11 @@ class HarperScanResult:
     prime_limit: int
 
 
+#: Grid indices j with j % SEED_PERIOD in {0, 1} seed the cosine recurrence
+#: of scan_grid_max with exactly evaluated cosines.
+SEED_PERIOD = 256
+
+
 def harper_window(sigma: float) -> float:
     """Right endpoint 2 (log(1/(sigma-1/2)))^2 of the scan window [1, T]."""
     return 2.0 * math.log(1.0 / (sigma - 0.5)) ** 2
@@ -243,24 +245,43 @@ def scan_grid_max(
 
     weights has one row per realization; returns (max values, argmax t) with
     ties broken by the smallest t (first occurrence).  Grid points are
-    evaluated chunkwise in ascending t with a running strict-max reduction,
-    so the result does not depend on chunking.
+    evaluated chunkwise in ascending t with a running strict-max reduction.
+
+    The cosine rows come from the three-term recurrence
+    cos((j+1)theta) = 2 cos(theta) cos(j theta) - cos((j-1)theta) with
+    theta = step * log p, one vectorized step over the primes per grid point.
+    Every grid index j with j mod SEED_PERIOD in {0, 1} is seeded exactly with
+    cos(t_j log p), which keeps the recurrence's rounding error near 1e-12;
+    the seeds sit at fixed grid indices, so the result does not depend on
+    chunk.  Each returned max value is recomputed exactly at its t, one dot
+    product per row, so it is the cosine sum at a grid point.
     """
     weights = np.atleast_2d(weights)
     n_rows = weights.shape[0]
     best = np.full(n_rows, -np.inf)
     best_t = np.full(n_rows, t_start)
+    two_cos_step = 2.0 * np.cos(grid_step * logp)
+    # rows 0 and 1 hold the two grid points before the current chunk
+    buf = np.empty((min(chunk, n_points) + 2, len(logp)))
     for start in range(0, n_points, chunk):
         stop = min(start + chunk, n_points)
-        t_block = t_start + grid_step * np.arange(start, stop, dtype=np.float64)
-        phases = np.outer(t_block, logp)
-        np.cos(phases, out=phases)
-        vals = weights @ phases.T
+        for j in range(start, stop):
+            row = j - start + 2
+            if j % SEED_PERIOD < 2:
+                np.cos((t_start + grid_step * j) * logp, out=buf[row])
+            else:
+                np.multiply(two_cos_step, buf[row - 1], out=buf[row])
+                np.subtract(buf[row], buf[row - 2], out=buf[row])
+        size = stop - start
+        vals = weights @ buf[2 : size + 2].T
         block_best = vals.max(axis=1)
         block_arg = vals.argmax(axis=1)
         update = block_best > best
         best[update] = block_best[update]
-        best_t[update] = t_block[block_arg[update]]
+        best_t[update] = t_start + grid_step * (start + block_arg[update])
+        buf[:2] = buf[size : size + 2]
+    for i in range(n_rows):
+        best[i] = weights[i] @ np.cos(best_t[i] * logp)
     return best, best_t
 
 
@@ -284,6 +305,22 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     return grid
 
 
+def _check_scan_memory(n_rows: int, n_primes: int) -> None:
+    """Raise ResourceError if the scan's int8 signs and float64 weights,
+    9 bytes per row and prime, exceed the host's physical memory."""
+    requested = 9 * n_rows * n_primes
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no sysconf on this platform: nothing to check against
+    if requested > physical:
+        raise ResourceError(
+            f"sup scan of {n_rows} trials over {n_primes} primes needs {requested} bytes, "
+            f"more than the {physical} bytes of physical memory",
+            requested_bytes=requested,
+        )
+
+
 def sup_scans(
     assignments,
     sigma_grid,
@@ -297,11 +334,17 @@ def sup_scans(
     grid_step None means default_grid_step(sigma) at each sigma.  All
     assignments are scanned against the same cosine blocks, one
     scan_grid_max call per sigma with one weight row per assignment.
+    Raises ResourceError, before allocating them, if the int8 signs and
+    float64 weights (9 bytes per assignment and prime) exceed the host's
+    physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
-    primes, signs = _prime_signs(assignments, prime_limit, table)
+    primes = _primes_to(prime_limit, table)
+    _check_scan_memory(len(assignments), len(primes))
+    signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
+    for i, assignment in enumerate(assignments):
+        signs[i] = prime_sign_table(assignment, primes)
     primes = primes.astype(np.float64)
-    signs = signs.astype(np.float64)
     logp = np.log(primes)
     results: list[list[HarperScanResult]] = [[] for _ in assignments]
     for sigma in grid:
@@ -334,7 +377,9 @@ def harper_sup_statistic(
     """Grid supremum of the prime cosine sum over t in [1, 2 log(1/(sigma-1/2))^2].
 
     Requires 1/2 < sigma <= 0.6 (the window is then nonempty).  The returned
-    sup_value is a certified lower bound for the true supremum at the
-    recorded grid_step; halving grid_step can only increase it.
+    sup_value is the cosine sum at the grid point t_star, so a certified
+    lower bound for the true supremum at the recorded grid_step; halving
+    grid_step can only increase it, unless two grid values tie to within the
+    scan's rounding (about 1e-12).
     """
     return sup_scans([assignment], (sigma,), grid_step, prime_limit, table)[0][0]

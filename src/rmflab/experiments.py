@@ -491,6 +491,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
     command = manifest.get("command")
     if command in EXPERIMENTS:
         config = config_from_manifest(manifest)
+        config.validate()
     elif command == "series":
         try:
             mode = SignMode(manifest["sign_mode"])

@@ -146,8 +146,9 @@ def divergence_rows(
 ) -> list[list[DivergenceRow]]:
     """The comparison table of each assignment: one row per sigma, in grid order.
 
-    Series and integrals run per assignment on up to `threads` threads; the
-    sup scan runs once for all assignments, then the witness product is
+    The sup scan runs first, once for all assignments, so its memory check
+    comes before any per-trial work; then series and integrals run per
+    assignment on up to `threads` threads, and the witness product is
     evaluated at each assignment's t* for each sigma.
     """
     model = Model(model)
@@ -159,8 +160,8 @@ def divergence_rows(
         series = compute_series(assignment, model, alpha, limit, table)
         return [signed_and_absolute_integrals(series, sig) for sig in grid]
 
-    per_assignment = map_ordered(integrals, assignments, threads)
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
+    per_assignment = map_ordered(integrals, assignments, threads)
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
     tables = []
     for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):

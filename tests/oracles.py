@@ -3,8 +3,9 @@
 Each one recomputes something the package computes another way: a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, a compensated running sum, fstar by Dirichlet convolution,
-the prime cosine sum and the Riesz mean at one point, the Mellin record at
-one point.  Tests compare the package against them.
+the prime cosine sum and the Riesz mean at one point, the sup scan with a
+full cosine matrix, the Mellin record at one point.  Tests compare the
+package against them.
 """
 
 from dataclasses import dataclass
@@ -171,6 +172,35 @@ def prime_cosine_sum(assignment, sigma: float, t: float, prime_limit: int, table
     signs = prime_sign_table(assignment, primes).astype(np.float64)
     p = primes.astype(np.float64)
     return float(np.cumsum(signs * p ** (-float(sigma)) * np.cos(float(t) * np.log(p)))[-1])
+
+
+def scan_by_cosine_matrix(
+    weights: np.ndarray,
+    logp: np.ndarray,
+    t_start: float,
+    grid_step: float,
+    n_points: int,
+    chunk: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """dirichlet.scan_grid_max with every cosine evaluated by np.cos: row-wise
+    (max, first argmax t) of weights @ cos(t log p) over t = t_start + j*step,
+    one chunk x primes cosine matrix per block of grid points."""
+    weights = np.atleast_2d(weights)
+    n_rows = weights.shape[0]
+    best = np.full(n_rows, -np.inf)
+    best_t = np.full(n_rows, t_start)
+    for start in range(0, n_points, chunk):
+        stop = min(start + chunk, n_points)
+        t_block = t_start + grid_step * np.arange(start, stop, dtype=np.float64)
+        phases = np.outer(t_block, logp)
+        np.cos(phases, out=phases)
+        vals = weights @ phases.T
+        block_best = vals.max(axis=1)
+        block_arg = vals.argmax(axis=1)
+        update = block_best > best
+        best[update] = block_best[update]
+        best_t[update] = t_block[block_arg[update]]
+    return best, best_t
 
 
 def riesz_mean(assignment, x: int, table=None) -> float:

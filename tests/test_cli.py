@@ -301,6 +301,45 @@ def test_replay_of_an_explicit_sign_mode_experiment_exit_3(tmp_path, capsys):
     assert "explicit" in capsys.readouterr().err
 
 
+def test_replay_validates_the_config_before_the_digest_map(tmp_path, capsys):
+    outdir = tmp_path / "sc"
+    assert run_cli(*WRITING_COMMANDS["sign-changes"], "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sign_mode"], manifest["csv_sha256"] = "explicit", None
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 3
+    assert "explicit" in capsys.readouterr().err
+
+
+_MAXRSS_GROWTH = """
+import resource, sys
+from rmflab.cli import parse_and_dispatch
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = parse_and_dispatch(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sup_scan_larger_than_memory_exit_3_before_allocating(tmp_path):
+    # one more trial than fits at 9 bytes (int8 sign, float64 weight) per
+    # trial and prime below 10^6; 78498 primes
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    trials = physical // (9 * 78498) + 1
+    result = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_GROWTH, "harper", "--trials", str(trials),
+         "--prime-limit", "1000000", "--sigma-grid", "0.58", "--limit", "1",
+         "--threads", "1", "--out", str(tmp_path / "h")],
+        capture_output=True, text=True,
+    )
+    code, growth_kb = map(int, result.stdout.split())
+    assert code == 3
+    assert result.stderr.startswith("error: ") and "physical memory" in result.stderr
+    assert growth_kb < 50 * 1024
+    assert not (tmp_path / "h").exists()
+
+
 def _mobius(n: int) -> int:
     """mu(n) by trial division."""
     value, d = 1, 2

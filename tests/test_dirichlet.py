@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmflab.dirichlet import (
+    SEED_PERIOD,
     default_grid_step,
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
     harper_sup_statistic,
     harper_window,
+    scan_grid_max,
     zeta,
 )
 from rmflab.errors import DomainError
@@ -18,7 +21,7 @@ from rmflab.output import csv_text
 from rmflab.primes import primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
-from oracles import prime_cosine_sum, prime_sum_real
+from oracles import prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,52 @@ def test_harper_sup_grid_refinement(table_1e5):
     coarse = harper_sup_statistic(a, 0.55, step, 10**4, table_1e5)
     fine = harper_sup_statistic(a, 0.55, step / 2, 10**4, table_1e5)
     assert fine.sup_value >= coarse.sup_value
+
+
+SCAN_CHUNKS = (1, 7, 256, 1000)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
+    prime_limit = data.draw(st.integers(2, 3000))
+    primes = primes_up_to(table_1e5)
+    primes = primes[primes <= prime_limit]
+    seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=5))
+    sigma = data.draw(st.floats(0.5, 0.6, exclude_min=True))
+    weights = np.array([prime_sign_table(SignAssignment.iid(seed), primes) for seed in seeds])
+    weights = weights * primes.astype(np.float64) ** (-sigma)
+    logp = np.log(primes.astype(np.float64))
+    t_start = data.draw(st.floats(0.0, 100.0))
+    step = data.draw(st.floats(1e-3, 0.5))
+    n_points = data.draw(st.sampled_from([1, 2, 255, 256, 257, 513]) | st.integers(1, 1200))
+
+    oracle_sup, oracle_t = scan_by_cosine_matrix(weights, logp, t_start, step, n_points)
+    t_grid = t_start + step * np.arange(n_points, dtype=np.float64)
+    grid_values = np.sort(weights @ np.cos(np.outer(t_grid, logp)).T, axis=1)
+    scans = [scan_grid_max(weights, logp, t_start, step, n_points, chunk) for chunk in SCAN_CHUNKS]
+    sup, t_star = scans[0]
+    for other_sup, other_t in scans[1:]:
+        assert np.array_equal(other_t, t_star)
+        assert np.array_equal(other_sup, sup)
+    for i in range(len(weights)):
+        assert sup[i] == weights[i] @ np.cos(t_star[i] * logp)
+        at_t_star = scan_by_cosine_matrix(weights[i], logp, t_star[i], step, 1)[0][0]
+        assert abs(at_t_star - oracle_sup[i]) <= 1e-12
+        if n_points == 1 or grid_values[i, -1] - grid_values[i, -2] > 1e-9:
+            assert t_star[i] == oracle_t[i]
+
+
+def test_scan_grid_max_ties_do_not_depend_on_chunk():
+    # theta = pi/2 and t_0 = pi/4: cos(t_j) = +-1/sqrt(2), so the grid maximum
+    # ties at half the points and rounding alone picks the first of them; the
+    # recurrence must round the same way for every chunk size
+    weights, logp = np.array([[1.0]]), np.array([1.0])
+    n_points = 4 * SEED_PERIOD + 3
+    scans = [scan_grid_max(weights, logp, math.pi / 4, math.pi / 2, n_points, chunk) for chunk in SCAN_CHUNKS]
+    for sup, t_star in scans[1:]:
+        assert t_star[0] == scans[0][1][0] and sup[0] == scans[0][0][0]
+    assert abs(scans[0][0][0] - math.sqrt(0.5)) <= 1e-12
 
 
 def test_harper_sup_validation(table_1e5):
