@@ -24,7 +24,7 @@ from .errors import DomainError, ResourceError
 from .experiments import (
     DEFAULT_PRIME_LIMIT,
     EXPERIMENTS,
-    FIXED_MODEL,
+    Experiment,
     ExperimentConfig,
     assert_outcome,
     replay_experiment,
@@ -60,8 +60,10 @@ def _assignment_from_args(args) -> SignAssignment:
     return SignAssignment.iid(args.seed)
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser, model: bool = True) -> None:
-    if model:
+def _add_experiment_flags(parser: argparse.ArgumentParser, spec: Experiment) -> None:
+    """--model/--alpha unless the experiment fixes them, the run flags, and the
+    scan flags if it scans (one left out takes ExperimentConfig's default)."""
+    if spec.fixed is None:
         parser.add_argument("--model", choices=["f", "fstar"], default="f")
         parser.add_argument("--alpha", type=float, default=0.0)
     parser.add_argument("--limit", type=int, default=10**6, help="partial-sum cutoff N")
@@ -80,17 +82,14 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, model: bool = True) -
         action="store_true",
         help="fail (exit 1) if the statistical expectation does not hold",
     )
+    if spec.sigma_grid is not None:
+        parser.add_argument("--sigma-grid", type=_sigma_grid, default=None, help="comma-separated, strictly decreasing")
+        parser.add_argument("--prime-limit", type=int, default=None, help=f"default {DEFAULT_PRIME_LIMIT}")
+        parser.add_argument("--grid-step", type=float, default=None)
 
 
 def _sigma_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
-
-
-def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
-    """The sup-scan flags; a flag left out takes ExperimentConfig's default."""
-    parser.add_argument("--sigma-grid", type=_sigma_grid, default=None, help="comma-separated, strictly decreasing")
-    parser.add_argument("--prime-limit", type=int, default=None, help=f"default {DEFAULT_PRIME_LIMIT}")
-    parser.add_argument("--grid-step", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,22 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_assignment_flags(p)
     p.add_argument("--out", type=str, required=True)
 
-    p = sub.add_parser("sign-changes", help="sign-change census across trials")
-    _add_experiment_flags(p)
-
-    p = sub.add_parser("positivity", help="positivity probability of harmonic fstar sums")
-    _add_experiment_flags(p, model=False)
-
-    p = sub.add_parser("harper", help="sup scan of the prime cosine sum across trials")
-    _add_experiment_flags(p, model=False)
-    _add_scan_flags(p)
-
-    p = sub.add_parser("divergence", help="signed vs absolute Mellin integral comparison")
-    _add_experiment_flags(p)
-    _add_scan_flags(p)
-
-    p = sub.add_parser("growth", help="growth-envelope statistics (reporting only)")
-    _add_experiment_flags(p, model=False)
+    for name, spec in EXPERIMENTS.items():
+        _add_experiment_flags(sub.add_parser(name, help=spec.help), spec)
 
     p = sub.add_parser("euler", help="evaluate a truncated Euler product at one point")
     p.add_argument("--model", choices=["f", "fstar"], default="f")
@@ -163,8 +148,8 @@ def _run_series(args) -> int:
 
 
 def _run_experiment_command(args) -> int:
-    # positivity, harper and growth have no --model/--alpha: their pair is fixed
-    model, alpha = FIXED_MODEL.get(args.command) or (args.model, args.alpha)
+    # an experiment that fixes (model, alpha) has no --model/--alpha flags
+    model, alpha = EXPERIMENTS[args.command].fixed or (args.model, args.alpha)
     config = ExperimentConfig(
         experiment=args.command,
         model=model,
@@ -177,11 +162,10 @@ def _run_experiment_command(args) -> int:
         prime_limit=getattr(args, "prime_limit", None),
         grid_step=getattr(args, "grid_step", None),
         threads=args.threads,
-        output_path=args.out,
     )
     start = time.monotonic()
     stats = run_experiment(config)
-    manifest_path, csv_path = write_experiment(stats, wall_time=time.monotonic() - start)
+    manifest_path, csv_path = write_experiment(stats, args.out, time.monotonic() - start)
     print(f"{args.command}: {config.trials} trials -> {csv_path}")
     print(f"summary: {json.dumps(stats.summary)}")
     if args.assert_mode:

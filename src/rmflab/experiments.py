@@ -10,8 +10,10 @@ Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
 worker count; aggregation is an ordered fold by trial index.  Trials are
 embarrassingly parallel and share nothing mutable beyond the result sink
-(per-trial series are transient: only sign-change logs, extremes, and scalar
-statistics are retained).
+(per-trial series are transient: each trial keeps only its CSV rows).
+
+EXPERIMENTS declares each experiment once (see Experiment); the config
+defaults, validation, assert mode and the CLI all read that table.
 
 The statistical thresholds (MIN_SIGN_CHANGES, PASS_RATE, POSITIVITY_RATE
 and the divergence majority 1/2) are module constants calibrated by a pilot
@@ -28,6 +30,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,13 +51,9 @@ from .series import (
 )
 from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
 
-DEFAULT_HARPER_GRID = (0.58, 0.55, 0.52, 0.51)
-DEFAULT_DIVERGENCE_GRID = (0.56, 0.54, 0.52)
 DEFAULT_PRIME_LIMIT = 10**6
 GROWTH_THETAS = (0.0, 0.25, 0.5)
 GROWTH_CHECKPOINTS = (10**4, 10**5, 10**6)
-#: The (model, alpha) of the experiments that study one fixed series.
-FIXED_MODEL = {"positivity": (Model.F_STAR, 1.0), "harper": (Model.F, 0.0), "growth": (Model.F, 0.0)}
 
 # Statistical acceptance thresholds, calibrated by pilot (see README).
 MIN_SIGN_CHANGES = 5
@@ -90,62 +89,55 @@ class ExperimentConfig:
     prime_limit: int | None = None
     grid_step: float | None = None
     threads: int | None = None
-    output_path: str | None = None
 
     def __post_init__(self):
         self.model = Model(self.model)
         self.sign_mode = SignMode(self.sign_mode)
         if self.sigma_grid is not None:
             self.sigma_grid = tuple(float(x) for x in self.sigma_grid)
-        if self.experiment == "harper" and self.sigma_grid is None:
-            self.sigma_grid = DEFAULT_HARPER_GRID
-        if self.experiment == "divergence" and self.sigma_grid is None:
-            self.sigma_grid = DEFAULT_DIVERGENCE_GRID
-        if self.experiment in ("harper", "divergence") and self.prime_limit is None:
-            self.prime_limit = DEFAULT_PRIME_LIMIT
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is not None and spec.sigma_grid is not None:
+            if self.sigma_grid is None:
+                self.sigma_grid = spec.sigma_grid
+            if self.prime_limit is None:
+                self.prime_limit = DEFAULT_PRIME_LIMIT
 
     @property
     def reporting_only(self) -> bool:
         """No pass/fail is ever attached: the open alpha = 1/2 fstar probe
-        and the growth envelope report distributions only."""
+        and the experiments without a check report distributions only."""
         open_probe = self.model is Model.F_STAR and self.alpha == 0.5
-        return self.experiment == "growth" or (self.experiment == "sign-changes" and open_probe)
+        return EXPERIMENTS[self.experiment].check is None or open_probe
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise DomainError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.limit < 1:
-            raise DomainError(f"limit must be >= 1, got {self.limit}")
+        if self.limit < spec.min_limit:
+            raise DomainError(
+                f"{self.experiment} experiment requires limit >= {spec.min_limit}, got {self.limit}"
+            )
         if self.sign_mode is SignMode.EXPLICIT:
             raise DomainError("experiments need iid or all-minus-one signs, got explicit")
-        if self.experiment in FIXED_MODEL:
-            model, alpha = FIXED_MODEL[self.experiment]
+        if spec.fixed is not None:
+            model, alpha = spec.fixed
             if self.model is not model or self.alpha != alpha:
                 raise DomainError(
                     f"{self.experiment} experiment requires model {model.value} and alpha = {alpha:g}"
                 )
-        if self.experiment == "sign-changes" and not 0.0 <= self.alpha <= 0.5:
-            raise DomainError(
-                f"model {self.model.value} sign changes need alpha in [0, 1/2], got {self.alpha}"
-            )
-        if self.experiment == "growth" and self.limit < 16:
-            raise DomainError("growth experiment requires limit >= 16")
-        if self.experiment in ("harper", "divergence"):
-            low = 0.5 if self.experiment == "harper" else max(self.alpha, 0.5)
-            dirichlet.check_sigma_grid(self.sigma_grid, self.grid_step, low)
+        else:
+            open_end = self.experiment == "divergence" and self.model is Model.F_STAR
+            if not (0.0 <= self.alpha < 0.5 if open_end else 0.0 <= self.alpha <= 0.5):
+                raise DomainError(
+                    f"model {self.model.value} {self.experiment} needs alpha in "
+                    f"[0, 1/2{')' if open_end else ']'}, got {self.alpha}"
+                )
+        if spec.sigma_grid is not None:
+            dirichlet.check_sigma_grid(self.sigma_grid, self.grid_step, max(self.alpha, 0.5))
             if self.prime_limit is None or self.prime_limit < 2:
                 raise DomainError("prime_limit >= 2 is required")
-        if self.experiment == "divergence":
-            if self.limit < 2:
-                raise DomainError(f"divergence experiment requires limit >= 2, got {self.limit}")
-            if self.model is Model.F and not 0.0 <= self.alpha <= 0.5:
-                raise DomainError(f"model f divergence needs alpha in [0, 1/2], got {self.alpha}")
-            if self.model is Model.F_STAR and not 0.0 <= self.alpha < 0.5:
-                raise DomainError(
-                    f"model fstar divergence needs alpha in [0, 1/2), got {self.alpha}"
-                )
 
     def trial_assignments(self) -> tuple[list[int], list[SignAssignment]]:
         """(seeds, assignments) of every trial, in trial order; all-minus-one
@@ -332,9 +324,50 @@ def _growth(config: ExperimentConfig, table: SpfTable, assignments, threads: int
     return rows, {"cells": cells, "reporting_only": True}
 
 
-_BODIES = {"sign-changes": _sign_changes, "positivity": _positivity, "harper": _harper,
-           "divergence": _divergence, "growth": _growth}
-EXPERIMENTS = tuple(_BODIES)
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's body, CLI help, fixed (model, alpha) (None: per run),
+    default sigma grid (None: no sup scan), smallest limit, and assert-mode
+    check of the summary (None: reporting-only)."""
+
+    body: Callable
+    help: str
+    fixed: tuple[Model, float] | None = None
+    sigma_grid: tuple[float, ...] | None = None
+    min_limit: int = 1
+    check: Callable[[dict], tuple[bool, str]] | None = None
+
+
+EXPERIMENTS = {
+    "sign-changes": Experiment(
+        _sign_changes, "sign-change census across trials",
+        check=lambda s: (s["pass_fraction"] >= PASS_RATE, (
+            f"fraction of trials with >= {MIN_SIGN_CHANGES} sign changes: "
+            f"{s['pass_fraction']:.4f} (needs >= {PASS_RATE})")),
+    ),
+    "positivity": Experiment(
+        _positivity, "positivity probability of harmonic fstar sums", fixed=(Model.F_STAR, 1.0),
+        check=lambda s: (s["pass_fraction"] >= POSITIVITY_RATE,
+                         f"all-positive fraction: {s['pass_fraction']:.4f} (needs >= {POSITIVITY_RATE})"),
+    ),
+    "harper": Experiment(
+        _harper, "sup scan of the prime cosine sum across trials", fixed=(Model.F, 0.0),
+        sigma_grid=(0.58, 0.55, 0.52, 0.51),
+        check=lambda s: (s["trend_increasing"], (
+            f"median centered sup increased on {s['trend_steps_increasing']} of "
+            f"{s['trend_steps_total']} grid steps (needs all)")),
+    ),
+    "divergence": Experiment(
+        _divergence, "signed vs absolute Mellin integral comparison",
+        sigma_grid=(0.56, 0.54, 0.52), min_limit=2,
+        check=lambda s: (s["triangle_inequality_ok"] and s["fraction_ratio_monotone"] > 0.5, (
+            f"triangle inequality ok: {s['triangle_inequality_ok']}, "
+            f"monotone ratio fraction: {s['fraction_ratio_monotone']:.4f} (needs > 0.5)")),
+    ),
+    "growth": Experiment(
+        _growth, "growth-envelope statistics (reporting only)", fixed=(Model.F, 0.0), min_limit=16,
+    ),
+}
 
 
 def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
@@ -346,7 +379,7 @@ def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> A
     config.validate()
     threads = resolve_threads(config.threads)
     seeds, assignments = config.trial_assignments()
-    rows, summary = _BODIES[config.experiment](config, _shared_table(config, table), assignments, threads)
+    rows, summary = EXPERIMENTS[config.experiment].body(config, _shared_table(config, table), assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
     return AggregateStats(config=config, per_trial=records, summary=summary)
 
@@ -419,15 +452,8 @@ def _write_run(outdir, manifest: dict, texts: dict[str, str]) -> list[str]:
     return paths
 
 
-def write_experiment(stats: AggregateStats, outdir=None, wall_time: float | None = None):
-    """Write the manifest and trials.csv (see _write_run); returns their paths.
-
-    outdir defaults to the config's output_path.
-    """
-    if outdir is None:
-        outdir = stats.config.output_path
-    if not outdir:
-        raise DomainError("no output directory: pass outdir or set config.output_path")
+def write_experiment(stats: AggregateStats, outdir, wall_time: float | None = None):
+    """Write the manifest and trials.csv (see _write_run); returns their paths."""
     return tuple(_write_run(outdir, manifest_dict(stats, wall_time), {"trials.csv": trials_csv(stats)}))
 
 
@@ -451,6 +477,10 @@ def write_series(
     return os.path.dirname(_write_run(outdir, manifest, _series_csvs(series, log))[0])
 
 
+def _optional(manifest: dict, key: str, convert):
+    return None if manifest.get(key) is None else convert(manifest[key])
+
+
 def config_from_manifest(manifest: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
@@ -461,9 +491,9 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
             trials=int(manifest["trials"]),
             base_seed=int(manifest["base_seed"]),
             sign_mode=SignMode(manifest["sign_mode"]),
-            sigma_grid=tuple(manifest["sigma_grid"]) if manifest.get("sigma_grid") else None,
-            prime_limit=manifest.get("prime_limit"),
-            grid_step=manifest.get("grid_step"),
+            sigma_grid=_optional(manifest, "sigma_grid", tuple),
+            prime_limit=_optional(manifest, "prime_limit", int),
+            grid_step=_optional(manifest, "grid_step", float),
         )
     except KeyError as exc:
         raise DomainError(f"not a replayable manifest: missing key {exc}") from None
@@ -496,11 +526,13 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
         try:
             mode = SignMode(manifest["sign_mode"])
             model, alpha, limit = Model(manifest["model"]), float(manifest["alpha"]), int(manifest["N"])
-            seed, signs_file = int(manifest["seed"]), str(manifest["signs_file"])
+            seed, signs_file = int(manifest["seed"]), manifest["signs_file"]
         except KeyError as exc:
             raise DomainError(f"not a replayable manifest: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise DomainError(f"not a replayable manifest: {exc}") from None
+        if mode is SignMode.EXPLICIT and not isinstance(signs_file, str):
+            raise DomainError(f"not a replayable manifest: explicit signs with signs_file {signs_file!r}")
     else:
         raise DomainError(f"not a replayable manifest: unknown command {command!r}")
     recorded = manifest.get("csv_sha256")
@@ -529,29 +561,6 @@ def assert_outcome(stats: AggregateStats) -> tuple[bool, str]:
 
     Reporting-only configurations always pass (there is nothing to assert).
     """
-    cfg = stats.config
-    s = stats.summary
-    if cfg.reporting_only:
+    if stats.config.reporting_only:
         return True, "reporting-only: no statistical assertion attached"
-    if cfg.experiment == "sign-changes":
-        ok = s["pass_fraction"] >= PASS_RATE
-        return ok, (
-            f"fraction of trials with >= {MIN_SIGN_CHANGES} sign changes: "
-            f"{s['pass_fraction']:.4f} (needs >= {PASS_RATE})"
-        )
-    if cfg.experiment == "positivity":
-        ok = s["pass_fraction"] >= POSITIVITY_RATE
-        return ok, f"all-positive fraction: {s['pass_fraction']:.4f} (needs >= {POSITIVITY_RATE})"
-    if cfg.experiment == "harper":
-        ok = s["trend_increasing"]
-        return ok, (
-            f"median centered sup increased on {s['trend_steps_increasing']} of "
-            f"{s['trend_steps_total']} grid steps (needs all)"
-        )
-    if cfg.experiment == "divergence":
-        ok = s["triangle_inequality_ok"] and s["fraction_ratio_monotone"] > 0.5
-        return ok, (
-            f"triangle inequality ok: {s['triangle_inequality_ok']}, "
-            f"monotone ratio fraction: {s['fraction_ratio_monotone']:.4f} (needs > 0.5)"
-        )
-    return True, "no assertion defined"
+    return EXPERIMENTS[stats.config.experiment].check(stats.summary)

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import itertools
@@ -9,11 +10,20 @@ import sys
 import pytest
 
 from rmflab import experiments
-from rmflab.cli import parse_and_dispatch
+from rmflab.cli import build_parser, parse_and_dispatch
 
 
 def run_cli(*argv) -> int:
     return parse_and_dispatch(list(argv))
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on args that imports the rmflab under test,
+    whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_usage_error_exit_2():
@@ -220,6 +230,24 @@ def test_replay_checks_the_digest_map_before_recomputing(tmp_path, monkeypatch, 
     ]
 
 
+@pytest.mark.parametrize(
+    "case, key, value",
+    [*(("harper", key, value) for key in ("prime_limit", "grid_step", "sigma_grid") for value in ("abc", [1], [])),
+     ("series-signs-file", "signs_file", None)],
+)
+def test_replay_of_a_mistyped_key_exit_3(tmp_path, capsys, case, key, value):
+    argv = [str(_signs_file(tmp_path)) if a == "SIGNS" else a for a in WRITING_COMMANDS[case]]
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_harper_with_another_model_exit_3(tmp_path, capsys):
     outdir = tmp_path / "h"
     assert run_cli(*WRITING_COMMANDS["harper"], "--out", str(outdir)) == 0
@@ -254,10 +282,7 @@ def test_replay_reads_the_manifest_once(tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "rmflab.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    result = run_python("-m", "rmflab.cli", "--version")
     assert result.returncode == 0
     assert "rmflab" in result.stdout
 
@@ -289,6 +314,78 @@ def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys, command):
     assert "RMF_LAB_THREADS" in capsys.readouterr().err
 
 
+# Each experiment command's option strings and usage line at 80 columns.
+# The subparsers are generated from the EXPERIMENTS table; this pins them to
+# the CLI as documented: only sign-changes and divergence take --model and
+# --alpha, and the scan flags follow --assert.
+EXPERIMENT_SURFACE = {
+    "sign-changes": (
+        "-h --help --model --alpha --limit --trials --seed --minus-one --threads --out --assert",
+        """\
+usage: rmflab sign-changes [-h] [--model {f,fstar}] [--alpha ALPHA]
+                           [--limit LIMIT] [--trials TRIALS] [--seed SEED]
+                           [--minus-one] [--threads THREADS] --out OUT
+                           [--assert]
+""",
+    ),
+    "positivity": (
+        "-h --help --limit --trials --seed --minus-one --threads --out --assert",
+        """\
+usage: rmflab positivity [-h] [--limit LIMIT] [--trials TRIALS] [--seed SEED]
+                         [--minus-one] [--threads THREADS] --out OUT
+                         [--assert]
+""",
+    ),
+    "harper": (
+        "-h --help --limit --trials --seed --minus-one --threads --out --assert"
+        " --sigma-grid --prime-limit --grid-step",
+        """\
+usage: rmflab harper [-h] [--limit LIMIT] [--trials TRIALS] [--seed SEED]
+                     [--minus-one] [--threads THREADS] --out OUT [--assert]
+                     [--sigma-grid SIGMA_GRID] [--prime-limit PRIME_LIMIT]
+                     [--grid-step GRID_STEP]
+""",
+    ),
+    "divergence": (
+        "-h --help --model --alpha --limit --trials --seed --minus-one --threads --out --assert"
+        " --sigma-grid --prime-limit --grid-step",
+        """\
+usage: rmflab divergence [-h] [--model {f,fstar}] [--alpha ALPHA]
+                         [--limit LIMIT] [--trials TRIALS] [--seed SEED]
+                         [--minus-one] [--threads THREADS] --out OUT
+                         [--assert] [--sigma-grid SIGMA_GRID]
+                         [--prime-limit PRIME_LIMIT] [--grid-step GRID_STEP]
+""",
+    ),
+    "growth": (
+        "-h --help --limit --trials --seed --minus-one --threads --out --assert",
+        """\
+usage: rmflab growth [-h] [--limit LIMIT] [--trials TRIALS] [--seed SEED]
+                     [--minus-one] [--threads THREADS] --out OUT [--assert]
+""",
+    ),
+}
+
+
+def test_experiment_subparsers_keep_their_options_and_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["series", *EXPERIMENT_SURFACE, "euler", "mellin-check", "replay"]
+    for name, (options, usage) in EXPERIMENT_SURFACE.items():
+        parser = sub.choices[name]
+        assert " ".join(o for a in parser._actions for o in a.option_strings) == options, name
+        assert parser.format_usage() == usage, name
+
+
+@pytest.mark.parametrize("command", list(experiments.EXPERIMENTS))
+def test_limit_below_the_minimum_exit_3(tmp_path, capsys, command):
+    bound = experiments.EXPERIMENTS[command].min_limit
+    outdir = tmp_path / "o"
+    assert run_cli(*WRITING_COMMANDS[command], "--limit", str(bound - 1), "--out", str(outdir)) == 3
+    assert f"{command} experiment requires limit >= {bound}, got {bound - 1}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_replay_of_an_explicit_sign_mode_experiment_exit_3(tmp_path, capsys):
     outdir = tmp_path / "sc"
     assert run_cli(*WRITING_COMMANDS["sign-changes"], "--out", str(outdir)) == 0
@@ -315,7 +412,7 @@ def test_replay_validates_the_config_before_the_digest_map(tmp_path, capsys):
 
 _MAXRSS_GROWTH = """
 import resource, sys
-from rmflab.cli import parse_and_dispatch
+from rmflab.cli import build_parser, parse_and_dispatch
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 code = parse_and_dispatch(sys.argv[1:])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
@@ -327,11 +424,9 @@ def test_sup_scan_larger_than_memory_exit_3_before_allocating(tmp_path):
     # trial and prime below 10^6; 78498 primes
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     trials = physical // (9 * 78498) + 1
-    result = subprocess.run(
-        [sys.executable, "-c", _MAXRSS_GROWTH, "harper", "--trials", str(trials),
-         "--prime-limit", "1000000", "--sigma-grid", "0.58", "--limit", "1",
-         "--threads", "1", "--out", str(tmp_path / "h")],
-        capture_output=True, text=True,
+    result = run_python(
+        "-c", _MAXRSS_GROWTH, "harper", "--trials", str(trials), "--prime-limit", "1000000",
+        "--sigma-grid", "0.58", "--limit", "1", "--threads", "1", "--out", str(tmp_path / "h"),
     )
     code, growth_kb = map(int, result.stdout.split())
     assert code == 3

@@ -267,22 +267,6 @@ def test_write_and_replay(tmp_path, table_1e5):
     assert ok and recorded == recomputed
 
 
-def test_write_uses_config_output_path(tmp_path, table_1e5):
-    cfg = ExperimentConfig(
-        experiment="sign-changes", model="f", alpha=0.0, limit=500, trials=2,
-        base_seed=1, output_path=str(tmp_path / "via-config"),
-    )
-    stats = run_experiment(cfg, table_1e5)
-    manifest_path, csv_path = write_experiment(stats)
-    assert manifest_path.startswith(str(tmp_path / "via-config"))
-    bare = run_experiment(
-        ExperimentConfig(experiment="sign-changes", model="f", alpha=0.0, limit=500, trials=2, base_seed=1),
-        table_1e5,
-    )
-    with pytest.raises(DomainError):
-        write_experiment(bare)
-
-
 def test_assert_outcome_positivity(table_1e5):
     cfg = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=200, trials=30, base_seed=6)
     stats = run_experiment(cfg, table_1e5)
