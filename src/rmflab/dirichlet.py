@@ -26,13 +26,12 @@ recomputed exactly at the grid point it selects.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, require_memory
 from .primes import SpfTable, build_spf_sieve, primes_up_to
 from .signs import SignAssignment, prime_sign_table
 
@@ -105,8 +104,7 @@ def _primes_to(prime_limit: int, table: SpfTable | None) -> np.ndarray:
         raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
     if table is None:
         table = build_spf_sieve(prime_limit)
-    primes = primes_up_to(table)
-    return primes[primes <= prime_limit]
+    return primes_up_to(table, prime_limit)
 
 
 def _product_factors(
@@ -305,22 +303,6 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     return grid
 
 
-def _check_scan_memory(n_rows: int, n_primes: int) -> None:
-    """Raise ResourceError if the scan's int8 signs and float64 weights,
-    9 bytes per row and prime, exceed the host's physical memory."""
-    requested = 9 * n_rows * n_primes
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # no sysconf on this platform: nothing to check against
-    if requested > physical:
-        raise ResourceError(
-            f"sup scan of {n_rows} trials over {n_primes} primes needs {requested} bytes, "
-            f"more than the {physical} bytes of physical memory",
-            requested_bytes=requested,
-        )
-
-
 def sup_scans(
     assignments,
     sigma_grid,
@@ -340,7 +322,8 @@ def sup_scans(
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     primes = _primes_to(prime_limit, table)
-    _check_scan_memory(len(assignments), len(primes))
+    n_rows, n_primes = len(assignments), len(primes)
+    require_memory(9 * n_rows * n_primes, f"sup scan of {n_rows} trials over {n_primes} primes")
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
     for i, assignment in enumerate(assignments):
         signs[i] = prime_sign_table(assignment, primes)

@@ -8,9 +8,13 @@ literal is the experiment's CSV schema.
 
 Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
-worker count; aggregation is an ordered fold by trial index.  Trials are
-embarrassingly parallel and share nothing mutable beyond the result sink
-(per-trial series are transient: each trial keeps only its CSV rows).
+worker count; aggregation is an ordered fold by trial index.  The series
+experiments run their trials through series.stream_trials: each trial feeds
+its M_alpha, segment by segment, to its own reducer (sign changes carry the
+last nonzero sign, positivity keeps the minimum, growth a running maximum
+per theta up to each checkpoint) and keeps only its CSV rows.  Before the
+sieve is built, run_experiment checks the run's memory estimate against
+physical memory.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -36,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, dirichlet, mellin
-from .errors import DomainError
+from .errors import DomainError, require_memory
 from .output import atomic_write, csv_text, sha256_file, sha256_text
 from .primes import SpfTable, build_spf_sieve
 from .primes import primes_up_to  # noqa: F401  the benchmark's tests read this binding
@@ -46,8 +50,10 @@ from .series import (
     WeightedSumSeries,
     compute_series,
     detect_sign_changes,
-    growth_statistic,
-    map_ordered,
+    engine_bytes,
+    growth_norm,
+    plan_run,
+    stream_trials,
 )
 from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
 
@@ -172,14 +178,25 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _map_series(config: ExperimentConfig, table: SpfTable, assignments, threads: int, reduce) -> list:
-    """reduce(M_alpha of the assignment) for each trial, in trial order, on
-    `threads` worker threads; each series is dropped once it is reduced."""
+def _map_series(config: ExperimentConfig, table: SpfTable, assignments, threads: int, reducer) -> list:
+    """The rows of each trial, in trial order: series.stream_trials feeds
+    M_alpha to a fresh reducer() per trial, segment by segment, on `threads`
+    worker threads, and each reducer's result() is the trial's rows."""
+    return stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, reducer, threads)
 
-    def worker(assignment: SignAssignment):
-        return reduce(compute_series(assignment, config.model, config.alpha, config.limit, table))
 
-    return map_ordered(worker, assignments, threads)
+def _check_memory(config: ExperimentConfig, threads: int) -> None:
+    """ResourceError, before the sieve is built, if the sieve (4 bytes per
+    integer), the engine (series.engine_bytes) and the run's seed-free
+    growth norms or divergence kernels (8 bytes per n each) exceed physical
+    memory.  harper builds no series; its sup scan checks its own memory."""
+    need = 4 * (max(config.limit, config.prime_limit or 2, 2) + 1)
+    if config.experiment != "harper":
+        whole = config.experiment == "divergence"
+        tables = {"growth": len(GROWTH_THETAS), "divergence": len(config.sigma_grid or ())}
+        need += engine_bytes(config.model, config.limit, config.trials, threads, config.limit if whole else None)
+        need += 8 * (config.limit + 1) * tables.get(config.experiment, 0)
+    require_memory(need, f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads")
 
 
 def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
@@ -189,6 +206,75 @@ def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
             raise DomainError(f"provided sieve covers {table.limit} < required {need}")
         return table
     return build_spf_sieve(need)
+
+
+# ---------------------------------------------------------------------------
+# Reducers: feed(start, values) takes one segment of a trial's M_alpha, with
+# values[i] = M_alpha(start - 1 + i); result() is the trial's rows.
+# ---------------------------------------------------------------------------
+
+
+class _Crossings:
+    """Crossing count and last crossing position by the zeros-ignored rule
+    of detect_sign_changes; the last nonzero sign carries across segments."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.model, self.alpha = config.model, config.alpha
+        self.count = self.last_position = self.sign = 0
+
+    def feed(self, start: int, values: np.ndarray) -> None:
+        # values[0] sits in the slot detect_sign_changes ignores
+        log = detect_sign_changes(WeightedSumSeries(self.model, self.alpha, values))
+        if log.first_sign == -self.sign:  # a crossing at the segment's first nonzero value
+            self.count += 1
+            self.last_position = start + int(np.flatnonzero(values[1:])[0])
+        if log.count:
+            self.count += log.count
+            self.last_position = start - 1 + int(log.positions[-1])
+        if log.first_sign:
+            self.sign = log.first_sign * (-1) ** log.count
+
+    def result(self) -> list[dict]:
+        return [{"count": self.count, "last_position": self.last_position}]
+
+
+class _Minimum:
+    """The minimum of M_alpha(x) over 1 <= x <= N."""
+
+    def __init__(self):
+        self.min_value = math.inf
+
+    def feed(self, start: int, values: np.ndarray) -> None:
+        self.min_value = min(self.min_value, float(np.min(values[1:])))
+
+    def result(self) -> list[dict]:
+        return [{"all_positive": int(self.min_value > 0.0), "min_value": self.min_value}]
+
+
+class _GrowthMaxima:
+    """growth_statistic at each checkpoint N and theta: running maxima of
+    |M_0(x)| / norms[theta][x] over 16 <= x, recorded as x passes each N."""
+
+    def __init__(self, norms: list[np.ndarray], checkpoints: list[int]):
+        self.norms, self.checkpoints = norms, checkpoints
+        self.best = [-math.inf] * len(norms)
+        self.rows: list[dict] = []
+
+    def feed(self, start: int, values: np.ndarray) -> None:
+        stop = start + values.size - 1
+        lo = max(start, 16)
+        for n in self.checkpoints[len(self.rows) // len(GROWTH_THETAS) :]:
+            hi = min(stop, n + 1)
+            if lo < hi:
+                magnitude = np.abs(values[lo - start + 1 : hi - start + 1])
+                self.best = [max(b, float(np.max(magnitude / norm[lo:hi]))) for b, norm in zip(self.best, self.norms)]
+            if hi <= n:
+                return
+            self.rows += [{"theta": float(t), "N": n, "value": b} for t, b in zip(GROWTH_THETAS, self.best)]
+            lo = hi
+
+    def result(self) -> list[dict]:
+        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +289,7 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments, thread
     the reporting-only regime, the fraction of trials with at least
     MIN_SIGN_CHANGES crossings."""
 
-    def reduce(series):
-        log = detect_sign_changes(series)
-        return [{"count": log.count, "last_position": int(log.positions[-1]) if log.count else 0}]
-
-    rows = _map_series(config, table, assignments, threads, reduce)
+    rows = _map_series(config, table, assignments, threads, lambda: _Crossings(config))
     counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
@@ -225,11 +307,7 @@ def _positivity(config: ExperimentConfig, table: SpfTable, assignments, threads:
     M_1(1) = 1).
     """
 
-    def reduce(series):
-        min_value = float(np.min(series.values[1:]))
-        return [{"all_positive": int(min_value > 0.0), "min_value": min_value}]
-
-    rows = _map_series(config, table, assignments, threads, reduce)
+    rows = _map_series(config, table, assignments, threads, _Minimum)
     summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
     summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
     return rows, summary
@@ -304,18 +382,9 @@ def _growth(config: ExperimentConfig, table: SpfTable, assignments, threads: int
     admit no finite-N pass/fail.
     """
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
-
-    def reduce(series):
-        rows = []
-        for n in checkpoints:
-            prefix = WeightedSumSeries(series.model, series.alpha, series.values[: n + 1])
-            rows += [
-                {"theta": float(theta), "N": n, "value": growth_statistic(prefix, theta)}
-                for theta in GROWTH_THETAS
-            ]
-        return rows
-
-    rows = _map_series(config, table, assignments, threads, reduce)
+    x = np.arange(16, config.limit + 1, dtype=np.float64)
+    norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
+    rows = _map_series(config, table, assignments, threads, lambda: _GrowthMaxima(norms, checkpoints))
     cells = []
     for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
         values = [trial[k]["value"] for trial in rows]
@@ -378,6 +447,7 @@ def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> A
     """
     config.validate()
     threads = resolve_threads(config.threads)
+    _check_memory(config, threads)
     seeds, assignments = config.trial_assignments()
     rows, summary = EXPERIMENTS[config.experiment].body(config, _shared_table(config, table), assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
@@ -481,18 +551,25 @@ def _optional(manifest: dict, key: str, convert):
     return None if manifest.get(key) is None else convert(manifest[key])
 
 
+def _integer(value) -> int:
+    """int(value), refusing a fractional number instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"not a replayable manifest: {value!r} is not an integer")
+    return int(value)
+
+
 def config_from_manifest(manifest: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             experiment=manifest["command"],
             model=Model(manifest["model"]),
             alpha=float(manifest["alpha"]),
-            limit=int(manifest["N"]),
-            trials=int(manifest["trials"]),
-            base_seed=int(manifest["base_seed"]),
+            limit=_integer(manifest["N"]),
+            trials=_integer(manifest["trials"]),
+            base_seed=_integer(manifest["base_seed"]),
             sign_mode=SignMode(manifest["sign_mode"]),
             sigma_grid=_optional(manifest, "sigma_grid", tuple),
-            prime_limit=_optional(manifest, "prime_limit", int),
+            prime_limit=_optional(manifest, "prime_limit", _integer),
             grid_step=_optional(manifest, "grid_step", float),
         )
     except KeyError as exc:

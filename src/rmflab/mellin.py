@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, compute_series, map_ordered, series_and_values
-from .signs import SignAssignment, SignMode
+from .series import Model, WeightedSumSeries, WholeSeries, compute_series, plan_run, stream_trials
+from .signs import MultiplicativeEvaluator, SignAssignment, SignMode
 from . import dirichlet
 
 
@@ -65,12 +65,21 @@ def boundary_term(series: WeightedSumSeries, s: complex) -> complex:
     return complex(series.values[series.limit] * n ** (-(s - series.alpha)))
 
 
-def signed_and_absolute_integrals(series: WeightedSumSeries, sigma: float) -> tuple[float, float]:
+def _kernel(limit: int, sigma: float, alpha: float) -> np.ndarray:
+    """The per-interval integrals of x^-(sigma+1-alpha) over [n, n+1), n < limit."""
+    return _interval_weights(limit, sigma - alpha) / (sigma - alpha)
+
+
+def signed_and_absolute_integrals(
+    series: WeightedSumSeries, sigma: float, kernel: np.ndarray | None = None
+) -> tuple[float, float]:
     """(integral of M_alpha, integral of |M_alpha|) against x^-(sigma+1-alpha).
 
     Both are reported without the (sigma - alpha) prefactor and are summed
     over the identical per-interval products, so absolute >= |signed| holds
     exactly in floating point (rounding is monotone), not just up to error.
+    kernel, if given, is _kernel(series.limit, sigma, series.alpha), which
+    depends on no seed, so a run computes it once per sigma.
     """
     sigma = float(sigma)
     if sigma <= series.alpha:
@@ -79,8 +88,9 @@ def signed_and_absolute_integrals(series: WeightedSumSeries, sigma: float) -> tu
         )
     if series.limit < 2:
         return 0.0, 0.0
-    w = _interval_weights(series.limit, sigma - series.alpha) / (sigma - series.alpha)
-    v = series.values[1 : series.limit] * w
+    if kernel is None:
+        kernel = _kernel(series.limit, sigma, series.alpha)
+    v = series.values[1 : series.limit] * kernel
     return float(np.sum(v)), float(np.sum(np.abs(v)))
 
 
@@ -101,7 +111,8 @@ def truncated_identity_sides(
     s = complex(s)
     if table is None:
         table = build_spf_sieve(max(limit, 2))
-    series, g = series_and_values(assignment, model, alpha, limit, table)
+    series = compute_series(assignment, model, alpha, limit, table)
+    g = MultiplicativeEvaluator(assignment, table).values_up_to(limit, model.value).astype(np.float64)
     n = np.arange(1, limit + 1, dtype=np.float64)
     dirichlet_sum = complex(np.sum(g[1:] * n ** (-s)))
     return dirichlet_sum, mellin_step_integral(series, s) + boundary_term(series, s)
@@ -147,8 +158,10 @@ def divergence_rows(
     """The comparison table of each assignment: one row per sigma, in grid order.
 
     The sup scan runs first, once for all assignments, so its memory check
-    comes before any per-trial work; then series and integrals run per
-    assignment on up to `threads` threads, and the witness product is
+    comes before any per-trial work; then the engine builds each whole
+    series (one segment: np.sum adds pairwise, so the integrals cannot be
+    summed per segment) on up to `threads` threads and integrates it against
+    each sigma's kernel, computed once per run; the witness product is
     evaluated at each assignment's t* for each sigma.
     """
     model = Model(model)
@@ -156,12 +169,14 @@ def divergence_rows(
     if table is None:
         table = build_spf_sieve(max(limit, prime_limit, 2))
 
-    def integrals(assignment: SignAssignment) -> list[tuple[float, float]]:
-        series = compute_series(assignment, model, alpha, limit, table)
-        return [signed_and_absolute_integrals(series, sig) for sig in grid]
-
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
-    per_assignment = map_ordered(integrals, assignments, threads)
+    plan = plan_run(model, alpha, limit, table)
+    kernels = [_kernel(limit, sig, alpha) for sig in grid]
+
+    def integrals(series: WeightedSumSeries) -> list[tuple[float, float]]:
+        return [signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)]
+
+    per_assignment = stream_trials(plan, assignments, lambda: WholeSeries(plan, integrals), threads, limit)
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
     tables = []
     for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):

@@ -3,7 +3,8 @@
 The sieve is the only piece of shared number-theoretic state in the package:
 everything downstream (sign evaluation, partial sums, prime sums) reads
 smallest prime factors from it, and the list of primes is derived from it
-once per table.
+once per table.  spf_cofactors and squarefree_mask derive the per-n arrays
+that a run of the series engine builds once.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
 plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8).  N may not exceed
@@ -23,6 +24,8 @@ from .errors import DomainError, ResourceError
 
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
+#: Integers per chunk of the derived per-n arrays.
+_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,46 @@ def build_spf_sieve(limit: int) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
-def primes_up_to(table: SpfTable) -> np.ndarray:
-    """All primes <= table.limit, strictly increasing, as read-only int64.
+def spf_cofactors(table: SpfTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cofactor, spf_index) of every n <= limit, both int32.
 
-    Computed once per table (see SpfTable.primes) and shared by every call.
+    For 2 <= n <= limit, cofactor[n] = n / spf(n) and spf_index[n] is the
+    index of spf(n) in primes_up_to(table); entries 0 and 1 are 0.  As
+    cofactor[n] <= n/2 < 2^31, int32 holds them for every table.
     """
-    return table.primes
+    table.check_range(limit)
+    cofactor = np.zeros(limit + 1, dtype=np.int32)
+    spf_index = np.zeros(limit + 1, dtype=np.int32)
+    primes = primes_up_to(table, limit)
+    spf_index[primes] = np.arange(primes.size, dtype=np.int32)
+    # In chunks, to keep the float64 and index temporaries small; rewriting
+    # spf_index in place is safe as its entry at a prime never changes.
+    for lo in range(2, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        spf = table.spf[lo:hi]
+        # exact: p divides n, and n < 2^32 is far below 2^53
+        np.divide(np.arange(lo, hi, dtype=np.float64), spf, out=cofactor[lo:hi], casting="unsafe")
+        spf_index[lo:hi] = spf_index.take(spf)
+    return cofactor, spf_index
+
+
+def squarefree_mask(table: SpfTable, limit: int) -> np.ndarray:
+    """bool array s with s[n] true exactly when 1 <= n <= limit is squarefree."""
+    table.check_range(limit)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    for p in primes_up_to(table, math.isqrt(limit)):
+        mask[p * p :: p * p] = False
+    return mask
+
+
+def primes_up_to(table: SpfTable, limit: int | None = None) -> np.ndarray:
+    """All primes <= limit (default table.limit), strictly increasing, as
+    read-only int64.
+
+    A view of SpfTable.primes, computed once per table and shared by every
+    call.
+    """
+    primes = table.primes
+    return primes if limit is None else primes[: np.searchsorted(primes, limit, "right")]
 

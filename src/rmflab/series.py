@@ -4,23 +4,33 @@ M_alpha is a right-continuous step function of x, constant between
 consecutive integers, so the integer samples stored here are a lossless
 representation; the mellin module relies on exactly this.
 
-Summation is plain float64 accumulation in ascending n (np.cumsum), which is
-sequential and therefore bit-reproducible across runs and thread counts.  At
-desk scale the rounding this admits sits far below statistical noise; the
+Every M_alpha comes from one trial engine, stream_trials.  Its RunPlan holds
+the seed-free work, done once per run: the cofactor n/spf(n), the index of
+spf(n) among the primes and the weights n^-alpha.  A batch of up to 64
+trials gets g in one pass, one bit lane per trial (signs.sign_lanes).  Each
+trial then accumulates its weights in fixed segments and hands each segment
+to a reducer, so an experiment keeps its statistics, not its series; a
+single series (compute_series) is a batch of one in one segment.
+
+Summation is plain float64 accumulation in ascending n (np.cumsum), carried
+from segment to segment, which is sequential and therefore bit-reproducible
+across runs, thread counts, batch sizes and segment sizes.  At desk scale
+the rounding this admits sits far below statistical noise; the
 reconstruction test M_alpha(x) - M_alpha(x-1) = g(x)/x^alpha quantifies it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, build_spf_sieve
-from .signs import MultiplicativeEvaluator, SignAssignment
+from .primes import SpfTable, build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
+from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
 class Model(str, enum.Enum):
@@ -79,31 +89,40 @@ class SignChangeLog:
         return self.first_sign * (-1) ** k
 
 
-def compute_series(
-    assignment: SignAssignment,
-    model: Model | str,
-    alpha: float,
-    limit: int,
-    table: SpfTable | None = None,
-) -> WeightedSumSeries:
-    """Stream M_alpha(1..limit) for g in {f, fstar}.
+#: Trials evaluated together, one bit lane each, by one pass of sign_lanes.
+LANES = 64
+#: Integers per segment of the float pass; a segment's two float64 buffers
+#: stay in a core's L2 cache.
+SEGMENT = 2**16
+_SIGN_BIT = np.uint64(1 << 63)
 
-    alpha is restricted to [0, 1]: the regime of interest is [0, 1/2], the
-    rest is a convergence sanity range.  Cost is one bulk evaluation of g
-    plus a cumulative sum, O(limit).
+
+@dataclass(frozen=True)
+class RunPlan:
+    """The seed-free part of M_alpha(1..limit) for one model and alpha.
+
+    primes are those <= limit; cofactor and spf_index come from
+    primes.spf_cofactors; weights[n] = n^-alpha as float64, +0.0 at n = 0
+    and, for f, where n is not squarefree, so that the lanes of fstar give f
+    (a weight -0.0 there adds nothing either).  Built once per run and
+    shared read-only by every trial.
     """
-    return series_and_values(assignment, model, alpha, limit, table)[0]
+
+    model: Model
+    alpha: float
+    primes: np.ndarray = field(repr=False)
+    cofactor: np.ndarray = field(repr=False)
+    spf_index: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    @property
+    def limit(self) -> int:
+        return self.weights.size - 1
 
 
-def series_and_values(
-    assignment: SignAssignment,
-    model: Model | str,
-    alpha: float,
-    limit: int,
-    table: SpfTable | None = None,
-) -> tuple[WeightedSumSeries, np.ndarray]:
-    """compute_series together with the float64 values g(0..limit) it summed
-    (index 0 unused, 0.0), for callers that need g as well."""
+def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | None = None) -> RunPlan:
+    """Build the RunPlan of M_alpha(1..limit); alpha must lie in [0, 1] (the
+    regime of interest is [0, 1/2], the rest a convergence sanity range)."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -111,15 +130,99 @@ def series_and_values(
         raise DomainError(f"limit must be >= 1, got {limit}")
     if table is None:
         table = build_spf_sieve(max(limit, 2))
-    evaluator = MultiplicativeEvaluator(assignment, table)
-    g = evaluator.values_up_to(limit, model.value).astype(np.float64)
-    x = np.arange(limit + 1, dtype=np.float64)
-    x[0] = 1.0
-    weights = g * np.power(x, -float(alpha))
-    values = np.empty(limit + 1, dtype=np.float64)
-    values[0] = 0.0
-    np.cumsum(weights[1:], out=values[1:])
-    return WeightedSumSeries(model, float(alpha), values), g
+    cofactor, spf_index = spf_cofactors(table, limit)
+    weights = np.arange(limit + 1, dtype=np.float64)
+    weights[0] = 1.0
+    np.power(weights, -float(alpha), out=weights)
+    weights[0] = 0.0
+    if model is Model.F:
+        weights *= squarefree_mask(table, limit)
+    return RunPlan(model, float(alpha), primes_up_to(table, limit), cofactor, spf_index, weights)
+
+
+def stream_trials(plan: RunPlan, assignments, reducer, threads: int, segment: int | None = None) -> list:
+    """[reducer().result() fed with M_alpha of each assignment], in order.
+
+    Assignments go in batches of up to LANES.  A batch's sign rows are built
+    on `threads` worker threads and packed into one bit lane per trial, and
+    one pass of sign_lanes gives fstar for the whole batch.  Then each trial,
+    on the worker threads, turns its lane into weights +-w by XOR-ing the
+    float sign bit, accumulates them in ascending n one segment of `segment`
+    integers at a time (default SEGMENT), and calls feed(start, values) of
+    its own reducer per segment: values[i] = M_alpha(start - 1 + i), so
+    values[0] carries the sum before the segment and a segment of size
+    limit is a whole series.  The sum is sequential, so results do not
+    depend on the segment size, batch size or thread count.
+    """
+    size = min(segment or SEGMENT, plan.limit)
+    results = []
+    for first in range(0, len(assignments), LANES):
+        batch = assignments[first : first + LANES]
+        rows = map_ordered(lambda a: prime_sign_table(a, plan.primes), batch, threads)
+        lanes = sign_lanes(rows, plan.cofactor, plan.spf_index)
+        del rows
+        results += map_ordered(lambda k: _stream_lane(plan, lanes, k, reducer(), size), range(len(batch)), threads)
+    return results
+
+
+def _stream_lane(plan: RunPlan, lanes: np.ndarray, k: int, reduce, size: int):
+    # signed[0] carries the sum before the segment, signed[1:] its weights
+    signed = np.empty(size + 1, dtype=np.uint64)
+    values = np.empty(size + 1, dtype=np.float64)
+    weight_bits = plan.weights.view(np.uint64)
+    carry = 0.0
+    for start in range(1, plan.limit + 1, size):
+        stop = min(start + size, plan.limit + 1)
+        bits = signed[1 : stop - start + 1]
+        # bit k of the lane to the sign bit, where XOR turns w into -w
+        np.left_shift(lanes[start:stop], 63 - k, out=bits, dtype=np.uint64)
+        np.bitwise_and(bits, _SIGN_BIT, out=bits)
+        np.bitwise_xor(bits, weight_bits[start:stop], out=bits)
+        weights = signed[: stop - start + 1].view(np.float64)
+        weights[0] = carry
+        # into a separate buffer: an in-place cumsum barely uses a second thread
+        np.cumsum(weights, out=values[: stop - start + 1])
+        reduce.feed(start, values[: stop - start + 1])
+        carry = values[stop - start]
+    return reduce.result()
+
+
+def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
+    """Bytes stream_trials holds at once: the plan (16 per n; f also builds a
+    squarefree mask, 1 per n), one batch's lane words and sign rows (a byte
+    per trial and prime, with pi(x) < 1.26 x / ln x), and each thread's two
+    8-byte segment buffers."""
+    batch = min(trials, LANES)
+    plan = 17 if Model(model) is Model.F else 16
+    lane = np.dtype(lane_dtype(batch)).itemsize
+    rows = batch * int(1.26 * (limit + 1) / math.log(max(limit, 3)))
+    return (plan + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
+
+
+class WholeSeries:
+    """Reducer of one segment of size limit: result() is fn(the series)."""
+
+    def __init__(self, plan: RunPlan, fn=None):
+        self.plan, self.fn = plan, fn
+
+    def feed(self, start: int, values: np.ndarray) -> None:
+        self.series = WeightedSumSeries(self.plan.model, self.plan.alpha, values)
+
+    def result(self):
+        return self.series if self.fn is None else self.fn(self.series)
+
+
+def compute_series(
+    assignment: SignAssignment,
+    model: Model | str,
+    alpha: float,
+    limit: int,
+    table: SpfTable | None = None,
+) -> WeightedSumSeries:
+    """M_alpha(1..limit) for g in {f, fstar}: the engine with a batch of one
+    and one segment.  alpha is restricted to [0, 1].  Cost O(limit)."""
+    plan = plan_run(model, alpha, limit, table)
+    return stream_trials(plan, [assignment], lambda: WholeSeries(plan), 1, limit)[0]
 
 
 def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
@@ -153,8 +256,12 @@ def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
     if series.limit < 16:
         raise DomainError(f"growth statistic needs limit >= 16, got {series.limit}")
     x = np.arange(16, series.limit + 1, dtype=np.float64)
-    norm = np.sqrt(x) * np.log(np.log(x)) ** float(theta)
-    return float(np.max(np.abs(series.values[16:]) / norm))
+    return float(np.max(np.abs(series.values[16:]) / growth_norm(x, theta)))
+
+
+def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:
+    """sqrt(x) (log log x)^theta, the growth envelope at x >= 16."""
+    return np.sqrt(x) * np.log(np.log(x)) ** float(theta)
 
 
 def map_ordered(worker, items, threads: int) -> list:

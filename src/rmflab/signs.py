@@ -6,8 +6,10 @@ the sign at a prime p is a pure function of (seed, p) computed by a fixed
 count, or machine: scattered and parallel evaluation agree bit-for-bit with
 sequential evaluation.
 
-From an assignment and an spf table, :class:`MultiplicativeEvaluator`
-evaluates in bulk, for every n up to a limit at once,
+From rows of signs at the primes, :func:`sign_lanes` evaluates fstar for up
+to 64 assignments at once, one bit lane each; from an assignment and an spf
+table, :class:`MultiplicativeEvaluator` evaluates in bulk, for every n up to
+a limit at once,
 
 * ``f(n)``  -- zero unless n is squarefree, otherwise the product of the
   signs at the distinct primes dividing n, and
@@ -28,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, MissingSignError
-from .primes import SpfTable, primes_up_to
+from .primes import SpfTable, primes_up_to, spf_cofactors, squarefree_mask
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,6 +128,37 @@ def prime_sign_table(assignment: SignAssignment, primes: np.ndarray) -> np.ndarr
     return np.where((z >> 63) == 0, 1, -1).astype(np.int8)
 
 
+def lane_dtype(batch: int) -> type:
+    """The narrowest unsigned integer type with a bit for each of `batch` <= 64 trials."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= batch)
+
+
+def sign_lanes(rows, cofactor: np.ndarray, spf_index: np.ndarray) -> np.ndarray:
+    """fstar(0..limit) for up to 64 rows of signs at once, one bit lane per row.
+
+    rows[k] holds the signs at the primes, as prime_sign_table returns them;
+    bit k of lanes[n] is set exactly when fstar(n) = -1 under rows[k] (bit 0
+    throughout at n = 0 and n = 1), in words of lane_dtype(len(rows)).
+    cofactor and spf_index are primes.spf_cofactors, of length limit + 1.
+    With p = spf(n) and q = n/p, fstar(n) = fstar(q) s(p); as q <= n/2, a
+    step over [lo, hi) with hi <= 2 lo reads only finished words, so a step
+    is one XOR of gathered words for the whole batch, and the cost O(limit).
+    """
+    dtype = lane_dtype(len(rows))
+    words = np.zeros(len(rows[0]), dtype=dtype)
+    for k, row in enumerate(rows):
+        words |= (row < 0).astype(dtype) << k
+    limit = cofactor.size - 1
+    lanes = np.zeros(limit + 1, dtype=dtype)
+    lo = 2
+    while lo <= limit:
+        # steps of at most 2^20 integers keep the gathered temporaries small
+        hi = min(2 * lo, lo + 2**20, limit + 1)
+        np.bitwise_xor(lanes.take(cofactor[lo:hi]), words.take(spf_index[lo:hi]), out=lanes[lo:hi])
+        lo = hi
+    return lanes
+
+
 class MultiplicativeEvaluator:
     """Pure evaluation of f and fstar against a fixed assignment and sieve."""
 
@@ -133,49 +166,24 @@ class MultiplicativeEvaluator:
         self.assignment = assignment
         self.table = table
 
-    def sign_by_value(self, limit: int) -> np.ndarray:
-        """int8 array s with s[p] = sign at p for every prime p <= limit.
-
-        Entries at non-prime indices are 0.  Explicit assignments must cover
-        every prime <= limit.
-        """
-        self.table.check_range(max(limit, 1))
-        primes = primes_up_to(self.table)
-        primes = primes[primes <= limit]
-        out = np.zeros(limit + 1, dtype=np.int8)
-        out[primes] = prime_sign_table(self.assignment, primes)
-        return out
-
     def values_up_to(self, limit: int, model: str) -> np.ndarray:
         """Bulk values g(1..limit) as int8 (index 0 unused, set to 0).
 
         model 'f' gives the squarefree-supported function, 'fstar' the
-        completely multiplicative one.  With p = spf(n) and q = n/p,
-        fstar(n) = fstar(q) s(p), and f(n) = f(q) s(p) when p does not
-        divide q, else 0.  As q <= n/2, each dyadic block [2^j, 2^(j+1))
-        reads g only at blocks already finished, so a block is one
-        vectorized step and the cost is O(limit).  Agrees entrywise with the
-        scalar oracles.evaluate_f and oracles.evaluate_f_star.
+        completely multiplicative one: sign_lanes for a batch of one, and f
+        is fstar at squarefree n, else 0.  Explicit assignments must cover
+        every prime <= limit.  Agrees entrywise with the scalar
+        oracles.evaluate_f and oracles.evaluate_f_star.
         """
         if model not in ("f", "fstar"):
             raise DomainError(f"model must be 'f' or 'fstar', got {model!r}")
         self.table.check_range(limit)
-        sign_of = self.sign_by_value(limit)
-        spf = self.table.spf
-        g = np.zeros(limit + 1, dtype=np.int8)
-        g[1] = 1
-        lo = 2
-        while lo <= limit:
-            hi = min(2 * lo, limit + 1)
-            p = spf[lo:hi]
-            # exact: p divides n, and n < 2^32 is far below 2^53
-            q = (np.arange(lo, hi, dtype=np.float64) / p).astype(np.intp)
-            s = sign_of[p]
-            if model == "f":
-                # every prime of q is >= p, so p | q exactly when spf(q) = p
-                s *= spf[q] != p
-            np.multiply(g[q], s, out=g[lo:hi])
-            lo = hi
+        primes = primes_up_to(self.table, limit)
+        lanes = sign_lanes([prime_sign_table(self.assignment, primes)], *spf_cofactors(self.table, limit))
+        g = 1 - 2 * lanes.view(np.int8)
+        if model == "f":
+            g *= squarefree_mask(self.table, limit)
+        g[0] = 0
         return g
 
 

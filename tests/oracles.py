@@ -2,7 +2,7 @@
 
 Each one recomputes something the package computes another way: a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
-prime factors, a compensated running sum, fstar by Dirichlet convolution,
+prime factors, g and M_alpha one trial at a time by the int8 recurrence, a compensated running sum, fstar by Dirichlet convolution,
 the prime cosine sum and the Riesz mean at one point, the sup scan with a
 full cosine matrix, the Mellin record at one point.  Tests compare the
 package against them.
@@ -94,11 +94,67 @@ def evaluate_f_star(ev: MultiplicativeEvaluator, n: int) -> int:
     return value
 
 
+def sign_by_value(ev: MultiplicativeEvaluator, limit: int) -> np.ndarray:
+    """int8 array s with s[p] = sign at p for every prime p <= limit.
+
+    Entries at non-prime indices are 0.  Explicit assignments must cover
+    every prime <= limit.
+    """
+    ev.table.check_range(max(limit, 1))
+    primes = primes_up_to(ev.table)
+    primes = primes[primes <= limit]
+    out = np.zeros(limit + 1, dtype=np.int8)
+    out[primes] = prime_sign_table(ev.assignment, primes)
+    return out
+
+
+def values_by_recurrence(ev: MultiplicativeEvaluator, limit: int, model: str) -> np.ndarray:
+    """g(0..limit) as int8, as values_up_to returns it, one assignment at a
+    time: the int8 dyadic recurrence values_up_to ran before sign_lanes.
+
+    With p = spf(n) and q = n/p, fstar(n) = fstar(q) s(p), and f(n) =
+    f(q) s(p) when p does not divide q, else 0; q is found by dividing.
+    """
+    sign_of = sign_by_value(ev, limit)
+    spf = ev.table.spf
+    g = np.zeros(limit + 1, dtype=np.int8)
+    g[1] = 1
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        p = spf[lo:hi]
+        q = (np.arange(lo, hi, dtype=np.float64) / p).astype(np.intp)
+        s = sign_of[p]
+        if model == "f":
+            # every prime of q is >= p, so p | q exactly when spf(q) = p
+            s *= spf[q] != p
+        np.multiply(g[q], s, out=g[lo:hi])
+        lo = hi
+    return g
+
+
+def series_and_values(assignment, model, alpha: float, limit: int, table=None):
+    """(M_alpha(0..limit) as a WeightedSumSeries, g(0..limit) as float64), one
+    trial at a time over whole float64 arrays: the route compute_series took
+    before the batched engine."""
+    model = Model(model)
+    if table is None:
+        table = build_spf_sieve(max(limit, 2))
+    g = values_by_recurrence(MultiplicativeEvaluator(assignment, table), limit, model.value).astype(np.float64)
+    x = np.arange(limit + 1, dtype=np.float64)
+    x[0] = 1.0
+    weights = g * np.power(x, -float(alpha))
+    values = np.empty(limit + 1, dtype=np.float64)
+    values[0] = 0.0
+    np.cumsum(weights[1:], out=values[1:])
+    return WeightedSumSeries(model, float(alpha), values), g
+
+
 def values_by_stripping(ev: MultiplicativeEvaluator, limit: int, model: str) -> np.ndarray:
     """g(0..limit) as int8, as values_up_to returns it, by stripping the
     smallest prime factor from every n > 1 in vectorized rounds until only 1
     is left; the route values_up_to took before its dyadic recurrence."""
-    sign_of = ev.sign_by_value(limit)
+    sign_of = sign_by_value(ev, limit)
     fstar = np.ones(limit + 1, dtype=np.int8)
     squarefree = np.ones(limit + 1, dtype=bool)
     spf = ev.table.spf

@@ -248,6 +248,20 @@ def test_replay_of_a_mistyped_key_exit_3(tmp_path, capsys, case, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key, value", [("N", 1.5), ("trials", 2.5), ("base_seed", 4.5), ("prime_limit", 5000.7)])
+def test_replay_of_a_fractional_integer_exit_3(tmp_path, capsys, key, value):
+    # int() would truncate these and replay the run they were edited from
+    outdir = tmp_path / "out"
+    assert run_cli(*WRITING_COMMANDS["harper"], "--out", str(outdir)) == 0
+    manifest_path = outdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(manifest_path)) == 3
+    assert "is not an integer" in capsys.readouterr().err
+
+
 def test_harper_with_another_model_exit_3(tmp_path, capsys):
     outdir = tmp_path / "h"
     assert run_cli(*WRITING_COMMANDS["harper"], "--out", str(outdir)) == 0
@@ -433,6 +447,24 @@ def test_sup_scan_larger_than_memory_exit_3_before_allocating(tmp_path):
     assert result.stderr.startswith("error: ") and "physical memory" in result.stderr
     assert growth_kb < 50 * 1024
     assert not (tmp_path / "h").exists()
+
+
+def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
+    # the sieve (4 bytes per n) and the run plan (17 bytes per n for f)
+    # alone exceed physical memory at this N
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = physical // 21 + 1
+    if limit > 2**32 - 1:
+        pytest.skip("this host's memory holds the largest sieve")
+    result = run_python(
+        "-c", _MAXRSS_GROWTH, "sign-changes", "--limit", str(limit), "--trials", "1",
+        "--threads", "1", "--out", str(tmp_path / "sc"),
+    )
+    code, growth_kb = map(int, result.stdout.split())
+    assert code == 3
+    assert result.stderr.startswith("error: ") and "physical memory" in result.stderr
+    assert growth_kb < 50 * 1024
+    assert not (tmp_path / "sc").exists()
 
 
 def _mobius(n: int) -> int:
