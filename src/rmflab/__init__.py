@@ -20,7 +20,6 @@ from .series import (
     WeightedSumSeries,
     compute_series,
     detect_sign_changes,
-    growth_statistic,
 )
 from .dirichlet import (
     EulerProduct,
@@ -63,7 +62,6 @@ __all__ = [
     "SignChangeLog",
     "compute_series",
     "detect_sign_changes",
-    "growth_statistic",
     "EulerProduct",
     "HarperScanResult",
     "zeta",

@@ -6,8 +6,9 @@ statistical expectation or a replay digest comparison failed; 2 usage error;
 4 I/O error.  Statistical outcomes are reported, never enforced, unless
 --assert is given.
 
-Every command that writes data hands its results to the experiments module,
-which owns the CSV files, the manifest format, the write order and replay.
+Each subcommand's parser sets args.run, the function that runs it.  Every
+command that writes data hands its results to the experiments module, which
+owns the CSV files, the manifest format, the write order and replay.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def _assignment_from_args(args) -> SignAssignment:
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser, spec: Experiment) -> None:
-    """--model/--alpha unless the experiment fixes them, the run flags, and the
-    scan flags if it scans (one left out takes ExperimentConfig's default)."""
+    """--model/--alpha unless the experiment fixes them, the run flags, the
+    scan flags if it scans (one left out takes ExperimentConfig's default),
+    and the experiment runner as the command's run."""
     if spec.fixed is None:
         parser.add_argument("--model", choices=["f", "fstar"], default="f")
         parser.add_argument("--alpha", type=float, default=0.0)
@@ -86,6 +88,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, spec: Experiment) -> 
         parser.add_argument("--sigma-grid", type=_sigma_grid, default=None, help="comma-separated, strictly decreasing")
         parser.add_argument("--prime-limit", type=int, default=None, help=f"default {DEFAULT_PRIME_LIMIT}")
         parser.add_argument("--grid-step", type=float, default=None)
+    parser.set_defaults(run=_run_experiment_command)
 
 
 def _sigma_grid(text: str) -> tuple[float, ...]:
@@ -106,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     _add_assignment_flags(p)
     p.add_argument("--out", type=str, required=True)
+    p.set_defaults(run=_run_series)
 
     for name, spec in EXPERIMENTS.items():
         _add_experiment_flags(sub.add_parser(name, help=spec.help), spec)
@@ -116,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--prime-limit", type=int, default=10**5)
     _add_assignment_flags(p)
+    p.set_defaults(run=_run_euler)
 
     p = sub.add_parser("mellin-check", help="residual of the truncated partial-summation identity")
     p.add_argument("--model", choices=["f", "fstar"], default="f")
@@ -124,9 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--limit", type=int, required=True)
     _add_assignment_flags(p)
+    p.set_defaults(run=_run_mellin_check)
 
     p = sub.add_parser("replay", help="re-run a manifest and compare CSV digests")
     p.add_argument("--manifest", type=str, required=True)
+    p.set_defaults(run=_run_replay)
 
     return parser
 
@@ -222,18 +229,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "series":
-            return _run_series(args)
-        if args.command in EXPERIMENTS:
-            return _run_experiment_command(args)
-        if args.command == "euler":
-            return _run_euler(args)
-        if args.command == "mellin-check":
-            return _run_mellin_check(args)
-        if args.command == "replay":
-            return _run_replay(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        return args.run(args)
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

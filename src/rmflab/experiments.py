@@ -10,11 +10,11 @@ Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
 worker count; aggregation is an ordered fold by trial index.  The series
 experiments run their trials through series.stream_trials: each trial feeds
-its M_alpha, segment by segment, to its own reducer (sign changes carry the
-last nonzero sign, positivity keeps the minimum, growth a running maximum
-per theta up to each checkpoint) and keeps only its CSV rows.  Before the
-sieve is built, run_experiment checks the run's memory estimate against
-physical memory.
+its M_alpha and signed weights, segment by segment, to its own reducer (sign
+changes carry the last nonzero sign, positivity keeps the minimum, growth a
+running maximum per theta up to each checkpoint) and keeps only its CSV
+rows.  Before the sieve is built, run_experiment checks the run's memory
+estimate against physical memory.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -30,6 +30,7 @@ a pass or a fail there.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -180,8 +181,8 @@ def _quantile_summary(values, prefix: str) -> dict:
 
 def _map_series(config: ExperimentConfig, table: SpfTable, assignments, threads: int, reducer) -> list:
     """The rows of each trial, in trial order: series.stream_trials feeds
-    M_alpha to a fresh reducer() per trial, segment by segment, on `threads`
-    worker threads, and each reducer's result() is the trial's rows."""
+    a fresh reducer() per trial, segment by segment, on `threads` worker
+    threads, and each reducer's result() is the trial's rows."""
     return stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, reducer, threads)
 
 
@@ -209,8 +210,10 @@ def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
 
 
 # ---------------------------------------------------------------------------
-# Reducers: feed(start, values) takes one segment of a trial's M_alpha, with
-# values[i] = M_alpha(start - 1 + i); result() is the trial's rows.
+# Reducers: feed(start, values, weights) takes one segment of a trial, with
+# M_alpha(n) and g(n)/n^alpha at n = start - 1 + i in slot i >= 1 and the sum
+# before the segment in slot 0, valid only during feed (series.stream_trials).
+# result() is the trial's rows.
 # ---------------------------------------------------------------------------
 
 
@@ -222,7 +225,7 @@ class _Crossings:
         self.model, self.alpha = config.model, config.alpha
         self.count = self.last_position = self.sign = 0
 
-    def feed(self, start: int, values: np.ndarray) -> None:
+    def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         # values[0] sits in the slot detect_sign_changes ignores
         log = detect_sign_changes(WeightedSumSeries(self.model, self.alpha, values))
         if log.first_sign == -self.sign:  # a crossing at the segment's first nonzero value
@@ -244,7 +247,7 @@ class _Minimum:
     def __init__(self):
         self.min_value = math.inf
 
-    def feed(self, start: int, values: np.ndarray) -> None:
+    def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         self.min_value = min(self.min_value, float(np.min(values[1:])))
 
     def result(self) -> list[dict]:
@@ -252,15 +255,15 @@ class _Minimum:
 
 
 class _GrowthMaxima:
-    """growth_statistic at each checkpoint N and theta: running maxima of
-    |M_0(x)| / norms[theta][x] over 16 <= x, recorded as x passes each N."""
+    """max over 16 <= x <= N of |M_0(x)| / norms[theta][x] at each checkpoint
+    N and theta: running maxima, recorded as x passes each N."""
 
     def __init__(self, norms: list[np.ndarray], checkpoints: list[int]):
         self.norms, self.checkpoints = norms, checkpoints
         self.best = [-math.inf] * len(norms)
         self.rows: list[dict] = []
 
-    def feed(self, start: int, values: np.ndarray) -> None:
+    def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         stop = start + values.size - 1
         lo = max(start, 16)
         for n in self.checkpoints[len(self.rows) // len(GROWTH_THETAS) :]:
@@ -554,12 +557,23 @@ def _optional(manifest: dict, key: str, convert):
 def _integer(value) -> int:
     """int(value), refusing a fractional number instead of truncating it."""
     if isinstance(value, float) and not value.is_integer():
-        raise DomainError(f"not a replayable manifest: {value!r} is not an integer")
+        raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
-def config_from_manifest(manifest: dict) -> ExperimentConfig:
+@contextlib.contextmanager
+def _manifest_errors():
+    """Raise a missing key or a mistyped value of a manifest as DomainError."""
     try:
+        yield
+    except KeyError as exc:
+        raise DomainError(f"not a replayable manifest: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"not a replayable manifest: {exc}") from None
+
+
+def config_from_manifest(manifest: dict) -> ExperimentConfig:
+    with _manifest_errors():
         return ExperimentConfig(
             experiment=manifest["command"],
             model=Model(manifest["model"]),
@@ -572,10 +586,6 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
             prime_limit=_optional(manifest, "prime_limit", _integer),
             grid_step=_optional(manifest, "grid_step", float),
         )
-    except KeyError as exc:
-        raise DomainError(f"not a replayable manifest: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"not a replayable manifest: {exc}") from None
 
 
 def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
@@ -600,14 +610,9 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
         config = config_from_manifest(manifest)
         config.validate()
     elif command == "series":
-        try:
-            mode = SignMode(manifest["sign_mode"])
-            model, alpha, limit = Model(manifest["model"]), float(manifest["alpha"]), int(manifest["N"])
-            seed, signs_file = int(manifest["seed"]), manifest["signs_file"]
-        except KeyError as exc:
-            raise DomainError(f"not a replayable manifest: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"not a replayable manifest: {exc}") from None
+        with _manifest_errors():
+            mode, model, alpha = SignMode(manifest["sign_mode"]), Model(manifest["model"]), float(manifest["alpha"])
+            limit, seed, signs_file = _integer(manifest["N"]), _integer(manifest["seed"]), manifest["signs_file"]
         if mode is SignMode.EXPLICIT and not isinstance(signs_file, str):
             raise DomainError(f"not a replayable manifest: explicit signs with signs_file {signs_file!r}")
     else:

@@ -29,17 +29,19 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, WholeSeries, compute_series, plan_run, stream_trials
-from .signs import MultiplicativeEvaluator, SignAssignment, SignMode
+from .series import Model, WeightedSumSeries, WholeSeries, plan_run, stream_trials
+from .signs import SignAssignment, SignMode
 from . import dirichlet
 
 
-def _interval_weights(limit: int, exponent: complex) -> np.ndarray:
-    """w_n = n^-e - (n+1)^-e for n = 1..N-1: (e) times the per-interval
-    integrals of x^-(e+1), in closed form."""
+def _kernel(limit: int, exponent: complex, times_exponent: bool = False) -> np.ndarray:
+    """The integrals of x^-(e+1) over [n, n+1) for n = 1..N-1, in closed form
+    (n^-e - (n+1)^-e) / e; with times_exponent, e times them, which skips
+    the division: the weights of (s - alpha) * integral at e = s - alpha."""
     n = np.arange(1, limit + 1, dtype=np.float64)
     powers = n ** (-exponent)
-    return powers[:-1] - powers[1:]
+    weights = powers[:-1] - powers[1:]
+    return weights if times_exponent else weights / exponent
 
 
 def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
@@ -52,9 +54,7 @@ def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
         raise DomainError(
             f"divergent kernel: need Re s > alpha, got Re s = {s.real}, alpha = {series.alpha}"
         )
-    if series.limit < 2:
-        return 0j
-    w = _interval_weights(series.limit, s - series.alpha)
+    w = _kernel(series.limit, s - series.alpha, times_exponent=True)
     return complex(np.sum(series.values[1 : series.limit] * w))
 
 
@@ -65,11 +65,6 @@ def boundary_term(series: WeightedSumSeries, s: complex) -> complex:
     return complex(series.values[series.limit] * n ** (-(s - series.alpha)))
 
 
-def _kernel(limit: int, sigma: float, alpha: float) -> np.ndarray:
-    """The per-interval integrals of x^-(sigma+1-alpha) over [n, n+1), n < limit."""
-    return _interval_weights(limit, sigma - alpha) / (sigma - alpha)
-
-
 def signed_and_absolute_integrals(
     series: WeightedSumSeries, sigma: float, kernel: np.ndarray | None = None
 ) -> tuple[float, float]:
@@ -78,7 +73,7 @@ def signed_and_absolute_integrals(
     Both are reported without the (sigma - alpha) prefactor and are summed
     over the identical per-interval products, so absolute >= |signed| holds
     exactly in floating point (rounding is monotone), not just up to error.
-    kernel, if given, is _kernel(series.limit, sigma, series.alpha), which
+    kernel, if given, is _kernel(series.limit, sigma - series.alpha), which
     depends on no seed, so a run computes it once per sigma.
     """
     sigma = float(sigma)
@@ -86,10 +81,8 @@ def signed_and_absolute_integrals(
         raise DomainError(
             f"divergent kernel: need sigma > alpha, got sigma = {sigma}, alpha = {series.alpha}"
         )
-    if series.limit < 2:
-        return 0.0, 0.0
     if kernel is None:
-        kernel = _kernel(series.limit, sigma, series.alpha)
+        kernel = _kernel(series.limit, sigma - series.alpha)
     v = series.values[1 : series.limit] * kernel
     return float(np.sum(v)), float(np.sum(np.abs(v)))
 
@@ -105,17 +98,20 @@ def truncated_identity_sides(
     """(sum_{n<=N} g(n) n^-s, signed integral + boundary term).
 
     An algebraic identity for the truncation makes the two sides equal up
-    to rounding, below 1e-9 relative to |sum| + 1 at desk scale.
+    to rounding, below 1e-9 relative to |sum| + 1 at desk scale.  One
+    engine pass gives the series and g = np.sign of its signed weights.
     """
-    model = Model(model)
     s = complex(s)
-    if table is None:
-        table = build_spf_sieve(max(limit, 2))
-    series = compute_series(assignment, model, alpha, limit, table)
-    g = MultiplicativeEvaluator(assignment, table).values_up_to(limit, model.value).astype(np.float64)
+
+    def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
+        return series, np.sign(weights[1:])
+
+    plan = plan_run(model, alpha, limit, table)
+    series, g = stream_trials(plan, [assignment], lambda: WholeSeries(plan, series_and_g), 1, limit)[0]
+    del plan  # the complex temporaries below need the room
+    integral_side = mellin_step_integral(series, s) + boundary_term(series, s)
     n = np.arange(1, limit + 1, dtype=np.float64)
-    dirichlet_sum = complex(np.sum(g[1:] * n ** (-s)))
-    return dirichlet_sum, mellin_step_integral(series, s) + boundary_term(series, s)
+    return complex(np.sum(g * n ** (-s))), integral_side
 
 
 def truncated_identity_residual(
@@ -171,9 +167,9 @@ def divergence_rows(
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
     plan = plan_run(model, alpha, limit, table)
-    kernels = [_kernel(limit, sig, alpha) for sig in grid]
+    kernels = [_kernel(limit, sig - alpha) for sig in grid]
 
-    def integrals(series: WeightedSumSeries) -> list[tuple[float, float]]:
+    def integrals(series: WeightedSumSeries, _weights) -> list[tuple[float, float]]:
         return [signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)]
 
     per_assignment = stream_trials(plan, assignments, lambda: WholeSeries(plan, integrals), threads, limit)

@@ -8,9 +8,10 @@ Every M_alpha comes from one trial engine, stream_trials.  Its RunPlan holds
 the seed-free work, done once per run: the cofactor n/spf(n), the index of
 spf(n) among the primes and the weights n^-alpha.  A batch of up to 64
 trials gets g in one pass, one bit lane per trial (signs.sign_lanes).  Each
-trial then accumulates its weights in fixed segments and hands each segment
-to a reducer, so an experiment keeps its statistics, not its series; a
-single series (compute_series) is a batch of one in one segment.
+trial then accumulates its signed weights g(n)/n^alpha in fixed segments
+and hands each segment, sums and weights, to a reducer, so an experiment
+keeps its statistics, not its series; a single series (compute_series) is a
+batch of one in one segment.
 
 Summation is plain float64 accumulation in ascending n (np.cumsum), carried
 from segment to segment, which is sequential and therefore bit-reproducible
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_memory
 from .primes import SpfTable, build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
 from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
@@ -57,15 +58,6 @@ class WeightedSumSeries:
     @property
     def limit(self) -> int:
         return self.values.size - 1
-
-    @classmethod
-    def from_values(cls, values, model: Model | str = Model.F, alpha: float = 0.0):
-        """Wrap an explicit sequence M(1), ..., M(N); mainly for synthetic
-        series in tests and for oracle comparisons."""
-        arr = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
-        if arr.size < 2:
-            raise DomainError("series needs at least one value")
-        return cls(Model(model), float(alpha), arr)
 
 
 @dataclass(frozen=True)
@@ -122,13 +114,17 @@ class RunPlan:
 
 def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | None = None) -> RunPlan:
     """Build the RunPlan of M_alpha(1..limit); alpha must lie in [0, 1] (the
-    regime of interest is [0, 1/2], the rest a convergence sanity range)."""
+    regime of interest is [0, 1/2], the rest a convergence sanity range).
+    Without a table, it first checks that the sieve (4 bytes per n) and one
+    whole series (engine_bytes) fit in physical memory, then builds the sieve."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if table is None:
+        need = 4 * (max(limit, 2) + 1) + engine_bytes(model, limit, 1, 1, limit)
+        require_memory(need, f"the {model.value} series at N = {limit}")
         table = build_spf_sieve(max(limit, 2))
     cofactor, spf_index = spf_cofactors(table, limit)
     weights = np.arange(limit + 1, dtype=np.float64)
@@ -148,11 +144,14 @@ def stream_trials(plan: RunPlan, assignments, reducer, threads: int, segment: in
     one pass of sign_lanes gives fstar for the whole batch.  Then each trial,
     on the worker threads, turns its lane into weights +-w by XOR-ing the
     float sign bit, accumulates them in ascending n one segment of `segment`
-    integers at a time (default SEGMENT), and calls feed(start, values) of
-    its own reducer per segment: values[i] = M_alpha(start - 1 + i), so
-    values[0] carries the sum before the segment and a segment of size
-    limit is a whole series.  The sum is sequential, so results do not
-    depend on the segment size, batch size or thread count.
+    integers at a time (default SEGMENT), and calls feed(start, values,
+    weights) of its own reducer per segment: values[i] = M_alpha(n) and
+    weights[i] = g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of
+    both holds the sum before the segment, and a segment of size limit is a
+    whole series.  The arrays are the engine's buffers, valid only during
+    feed, except in one-segment runs, where they last through result().
+    np.sign(weights[1:]) is g (+0.0 where g = 0).  The sum is sequential,
+    so results do not depend on the segment size, batch size or threads.
     """
     size = min(segment or SEGMENT, plan.limit)
     results = []
@@ -182,7 +181,7 @@ def _stream_lane(plan: RunPlan, lanes: np.ndarray, k: int, reduce, size: int):
         weights[0] = carry
         # into a separate buffer: an in-place cumsum barely uses a second thread
         np.cumsum(weights, out=values[: stop - start + 1])
-        reduce.feed(start, values[: stop - start + 1])
+        reduce.feed(start, values[: stop - start + 1], weights)
         carry = values[stop - start]
     return reduce.result()
 
@@ -200,16 +199,17 @@ def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segm
 
 
 class WholeSeries:
-    """Reducer of one segment of size limit: result() is fn(the series)."""
+    """Reducer of one segment of size limit: result() is the series, or
+    fn(series, weights).  It holds no reference to the plan."""
 
     def __init__(self, plan: RunPlan, fn=None):
-        self.plan, self.fn = plan, fn
+        self.model, self.alpha, self.fn = plan.model, plan.alpha, fn
 
-    def feed(self, start: int, values: np.ndarray) -> None:
-        self.series = WeightedSumSeries(self.plan.model, self.plan.alpha, values)
+    def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
+        self.series, self.weights = WeightedSumSeries(self.model, self.alpha, values), weights
 
     def result(self):
-        return self.series if self.fn is None else self.fn(self.series)
+        return self.series if self.fn is None else self.fn(self.series, self.weights)
 
 
 def compute_series(
@@ -242,21 +242,6 @@ def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
     return SignChangeLog(
         positions=positions, count=int(positions.size), first_sign=1 if positive[0] else -1
     )
-
-
-def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
-    """max over 16 <= x <= limit of |M_0(x)| / (sqrt(x) (log log x)^theta).
-
-    Requires alpha = 0 (the unweighted sums whose growth envelope is
-    sqrt(x) times powers of log log x) and limit >= 16 so the normalizer
-    exceeds 1 on the whole range.
-    """
-    if series.alpha != 0.0:
-        raise DomainError(f"growth statistic needs alpha = 0, got {series.alpha}")
-    if series.limit < 16:
-        raise DomainError(f"growth statistic needs limit >= 16, got {series.limit}")
-    x = np.arange(16, series.limit + 1, dtype=np.float64)
-    return float(np.max(np.abs(series.values[16:]) / growth_norm(x, theta)))
 
 
 def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:

@@ -4,8 +4,9 @@ Each one recomputes something the package computes another way: a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, g and M_alpha one trial at a time by the int8 recurrence, a compensated running sum, fstar by Dirichlet convolution,
 the prime cosine sum and the Riesz mean at one point, the sup scan with a
-full cosine matrix, the Mellin record at one point.  Tests compare the
-package against them.
+full cosine matrix, the Mellin record at one point, the growth statistic
+over a whole series.  Tests compare the package against them, and wrap
+synthetic series of explicit values (series_from_values).
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from rmflab.errors import DomainError, MissingSignError
 from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
 from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to
-from rmflab.series import Model, WeightedSumSeries
+from rmflab.series import Model, WeightedSumSeries, growth_norm
 from rmflab.signs import (
     _GOLDEN,
     _MASK64,
@@ -25,6 +26,32 @@ from rmflab.signs import (
     mix64,
     prime_sign_table,
 )
+
+
+def series_from_values(values, model: Model | str = Model.F, alpha: float = 0.0) -> WeightedSumSeries:
+    """Wrap an explicit sequence M(1), ..., M(N) as a series of the given
+    model and alpha; for synthetic series."""
+    arr = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
+    if arr.size < 2:
+        raise DomainError("series needs at least one value")
+    return WeightedSumSeries(Model(model), float(alpha), arr)
+
+
+def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
+    """max over 16 <= x <= limit of |M_0(x)| / (sqrt(x) (log log x)^theta),
+    over the whole series at once; the growth experiment's reducer keeps
+    running maxima of the same ratios instead.
+
+    Requires alpha = 0 (the unweighted sums whose growth envelope is
+    sqrt(x) times powers of log log x) and limit >= 16 so the normalizer
+    exceeds 1 on the whole range.
+    """
+    if series.alpha != 0.0:
+        raise DomainError(f"growth statistic needs alpha = 0, got {series.alpha}")
+    if series.limit < 16:
+        raise DomainError(f"growth statistic needs limit >= 16, got {series.limit}")
+    x = np.arange(16, series.limit + 1, dtype=np.float64)
+    return float(np.max(np.abs(series.values[16:]) / growth_norm(x, theta)))
 
 
 def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:

@@ -248,11 +248,16 @@ def test_replay_of_a_mistyped_key_exit_3(tmp_path, capsys, case, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key, value", [("N", 1.5), ("trials", 2.5), ("base_seed", 4.5), ("prime_limit", 5000.7)])
-def test_replay_of_a_fractional_integer_exit_3(tmp_path, capsys, key, value):
+@pytest.mark.parametrize(
+    "case, key, value",
+    [*(pytest.param("harper", key, value, id=f"{key}-{value}")
+       for key, value in [("N", 1.5), ("trials", 2.5), ("base_seed", 4.5), ("prime_limit", 5000.7)]),
+     ("series", "N", 99.5), ("series", "seed", 3.5)],
+)
+def test_replay_of_a_fractional_integer_exit_3(tmp_path, capsys, case, key, value):
     # int() would truncate these and replay the run they were edited from
     outdir = tmp_path / "out"
-    assert run_cli(*WRITING_COMMANDS["harper"], "--out", str(outdir)) == 0
+    assert run_cli(*WRITING_COMMANDS[case], "--out", str(outdir)) == 0
     manifest_path = outdir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest[key] = value
@@ -465,6 +470,25 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     assert result.stderr.startswith("error: ") and "physical memory" in result.stderr
     assert growth_kb < 50 * 1024
     assert not (tmp_path / "sc").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["series", "--limit", "100000", "--seed", "1", "--out", "OUT"],
+    ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"],
+])
+def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
+    # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
+    # whole series from the engine about 3.5 MB more
+    def sysconf(name):
+        return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name]
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    outdir = tmp_path / "s"
+    assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "physical memory" in captured.err
+    assert not outdir.exists()
 
 
 def _mobius(n: int) -> int:

@@ -2,8 +2,9 @@
 
 The per-trial route (tests/oracles.py: values_by_recurrence and
 series_and_values, with the whole-array statistics of each experiment) is the
-oracle; the engine must reproduce it bit for bit whatever the segment size,
-lane batch and worker count.
+oracle; the engine must reproduce it, M_alpha and the signed weights it hands
+each reducer, bit for bit whatever the segment size, lane batch and worker
+count.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmflab import series as series_module
+from rmflab import experiments as experiments_module, series as series_module
 from rmflab.experiments import (
     GROWTH_CHECKPOINTS,
     GROWTH_THETAS,
@@ -23,10 +24,10 @@ from rmflab.experiments import (
     trials_csv,
 )
 from rmflab.primes import build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
-from rmflab.series import compute_series, detect_sign_changes, growth_statistic, WeightedSumSeries
+from rmflab.series import compute_series, detect_sign_changes, stream_trials, WeightedSumSeries
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
-from oracles import is_squarefree, series_and_values, values_by_recurrence
+from oracles import growth_statistic, is_squarefree, series_and_values, values_by_recurrence
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
 TRIAL_COUNTS = (1, 8, 9, 16, 17, 64, 65)  # every lane width and batch edge
@@ -49,19 +50,50 @@ def _oracle_rows(experiment: str, series: WeightedSumSeries) -> list[dict]:
     ]
 
 
-def _oracle_csv(config: ExperimentConfig, table) -> str:
+def _oracle_csv(config: ExperimentConfig, table, trials=None) -> str:
+    """The oracle's trials.csv; trials, if given, is series_and_values of
+    each trial."""
     seeds, assignments = config.trial_assignments()
+    if trials is None:
+        trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]
     records = []
-    for i, assignment in enumerate(assignments):
-        series, _ = series_and_values(assignment, config.model, config.alpha, config.limit, table)
+    for i, (series, _) in enumerate(trials):
         records += [{"trial": i, "seed": seeds[i], **row} for row in _oracle_rows(config.experiment, series)]
     return trials_csv(AggregateStats(config, records, {}))
 
 
-def _engine_csv(config: ExperimentConfig, table, segment, threads: int) -> str:
+class _Recorder:
+    """Hands each segment on to an experiment's reducer and copies it:
+    result() is (the reducer's rows, M_alpha on 1..limit, g on 1..limit),
+    with g as np.sign of the signed weights."""
+
+    def __init__(self, limit: int, reduce):
+        self.reduce = reduce
+        self.values, self.weights = np.empty(limit), np.empty(limit)
+
+    def feed(self, start, values, weights):
+        self.reduce.feed(start, values, weights)
+        self.values[start - 1 : start - 2 + values.size] = values[1:]
+        self.weights[start - 1 : start - 2 + weights.size] = weights[1:]
+
+    def result(self):
+        return self.reduce.result(), self.values, np.sign(self.weights)
+
+
+def _engine_run(config: ExperimentConfig, table, segment, threads: int):
+    """(trials.csv, [(M_alpha, g) of each trial]) of one run, whose engine
+    feeds a _Recorder around each trial's reducer."""
+    fed = []
+
+    def recording(plan, assignments, reducer, threads):
+        results = stream_trials(plan, assignments, lambda: _Recorder(plan.limit, reducer()), threads)
+        fed.extend((values, g) for _, values, g in results)
+        return [rows for rows, _, _ in results]
+
     config.threads = threads
-    with mock.patch.object(series_module, "SEGMENT", segment or config.limit):
-        return trials_csv(run_experiment(config, table))
+    with mock.patch.object(series_module, "SEGMENT", segment or config.limit), \
+            mock.patch.object(experiments_module, "stream_trials", recording):
+        return trials_csv(run_experiment(config, table)), fed
 
 
 @st.composite
@@ -86,10 +118,17 @@ def configs(draw):
 @example(ExperimentConfig(experiment="growth", limit=1100, trials=17, base_seed=2, sign_mode="minus-one"))
 def test_trials_csv_does_not_depend_on_segment_batch_or_threads(config):
     table = build_spf_sieve(max(config.limit, 2))
-    expected = _oracle_csv(config, table)
+    _, assignments = config.trial_assignments()
+    trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]
+    expected = _oracle_csv(config, table, trials)
     for segment in SEGMENTS:
         for threads in (1, 2):
-            assert _engine_csv(config, table, segment, threads) == expected, (segment, threads)
+            csv, fed = _engine_run(config, table, segment, threads)
+            assert csv == expected, (segment, threads)
+            assert len(fed) == len(trials)
+            for (values, g), (series, want_g) in zip(fed, trials):
+                assert np.array_equal(values.view(np.uint64), series.values[1:].view(np.uint64)), (segment, threads)
+                assert np.array_equal(g, want_g[1:]), (segment, threads)
 
 
 @pytest.mark.parametrize("experiment", ["sign-changes", "positivity", "growth"])
@@ -101,7 +140,7 @@ def test_segments_of_2_16_over_several_segments_match_the_oracle(experiment, tab
     )
     expected = _oracle_csv(config, table_1e5)
     for segment in (2**10, 2**16, None):
-        assert _engine_csv(config, table_1e5, segment, 2) == expected, segment
+        assert _engine_run(config, table_1e5, segment, 2)[0] == expected, segment
 
 
 def test_exact_zero_at_a_segment_edge_neither_creates_nor_hides_a_crossing(table_1e5):
@@ -110,7 +149,7 @@ def test_exact_zero_at_a_segment_edge_neither_creates_nor_hides_a_crossing(table
     config = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=0.0, limit=10,
                               trials=1, sign_mode="minus-one")
     for segment in (1, 2, 3, 4, None):
-        assert _engine_csv(config, table_1e5, segment, 1) == "trial,seed,count,last_position\n" + (
+        assert _engine_run(config, table_1e5, segment, 1)[0] == "trial,seed,count,last_position\n" + (
             f"0,{config.trial_assignments()[0][0]},1,3\n"
         )
 

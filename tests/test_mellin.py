@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rmflab.errors import DomainError
@@ -10,12 +11,14 @@ from rmflab.mellin import (
     mellin_step_integral,
     signed_and_absolute_integrals,
     truncated_identity_residual,
+    truncated_identity_sides,
 )
 from rmflab.output import csv_text
-from rmflab.series import WeightedSumSeries, compute_series
-from rmflab.signs import SignAssignment
+from rmflab.primes import primes_up_to
+from rmflab.series import compute_series
+from rmflab.signs import SignAssignment, prime_sign_table
 
-from oracles import MellinEvaluation, abs_mellin_integral, evaluate_mellin
+from oracles import MellinEvaluation, abs_mellin_integral, evaluate_mellin, series_and_values, series_from_values
 
 
 def quad_oracle(series, s_real: float) -> float:
@@ -33,14 +36,14 @@ def quad_oracle(series, s_real: float) -> float:
 
 
 def test_all_ones_series_telescopes():
-    series = WeightedSumSeries.from_values(np.ones(500), alpha=0.0)
+    series = series_from_values(np.ones(500), alpha=0.0)
     for s in (0.7, 1.3 + 0.9j):
         value = mellin_step_integral(series, s)
         assert abs(value - (1 - 500.0 ** (-s))) < 1e-13
 
 
 def test_two_point_series_single_interval():
-    series = WeightedSumSeries.from_values([1.0, 0.3], alpha=0.25)
+    series = series_from_values([1.0, 0.3], alpha=0.25)
     s = 1.1
     expected = 1.0 - 2.0 ** (-(s - 0.25))
     assert abs(mellin_step_integral(series, s) - expected) < 1e-15
@@ -113,6 +116,36 @@ def test_truncated_identity_random_configurations(table_1e5):
         assert residual <= 1e-9 * scale
 
 
+@st.composite
+def assignments(draw, limit: int, table):
+    kind = draw(st.sampled_from(["iid", "minus-one", "explicit"]))
+    if kind == "minus-one":
+        return SignAssignment.all_minus_one()
+    iid = SignAssignment.iid(draw(st.integers(0, 2**64 - 1)))
+    if kind == "iid":
+        return iid
+    primes = primes_up_to(table, limit)
+    return SignAssignment.explicit(dict(zip(primes.tolist(), prime_sign_table(iid, primes).tolist())))
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), limit=st.integers(1, 3000), model=st.sampled_from(["f", "fstar"]),
+       alpha=st.just(0.0) | st.floats(0.0, 1.0), re_above=st.floats(0.01, 2.0), im_s=st.floats(-50.0, 50.0),
+       own_sieve=st.booleans())
+def test_truncated_identity_sides_equal_the_two_pass_route(
+    table_1e5, data, limit, model, alpha, re_above, im_s, own_sieve
+):
+    # the one-pass sides against g and M_alpha from the per-trial oracle,
+    # summed exactly as before the engine handed reducers their weights
+    assignment = data.draw(assignments(limit, table_1e5))
+    s = complex(alpha + re_above, im_s)
+    series, g = series_and_values(assignment, model, alpha, limit, table_1e5)
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    two_pass = (complex(np.sum(g[1:] * n ** (-s))), mellin_step_integral(series, s) + boundary_term(series, s))
+    table = None if own_sieve else table_1e5
+    assert truncated_identity_sides(assignment, model, alpha, s, limit, table) == two_pass
+
+
 def test_kernel_positivity():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -134,7 +167,7 @@ def test_abs_integral_triangle_inequality(table_1e5):
 
 def test_abs_integral_on_nonnegative_series(table_1e5):
     values = np.abs(np.random.default_rng(5).normal(size=300)) + 0.1
-    series = WeightedSumSeries.from_values(values, alpha=0.0)
+    series = series_from_values(values, alpha=0.0)
     sigma = 0.9
     signed, absolute = signed_and_absolute_integrals(series, sigma)
     assert signed == absolute
@@ -145,14 +178,14 @@ def test_abs_integral_on_nonnegative_series(table_1e5):
 def test_abs_integral_alternating_series_collapses():
     alternating = np.array([(-1.0) ** n for n in range(1, 301)])
     ones = np.ones(300)
-    s_alt = WeightedSumSeries.from_values(alternating, alpha=0.0)
-    s_one = WeightedSumSeries.from_values(ones, alpha=0.0)
+    s_alt = series_from_values(alternating, alpha=0.0)
+    s_one = series_from_values(ones, alpha=0.0)
     assert abs(abs_mellin_integral(s_alt, 0.8) - abs_mellin_integral(s_one, 0.8)) < 1e-15
 
 
 def test_series_negation_flips_signed_fixes_absolute(table_1e5):
     series = compute_series(SignAssignment.iid(29), "f", 0.0, 5000, table_1e5)
-    neg = WeightedSumSeries.from_values(-series.values[1:], alpha=0.0)
+    neg = series_from_values(-series.values[1:], alpha=0.0)
     for sigma in (0.6, 1.0):
         signed, absolute = signed_and_absolute_integrals(series, sigma)
         signed_neg, absolute_neg = signed_and_absolute_integrals(neg, sigma)

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "HarperScanResult", "MissingSignError", "Model", "MultiplicativeEvaluator", "ResourceError",
     "SignAssignment", "SignChangeLog", "SignMode", "SpfTable", "WeightedSumSeries", "__version__",
     "build_spf_sieve", "compute_series", "detect_sign_changes", "divergence_comparison",
-    "euler_product_F", "euler_product_F_star", "exponential_formula_check", "growth_statistic",
+    "euler_product_F", "euler_product_F_star", "exponential_formula_check",
     "harper_sup_statistic", "load_explicit_signs", "mellin_step_integral", "primes_up_to",
     "replay_experiment", "run_experiment", "signed_and_absolute_integrals", "trial_seed",
     "truncated_identity_residual", "write_experiment", "zeta",
@@ -46,6 +46,8 @@ def test_public_surface():
         (rmflab.series, "riesz_mean"),
         (rmflab.signs.MultiplicativeEvaluator, "evaluate_f"),
         (rmflab.signs.MultiplicativeEvaluator, "evaluate_f_star"),
+        (rmflab.series, "growth_statistic"),
+        (rmflab.series.WeightedSumSeries, "from_values"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 

@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from rmflab.errors import DomainError
 from rmflab.series import (
     Model,
-    WeightedSumSeries,
     compute_series,
     detect_sign_changes,
-    growth_statistic,
 )
 from rmflab.experiments import _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
 
 from conftest import oracle_mobius
-from oracles import evaluate_f, kahan_series_values, riesz_mean
+from oracles import evaluate_f, growth_statistic, kahan_series_values, riesz_mean, series_from_values
 
 
 def test_mertens_and_liouville_at_10(table_1e5):
@@ -83,11 +81,11 @@ def test_alpha_range_validation(table_1e5):
 
 
 def test_detect_sign_changes_stated_examples():
-    log = detect_sign_changes(WeightedSumSeries.from_values([1.0, 0.5, -0.2, 0.1]))
+    log = detect_sign_changes(series_from_values([1.0, 0.5, -0.2, 0.1]))
     assert log.positions.tolist() == [3, 4]
     assert log.count == 2
     assert log.first_sign == 1
-    log2 = detect_sign_changes(WeightedSumSeries.from_values([1.0, 0.0, 1.0, 2.0]))
+    log2 = detect_sign_changes(series_from_values([1.0, 0.0, 1.0, 2.0]))
     assert log2.count == 0
 
 
@@ -122,7 +120,7 @@ ZERO_FREE_FLOATS = st.lists(
 @settings(deadline=None)
 @given(st.one_of(INTEGER_RUNS, ZERO_FREE_FLOATS))
 def test_detect_sign_changes_matches_naive_loop(values):
-    log = detect_sign_changes(WeightedSumSeries.from_values(values))
+    log = detect_sign_changes(series_from_values(values))
     positions, first = naive_sign_changes(values)
     assert log.positions.tolist() == positions
     assert log.count == len(positions)
@@ -132,10 +130,10 @@ def test_detect_sign_changes_matches_naive_loop(values):
 def test_detect_sign_changes_zero_bridges():
     # a zero between opposite signs: the crossing lands on the first strictly
     # opposite value
-    log = detect_sign_changes(WeightedSumSeries.from_values([1.0, 0.0, -1.0]))
+    log = detect_sign_changes(series_from_values([1.0, 0.0, -1.0]))
     assert log.positions.tolist() == [3]
     # zeros alone never produce a crossing
-    log2 = detect_sign_changes(WeightedSumSeries.from_values([0.0, 0.0, 0.0]))
+    log2 = detect_sign_changes(series_from_values([0.0, 0.0, 0.0]))
     assert log2.count == 0
     assert log2.first_sign == 0
 
@@ -153,7 +151,7 @@ def test_sign_alternation_property(table_1e5):
 def test_negation_symmetry(table_1e5):
     series = compute_series(SignAssignment.iid(21), "f", 0.25, 10**4, table_1e5)
     log = detect_sign_changes(series)
-    neg = WeightedSumSeries.from_values(-series.values[1:], model=series.model, alpha=series.alpha)
+    neg = series_from_values(-series.values[1:], model=series.model, alpha=series.alpha)
     log_neg = detect_sign_changes(neg)
     assert np.array_equal(log.positions, log_neg.positions)
 
@@ -193,7 +191,7 @@ def test_riesz_mean_reverse_summation_oracle(table_1e5):
 def test_growth_statistic_synthetic_single_point():
     values = np.zeros(16)
     values[15] = 1.0  # M(16) = 1, all else 0
-    series = WeightedSumSeries.from_values(values)
+    series = series_from_values(values)
     for theta in (0.0, 0.25, 2.0):
         expected = 1.0 / (4.0 * math.log(math.log(16.0)) ** theta)
         assert abs(growth_statistic(series, theta) - expected) < 1e-15
