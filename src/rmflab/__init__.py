@@ -27,15 +27,15 @@ from .dirichlet import (
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
-    harper_sup_statistic,
+    sup_scans,
     zeta,
 )
 from .mellin import (
     DivergenceRow,
-    divergence_comparison,
+    divergence_rows,
     mellin_step_integral,
     signed_and_absolute_integrals,
-    truncated_identity_residual,
+    truncated_identity_sides,
 )
 from .experiments import (
     AggregateStats,
@@ -68,12 +68,12 @@ __all__ = [
     "euler_product_F",
     "euler_product_F_star",
     "exponential_formula_check",
-    "harper_sup_statistic",
+    "sup_scans",
     "DivergenceRow",
     "mellin_step_integral",
     "signed_and_absolute_integrals",
-    "truncated_identity_residual",
-    "divergence_comparison",
+    "truncated_identity_sides",
+    "divergence_rows",
     "ExperimentConfig",
     "AggregateStats",
     "run_experiment",

@@ -30,11 +30,11 @@ from .experiments import (
     assert_outcome,
     replay_experiment,
     run_experiment,
+    run_series,
     write_experiment,
     write_series,
 )
 from .output import fmt_float
-from .series import compute_series, detect_sign_changes
 from .signs import SignAssignment, SignMode, load_explicit_signs
 
 
@@ -141,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_series(args) -> int:
     assignment = _assignment_from_args(args)
     start = time.monotonic()
-    series = compute_series(assignment, args.model, args.alpha, args.limit)
-    log = detect_sign_changes(series)
+    series, log = run_series(assignment, args.model, args.alpha, args.limit)
     outdir = write_series(series, log, assignment, args.out, time.monotonic() - start, args.signs_file)
     magnitude = np.abs(series.values[1:])
     k = int(np.argmax(magnitude))  # the first x where |M| is largest

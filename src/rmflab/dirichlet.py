@@ -219,6 +219,8 @@ class HarperScanResult:
 #: Grid indices j with j % SEED_PERIOD in {0, 1} seed the cosine recurrence
 #: of scan_grid_max with exactly evaluated cosines.
 SEED_PERIOD = 256
+#: Grid points per block of scan_grid_max.
+CHUNK = 256
 
 
 def harper_window(sigma: float) -> float:
@@ -237,7 +239,7 @@ def scan_grid_max(
     t_start: float,
     grid_step: float,
     n_points: int,
-    chunk: int = 256,
+    chunk: int = CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise maximum of sum_p w_p cos(t log p) over t = t_start + j*step.
 
@@ -310,31 +312,38 @@ def sup_scans(
     prime_limit: int,
     table: SpfTable | None = None,
 ) -> list[list[HarperScanResult]]:
-    """Grid supremum of the prime cosine sum for every assignment and sigma.
+    """Grid supremum of the prime cosine sum over t in
+    [1, 2 log(1/(sigma-1/2))^2] for every assignment and sigma.
 
-    Returns one list per assignment, one result per sigma in grid order.
-    grid_step None means default_grid_step(sigma) at each sigma.  All
-    assignments are scanned against the same cosine blocks, one
-    scan_grid_max call per sigma with one weight row per assignment.
-    Raises ResourceError, before allocating them, if the int8 signs and
-    float64 weights (9 bytes per assignment and prime) exceed the host's
-    physical memory.
+    Returns one list per assignment, one result per sigma in grid order;
+    every sigma must lie in (1/2, 0.6], where the window is nonempty.
+    grid_step None means default_grid_step(sigma) at each sigma.  Each
+    sup_value is the cosine sum at the grid point t_star, so a certified
+    lower bound for the true supremum at the recorded grid_step; halving
+    grid_step can only increase it, unless two grid values tie to within the
+    scan's rounding (about 1e-12).  All assignments are scanned against the
+    same cosine blocks, one scan_grid_max call per sigma with one weight row
+    per assignment.  Raises ResourceError, before allocating them, if the
+    int8 signs and float64 weights (9 bytes per assignment and prime) and
+    the block of scan_grid_max exceed the host's physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     primes = _primes_to(prime_limit, table)
     n_rows, n_primes = len(assignments), len(primes)
-    require_memory(9 * n_rows * n_primes, f"sup scan of {n_rows} trials over {n_primes} primes")
+    steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
+    n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
+    # scan_grid_max's block: chunk + 2 float64 cosine rows over the primes, a GEMM output row per trial
+    block = 8 * (min(CHUNK, max(n_points)) + 2) * (n_primes + n_rows)
+    require_memory(9 * n_rows * n_primes + block, f"sup scan of {n_rows} trials over {n_primes} primes")
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
     for i, assignment in enumerate(assignments):
         signs[i] = prime_sign_table(assignment, primes)
     primes = primes.astype(np.float64)
     logp = np.log(primes)
     results: list[list[HarperScanResult]] = [[] for _ in assignments]
-    for sigma in grid:
-        step = default_grid_step(sigma) if grid_step is None else float(grid_step)
-        n_points = int(math.floor((harper_window(sigma) - 1.0) / step)) + 1
+    for sigma, step, points in zip(grid, steps, n_points):
         weights = signs * primes ** (-sigma)
-        sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, n_points)
+        sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, points)
         centered = sup_vals - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
         for i, row in enumerate(results):
             row.append(
@@ -348,21 +357,3 @@ def sup_scans(
                 )
             )
     return results
-
-
-def harper_sup_statistic(
-    assignment: SignAssignment,
-    sigma: float,
-    grid_step: float | None = None,
-    prime_limit: int = 10**6,
-    table: SpfTable | None = None,
-) -> HarperScanResult:
-    """Grid supremum of the prime cosine sum over t in [1, 2 log(1/(sigma-1/2))^2].
-
-    Requires 1/2 < sigma <= 0.6 (the window is then nonempty).  The returned
-    sup_value is the cosine sum at the grid point t_star, so a certified
-    lower bound for the true supremum at the recorded grid_step; halving
-    grid_step can only increase it, unless two grid values tie to within the
-    scan's rounding (about 1e-12).
-    """
-    return sup_scans([assignment], (sigma,), grid_step, prime_limit, table)[0][0]

@@ -11,10 +11,11 @@ i * golden), so per-trial results are independent of execution order and
 worker count; aggregation is an ordered fold by trial index.  The series
 experiments run their trials through series.stream_trials: each trial feeds
 its M_alpha and signed weights, segment by segment, to its own reducer (sign
-changes carry the last nonzero sign, positivity keeps the minimum, growth a
-running maximum per theta up to each checkpoint) and keeps only its CSV
-rows.  Before the sieve is built, run_experiment checks the run's memory
-estimate against physical memory.
+changes carry the last nonzero sign through series.sign_crossings,
+positivity keeps the minimum, growth a running maximum per theta up to each
+checkpoint) and keeps only its CSV rows.  Before the sieve is built,
+run_experiment checks the run's memory estimate against physical memory;
+harper's sieve covers only its prime limit.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -54,6 +55,8 @@ from .series import (
     engine_bytes,
     growth_norm,
     plan_run,
+    require_series_memory,
+    sign_crossings,
     stream_trials,
 )
 from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
@@ -179,34 +182,30 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _map_series(config: ExperimentConfig, table: SpfTable, assignments, threads: int, reducer) -> list:
-    """The rows of each trial, in trial order: series.stream_trials feeds
-    a fresh reducer() per trial, segment by segment, on `threads` worker
-    threads, and each reducer's result() is the trial's rows."""
-    return stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, reducer, threads)
+def _shared_table(config: ExperimentConfig, table: SpfTable | None, threads: int) -> SpfTable:
+    """The run's sieve, up to the prime limit for harper, which reads only
+    those primes, else up to max(N, prime limit): table if it covers that,
+    else a new one.
 
-
-def _check_memory(config: ExperimentConfig, threads: int) -> None:
-    """ResourceError, before the sieve is built, if the sieve (4 bytes per
-    integer), the engine (series.engine_bytes) and the run's seed-free
-    growth norms or divergence kernels (8 bytes per n each) exceed physical
-    memory.  harper builds no series; its sup scan checks its own memory."""
-    need = 4 * (max(config.limit, config.prime_limit or 2, 2) + 1)
-    if config.experiment != "harper":
+    First raises ResourceError if the sieve (4 bytes per integer), the
+    engine (series.engine_bytes) and the run's seed-free growth norms or
+    divergence kernels (8 bytes per n each) exceed physical memory.  harper
+    builds no series; its sup scan checks its own memory.
+    """
+    harper = config.experiment == "harper"
+    sieve = config.prime_limit if harper else max(config.limit, config.prime_limit or 2, 2)
+    need = 4 * (sieve + 1)
+    if not harper:
         whole = config.experiment == "divergence"
         tables = {"growth": len(GROWTH_THETAS), "divergence": len(config.sigma_grid or ())}
         need += engine_bytes(config.model, config.limit, config.trials, threads, config.limit if whole else None)
         need += 8 * (config.limit + 1) * tables.get(config.experiment, 0)
     require_memory(need, f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads")
-
-
-def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
-    need = max(config.limit, config.prime_limit or 2, 2)
-    if table is not None:
-        if table.limit < need:
-            raise DomainError(f"provided sieve covers {table.limit} < required {need}")
-        return table
-    return build_spf_sieve(need)
+    if table is None:
+        return build_spf_sieve(sieve)
+    if table.limit < sieve:
+        raise DomainError(f"provided sieve covers {table.limit} < required {sieve}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +217,17 @@ def _shared_table(config: ExperimentConfig, table: SpfTable | None) -> SpfTable:
 
 
 class _Crossings:
-    """Crossing count and last crossing position by the zeros-ignored rule
-    of detect_sign_changes; the last nonzero sign carries across segments."""
+    """Crossing count and last crossing position by series.sign_crossings,
+    with the last nonzero sign carried from segment to segment."""
 
-    def __init__(self, config: ExperimentConfig):
-        self.model, self.alpha = config.model, config.alpha
+    def __init__(self):
         self.count = self.last_position = self.sign = 0
 
     def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
-        # values[0] sits in the slot detect_sign_changes ignores
-        log = detect_sign_changes(WeightedSumSeries(self.model, self.alpha, values))
-        if log.first_sign == -self.sign:  # a crossing at the segment's first nonzero value
-            self.count += 1
-            self.last_position = start + int(np.flatnonzero(values[1:])[0])
-        if log.count:
-            self.count += log.count
-            self.last_position = start - 1 + int(log.positions[-1])
-        if log.first_sign:
-            self.sign = log.first_sign * (-1) ** log.count
+        at, self.sign = sign_crossings(values[1:], self.sign)
+        if at.size:
+            self.count += at.size
+            self.last_position = start + int(at[-1])
 
     def result(self) -> list[dict]:
         return [{"count": self.count, "last_position": self.last_position}]
@@ -292,7 +284,7 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments, thread
     the reporting-only regime, the fraction of trials with at least
     MIN_SIGN_CHANGES crossings."""
 
-    rows = _map_series(config, table, assignments, threads, lambda: _Crossings(config))
+    rows = stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, _Crossings, threads)
     counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
@@ -310,7 +302,7 @@ def _positivity(config: ExperimentConfig, table: SpfTable, assignments, threads:
     M_1(1) = 1).
     """
 
-    rows = _map_series(config, table, assignments, threads, _Minimum)
+    rows = stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, _Minimum, threads)
     summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
     summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
     return rows, summary
@@ -387,7 +379,8 @@ def _growth(config: ExperimentConfig, table: SpfTable, assignments, threads: int
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
     x = np.arange(16, config.limit + 1, dtype=np.float64)
     norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
-    rows = _map_series(config, table, assignments, threads, lambda: _GrowthMaxima(norms, checkpoints))
+    plan = plan_run(config.model, config.alpha, config.limit, table)
+    rows = stream_trials(plan, assignments, lambda: _GrowthMaxima(norms, checkpoints), threads)
     cells = []
     for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
         values = [trial[k]["value"] for trial in rows]
@@ -445,14 +438,15 @@ EXPERIMENTS = {
 def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
     """Run every trial of the config's experiment and summarize them.
 
-    table, if given, must cover max(limit, prime_limit); otherwise one sieve
-    is built.  Records come in trial order, each prefixed by trial and seed.
+    table, if given, must cover max(limit, prime_limit), or prime_limit for
+    harper; otherwise one sieve is built.  Records come in trial order, each
+    prefixed by trial and seed.
     """
     config.validate()
     threads = resolve_threads(config.threads)
-    _check_memory(config, threads)
+    table = _shared_table(config, table, threads)
     seeds, assignments = config.trial_assignments()
-    rows, summary = EXPERIMENTS[config.experiment].body(config, _shared_table(config, table), assignments, threads)
+    rows, summary = EXPERIMENTS[config.experiment].body(config, table, assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
     return AggregateStats(config=config, per_trial=records, summary=summary)
 
@@ -465,6 +459,19 @@ def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> A
 def trials_csv(stats: AggregateStats) -> str:
     """Per-trial CSV with the experiment's column schema, one row per record."""
     return csv_text(stats.columns, [[r[c] for r in stats.per_trial] for c in stats.columns])
+
+
+def run_series(
+    assignment: SignAssignment, model: Model | str, alpha: float, limit: int
+) -> tuple[WeightedSumSeries, SignChangeLog]:
+    """(series, sign changes) of one series run, after checking that the
+    sieve, the engine and then the text of series.csv fit in physical
+    memory.  The text takes 200 bytes per n: its column lists, a str per row
+    and the joined text (the peak RSS of `series` grows by 193 bytes per n
+    at alpha = 1/2, 155 at alpha = 0)."""
+    require_series_memory(model, limit, 200)
+    series = compute_series(assignment, model, alpha, limit)
+    return series, detect_sign_changes(series)
 
 
 def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict[str, str]:
@@ -632,8 +639,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
             assignment = SignAssignment.all_minus_one()
         else:
             assignment = SignAssignment.iid(seed)
-        series = compute_series(assignment, model, alpha, limit)
-        texts = _series_csvs(series, detect_sign_changes(series))
+        texts = _series_csvs(*run_series(assignment, model, alpha, limit))
     recomputed = {name: sha256_text(text) for name, text in texts.items()}
     return recomputed == recorded, recorded, recomputed
 

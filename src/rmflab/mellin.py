@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, WholeSeries, plan_run, stream_trials
+from .series import Model, WeightedSumSeries, WholeSeries, plan_run, require_series_memory, stream_trials
 from .signs import SignAssignment, SignMode
 from . import dirichlet
 
@@ -97,34 +97,27 @@ def truncated_identity_sides(
 ) -> tuple[complex, complex]:
     """(sum_{n<=N} g(n) n^-s, signed integral + boundary term).
 
-    An algebraic identity for the truncation makes the two sides equal up
-    to rounding, below 1e-9 relative to |sum| + 1 at desk scale.  One
-    engine pass gives the series and g = np.sign of its signed weights.
+    An algebraic identity for the truncation makes the two sides equal, so
+    their difference is pure rounding, below 1e-9 relative to |sum| + 1 at
+    desk scale.  One engine pass gives the series and g = np.sign of its
+    signed weights.  Without a table, the memory check before the sieve
+    also counts the 56 bytes per n held after the engine: the series and g,
+    then n, n^-s and their product (the peak RSS of `mellin-check` grows by
+    51 bytes per n).
     """
     s = complex(s)
 
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
+    if table is None:
+        require_series_memory(model, limit, 56)
     plan = plan_run(model, alpha, limit, table)
     series, g = stream_trials(plan, [assignment], lambda: WholeSeries(plan, series_and_g), 1, limit)[0]
     del plan  # the complex temporaries below need the room
     integral_side = mellin_step_integral(series, s) + boundary_term(series, s)
     n = np.arange(1, limit + 1, dtype=np.float64)
     return complex(np.sum(g * n ** (-s))), integral_side
-
-
-def truncated_identity_residual(
-    assignment: SignAssignment,
-    model: Model | str,
-    alpha: float,
-    s: complex,
-    limit: int,
-    table: SpfTable | None = None,
-) -> float:
-    """| sum_{n<=N} g(n) n^-s  -  (signed integral + boundary term) |: pure rounding."""
-    lhs, rhs = truncated_identity_sides(assignment, model, alpha, s, limit, table)
-    return float(abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -151,7 +144,15 @@ def divergence_rows(
     grid_step: float | None = None,
     threads: int = 1,
 ) -> list[list[DivergenceRow]]:
-    """The comparison table of each assignment: one row per sigma, in grid order.
+    """The signed vs absolute comparison table of each assignment: one row
+    per sigma of the strictly decreasing grid in (max(alpha, 1/2), 0.6].
+
+    signed and absolute are the integrals of M_alpha and |M_alpha| without
+    prefactor (signed_and_absolute_integrals); the witness is
+    |G(sigma + i t*)| / t* for the model's truncated Euler product G, with
+    t* from the sup scan at the same prime_limit.  Each assignment is used
+    across the whole grid: mixing realizations across sigma would destroy
+    the phenomenon being compared.
 
     The sup scan runs first, once for all assignments, so its memory check
     comes before any per-trial work; then the engine builds each whole
@@ -193,28 +194,3 @@ def divergence_rows(
             )
         tables.append(rows)
     return tables
-
-
-def divergence_comparison(
-    assignment: SignAssignment,
-    model: Model | str,
-    alpha: float,
-    sigma_grid: list[float],
-    limit: int,
-    prime_limit: int,
-    table: SpfTable | None = None,
-    grid_step: float | None = None,
-) -> list[DivergenceRow]:
-    """Signed vs absolute integral with a sup-scan witness, per sigma.
-
-    For each sigma of the strictly decreasing grid in (max(alpha, 1/2), 0.6]:
-    signed and absolute are the integrals of M_alpha and |M_alpha| without
-    prefactor (signed_and_absolute_integrals); the witness is
-    |G(sigma + i t*)| / t* for the model's truncated Euler product G, with t*
-    from the sup scan at the same prime_limit.  One fixed assignment is used
-    across the whole grid: mixing realizations across sigma would destroy the
-    phenomenon being compared.
-    """
-    return divergence_rows(
-        [assignment], model, alpha, sigma_grid, limit, prime_limit, table, grid_step
-    )[0]

@@ -11,7 +11,8 @@ trials gets g in one pass, one bit lane per trial (signs.sign_lanes).  Each
 trial then accumulates its signed weights g(n)/n^alpha in fixed segments
 and hands each segment, sums and weights, to a reducer, so an experiment
 keeps its statistics, not its series; a single series (compute_series) is a
-batch of one in one segment.
+batch of one in one segment.  sign_crossings states the crossing rule for a
+whole series (detect_sign_changes) and for one segment of it alike.
 
 Summation is plain float64 accumulation in ascending n (np.cumsum), carried
 from segment to segment, which is sequential and therefore bit-reproducible
@@ -115,16 +116,14 @@ class RunPlan:
 def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | None = None) -> RunPlan:
     """Build the RunPlan of M_alpha(1..limit); alpha must lie in [0, 1] (the
     regime of interest is [0, 1/2], the rest a convergence sanity range).
-    Without a table, it first checks that the sieve (4 bytes per n) and one
-    whole series (engine_bytes) fit in physical memory, then builds the sieve."""
+    Without a table, it builds the sieve after require_series_memory."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if table is None:
-        need = 4 * (max(limit, 2) + 1) + engine_bytes(model, limit, 1, 1, limit)
-        require_memory(need, f"the {model.value} series at N = {limit}")
+        require_series_memory(model, limit, 0)
         table = build_spf_sieve(max(limit, 2))
     cofactor, spf_index = spf_cofactors(table, limit)
     weights = np.arange(limit + 1, dtype=np.float64)
@@ -198,6 +197,14 @@ def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segm
     return (plan + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
 
 
+def require_series_memory(model: Model | str, limit: int, per_n: int) -> None:
+    """ResourceError unless the sieve (4 bytes per n), one whole series from
+    the engine (engine_bytes) and per_n more bytes per n, which the caller
+    holds after the engine, fit in physical memory."""
+    need = 4 * (max(limit, 2) + 1) + engine_bytes(model, limit, 1, 1, limit) + per_n * (limit + 1)
+    require_memory(need, f"the {Model(model).value} series at N = {limit}")
+
+
 class WholeSeries:
     """Reducer of one segment of size limit: result() is the series, or
     fn(series, weights).  It holds no reference to the plan."""
@@ -225,23 +232,27 @@ def compute_series(
     return stream_trials(plan, [assignment], lambda: WholeSeries(plan), 1, limit)[0]
 
 
-def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
-    """Crossing positions of the series, by the zeros-ignored rule.
-
-    Exact zeros (possible only at alpha = 0, where sums are integers) never
-    create or destroy a crossing by themselves.
-    """
-    v = series.values[1:]
-    # indices of the nonzero values in v; None when no value is an exact zero
-    at = None if v.all() else np.flatnonzero(v)
-    positive = (v if at is None else v[at]) > 0
+def sign_crossings(values: np.ndarray, sign: int) -> tuple[np.ndarray, int]:
+    """(indices of the crossings in values, the last nonzero sign at their
+    end), given `sign`, the last nonzero sign before values (0: none).  A
+    crossing is each value strictly opposite in sign to the last nonzero
+    one, so exact zeros (possible only at alpha = 0) never create or destroy
+    a crossing by themselves."""
+    # indices of the nonzero values; None when no value is an exact zero
+    at = None if values.all() else np.flatnonzero(values)
+    positive = (values if at is None else values[at]) > 0
     if positive.size == 0:
-        return SignChangeLog(positions=np.empty(0, dtype=np.int64), count=0, first_sign=0)
+        return np.empty(0, dtype=np.intp), sign
     flips = np.flatnonzero(positive[1:] != positive[:-1]) + 1
-    positions = ((flips if at is None else at[flips]) + 1).astype(np.int64, copy=False)
-    return SignChangeLog(
-        positions=positions, count=int(positions.size), first_sign=1 if positive[0] else -1
-    )
+    if sign == (-1 if positive[0] else 1):  # the first nonzero value crosses
+        flips = np.concatenate(([0], flips))
+    return (flips if at is None else at[flips]), 1 if positive[-1] else -1
+
+
+def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
+    """Crossing positions of the whole series, by sign_crossings."""
+    at, last = sign_crossings(series.values[1:], 0)
+    return SignChangeLog(positions=at + 1, count=int(at.size), first_sign=last * (-1) ** at.size)
 
 
 def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:

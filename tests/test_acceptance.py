@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from rmflab.dirichlet import euler_product_F, euler_product_F_star, zeta
 from rmflab.experiments import ExperimentConfig, run_experiment, write_experiment
-from rmflab.mellin import boundary_term, mellin_step_integral, truncated_identity_residual
+from rmflab.mellin import boundary_term, mellin_step_integral, truncated_identity_sides
 from rmflab.primes import build_spf_sieve
 from rmflab.series import compute_series
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
@@ -75,7 +75,8 @@ def test_1b_truncated_identity_100_configs(table):
         s = complex(re_s, im_s)
         a = SignAssignment.iid(seed)
         model = str(rng.choice(["f", "fstar"]))
-        residual = truncated_identity_residual(a, model, alpha, s, limit, table)
+        lhs, rhs = truncated_identity_sides(a, model, alpha, s, limit, table)
+        residual = abs(lhs - rhs)
         series = compute_series(a, model, alpha, limit, table)
         scale = abs(mellin_step_integral(series, s) + boundary_term(series, s)) + 1.0
         worst = max(worst, residual / scale)

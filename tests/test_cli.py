@@ -472,6 +472,11 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     assert not (tmp_path / "sc").exists()
 
 
+def _host_of(monkeypatch, pages: int) -> None:
+    """Make os.sysconf report a host of `pages` 4 KiB pages."""
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+
+
 @pytest.mark.parametrize("command", [
     ["series", "--limit", "100000", "--seed", "1", "--out", "OUT"],
     ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"],
@@ -479,16 +484,64 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
 def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
     # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
     # whole series from the engine about 3.5 MB more
-    def sysconf(name):
-        return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name]
-
-    monkeypatch.setattr(os, "sysconf", sysconf)
+    _host_of(monkeypatch, 256)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "physical memory" in captured.err
     assert not outdir.exists()
+
+
+# At N = 10^5 the sieve and the engine's whole series need about 3.8 MB.
+# Formatting series.csv at alpha = 1/2 raises the series command's peak RSS
+# by about 19 MB, and the complex temporaries of mellin-check by about 5 MB,
+# so hosts of 10 MB and 4.5 MB pass a check that counts only the engine.
+@pytest.mark.parametrize("command, pages", [
+    (["series", "--alpha", "0.5", "--limit", "100000", "--seed", "1", "--out", "OUT"], 2560),
+    (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1152),
+], ids=["series", "mellin-check"])
+def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, monkeypatch, command, pages):
+    _host_of(monkeypatch, pages)
+    outdir = tmp_path / "s"
+    assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "physical memory" in captured.err
+    assert not outdir.exists()
+
+
+def test_series_replay_counts_the_csv_text(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "s"
+    assert run_cli("series", "--alpha", "0.5", "--limit", "100000", "--seed", "1", "--out", str(outdir)) == 0
+    _host_of(monkeypatch, 2560)
+    assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 3
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
+    # 2262 primes below 20000: their signs and weights take 20 kB, the
+    # scan's block of 258 cosine rows 4.7 MB, more than a 1 MB host
+    _host_of(monkeypatch, 256)
+    outdir = tmp_path / "h"
+    code = run_cli("harper", "--trials", "1", "--limit", "1", "--prime-limit", "20000",
+                   "--sigma-grid", "0.58", "--out", str(outdir))
+    assert code == 3
+    assert "sup scan" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_harper_sieve_covers_only_the_prime_limit(tmp_path, monkeypatch):
+    # harper reads the primes up to --prime-limit alone, so --limit 10^6
+    # neither builds a 4 MB sieve on a 1 MB host nor changes a trial
+    _host_of(monkeypatch, 256)
+    texts = []
+    for limit in ("1000000", "1"):
+        outdir = tmp_path / limit
+        assert run_cli("harper", "--trials", "3", "--limit", limit, "--prime-limit", "1000",
+                       "--out", str(outdir)) == 0
+        texts.append((outdir / "trials.csv").read_text())
+    assert texts[0] == texts[1]
 
 
 def _mobius(n: int) -> int:

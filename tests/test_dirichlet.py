@@ -11,9 +11,9 @@ from rmflab.dirichlet import (
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
-    harper_sup_statistic,
     harper_window,
     scan_grid_max,
+    sup_scans,
     zeta,
 )
 from rmflab.errors import DomainError
@@ -276,7 +276,7 @@ def test_harper_window_arithmetic():
 
 def test_harper_sup_dominates_t1(table_1e5):
     a = SignAssignment.iid(17)
-    scan = harper_sup_statistic(a, 0.55, None, 10**4, table_1e5)
+    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)[0][0]
     at_one = prime_cosine_sum(a, 0.55, 1.0, 10**4, table_1e5)
     assert scan.sup_value >= at_one - 1e-12
     assert 1.0 <= scan.t_star <= harper_window(0.55)
@@ -287,8 +287,8 @@ def test_harper_sup_dominates_t1(table_1e5):
 def test_harper_sup_grid_refinement(table_1e5):
     a = SignAssignment.iid(17)
     step = default_grid_step(0.55)
-    coarse = harper_sup_statistic(a, 0.55, step, 10**4, table_1e5)
-    fine = harper_sup_statistic(a, 0.55, step / 2, 10**4, table_1e5)
+    coarse = sup_scans([a], (0.55,), step, 10**4, table_1e5)[0][0]
+    fine = sup_scans([a], (0.55,), step / 2, 10**4, table_1e5)[0][0]
     assert fine.sup_value >= coarse.sup_value
 
 
@@ -341,16 +341,16 @@ def test_scan_grid_max_ties_do_not_depend_on_chunk():
 def test_harper_sup_validation(table_1e5):
     a = SignAssignment.iid(1)
     with pytest.raises(DomainError):
-        harper_sup_statistic(a, 0.65, None, 10**4, table_1e5)
+        sup_scans([a], (0.65,), None, 10**4, table_1e5)
     with pytest.raises(DomainError):
-        harper_sup_statistic(a, 0.5, None, 10**4, table_1e5)
+        sup_scans([a], (0.5,), None, 10**4, table_1e5)
     with pytest.raises(DomainError):
-        harper_sup_statistic(a, 0.55, -0.1, 10**4, table_1e5)
+        sup_scans([a], (0.55,), -0.1, 10**4, table_1e5)
 
 
 def test_harper_scan_csv(table_1e5):
     a = SignAssignment.iid(17)
-    scan = harper_sup_statistic(a, 0.55, None, 10**4, table_1e5)
+    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)[0][0]
     header = ("sigma", "t_star", "sup_value", "centered_value", "grid_step", "prime_limit")
     text = csv_text(header, [[getattr(scan, name)] for name in header])
     lines = text.strip().split("\n")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rmflab.dirichlet import default_grid_step, harper_sup_statistic
+from rmflab.dirichlet import default_grid_step, sup_scans
 from rmflab.errors import DomainError
 from rmflab.experiments import (
     MIN_SIGN_CHANGES,
@@ -16,7 +16,7 @@ from rmflab.experiments import (
     trials_csv,
     write_experiment,
 )
-from rmflab.mellin import divergence_comparison
+from rmflab.mellin import divergence_rows
 from rmflab.series import compute_series, detect_sign_changes
 from rmflab.signs import SignAssignment, SignMode, trial_seed
 
@@ -145,7 +145,7 @@ def test_harper_batch_matches_single_scan(table_1e5):
     stats = run_experiment(cfg, table_1e5)
     for i in (0, 2):
         seed = trial_seed(11, i)
-        single = harper_sup_statistic(SignAssignment.iid(seed), 0.55, None, 10**4, table_1e5)
+        single = sup_scans([SignAssignment.iid(seed)], (0.55,), None, 10**4, table_1e5)[0][0]
         row = [r for r in stats.per_trial if r["trial"] == i][0]
         assert abs(row["sup_value"] - single.sup_value) < 1e-9
         assert abs(row["t_star"] - single.t_star) < 1e-12
@@ -289,7 +289,7 @@ def test_assert_outcome_positivity(table_1e5):
 )
 def test_divergence_apis_reject_the_same_grids(table_1e5, grid, step):
     with pytest.raises(DomainError) as single:
-        divergence_comparison(SignAssignment.iid(1), "f", 0.5, list(grid), 100, 100, table_1e5, step)
+        divergence_rows([SignAssignment.iid(1)], "f", 0.5, list(grid), 100, 100, table_1e5, step)
     cfg = ExperimentConfig(
         experiment="divergence", model="f", alpha=0.5, limit=100, trials=2,
         sigma_grid=grid, prime_limit=100, grid_step=step,

@@ -7,10 +7,9 @@ from rmflab.errors import DomainError
 from rmflab.mellin import (
     DivergenceRow,
     boundary_term,
-    divergence_comparison,
     mellin_step_integral,
     signed_and_absolute_integrals,
-    truncated_identity_residual,
+    divergence_rows,
     truncated_identity_sides,
 )
 from rmflab.output import csv_text
@@ -73,12 +72,18 @@ def test_divergent_kernel_errors(table_1e5):
         abs_mellin_integral(series, 0.4)
 
 
+def _residual(*args) -> float:
+    """|sum_{n<=N} g(n) n^-s - (signed integral + boundary term)|."""
+    lhs, rhs = truncated_identity_sides(*args)
+    return abs(lhs - rhs)
+
+
 def test_truncated_identity_n1(table_1e5):
     series = compute_series(SignAssignment.iid(3), "f", 0.0, 1, table_1e5)
     # sum_{n<=1} g(n) n^-s = 1; integral part 0; boundary M(1) * 1 = 1
     assert mellin_step_integral(series, 1.0) == 0j
     assert boundary_term(series, 1.0) == 1 + 0j
-    assert truncated_identity_residual(SignAssignment.iid(3), "f", 0.0, 1.0, 1, table_1e5) == 0.0
+    assert _residual(SignAssignment.iid(3), "f", 0.0, 1.0, 1, table_1e5) == 0.0
 
 
 def test_truncated_identity_n3_by_hand(table_1e5):
@@ -91,12 +96,12 @@ def test_truncated_identity_n3_by_hand(table_1e5):
     assert series.values[1:].tolist() == [1.0, 2.0, 1.0]
     integral = mellin_step_integral(series, 1.0)
     assert abs(integral - 5.0 / 6.0) < 1e-15
-    residual = truncated_identity_residual(a, "f", 0.0, 1.0, 3, table_1e5)
+    residual = _residual(a, "f", 0.0, 1.0, 3, table_1e5)
     assert residual < 1e-15
 
 
 def test_truncated_identity_residual_large(table_1e6):
-    residual = truncated_identity_residual(SignAssignment.iid(11), "f", 0.5, 0.75, 10**6, table_1e6)
+    residual = _residual(SignAssignment.iid(11), "f", 0.5, 0.75, 10**6, table_1e6)
     assert residual <= 1e-9
 
 
@@ -110,7 +115,7 @@ def test_truncated_identity_random_configurations(table_1e5):
         limit = int(rng.choice([10**3, 10**4]))
         a = SignAssignment.iid(seed)
         model = str(rng.choice(["f", "fstar"]))
-        residual = truncated_identity_residual(a, model, alpha, complex(re_s, im_s), limit, table_1e5)
+        residual = _residual(a, model, alpha, complex(re_s, im_s), limit, table_1e5)
         series = compute_series(a, model, alpha, limit, table_1e5)
         scale = abs(mellin_step_integral(series, complex(re_s, im_s)) + boundary_term(series, complex(re_s, im_s))) + 1.0
         assert residual <= 1e-9 * scale
@@ -206,27 +211,27 @@ def test_evaluate_mellin_record(table_1e5):
 def test_divergence_comparison_validation(table_1e5):
     a = SignAssignment.iid(1)
     with pytest.raises(DomainError):
-        divergence_comparison(a, "f", 0.5, [], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [], 100, 100, table_1e5)
     with pytest.raises(DomainError):
-        divergence_comparison(a, "f", 0.5, [0.52, 0.56], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.52, 0.56], 100, 100, table_1e5)
     with pytest.raises(DomainError):
-        divergence_comparison(a, "f", 0.5, [0.8, 0.6], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.8, 0.6], 100, 100, table_1e5)
     with pytest.raises(DomainError):
-        divergence_comparison(a, "f", 0.5, [0.65, 0.55], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.65, 0.55], 100, 100, table_1e5)
 
 
 def test_divergence_comparison_rows(table_1e5):
     a = SignAssignment.iid(12)
-    rows = divergence_comparison(a, "f", 0.5, [0.58, 0.54], 2000, 10**4, table_1e5)
+    rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4, table_1e5)[0]
     assert [r.sigma for r in rows] == [0.58, 0.54]
     for row in rows:
         assert row.absolute >= abs(row.signed)
         assert row.harper_witness > 0
         assert row.limit == 2000 and row.prime_limit == 10**4
         assert row.seed == 12
-    minus_rows = divergence_comparison(
-        SignAssignment.all_minus_one(), "fstar", 0.0, [0.58], 500, 1000, table_1e5
-    )
+    minus_rows = divergence_rows(
+        [SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000, table_1e5
+    )[0]
     assert minus_rows[0].seed == 0
 
 

@@ -6,8 +6,10 @@ deletion in the package would otherwise surface only in a traced benchmark
 run.  Scalar cross-check routes live in tests/oracles.py, not in the package.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 
 import rmflab
@@ -28,12 +30,18 @@ PUBLIC_NAMES = [
     "AggregateStats", "DivergenceRow", "DomainError", "EulerProduct", "ExperimentConfig",
     "HarperScanResult", "MissingSignError", "Model", "MultiplicativeEvaluator", "ResourceError",
     "SignAssignment", "SignChangeLog", "SignMode", "SpfTable", "WeightedSumSeries", "__version__",
-    "build_spf_sieve", "compute_series", "detect_sign_changes", "divergence_comparison",
+    "build_spf_sieve", "compute_series", "detect_sign_changes", "divergence_rows",
     "euler_product_F", "euler_product_F_star", "exponential_formula_check",
-    "harper_sup_statistic", "load_explicit_signs", "mellin_step_integral", "primes_up_to",
-    "replay_experiment", "run_experiment", "signed_and_absolute_integrals", "trial_seed",
-    "truncated_identity_residual", "write_experiment", "zeta",
+    "load_explicit_signs", "mellin_step_integral", "primes_up_to",
+    "replay_experiment", "run_experiment", "signed_and_absolute_integrals", "sup_scans", "trial_seed",
+    "truncated_identity_sides", "write_experiment", "zeta",
 ]
+
+#: Public names that nothing in src/rmflab/ uses, each with its reason.
+UNUSED_IN_SRC = {
+    "exponential_formula_check": "the README lists the exponential-formula residual as a feature",
+    "MultiplicativeEvaluator": "perfbench traces MultiplicativeEvaluator.values_up_to",
+}
 
 
 def test_public_surface():
@@ -48,12 +56,46 @@ def test_public_surface():
         (rmflab.signs.MultiplicativeEvaluator, "evaluate_f_star"),
         (rmflab.series, "growth_statistic"),
         (rmflab.series.WeightedSumSeries, "from_values"),
+        # single-realization wrappers: callers pass a batch of one
+        (rmflab.dirichlet, "harper_sup_statistic"),
+        (rmflab.mellin, "divergence_comparison"),
+        (rmflab.mellin, "truncated_identity_residual"),
+        (rmflab.experiments, "_map_series"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 
 
 def test_every_public_name_resolves():
     assert [name for name in rmflab.__all__ if not hasattr(rmflab, name)] == []
+
+
+def _names_used_in_src() -> set[str]:
+    """Names and attributes read in src/rmflab/ outside __init__.py, each
+    top-level definition's own name left out inside its body (imports and
+    docstrings do not count)."""
+    used = set()
+    package = os.path.join(ROOT, "src", "rmflab")
+    for file_name in sorted(os.listdir(package)):
+        if not file_name.endswith(".py") or file_name == "__init__.py":
+            continue
+        with open(os.path.join(package, file_name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for statement in tree.body:
+            own = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_public_function_and_class_is_used_in_src():
+    # a public name only tests reach belongs in tests/oracles.py, or is a
+    # single realization that callers get as a batch of one
+    used = _names_used_in_src()
+    public = [name for name in rmflab.__all__ if inspect.isfunction(getattr(rmflab, name))
+              or inspect.isclass(getattr(rmflab, name))]
+    assert sorted(name for name in public if name not in used) == sorted(UNUSED_IN_SRC)
 
 
 def test_every_traced_function_resolves():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmflab.errors import DomainError
 from rmflab.series import (
@@ -10,7 +10,7 @@ from rmflab.series import (
     compute_series,
     detect_sign_changes,
 )
-from rmflab.experiments import _series_csvs
+from rmflab.experiments import _Crossings, _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
 
 from conftest import oracle_mobius
@@ -125,6 +125,40 @@ def test_detect_sign_changes_matches_naive_loop(values):
     assert log.positions.tolist() == positions
     assert log.count == len(positions)
     assert log.first_sign == first
+
+
+@st.composite
+def values_and_cuts(draw):
+    """Integer runs (zeros in runs of up to 5), a zero-free float array or a
+    float array with runs of exact zeros, and sorted cut points into it,
+    which may repeat, so that a block can be empty, all zeros or start and
+    end inside a run of zeros."""
+    floats = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != 0.0)
+    with_zeros = st.lists(st.one_of(st.lists(floats, min_size=1, max_size=4), st.lists(st.just(0.0), max_size=6)),
+                          min_size=1, max_size=12).map(lambda runs: [v for run in runs for v in run]).filter(bool)
+    values = draw(st.one_of(INTEGER_RUNS, ZERO_FREE_FLOATS, with_zeros))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=8)))
+    return values, cuts
+
+
+@settings(deadline=None, max_examples=300)
+@given(values_and_cuts())
+@example(([1.0, 0.0, 0.0, -1.0], [2]))  # a run of zeros across the cut, then a crossing
+@example(([0.0, 0.0, 2.0, 0.0, 0.0, 0.0, -2.0, 0.0], [2, 4, 6, 6]))  # all-zero blocks on both sides
+@example(([-1.0, 1.0, -1.0], [1, 2]))  # a crossing at every block's first value
+def test_crossings_fed_block_by_block_match_the_whole_series_rule(case):
+    # _Crossings carries the last nonzero sign from block to block; its
+    # count and last position must not depend on where the blocks are cut
+    values, cuts = case
+    reducer = _Crossings()
+    for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+        if lo < hi:  # slot 0 holds the sum before the block
+            reducer.feed(lo + 1, np.array([values[lo - 1] if lo else 0.0, *values[lo:hi]]), None)
+    row = reducer.result()[0]
+    log = detect_sign_changes(series_from_values(values))
+    positions, _ = naive_sign_changes(values)
+    assert row["count"] == log.count == len(positions)
+    assert row["last_position"] == (int(log.positions[-1]) if log.count else 0) == (positions[-1] if positions else 0)
 
 
 def test_detect_sign_changes_zero_bridges():
