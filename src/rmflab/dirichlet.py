@@ -19,8 +19,9 @@ the largest value of sum_p f(p) cos(t log p) / p^sigma on a uniform grid.
 A uniform grid with recorded step gives a certified lower bound on the sup,
 which is the direction the comparison in the mellin module needs.  The scan
 fills its cosine rows by the three-term (Chebyshev, Goertzel) recurrence in
-t, seeded with exact cosines at fixed grid indices, and reports the cosine sum
-recomputed exactly at the grid point it selects.
+t, seeded with exact cosines at the first two grid points of each 256-point
+block, and reports the cosine sum recomputed exactly at the grid point it
+selects.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, require_memory
-from .primes import SpfTable, build_spf_sieve, primes_up_to
+from .primes import SpfTable, primes_up_to, sieve_for
 from .signs import SignAssignment, prime_sign_table
 
 # ---------------------------------------------------------------------------
@@ -98,15 +99,6 @@ class EulerProduct:
     prime_limit: int
 
 
-def _primes_to(prime_limit: int, table: SpfTable | None) -> np.ndarray:
-    """The primes p <= prime_limit, from table or from a new sieve."""
-    if prime_limit < 2:
-        raise DomainError(f"prime_limit must be >= 2, got {prime_limit}")
-    if table is None:
-        table = build_spf_sieve(prime_limit)
-    return primes_up_to(table, prime_limit)
-
-
 def _product_factors(
     assignment: SignAssignment,
     s: complex,
@@ -115,7 +107,7 @@ def _product_factors(
 ) -> np.ndarray:
     if complex(s).real <= 0.5:
         raise DomainError(f"Euler products require Re s > 1/2, got {s}")
-    primes = _primes_to(prime_limit, table)
+    primes = primes_up_to(sieve_for(prime_limit, table, 0, f"the sieve to P = {prime_limit}"), prime_limit)
     signs = prime_sign_table(assignment, primes)
     return signs.astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
 
@@ -216,10 +208,8 @@ class HarperScanResult:
     prime_limit: int
 
 
-#: Grid indices j with j % SEED_PERIOD in {0, 1} seed the cosine recurrence
-#: of scan_grid_max with exactly evaluated cosines.
-SEED_PERIOD = 256
-#: Grid points per block of scan_grid_max.
+#: Grid points per block of scan_grid_max; each block's first two are
+#: evaluated exactly and seed the cosine recurrence of the rest.
 CHUNK = 256
 
 
@@ -239,47 +229,41 @@ def scan_grid_max(
     t_start: float,
     grid_step: float,
     n_points: int,
-    chunk: int = CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise maximum of sum_p w_p cos(t log p) over t = t_start + j*step.
 
     weights has one row per realization; returns (max values, argmax t) with
-    ties broken by the smallest t (first occurrence).  Grid points are
-    evaluated chunkwise in ascending t with a running strict-max reduction.
+    ties broken by the smallest t (first occurrence).  Blocks of CHUNK grid
+    points are evaluated in ascending t with a running strict-max reduction.
 
     The cosine rows come from the three-term recurrence
     cos((j+1)theta) = 2 cos(theta) cos(j theta) - cos((j-1)theta) with
     theta = step * log p, one vectorized step over the primes per grid point.
-    Every grid index j with j mod SEED_PERIOD in {0, 1} is seeded exactly with
-    cos(t_j log p), which keeps the recurrence's rounding error near 1e-12;
-    the seeds sit at fixed grid indices, so the result does not depend on
-    chunk.  Each returned max value is recomputed exactly at its t, one dot
-    product per row, so it is the cosine sum at a grid point.
+    The first two grid points of every block are seeded exactly with
+    cos(t_j log p), which keeps the recurrence's rounding error near 1e-12.
+    Each returned max value is recomputed exactly at its t, one dot product
+    per row, so it is the cosine sum at a grid point.
     """
     weights = np.atleast_2d(weights)
     n_rows = weights.shape[0]
     best = np.full(n_rows, -np.inf)
     best_t = np.full(n_rows, t_start)
     two_cos_step = 2.0 * np.cos(grid_step * logp)
-    # rows 0 and 1 hold the two grid points before the current chunk
-    buf = np.empty((min(chunk, n_points) + 2, len(logp)))
-    for start in range(0, n_points, chunk):
-        stop = min(start + chunk, n_points)
-        for j in range(start, stop):
-            row = j - start + 2
-            if j % SEED_PERIOD < 2:
-                np.cos((t_start + grid_step * j) * logp, out=buf[row])
+    buf = np.empty((min(CHUNK, n_points), len(logp)))
+    for start in range(0, n_points, CHUNK):
+        size = min(CHUNK, n_points - start)
+        for row in range(size):
+            if row < 2:
+                np.cos((t_start + grid_step * (start + row)) * logp, out=buf[row])
             else:
                 np.multiply(two_cos_step, buf[row - 1], out=buf[row])
                 np.subtract(buf[row], buf[row - 2], out=buf[row])
-        size = stop - start
-        vals = weights @ buf[2 : size + 2].T
+        vals = weights @ buf[:size].T
         block_best = vals.max(axis=1)
         block_arg = vals.argmax(axis=1)
         update = block_best > best
         best[update] = block_best[update]
         best_t[update] = t_start + grid_step * (start + block_arg[update])
-        buf[:2] = buf[size : size + 2]
     for i in range(n_rows):
         best[i] = weights[i] @ np.cos(best_t[i] * logp)
     return best, best_t
@@ -328,12 +312,12 @@ def sup_scans(
     the block of scan_grid_max exceed the host's physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
-    primes = _primes_to(prime_limit, table)
+    primes = primes_up_to(sieve_for(prime_limit, table, 0, f"the sieve to P = {prime_limit}"), prime_limit)
     n_rows, n_primes = len(assignments), len(primes)
     steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
     n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
-    # scan_grid_max's block: chunk + 2 float64 cosine rows over the primes, a GEMM output row per trial
-    block = 8 * (min(CHUNK, max(n_points)) + 2) * (n_primes + n_rows)
+    # scan_grid_max's block: CHUNK float64 cosine rows over the primes, a GEMM output row per trial
+    block = 8 * min(CHUNK, max(n_points)) * (n_primes + n_rows)
     require_memory(9 * n_rows * n_primes + block, f"sup scan of {n_rows} trials over {n_primes} primes")
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
     for i, assignment in enumerate(assignments):

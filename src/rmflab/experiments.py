@@ -42,9 +42,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, dirichlet, mellin
-from .errors import DomainError, require_memory
+from .errors import DomainError
 from .output import atomic_write, csv_text, sha256_file, sha256_text
-from .primes import SpfTable, build_spf_sieve
+from .primes import SpfTable, sieve_for
 from .primes import primes_up_to  # noqa: F401  the benchmark's tests read this binding
 from .series import (
     Model,
@@ -55,7 +55,6 @@ from .series import (
     engine_bytes,
     growth_norm,
     plan_run,
-    require_series_memory,
     sign_crossings,
     stream_trials,
 )
@@ -185,27 +184,23 @@ def _quantile_summary(values, prefix: str) -> dict:
 def _shared_table(config: ExperimentConfig, table: SpfTable | None, threads: int) -> SpfTable:
     """The run's sieve, up to the prime limit for harper, which reads only
     those primes, else up to max(N, prime limit): table if it covers that,
-    else a new one.
+    else a new one, from primes.sieve_for.
 
-    First raises ResourceError if the sieve (4 bytes per integer), the
+    First raises ResourceError if a new sieve (4 bytes per integer), the
     engine (series.engine_bytes) and the run's seed-free growth norms or
     divergence kernels (8 bytes per n each) exceed physical memory.  harper
     builds no series; its sup scan checks its own memory.
     """
     harper = config.experiment == "harper"
     sieve = config.prime_limit if harper else max(config.limit, config.prime_limit or 2, 2)
-    need = 4 * (sieve + 1)
+    need = 0
     if not harper:
         whole = config.experiment == "divergence"
         tables = {"growth": len(GROWTH_THETAS), "divergence": len(config.sigma_grid or ())}
-        need += engine_bytes(config.model, config.limit, config.trials, threads, config.limit if whole else None)
+        need = engine_bytes(config.model, config.limit, config.trials, threads, config.limit if whole else None)
         need += 8 * (config.limit + 1) * tables.get(config.experiment, 0)
-    require_memory(need, f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads")
-    if table is None:
-        return build_spf_sieve(sieve)
-    if table.limit < sieve:
-        raise DomainError(f"provided sieve covers {table.limit} < required {sieve}")
-    return table
+    what = f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads"
+    return sieve_for(sieve, table, need, what)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +464,9 @@ def run_series(
     memory.  The text takes 200 bytes per n: its column lists, a str per row
     and the joined text (the peak RSS of `series` grows by 193 bytes per n
     at alpha = 1/2, 155 at alpha = 0)."""
-    require_series_memory(model, limit, 200)
-    series = compute_series(assignment, model, alpha, limit)
+    more = engine_bytes(model, limit, 1, 1, limit) + 200 * (limit + 1)
+    table = sieve_for(max(limit, 2), None, more, f"the {Model(model).value} series at N = {limit}")
+    series = compute_series(assignment, model, alpha, limit, table)
     return series, detect_sign_changes(series)
 
 

@@ -18,7 +18,8 @@ absolute-value companion integral uses the same per-interval weights against
 The infinite upper limit is never extrapolated: truncation at N plus the
 exact boundary term is the whole story at desk scale, and the comparison
 table tracks how the signed and absolute integrals separate as sigma
-decreases toward 1/2.
+decreases toward 1/2; the sieve and its memory check come from
+primes.sieve_for.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, build_spf_sieve
-from .series import Model, WeightedSumSeries, WholeSeries, plan_run, require_series_memory, stream_trials
+from .primes import SpfTable, sieve_for
+from .series import Model, WeightedSumSeries, WholeSeries, engine_bytes, plan_run, stream_trials
 from .signs import SignAssignment, SignMode
 from . import dirichlet
 
@@ -100,18 +101,18 @@ def truncated_identity_sides(
     An algebraic identity for the truncation makes the two sides equal, so
     their difference is pure rounding, below 1e-9 relative to |sum| + 1 at
     desk scale.  One engine pass gives the series and g = np.sign of its
-    signed weights.  Without a table, the memory check before the sieve
-    also counts the 56 bytes per n held after the engine: the series and g,
-    then n, n^-s and their product (the peak RSS of `mellin-check` grows by
-    51 bytes per n).
+    signed weights.  The one memory check, before the sieve if it builds
+    one, counts the engine and the 56 bytes per n held after it: the series
+    and g, then n, n^-s and their product (the peak RSS of `mellin-check`
+    grows by 51 bytes per n).
     """
     s = complex(s)
 
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
-    if table is None:
-        require_series_memory(model, limit, 56)
+    more = engine_bytes(model, limit, 1, 1, limit) + 56 * (limit + 1)
+    table = sieve_for(max(limit, 2), table, more, f"the {Model(model).value} series at N = {limit}")
     plan = plan_run(model, alpha, limit, table)
     series, g = stream_trials(plan, [assignment], lambda: WholeSeries(plan, series_and_g), 1, limit)[0]
     del plan  # the complex temporaries below need the room
@@ -163,8 +164,7 @@ def divergence_rows(
     """
     model = Model(model)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
-    if table is None:
-        table = build_spf_sieve(max(limit, prime_limit, 2))
+    table = sieve_for(max(limit, prime_limit, 2), table, 0, f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
     plan = plan_run(model, alpha, limit, table)

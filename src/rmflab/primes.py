@@ -2,9 +2,10 @@
 
 The sieve is the only piece of shared number-theoretic state in the package:
 everything downstream (sign evaluation, partial sums, prime sums) reads
-smallest prime factors from it, and the list of primes is derived from it
-once per table.  spf_cofactors and squarefree_mask derive the per-n arrays
-that a run of the series engine builds once.
+smallest prime factors from it, through sieve_for, the one gate that checks
+and builds a sieve, and the list of primes is derived from it once per
+table.  spf_cofactors and squarefree_mask derive the per-n arrays that a run
+of the series engine builds once.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
 plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8).  N may not exceed
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, require_memory
 
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
@@ -85,6 +86,24 @@ def build_spf_sieve(limit: int) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
+def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTable:
+    """The sieve that `what` reads up to limit: table if given, else a new one.
+
+    Raises DomainError if limit < 2 or table covers less than limit.  Before
+    anything is allocated, raises ResourceError if `more` bytes, which the
+    caller allocates besides, and a new sieve's 4*(limit+1) bytes exceed
+    physical memory; with a table and more = 0 there is nothing to check.
+    """
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if table is not None and table.limit < limit:
+        raise DomainError(f"provided sieve covers {table.limit} < required {limit}")
+    need = more + (0 if table is not None else 4 * (limit + 1))
+    if need:
+        require_memory(need, what)
+    return table if table is not None else build_spf_sieve(limit)
+
+
 def spf_cofactors(table: SpfTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(cofactor, spf_index) of every n <= limit, both int32.
 
@@ -123,8 +142,10 @@ def primes_up_to(table: SpfTable, limit: int | None = None) -> np.ndarray:
     read-only int64.
 
     A view of SpfTable.primes, computed once per table and shared by every
-    call.
+    call.  Raises DomainError if limit exceeds table.limit.
     """
+    if limit is not None and limit > table.limit:
+        raise DomainError(f"primes up to {limit} requested from a sieve up to {table.limit}")
     primes = table.primes
     return primes if limit is None else primes[: np.searchsorted(primes, limit, "right")]
 

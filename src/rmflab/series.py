@@ -6,13 +6,14 @@ representation; the mellin module relies on exactly this.
 
 Every M_alpha comes from one trial engine, stream_trials.  Its RunPlan holds
 the seed-free work, done once per run: the cofactor n/spf(n), the index of
-spf(n) among the primes and the weights n^-alpha.  A batch of up to 64
-trials gets g in one pass, one bit lane per trial (signs.sign_lanes).  Each
-trial then accumulates its signed weights g(n)/n^alpha in fixed segments
-and hands each segment, sums and weights, to a reducer, so an experiment
-keeps its statistics, not its series; a single series (compute_series) is a
-batch of one in one segment.  sign_crossings states the crossing rule for a
-whole series (detect_sign_changes) and for one segment of it alike.
+spf(n) among the primes and the weights n^-alpha, read from the sieve of
+primes.sieve_for.  A batch of up to 64 trials gets g in one pass, one bit
+lane per trial (signs.sign_lanes).  Each trial then accumulates its signed
+weights g(n)/n^alpha in fixed segments and hands each segment, sums and
+weights, to a reducer, so an experiment keeps its statistics, not its
+series; a single series (compute_series) is a batch of one in one segment.
+sign_crossings states the crossing rule for a whole series
+(detect_sign_changes) and for one segment of it alike.
 
 Summation is plain float64 accumulation in ascending n (np.cumsum), carried
 from segment to segment, which is sequential and therefore bit-reproducible
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_memory
-from .primes import SpfTable, build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
+from .errors import DomainError
+from .primes import SpfTable, primes_up_to, sieve_for, spf_cofactors, squarefree_mask
 from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
@@ -116,15 +117,14 @@ class RunPlan:
 def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | None = None) -> RunPlan:
     """Build the RunPlan of M_alpha(1..limit); alpha must lie in [0, 1] (the
     regime of interest is [0, 1/2], the rest a convergence sanity range).
-    Without a table, it builds the sieve after require_series_memory."""
+    Without a table, sieve_for first checks the sieve and one whole series."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if table is None:
-        require_series_memory(model, limit, 0)
-        table = build_spf_sieve(max(limit, 2))
+    more = engine_bytes(model, limit, 1, 1, limit) if table is None else 0
+    table = sieve_for(max(limit, 2), table, more, f"the {model.value} series at N = {limit}")
     cofactor, spf_index = spf_cofactors(table, limit)
     weights = np.arange(limit + 1, dtype=np.float64)
     weights[0] = 1.0
@@ -195,14 +195,6 @@ def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segm
     lane = np.dtype(lane_dtype(batch)).itemsize
     rows = batch * int(1.26 * (limit + 1) / math.log(max(limit, 3)))
     return (plan + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
-
-
-def require_series_memory(model: Model | str, limit: int, per_n: int) -> None:
-    """ResourceError unless the sieve (4 bytes per n), one whole series from
-    the engine (engine_bytes) and per_n more bytes per n, which the caller
-    holds after the engine, fit in physical memory."""
-    need = 4 * (max(limit, 2) + 1) + engine_bytes(model, limit, 1, 1, limit) + per_n * (limit + 1)
-    require_memory(need, f"the {Model(model).value} series at N = {limit}")
 
 
 class WholeSeries:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ def table_1e6():
 @pytest.fixture(scope="session")
 def table_1e5():
     return build_spf_sieve(10**5)
+
+
+def host_of(monkeypatch, pages: int) -> None:
+    """Make os.sysconf report a host of `pages` 4 KiB pages."""
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
 
 
 # ---------------------------------------------------------------------------

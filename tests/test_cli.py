@@ -9,8 +9,10 @@ import sys
 
 import pytest
 
-from rmflab import experiments
+from rmflab import errors, experiments
 from rmflab.cli import build_parser, parse_and_dispatch
+
+from conftest import host_of
 
 
 def run_cli(*argv) -> int:
@@ -472,11 +474,6 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     assert not (tmp_path / "sc").exists()
 
 
-def _host_of(monkeypatch, pages: int) -> None:
-    """Make os.sysconf report a host of `pages` 4 KiB pages."""
-    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
-
-
 @pytest.mark.parametrize("command", [
     ["series", "--limit", "100000", "--seed", "1", "--out", "OUT"],
     ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"],
@@ -484,7 +481,7 @@ def _host_of(monkeypatch, pages: int) -> None:
 def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
     # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
     # whole series from the engine about 3.5 MB more
-    _host_of(monkeypatch, 256)
+    host_of(monkeypatch, 256)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
     captured = capsys.readouterr()
@@ -502,7 +499,7 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
     (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1152),
 ], ids=["series", "mellin-check"])
 def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, monkeypatch, command, pages):
-    _host_of(monkeypatch, pages)
+    host_of(monkeypatch, pages)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
     captured = capsys.readouterr()
@@ -511,18 +508,46 @@ def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, m
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["series", "--alpha", "0.5", "--limit", "1000", "--seed", "1", "--out", "OUT"],
+    ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "1000"],
+], ids=["series", "mellin-check"])
+def test_single_series_checks_its_memory_once(tmp_path, monkeypatch, command):
+    checks = []
+
+    def counted(requested, what):
+        checks.append(what)
+        original(requested, what)
+
+    original = errors.require_memory
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rmflab" and getattr(module, "require_memory", None) is original:
+            monkeypatch.setattr(module, "require_memory", counted)
+    assert run_cli(*[str(tmp_path / "s") if a == "OUT" else a for a in command]) == 0
+    assert len(checks) == 1
+
+
+def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
+    # a host of 1 MB: the sieve to 10^6 takes 4 MB
+    host_of(monkeypatch, 256)
+    assert run_cli("euler", "--sigma", "0.6", "--prime-limit", "1000000") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "physical memory" in captured.err
+
+
 def test_series_replay_counts_the_csv_text(tmp_path, capsys, monkeypatch):
     outdir = tmp_path / "s"
     assert run_cli("series", "--alpha", "0.5", "--limit", "100000", "--seed", "1", "--out", str(outdir)) == 0
-    _host_of(monkeypatch, 2560)
+    host_of(monkeypatch, 2560)
     assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 3
     assert "physical memory" in capsys.readouterr().err
 
 
 def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
     # 2262 primes below 20000: their signs and weights take 20 kB, the
-    # scan's block of 258 cosine rows 4.7 MB, more than a 1 MB host
-    _host_of(monkeypatch, 256)
+    # scan's block of 256 cosine rows 4.6 MB, more than a 1 MB host
+    host_of(monkeypatch, 256)
     outdir = tmp_path / "h"
     code = run_cli("harper", "--trials", "1", "--limit", "1", "--prime-limit", "20000",
                    "--sigma-grid", "0.58", "--out", str(outdir))
@@ -534,7 +559,7 @@ def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
 def test_harper_sieve_covers_only_the_prime_limit(tmp_path, monkeypatch):
     # harper reads the primes up to --prime-limit alone, so --limit 10^6
     # neither builds a 4 MB sieve on a 1 MB host nor changes a trial
-    _host_of(monkeypatch, 256)
+    host_of(monkeypatch, 256)
     texts = []
     for limit in ("1000000", "1"):
         outdir = tmp_path / limit

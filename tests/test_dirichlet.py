@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmflab.dirichlet import (
-    SEED_PERIOD,
+    CHUNK,
     default_grid_step,
     euler_product_F,
     euler_product_F_star,
@@ -16,11 +16,13 @@ from rmflab.dirichlet import (
     sup_scans,
     zeta,
 )
-from rmflab.errors import DomainError
+import rmflab.primes as primes_module
+from rmflab.errors import DomainError, ResourceError
 from rmflab.output import csv_text
-from rmflab.primes import primes_up_to
+from rmflab.primes import build_spf_sieve, primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
+from conftest import host_of
 from oracles import prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix
 
 
@@ -152,6 +154,35 @@ def test_euler_product_domain_errors(table_1e5):
 # ---------------------------------------------------------------------------
 # Prime sums
 # ---------------------------------------------------------------------------
+
+
+def test_a_table_short_of_the_prime_limit_raises(table_1e5):
+    # a 10^3 sieve holds 168 of the 9592 primes up to 10^5
+    small, a, s = build_spf_sieve(10**3), SignAssignment.iid(3), 0.6 + 1j
+    for call in (
+        lambda table: euler_product_F(a, s, 10**5, table),
+        lambda table: euler_product_F_star(a, s, 10**5, table),
+        lambda table: exponential_formula_check(a, s, 10**5, "f", table),
+        lambda table: sup_scans([a], (0.55,), None, 10**5, table),
+    ):
+        with pytest.raises(DomainError, match="covers 1000 < required 100000"):
+            call(small)
+        call(table_1e5)
+    assert abs(euler_product_F(a, s, 10**5, table_1e5).value - (0.3773 + 0.2126j)) < 1e-4
+
+
+def test_products_and_scans_without_a_table_check_their_sieve(monkeypatch):
+    # a host of 1 MB; a sieve to 10^6 takes 4 MB
+    host_of(monkeypatch, 256)
+    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    a = SignAssignment.iid(3)
+    for call in (
+        lambda: euler_product_F(a, 0.6, 10**6),
+        lambda: euler_product_F_star(a, 0.6, 10**6),
+        lambda: sup_scans([a], (0.55,), None, 10**6),
+    ):
+        with pytest.raises(ResourceError, match="sieve to P = 1000000"):
+            call()
 
 
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
@@ -292,9 +323,6 @@ def test_harper_sup_grid_refinement(table_1e5):
     assert fine.sup_value >= coarse.sup_value
 
 
-SCAN_CHUNKS = (1, 7, 256, 1000)
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
@@ -313,11 +341,7 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
     oracle_sup, oracle_t = scan_by_cosine_matrix(weights, logp, t_start, step, n_points)
     t_grid = t_start + step * np.arange(n_points, dtype=np.float64)
     grid_values = np.sort(weights @ np.cos(np.outer(t_grid, logp)).T, axis=1)
-    scans = [scan_grid_max(weights, logp, t_start, step, n_points, chunk) for chunk in SCAN_CHUNKS]
-    sup, t_star = scans[0]
-    for other_sup, other_t in scans[1:]:
-        assert np.array_equal(other_t, t_star)
-        assert np.array_equal(other_sup, sup)
+    sup, t_star = scan_grid_max(weights, logp, t_start, step, n_points)
     for i in range(len(weights)):
         assert sup[i] == weights[i] @ np.cos(t_star[i] * logp)
         at_t_star = scan_by_cosine_matrix(weights[i], logp, t_star[i], step, 1)[0][0]
@@ -326,16 +350,18 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
             assert t_star[i] == oracle_t[i]
 
 
-def test_scan_grid_max_ties_do_not_depend_on_chunk():
+def test_scan_grid_max_ties_take_the_first_occurrence():
     # theta = pi/2 and t_0 = pi/4: cos(t_j) = +-1/sqrt(2), so the grid maximum
-    # ties at half the points and rounding alone picks the first of them; the
-    # recurrence must round the same way for every chunk size
-    weights, logp = np.array([[1.0]]), np.array([1.0])
-    n_points = 4 * SEED_PERIOD + 3
-    scans = [scan_grid_max(weights, logp, math.pi / 4, math.pi / 2, n_points, chunk) for chunk in SCAN_CHUNKS]
-    for sup, t_star in scans[1:]:
-        assert t_star[0] == scans[0][1][0] and sup[0] == scans[0][0][0]
-    assert abs(scans[0][0][0] - math.sqrt(0.5)) <= 1e-12
+    # ties at half the points (j mod 4 in {0, 3}), across several blocks
+    weights = np.array([[1.0]])
+    n_points = 4 * CHUNK + 3
+    sup, t_star = scan_grid_max(weights, np.array([1.0]), math.pi / 4, math.pi / 2, n_points)
+    assert abs(sup[0] - math.sqrt(0.5)) <= 1e-12
+    assert round((t_star[0] - math.pi / 4) / (math.pi / 2)) % 4 in (0, 3)
+    # log p = 0: every grid value is exactly 1, within and across blocks, so
+    # the first grid point is the maximum
+    sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
+    assert sup[0] == 1.0 and t_star[0] == 2.0
 
 
 def test_harper_sup_validation(table_1e5):

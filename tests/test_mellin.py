@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rmflab.errors import DomainError
+import rmflab.primes as primes_module
+from rmflab.errors import DomainError, ResourceError
 from rmflab.mellin import (
     DivergenceRow,
     boundary_term,
@@ -13,10 +14,11 @@ from rmflab.mellin import (
     truncated_identity_sides,
 )
 from rmflab.output import csv_text
-from rmflab.primes import primes_up_to
+from rmflab.primes import build_spf_sieve, primes_up_to
 from rmflab.series import compute_series
 from rmflab.signs import SignAssignment, prime_sign_table
 
+from conftest import host_of
 from oracles import MellinEvaluation, abs_mellin_integral, evaluate_mellin, series_and_values, series_from_values
 
 
@@ -218,6 +220,17 @@ def test_divergence_comparison_validation(table_1e5):
         divergence_rows([a], "f", 0.5, [0.8, 0.6], 100, 100, table_1e5)
     with pytest.raises(DomainError):
         divergence_rows([a], "f", 0.5, [0.65, 0.55], 100, 100, table_1e5)
+
+
+def test_divergence_rows_refuse_a_short_table_and_check_a_new_sieve(monkeypatch):
+    a = SignAssignment.iid(3)
+    with pytest.raises(DomainError, match="covers 1000 < required 100000"):
+        divergence_rows([a], "f", 0.5, (0.55,), 10**3, 10**5, build_spf_sieve(10**3))
+    # a host of 1 MB; a sieve to 10^6 takes 4 MB
+    host_of(monkeypatch, 256)
+    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    with pytest.raises(ResourceError, match="physical memory"):
+        divergence_rows([a], "f", 0.5, (0.55,), 10**3, 10**6)
 
 
 def test_divergence_comparison_rows(table_1e5):

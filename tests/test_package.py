@@ -111,3 +111,28 @@ def test_every_traced_function_resolves():
     assert unresolved == []
     # the benchmark's own tests also read this binding
     assert rmflab.experiments.primes_up_to is rmflab.primes.primes_up_to
+
+
+def _callers_in_src(callee: str) -> set[tuple[str, str]]:
+    """(file, top-level function or class) of every call to `callee` in
+    src/rmflab/, by name or attribute."""
+    callers = set()
+    package = os.path.join(ROOT, "src", "rmflab")
+    for file_name in sorted(os.listdir(package)):
+        if not file_name.endswith(".py"):
+            continue
+        with open(os.path.join(package, file_name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == callee:
+                    callers.add((file_name, getattr(statement, "name", "<module>")))
+    return callers
+
+
+def test_every_sieve_and_memory_check_goes_through_the_gate():
+    # primes.sieve_for sizes, checks and builds every sieve; the sup scan
+    # alone also checks the memory of its own block
+    assert _callers_in_src("build_spf_sieve") == {("primes.py", "sieve_for")}
+    assert _callers_in_src("require_memory") == {("primes.py", "sieve_for"), ("dirichlet.py", "sup_scans")}

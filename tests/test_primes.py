@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rmflab.errors import DomainError
-from rmflab.primes import build_spf_sieve, primes_up_to
+import rmflab.primes as primes_module
+from rmflab.errors import DomainError, ResourceError
+from rmflab.primes import build_spf_sieve, primes_up_to, sieve_for
 
-from conftest import oracle_prime_mask
+from conftest import host_of, oracle_prime_mask
 from oracles import factorize, is_squarefree
 
 
@@ -124,10 +125,40 @@ def test_errors():
         is_squarefree(1000, table)
 
 
-def test_allocation_failure_reports_size(monkeypatch):
-    from rmflab.errors import ResourceError
-    import rmflab.primes as primes_module
+def test_primes_up_to_refuses_a_limit_beyond_its_table():
+    table = build_spf_sieve(100)
+    assert primes_up_to(table, 100)[-1] == 97
+    with pytest.raises(DomainError):
+        primes_up_to(table, 101)
 
+
+def test_sieve_for_passes_on_a_covering_table_and_refuses_a_short_one(table_1e5):
+    assert sieve_for(10**5, table_1e5, 0, "a sum") is table_1e5
+    assert sieve_for(10, table_1e5, 0, "a sum") is table_1e5
+    assert sieve_for(10, None, 0, "a sum").limit == 10
+    with pytest.raises(DomainError, match="covers 100000 < required 100001"):
+        sieve_for(10**5 + 1, table_1e5, 0, "a sum")
+    with pytest.raises(DomainError):
+        sieve_for(1, None, 0, "a sum")
+
+
+def test_sieve_for_checks_memory_before_it_builds(monkeypatch, table_1e5):
+    # a host of 1 MB; a sieve to 10^6 takes 4 MB
+    host_of(monkeypatch, 256)
+    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    with pytest.raises(ResourceError, match="^a sum needs") as info:
+        sieve_for(10**6, None, 0, "a sum")
+    assert info.value.requested_bytes == 4 * (10**6 + 1)
+    with pytest.raises(ResourceError) as info:
+        sieve_for(10**3, None, 2**20 - 4003, "a sum")
+    assert info.value.requested_bytes == 2**20 + 1
+    # with a table, only what the caller allocates besides is checked
+    assert sieve_for(10**5, table_1e5, 2**20, "a sum") is table_1e5
+    with pytest.raises(ResourceError):
+        sieve_for(10**5, table_1e5, 2**20 + 1, "a sum")
+
+
+def test_allocation_failure_reports_size(monkeypatch):
     def failing_zeros(*args, **kwargs):
         raise MemoryError
 
