@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, require_memory
+from .errors import DomainError
 from .primes import SpfTable, primes_up_to, sieve_for
 from .signs import SignAssignment, prime_sign_table
 
@@ -307,18 +307,19 @@ def sup_scans(
     grid_step can only increase it, unless two grid values tie to within the
     scan's rounding (about 1e-12).  All assignments are scanned against the
     same cosine blocks, one scan_grid_max call per sigma with one weight row
-    per assignment.  Raises ResourceError, before allocating them, if the
-    int8 signs and float64 weights (9 bytes per assignment and prime) and
-    the block of scan_grid_max exceed the host's physical memory.
+    per assignment.  Raises ResourceError, before the sieve if it builds
+    one, if the int8 signs and float64 weights (9 bytes per assignment and
+    prime) and the block of scan_grid_max, counted with pi(P) < 1.26 P / ln P,
+    exceed the host's physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
-    primes = primes_up_to(sieve_for(prime_limit, table, 0, f"the sieve to P = {prime_limit}"), prime_limit)
-    n_rows, n_primes = len(assignments), len(primes)
+    n_rows, n_primes = len(assignments), int(1.26 * (prime_limit + 1) / math.log(max(prime_limit, 3)))
     steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
     n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
     # scan_grid_max's block: CHUNK float64 cosine rows over the primes, a GEMM output row per trial
-    block = 8 * min(CHUNK, max(n_points)) * (n_primes + n_rows)
-    require_memory(9 * n_rows * n_primes + block, f"sup scan of {n_rows} trials over {n_primes} primes")
+    more = 9 * n_rows * n_primes + 8 * min(CHUNK, max(n_points)) * (n_primes + n_rows)
+    what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
+    primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
     for i, assignment in enumerate(assignments):
         signs[i] = prime_sign_table(assignment, primes)

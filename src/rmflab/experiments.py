@@ -1,10 +1,10 @@
 """Multi-seed experiment drivers with reproducible seeding and summaries.
 
-run_experiment is the one runner.  It validates the config, builds one
-sieve, derives every trial's seed and assignment, and hands them to the
-experiment's body, which returns each trial's rows and the summary; the
-runner prefixes every row with its trial index and seed.  Each body's row
-literal is the experiment's CSV schema.
+run_experiment is the one runner.  It validates the config, derives every
+trial's seed and assignment, and hands them, with the caller's sieve if
+any, to the experiment's body, which returns each trial's rows and the
+summary; the runner prefixes every row with its trial index and seed.  Each
+body's row literal is the experiment's CSV schema.
 
 Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
@@ -13,9 +13,9 @@ experiments run their trials through series.stream_trials: each trial feeds
 its M_alpha and signed weights, segment by segment, to its own reducer (sign
 changes carry the last nonzero sign through series.sign_crossings,
 positivity keeps the minimum, growth a running maximum per theta up to each
-checkpoint) and keeps only its CSV rows.  Before the sieve is built,
-run_experiment checks the run's memory estimate against physical memory;
-harper's sieve covers only its prime limit.
+checkpoint) and keeps only its CSV rows.  Each body sizes its own run
+(_series_table, mellin.divergence_rows, dirichlet.sup_scans) in the memory
+check of primes.sieve_for, before it gets its sieve.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -38,6 +38,7 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,11 +51,11 @@ from .series import (
     Model,
     SignChangeLog,
     WeightedSumSeries,
+    check_run,
     compute_series,
     detect_sign_changes,
     engine_bytes,
     growth_norm,
-    plan_run,
     sign_crossings,
     stream_trials,
 )
@@ -181,26 +182,13 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _shared_table(config: ExperimentConfig, table: SpfTable | None, threads: int) -> SpfTable:
-    """The run's sieve, up to the prime limit for harper, which reads only
-    those primes, else up to max(N, prime limit): table if it covers that,
-    else a new one, from primes.sieve_for.
-
-    First raises ResourceError if a new sieve (4 bytes per integer), the
-    engine (series.engine_bytes) and the run's seed-free growth norms or
-    divergence kernels (8 bytes per n each) exceed physical memory.  harper
-    builds no series; its sup scan checks its own memory.
-    """
-    harper = config.experiment == "harper"
-    sieve = config.prime_limit if harper else max(config.limit, config.prime_limit or 2, 2)
-    need = 0
-    if not harper:
-        whole = config.experiment == "divergence"
-        tables = {"growth": len(GROWTH_THETAS), "divergence": len(config.sigma_grid or ())}
-        need = engine_bytes(config.model, config.limit, config.trials, threads, config.limit if whole else None)
-        need += 8 * (config.limit + 1) * tables.get(config.experiment, 0)
+def _series_table(config: ExperimentConfig, table: SpfTable | None, threads: int, norms: int = 0) -> SpfTable:
+    """The sieve of sign-changes, positivity and growth, up to N, from
+    primes.sieve_for, which first checks the engine of the run
+    (series.engine_bytes) and `norms` seed-free float64 arrays per n."""
+    more = engine_bytes(config.model, config.limit, config.trials, threads) + 8 * (config.limit + 1) * norms
     what = f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads"
-    return sieve_for(sieve, table, need, what)
+    return sieve_for(max(config.limit, 2), table, more, what)
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +256,20 @@ class _GrowthMaxima:
 
 
 # ---------------------------------------------------------------------------
-# The experiments.  Each body takes (config, table, assignments, threads) and
-# returns (rows of each trial, summary); run_experiment adds trial and seed.
+# The experiments.  Each body takes (config, table or None, assignments,
+# threads) and returns (rows of each trial, summary); run_experiment adds
+# trial and seed.
 # ---------------------------------------------------------------------------
 
 
-def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
+def _sign_changes(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
     """Sign-change census of M_alpha: per trial the crossing count and the
     last crossing position; the summary holds count quantiles and, except in
     the reporting-only regime, the fraction of trials with at least
     MIN_SIGN_CHANGES crossings."""
 
-    rows = stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, _Crossings, threads)
+    table = _series_table(config, table, threads)
+    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Crossings, threads, table=table)
     counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
@@ -289,7 +279,7 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable, assignments, thread
     return rows, summary
 
 
-def _positivity(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
+def _positivity(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
     """Probability that the harmonic fstar sums stay strictly positive.
 
     Per trial: the minimum of M_1(x) over 1 <= x <= N and the indicator that
@@ -297,13 +287,14 @@ def _positivity(config: ExperimentConfig, table: SpfTable, assignments, threads:
     M_1(1) = 1).
     """
 
-    rows = stream_trials(plan_run(config.model, config.alpha, config.limit, table), assignments, _Minimum, threads)
+    table = _series_table(config, table, threads)
+    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Minimum, threads, table=table)
     summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
     summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
     return rows, summary
 
 
-def _harper(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
+def _harper(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
     """Sup-scan statistics per trial and sigma, with the trend summary.
 
     All trials of one sigma are scanned against shared cosine blocks (the
@@ -327,7 +318,7 @@ def _harper(config: ExperimentConfig, table: SpfTable, assignments, threads: int
     return [[asdict(scan) for scan in row] for row in scans], summary
 
 
-def _divergence(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
+def _divergence(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
     """Signed vs absolute Mellin integrals with sup-scan witnesses, per trial.
 
     One assignment per trial is shared across the whole sigma grid.  The
@@ -365,17 +356,18 @@ def _divergence(config: ExperimentConfig, table: SpfTable, assignments, threads:
     return rows, summary
 
 
-def _growth(config: ExperimentConfig, table: SpfTable, assignments, threads: int):
+def _growth(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
     """Growth-envelope statistics max |M_0(x)| / (sqrt(x) (log log x)^theta).
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
     admit no finite-N pass/fail.
     """
+    table = _series_table(config, table, threads, norms=len(GROWTH_THETAS))
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
     x = np.arange(16, config.limit + 1, dtype=np.float64)
     norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
-    plan = plan_run(config.model, config.alpha, config.limit, table)
-    rows = stream_trials(plan, assignments, lambda: _GrowthMaxima(norms, checkpoints), threads)
+    reducer = partial(_GrowthMaxima, norms, checkpoints)
+    rows = stream_trials(config.model, config.alpha, config.limit, assignments, reducer, threads, table=table)
     cells = []
     for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
         values = [trial[k]["value"] for trial in rows]
@@ -433,13 +425,12 @@ EXPERIMENTS = {
 def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
     """Run every trial of the config's experiment and summarize them.
 
-    table, if given, must cover max(limit, prime_limit), or prime_limit for
-    harper; otherwise one sieve is built.  Records come in trial order, each
-    prefixed by trial and seed.
+    table, if given, must cover what the experiment reads: N, the prime
+    limit for harper, or both for divergence.  Records come in trial order,
+    each prefixed by trial and seed.
     """
     config.validate()
     threads = resolve_threads(config.threads)
-    table = _shared_table(config, table, threads)
     seeds, assignments = config.trial_assignments()
     rows, summary = EXPERIMENTS[config.experiment].body(config, table, assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
@@ -459,13 +450,14 @@ def trials_csv(stats: AggregateStats) -> str:
 def run_series(
     assignment: SignAssignment, model: Model | str, alpha: float, limit: int
 ) -> tuple[WeightedSumSeries, SignChangeLog]:
-    """(series, sign changes) of one series run, after checking that the
-    sieve, the engine and then the text of series.csv fit in physical
-    memory.  The text takes 200 bytes per n: its column lists, a str per row
-    and the joined text (the peak RSS of `series` grows by 193 bytes per n
-    at alpha = 1/2, 155 at alpha = 0)."""
+    """(series, sign changes) of one series run, after checking its
+    arguments and that the sieve, the engine and then the text of series.csv
+    fit in physical memory.  The text takes 200 bytes per n: its column
+    lists, a str per row and the joined text (the peak RSS of `series` grows
+    by 193 bytes per n at alpha = 1/2, 155 at alpha = 0)."""
+    model = check_run(model, alpha, limit)
     more = engine_bytes(model, limit, 1, 1, limit) + 200 * (limit + 1)
-    table = sieve_for(max(limit, 2), None, more, f"the {Model(model).value} series at N = {limit}")
+    table = sieve_for(max(limit, 2), None, more, f"the {model.value} series at N = {limit}")
     series = compute_series(assignment, model, alpha, limit, table)
     return series, detect_sign_changes(series)
 

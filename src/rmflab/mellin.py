@@ -18,19 +18,20 @@ absolute-value companion integral uses the same per-interval weights against
 The infinite upper limit is never extrapolated: truncation at N plus the
 exact boundary term is the whole story at desk scale, and the comparison
 table tracks how the signed and absolute integrals separate as sigma
-decreases toward 1/2; the sieve and its memory check come from
-primes.sieve_for.
+decreases toward 1/2.  Each computation sizes its own run in the one
+memory check of primes.sieve_for, before it gets its sieve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, sieve_for
-from .series import Model, WeightedSumSeries, WholeSeries, engine_bytes, plan_run, stream_trials
+from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, stream_trials
 from .signs import SignAssignment, SignMode
 from . import dirichlet
 
@@ -45,16 +46,19 @@ def _kernel(limit: int, exponent: complex, times_exponent: bool = False) -> np.n
     return weights if times_exponent else weights / exponent
 
 
+def _convergent(real: float, alpha: float, name: str) -> None:
+    """DomainError unless real > alpha, where each interval integral is finite."""
+    if real <= alpha:
+        raise DomainError(f"divergent kernel: need {name} > alpha, got {name} = {real}, alpha = {alpha}")
+
+
 def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
     """(s - alpha) * integral_1^N M_alpha(x) x^-(s+1-alpha) dx, exactly.
 
     Requires Re s > alpha so each closed-form interval integral is finite.
     """
     s = complex(s)
-    if s.real <= series.alpha:
-        raise DomainError(
-            f"divergent kernel: need Re s > alpha, got Re s = {s.real}, alpha = {series.alpha}"
-        )
+    _convergent(s.real, series.alpha, "Re s")
     w = _kernel(series.limit, s - series.alpha, times_exponent=True)
     return complex(np.sum(series.values[1 : series.limit] * w))
 
@@ -78,10 +82,7 @@ def signed_and_absolute_integrals(
     depends on no seed, so a run computes it once per sigma.
     """
     sigma = float(sigma)
-    if sigma <= series.alpha:
-        raise DomainError(
-            f"divergent kernel: need sigma > alpha, got sigma = {sigma}, alpha = {series.alpha}"
-        )
+    _convergent(sigma, series.alpha, "sigma")
     if kernel is None:
         kernel = _kernel(series.limit, sigma - series.alpha)
     v = series.values[1 : series.limit] * kernel
@@ -101,21 +102,22 @@ def truncated_identity_sides(
     An algebraic identity for the truncation makes the two sides equal, so
     their difference is pure rounding, below 1e-9 relative to |sum| + 1 at
     desk scale.  One engine pass gives the series and g = np.sign of its
-    signed weights.  The one memory check, before the sieve if it builds
-    one, counts the engine and the 56 bytes per n held after it: the series
-    and g, then n, n^-s and their product (the peak RSS of `mellin-check`
-    grows by 51 bytes per n).
+    signed weights.  After the arguments, the one memory check counts the
+    engine and the 56 bytes per n held after it: the series and g, then n,
+    n^-s and their product (the peak RSS of `mellin-check` grows by 51 bytes
+    per n).
     """
     s = complex(s)
+    model = check_run(model, alpha, limit)
+    _convergent(s.real, alpha, "Re s")
 
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
     more = engine_bytes(model, limit, 1, 1, limit) + 56 * (limit + 1)
-    table = sieve_for(max(limit, 2), table, more, f"the {Model(model).value} series at N = {limit}")
-    plan = plan_run(model, alpha, limit, table)
-    series, g = stream_trials(plan, [assignment], lambda: WholeSeries(plan, series_and_g), 1, limit)[0]
-    del plan  # the complex temporaries below need the room
+    table = sieve_for(max(limit, 2), table, more, f"the {model.value} series at N = {limit}")
+    reducer = partial(WholeSeries, model, alpha, series_and_g)
+    series, g = stream_trials(model, alpha, limit, [assignment], reducer, 1, limit, table)[0]
     integral_side = mellin_step_integral(series, s) + boundary_term(series, s)
     n = np.arange(1, limit + 1, dtype=np.float64)
     return complex(np.sum(g * n ** (-s))), integral_side
@@ -155,25 +157,27 @@ def divergence_rows(
     across the whole grid: mixing realizations across sigma would destroy
     the phenomenon being compared.
 
-    The sup scan runs first, once for all assignments, so its memory check
-    comes before any per-trial work; then the engine builds each whole
-    series (one segment: np.sum adds pairwise, so the integrals cannot be
-    summed per segment) on up to `threads` threads and integrates it against
-    each sigma's kernel, computed once per run; the witness product is
-    evaluated at each assignment's t* for each sigma.
+    The sieve first checks the engine (one segment of N) and 8 bytes per n
+    of each sigma's kernel.  The sup scan runs once for all assignments;
+    then the engine builds each whole series (one segment: np.sum adds
+    pairwise, so the integrals cannot be summed per segment) on up to
+    `threads` threads and integrates it against each sigma's kernel,
+    computed once per run; the witness product is evaluated at each
+    assignment's t* for each sigma.
     """
-    model = Model(model)
+    model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
-    table = sieve_for(max(limit, prime_limit, 2), table, 0, f"divergence at N = {limit}, P = {prime_limit}")
+    more = engine_bytes(model, limit, len(assignments), threads, limit) + 8 * (limit + 1) * len(grid)
+    table = sieve_for(max(limit, prime_limit, 2), table, more, f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
-    plan = plan_run(model, alpha, limit, table)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]
 
     def integrals(series: WeightedSumSeries, _weights) -> list[tuple[float, float]]:
         return [signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)]
 
-    per_assignment = stream_trials(plan, assignments, lambda: WholeSeries(plan, integrals), threads, limit)
+    reducer = partial(WholeSeries, model, alpha, integrals)
+    per_assignment = stream_trials(model, alpha, limit, assignments, reducer, threads, limit, table)
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
     tables = []
     for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):

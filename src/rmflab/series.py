@@ -4,9 +4,9 @@ M_alpha is a right-continuous step function of x, constant between
 consecutive integers, so the integer samples stored here are a lossless
 representation; the mellin module relies on exactly this.
 
-Every M_alpha comes from one trial engine, stream_trials.  Its RunPlan holds
-the seed-free work, done once per run: the cofactor n/spf(n), the index of
-spf(n) among the primes and the weights n^-alpha, read from the sieve of
+Every M_alpha comes from one trial engine, stream_trials.  Each call does
+the seed-free work once (_seed_free): the cofactor n/spf(n), the index of
+spf(n) among the primes and the weights n^-alpha, from the sieve of
 primes.sieve_for.  A batch of up to 64 trials gets g in one pass, one bit
 lane per trial (signs.sign_lanes).  Each trial then accumulates its signed
 weights g(n)/n^alpha in fixed segments and hands each segment, sums and
@@ -91,40 +91,21 @@ SEGMENT = 2**16
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """The seed-free part of M_alpha(1..limit) for one model and alpha.
-
-    primes are those <= limit; cofactor and spf_index come from
-    primes.spf_cofactors; weights[n] = n^-alpha as float64, +0.0 at n = 0
-    and, for f, where n is not squarefree, so that the lanes of fstar give f
-    (a weight -0.0 there adds nothing either).  Built once per run and
-    shared read-only by every trial.
-    """
-
-    model: Model
-    alpha: float
-    primes: np.ndarray = field(repr=False)
-    cofactor: np.ndarray = field(repr=False)
-    spf_index: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @property
-    def limit(self) -> int:
-        return self.weights.size - 1
-
-
-def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | None = None) -> RunPlan:
-    """Build the RunPlan of M_alpha(1..limit); alpha must lie in [0, 1] (the
-    regime of interest is [0, 1/2], the rest a convergence sanity range).
-    Without a table, sieve_for first checks the sieve and one whole series."""
+def check_run(model: Model | str, alpha: float, limit: int) -> Model:
+    """Model(model), once the engine's arguments hold: alpha in [0, 1] (the
+    regime of interest is [0, 1/2], the rest a sanity range) and limit >= 1."""
     model = Model(model)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    more = engine_bytes(model, limit, 1, 1, limit) if table is None else 0
-    table = sieve_for(max(limit, 2), table, more, f"the {model.value} series at N = {limit}")
+    return model
+
+
+def _seed_free(model: Model, alpha: float, limit: int, table: SpfTable):
+    """stream_trials' seed-free arrays: the primes <= limit, spf_cofactors,
+    and weights[n] = n^-alpha as float64, +0.0 at n = 0 and, for f, where n
+    is not squarefree, so that the lanes of fstar give f."""
     cofactor, spf_index = spf_cofactors(table, limit)
     weights = np.arange(limit + 1, dtype=np.float64)
     weights[0] = 1.0
@@ -132,12 +113,15 @@ def plan_run(model: Model | str, alpha: float, limit: int, table: SpfTable | Non
     weights[0] = 0.0
     if model is Model.F:
         weights *= squarefree_mask(table, limit)
-    return RunPlan(model, float(alpha), primes_up_to(table, limit), cofactor, spf_index, weights)
+    return primes_up_to(table, limit), cofactor, spf_index, weights
 
 
-def stream_trials(plan: RunPlan, assignments, reducer, threads: int, segment: int | None = None) -> list:
-    """[reducer().result() fed with M_alpha of each assignment], in order.
+def stream_trials(model: Model | str, alpha: float, limit: int, assignments, reducer, threads: int,
+                  segment: int | None = None, table: SpfTable | None = None) -> list:
+    """[reducer().result() fed with M_alpha(1..limit) of each assignment].
 
+    After check_run, primes.sieve_for gives the sieve, checking it and
+    engine_bytes of this call first unless the caller gives a table.
     Assignments go in batches of up to LANES.  A batch's sign rows are built
     on `threads` worker threads and packed into one bit lane per trial, and
     one pass of sign_lanes gives fstar for the whole batch.  Then each trial,
@@ -152,57 +136,61 @@ def stream_trials(plan: RunPlan, assignments, reducer, threads: int, segment: in
     np.sign(weights[1:]) is g (+0.0 where g = 0).  The sum is sequential,
     so results do not depend on the segment size, batch size or threads.
     """
-    size = min(segment or SEGMENT, plan.limit)
+    model = check_run(model, alpha, limit)
+    more = 0 if table is not None else engine_bytes(model, limit, len(assignments), threads, segment)
+    table = sieve_for(max(limit, 2), table, more, f"{len(assignments)} {model.value} series at N = {limit}")
+    primes, cofactor, spf_index, weights = _seed_free(model, alpha, limit, table)
+    size = min(segment or SEGMENT, limit)
     results = []
     for first in range(0, len(assignments), LANES):
         batch = assignments[first : first + LANES]
-        rows = map_ordered(lambda a: prime_sign_table(a, plan.primes), batch, threads)
-        lanes = sign_lanes(rows, plan.cofactor, plan.spf_index)
+        rows = map_ordered(lambda a: prime_sign_table(a, primes), batch, threads)
+        lanes = sign_lanes(rows, cofactor, spf_index)
         del rows
-        results += map_ordered(lambda k: _stream_lane(plan, lanes, k, reducer(), size), range(len(batch)), threads)
+        results += map_ordered(lambda k: _stream_lane(weights, lanes, k, reducer(), size), range(len(batch)), threads)
     return results
 
 
-def _stream_lane(plan: RunPlan, lanes: np.ndarray, k: int, reduce, size: int):
+def _stream_lane(weights: np.ndarray, lanes: np.ndarray, k: int, reduce, size: int):
     # signed[0] carries the sum before the segment, signed[1:] its weights
     signed = np.empty(size + 1, dtype=np.uint64)
     values = np.empty(size + 1, dtype=np.float64)
-    weight_bits = plan.weights.view(np.uint64)
+    weight_bits = weights.view(np.uint64)
     carry = 0.0
-    for start in range(1, plan.limit + 1, size):
-        stop = min(start + size, plan.limit + 1)
+    for start in range(1, weights.size, size):
+        stop = min(start + size, weights.size)
         bits = signed[1 : stop - start + 1]
         # bit k of the lane to the sign bit, where XOR turns w into -w
         np.left_shift(lanes[start:stop], 63 - k, out=bits, dtype=np.uint64)
         np.bitwise_and(bits, _SIGN_BIT, out=bits)
         np.bitwise_xor(bits, weight_bits[start:stop], out=bits)
-        weights = signed[: stop - start + 1].view(np.float64)
-        weights[0] = carry
+        signed_weights = signed[: stop - start + 1].view(np.float64)
+        signed_weights[0] = carry
         # into a separate buffer: an in-place cumsum barely uses a second thread
-        np.cumsum(weights, out=values[: stop - start + 1])
-        reduce.feed(start, values[: stop - start + 1], weights)
+        np.cumsum(signed_weights, out=values[: stop - start + 1])
+        reduce.feed(start, values[: stop - start + 1], signed_weights)
         carry = values[stop - start]
     return reduce.result()
 
 
 def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
-    """Bytes stream_trials holds at once: the plan (16 per n; f also builds a
-    squarefree mask, 1 per n), one batch's lane words and sign rows (a byte
-    per trial and prime, with pi(x) < 1.26 x / ln x), and each thread's two
-    8-byte segment buffers."""
+    """Bytes stream_trials holds at once: the seed-free arrays (16 per n; f
+    also builds a squarefree mask, 1 per n), one batch's lane words and sign
+    rows (a byte per trial and prime, with pi(x) < 1.26 x / ln x), and each
+    thread's two 8-byte segment buffers."""
     batch = min(trials, LANES)
-    plan = 17 if Model(model) is Model.F else 16
+    seed_free = 17 if Model(model) is Model.F else 16
     lane = np.dtype(lane_dtype(batch)).itemsize
     rows = batch * int(1.26 * (limit + 1) / math.log(max(limit, 3)))
-    return (plan + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
+    return (seed_free + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
 
 
 class WholeSeries:
     """Reducer of one segment of size limit: result() is the series, or
-    fn(series, weights).  It holds no reference to the plan."""
+    fn(series, weights)."""
 
-    def __init__(self, plan: RunPlan, fn=None):
-        self.model, self.alpha, self.fn = plan.model, plan.alpha, fn
+    def __init__(self, model: Model | str, alpha: float, fn=None):
+        self.model, self.alpha, self.fn = Model(model), float(alpha), fn
 
     def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         self.series, self.weights = WeightedSumSeries(self.model, self.alpha, values), weights
@@ -220,8 +208,7 @@ def compute_series(
 ) -> WeightedSumSeries:
     """M_alpha(1..limit) for g in {f, fstar}: the engine with a batch of one
     and one segment.  alpha is restricted to [0, 1].  Cost O(limit)."""
-    plan = plan_run(model, alpha, limit, table)
-    return stream_trials(plan, [assignment], lambda: WholeSeries(plan), 1, limit)[0]
+    return stream_trials(model, alpha, limit, [assignment], lambda: WholeSeries(model, alpha), 1, limit, table)[0]
 
 
 def sign_crossings(values: np.ndarray, sign: int) -> tuple[np.ndarray, int]:

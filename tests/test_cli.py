@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rmflab import errors, experiments
+from rmflab import errors, experiments, primes
 from rmflab.cli import build_parser, parse_and_dispatch
 
 from conftest import host_of
@@ -457,8 +457,8 @@ def test_sup_scan_larger_than_memory_exit_3_before_allocating(tmp_path):
 
 
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
-    # the sieve (4 bytes per n) and the run plan (17 bytes per n for f)
-    # alone exceed physical memory at this N
+    # the sieve (4 bytes per n) and the engine's seed-free arrays (17 bytes
+    # per n for f) alone exceed physical memory at this N
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     limit = physical // 21 + 1
     if limit > 2**32 - 1:
@@ -527,6 +527,21 @@ def test_single_series_checks_its_memory_once(tmp_path, monkeypatch, command):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize("command, needle", [
+    (["series", "--alpha", "2", "--limit", "10000000", "--seed", "1", "--out", "OUT"], "alpha must lie in [0, 1]"),
+    (["mellin-check", "--alpha", "0.5", "--sigma", "0.4", "--limit", "1000000"], "need Re s > alpha"),
+], ids=["series", "mellin-check"])
+def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command, needle):
+    # a 10^7 or 10^6 sieve would be built, then thrown away
+    monkeypatch.setattr(primes, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    outdir = tmp_path / "s"
+    assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert not outdir.exists()
+
+
 def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
     # a host of 1 MB: the sieve to 10^6 takes 4 MB
     host_of(monkeypatch, 256)
@@ -553,6 +568,19 @@ def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
                    "--sigma-grid", "0.58", "--out", str(outdir))
     assert code == 3
     assert "sup scan" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_harper_checks_its_scan_before_the_sieve(tmp_path, capsys, monkeypatch):
+    # a host of 8 MB holds the sieve to 10^6 (4 MB), not the scan of 100
+    # trials over its primes, so the sieve is never built
+    host_of(monkeypatch, 2048)
+    monkeypatch.setattr(primes, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    outdir = tmp_path / "h"
+    code = run_cli("harper", "--trials", "100", "--limit", "1", "--prime-limit", "1000000",
+                   "--sigma-grid", "0.58", "--out", str(outdir))
+    assert code == 3
+    assert "sup scan of 100 trials" in capsys.readouterr().err
     assert not outdir.exists()
 
 

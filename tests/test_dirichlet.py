@@ -185,6 +185,19 @@ def test_products_and_scans_without_a_table_check_their_sieve(monkeypatch):
             call()
 
 
+def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
+    # a host of 8 MB holds the sieve to 10^6 (4 MB), not the scan: before
+    # the sieve, pi(P) < 1.26 P / ln P stands for the 78498 primes
+    host_of(monkeypatch, 2048)
+    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    assignments = [SignAssignment.iid(k) for k in range(100)]
+    with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
+        sup_scans(assignments, (0.58,), None, 10**6)
+    n_primes = int(1.26 * (10**6 + 1) / math.log(10**6))
+    block = 8 * 256 * (n_primes + 100)  # about 187 MB
+    assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + block
+
+
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
     a = SignAssignment.iid(11)
     value = prime_cosine_sum(a, 0.7, 0.0, 10**4, table_1e5)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmflab import experiments as experiments_module, series as series_module
+from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
+from rmflab.errors import ResourceError
 from rmflab.experiments import (
     GROWTH_CHECKPOINTS,
     GROWTH_THETAS,
@@ -24,9 +25,10 @@ from rmflab.experiments import (
     trials_csv,
 )
 from rmflab.primes import build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
-from rmflab.series import compute_series, detect_sign_changes, stream_trials, WeightedSumSeries
+from rmflab.series import compute_series, detect_sign_changes, engine_bytes, stream_trials, WeightedSumSeries
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
+from conftest import host_of
 from oracles import growth_statistic, is_squarefree, series_and_values, values_by_recurrence
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
@@ -85,8 +87,9 @@ def _engine_run(config: ExperimentConfig, table, segment, threads: int):
     feeds a _Recorder around each trial's reducer."""
     fed = []
 
-    def recording(plan, assignments, reducer, threads):
-        results = stream_trials(plan, assignments, lambda: _Recorder(plan.limit, reducer()), threads)
+    def recording(model, alpha, limit, assignments, reducer, threads, segment=None, table=None):
+        results = stream_trials(model, alpha, limit, assignments, lambda: _Recorder(limit, reducer()), threads,
+                                segment, table)
         fed.extend((values, g) for _, values, g in results)
         return [rows for rows, _, _ in results]
 
@@ -189,3 +192,22 @@ def test_cofactors_and_squarefree_mask(table_1e5):
     assert np.array_equal(cofactor[2:] * primes[spf_index[2:]], n)
     mask = squarefree_mask(table_1e5, limit)
     assert mask[1:].tolist() == [is_squarefree(k, table_1e5) for k in range(1, limit + 1)]
+
+
+def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5):
+    checks = []
+    monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: checks.append(requested))
+    limit, assignments = 10**4, [SignAssignment.iid(k) for k in range(65)]
+    rows = stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2)
+    assert checks == [engine_bytes("f", limit, 65, 2, None) + 4 * (limit + 1)]
+    # a caller that gives the table has checked what it needs
+    assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
+    assert len(checks) == 1
+
+
+def test_a_run_with_a_given_table_still_checks_its_engine(monkeypatch, table_1e5):
+    # a host of 1 MB: the table is there, the engine's 17 + 1 bytes per n are not
+    host_of(monkeypatch, 256)
+    config = ExperimentConfig(experiment="sign-changes", limit=10**5, trials=2)
+    with pytest.raises(ResourceError, match="sign-changes at N = 100000"):
+        run_experiment(config, table_1e5)

@@ -233,6 +233,17 @@ def test_divergence_rows_refuse_a_short_table_and_check_a_new_sieve(monkeypatch)
         divergence_rows([a], "f", 0.5, (0.55,), 10**3, 10**6)
 
 
+def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch, table_1e5):
+    # a host of 1 MB holds the sieve to 10^5 (0.4 MB), not the engine's two
+    # whole series and the kernel, with or without a table
+    host_of(monkeypatch, 256)
+    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
+    for table in (None, table_1e5):
+        with pytest.raises(ResourceError, match="divergence at N = 100000, P = 1000"):
+            divergence_rows(assignments, "f", 0.5, (0.55,), 10**5, 10**3, table)
+
+
 def test_divergence_comparison_rows(table_1e5):
     a = SignAssignment.iid(12)
     rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4, table_1e5)[0]
