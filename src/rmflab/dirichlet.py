@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, primes_up_to, sieve_for
+from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
 from .signs import SignAssignment, prime_sign_table
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,8 @@ def _product_factors(
     prime_limit: int,
     table: SpfTable | None,
 ) -> np.ndarray:
-    if complex(s).real <= 0.5:
-        raise DomainError(f"Euler products require Re s > 1/2, got {s}")
+    if not np.isfinite(s) or complex(s).real <= 0.5:
+        raise DomainError(f"Euler products require a finite s with Re s > 1/2, got {s}")
     primes = primes_up_to(sieve_for(prime_limit, table, 0, f"the sieve to P = {prime_limit}"), prime_limit)
     signs = prime_sign_table(assignment, primes)
     return signs.astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
@@ -309,11 +309,11 @@ def sup_scans(
     same cosine blocks, one scan_grid_max call per sigma with one weight row
     per assignment.  Raises ResourceError, before the sieve if it builds
     one, if the int8 signs and float64 weights (9 bytes per assignment and
-    prime) and the block of scan_grid_max, counted with pi(P) < 1.26 P / ln P,
+    prime) and the block of scan_grid_max, counted with prime_count_bound(P),
     exceed the host's physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
-    n_rows, n_primes = len(assignments), int(1.26 * (prime_limit + 1) / math.log(max(prime_limit, 3)))
+    n_rows, n_primes = len(assignments), prime_count_bound(prime_limit)
     steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
     n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
     # scan_grid_max's block: CHUNK float64 cosine rows over the primes, a GEMM output row per trial

@@ -1,10 +1,10 @@
 """Multi-seed experiment drivers with reproducible seeding and summaries.
 
 run_experiment is the one runner.  It validates the config, derives every
-trial's seed and assignment, and hands them, with the caller's sieve if
-any, to the experiment's body, which returns each trial's rows and the
-summary; the runner prefixes every row with its trial index and seed.  Each
-body's row literal is the experiment's CSV schema.
+trial's seed and assignment, and hands them to the experiment's body, which
+returns each trial's rows and the summary; the runner prefixes every row
+with its trial index and seed.  Each body's row literal is the experiment's
+CSV schema.
 
 Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
@@ -13,9 +13,10 @@ experiments run their trials through series.stream_trials: each trial feeds
 its M_alpha and signed weights, segment by segment, to its own reducer (sign
 changes carry the last nonzero sign through series.sign_crossings,
 positivity keeps the minimum, growth a running maximum per theta up to each
-checkpoint) and keeps only its CSV rows.  Each body sizes its own run
-(_series_table, mellin.divergence_rows, dirichlet.sup_scans) in the memory
-check of primes.sieve_for, before it gets its sieve.
+checkpoint) and keeps only its CSV rows.  Each run builds its own sieve,
+and sizes itself in the memory check of primes.sieve_for before it does:
+stream_trials counts its engine, growth adds its norms, and
+mellin.divergence_rows and dirichlet.sup_scans count theirs.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -45,7 +46,7 @@ import numpy as np
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
 from .output import atomic_write, csv_text, sha256_file, sha256_text
-from .primes import SpfTable, sieve_for
+from .primes import sieve_for
 from .primes import primes_up_to  # noqa: F401  the benchmark's tests read this binding
 from .series import (
     Model,
@@ -72,16 +73,18 @@ POSITIVITY_RATE = 0.99
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit value, else RMF_LAB_THREADS, else cpu count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("RMF_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"RMF_LAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    """Worker count: explicit value, else RMF_LAB_THREADS, else cpu count;
+    a given count must be an integer >= 1."""
+    name, value = "threads", threads
+    if value is None:
+        name, value = "RMF_LAB_THREADS", os.environ.get("RMF_LAB_THREADS") or os.cpu_count() or 1
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 @dataclass
@@ -182,15 +185,6 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
-def _series_table(config: ExperimentConfig, table: SpfTable | None, threads: int, norms: int = 0) -> SpfTable:
-    """The sieve of sign-changes, positivity and growth, up to N, from
-    primes.sieve_for, which first checks the engine of the run
-    (series.engine_bytes) and `norms` seed-free float64 arrays per n."""
-    more = engine_bytes(config.model, config.limit, config.trials, threads) + 8 * (config.limit + 1) * norms
-    what = f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads"
-    return sieve_for(max(config.limit, 2), table, more, what)
-
-
 # ---------------------------------------------------------------------------
 # Reducers: feed(start, values, weights) takes one segment of a trial, with
 # M_alpha(n) and g(n)/n^alpha at n = start - 1 + i in slot i >= 1 and the sum
@@ -256,20 +250,17 @@ class _GrowthMaxima:
 
 
 # ---------------------------------------------------------------------------
-# The experiments.  Each body takes (config, table or None, assignments,
-# threads) and returns (rows of each trial, summary); run_experiment adds
-# trial and seed.
+# The experiments.  Each body takes (config, assignments, threads) and
+# returns (rows of each trial, summary); run_experiment adds trial and seed.
 # ---------------------------------------------------------------------------
 
 
-def _sign_changes(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
+def _sign_changes(config: ExperimentConfig, assignments, threads: int):
     """Sign-change census of M_alpha: per trial the crossing count and the
     last crossing position; the summary holds count quantiles and, except in
     the reporting-only regime, the fraction of trials with at least
     MIN_SIGN_CHANGES crossings."""
-
-    table = _series_table(config, table, threads)
-    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Crossings, threads, table=table)
+    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Crossings, threads)
     counts = [trial[0]["count"] for trial in rows]
     summary = _quantile_summary(counts, "count")
     summary["reporting_only"] = config.reporting_only
@@ -279,22 +270,20 @@ def _sign_changes(config: ExperimentConfig, table: SpfTable | None, assignments,
     return rows, summary
 
 
-def _positivity(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
+def _positivity(config: ExperimentConfig, assignments, threads: int):
     """Probability that the harmonic fstar sums stay strictly positive.
 
     Per trial: the minimum of M_1(x) over 1 <= x <= N and the indicator that
     it is positive (equivalently that M_1(x) > 0 for all 2 <= x <= N, since
     M_1(1) = 1).
     """
-
-    table = _series_table(config, table, threads)
-    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Minimum, threads, table=table)
+    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Minimum, threads)
     summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
     summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
     return rows, summary
 
 
-def _harper(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
+def _harper(config: ExperimentConfig, assignments, threads: int):
     """Sup-scan statistics per trial and sigma, with the trend summary.
 
     All trials of one sigma are scanned against shared cosine blocks (the
@@ -303,7 +292,7 @@ def _harper(config: ExperimentConfig, table: SpfTable | None, assignments, threa
     sigma and whether the medians increase at every step of the
     (decreasing-sigma) grid.
     """
-    scans = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit, table)
+    scans = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
     med_list = [
         float(np.quantile([row[k].centered_value for row in scans], 0.5))
         for k in range(len(config.sigma_grid))
@@ -318,7 +307,7 @@ def _harper(config: ExperimentConfig, table: SpfTable | None, assignments, threa
     return [[asdict(scan) for scan in row] for row in scans], summary
 
 
-def _divergence(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
+def _divergence(config: ExperimentConfig, assignments, threads: int):
     """Signed vs absolute Mellin integrals with sup-scan witnesses, per trial.
 
     One assignment per trial is shared across the whole sigma grid.  The
@@ -328,7 +317,7 @@ def _divergence(config: ExperimentConfig, table: SpfTable | None, assignments, t
     """
     tables = mellin.divergence_rows(
         assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-        config.prime_limit, table, config.grid_step, threads,
+        config.prime_limit, config.grid_step, threads,
     )
     rows = [
         [{"sigma": row.sigma, "signed": row.signed, "absolute": row.absolute,
@@ -356,13 +345,17 @@ def _divergence(config: ExperimentConfig, table: SpfTable | None, assignments, t
     return rows, summary
 
 
-def _growth(config: ExperimentConfig, table: SpfTable | None, assignments, threads: int):
+def _growth(config: ExperimentConfig, assignments, threads: int):
     """Growth-envelope statistics max |M_0(x)| / (sqrt(x) (log log x)^theta).
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
-    admit no finite-N pass/fail.
+    admit no finite-N pass/fail.  The sieve first checks the engine and
+    the float64 norms, 8 bytes per n and theta.
     """
-    table = _series_table(config, table, threads, norms=len(GROWTH_THETAS))
+    more = engine_bytes(config.model, config.limit, config.trials, threads)
+    more += 8 * (config.limit + 1) * len(GROWTH_THETAS)
+    what = f"growth at N = {config.limit} with {config.trials} trials on {threads} threads"
+    table = sieve_for(config.limit, None, more, what)
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
     x = np.arange(16, config.limit + 1, dtype=np.float64)
     norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
@@ -422,17 +415,15 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, table: SpfTable | None = None) -> AggregateStats:
+def run_experiment(config: ExperimentConfig) -> AggregateStats:
     """Run every trial of the config's experiment and summarize them.
 
-    table, if given, must cover what the experiment reads: N, the prime
-    limit for harper, or both for divergence.  Records come in trial order,
-    each prefixed by trial and seed.
+    Records come in trial order, each prefixed by trial and seed.
     """
     config.validate()
     threads = resolve_threads(config.threads)
     seeds, assignments = config.trial_assignments()
-    rows, summary = EXPERIMENTS[config.experiment].body(config, table, assignments, threads)
+    rows, summary = EXPERIMENTS[config.experiment].body(config, assignments, threads)
     records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
     return AggregateStats(config=config, per_trial=records, summary=summary)
 

@@ -18,8 +18,9 @@ absolute-value companion integral uses the same per-interval weights against
 The infinite upper limit is never extrapolated: truncation at N plus the
 exact boundary term is the whole story at desk scale, and the comparison
 table tracks how the signed and absolute integrals separate as sigma
-decreases toward 1/2.  Each computation sizes its own run in the one
-memory check of primes.sieve_for, before it gets its sieve.
+decreases toward 1/2.  truncated_identity_sides and divergence_rows each
+build their own sieve, after sizing their run in the one memory check of
+primes.sieve_for.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, sieve_for
+from .primes import sieve_for
 from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, stream_trials
-from .signs import SignAssignment, SignMode
+from .signs import SignAssignment
 from . import dirichlet
 
 
@@ -46,10 +47,13 @@ def _kernel(limit: int, exponent: complex, times_exponent: bool = False) -> np.n
     return weights if times_exponent else weights / exponent
 
 
-def _convergent(real: float, alpha: float, name: str) -> None:
-    """DomainError unless real > alpha, where each interval integral is finite."""
-    if real <= alpha:
-        raise DomainError(f"divergent kernel: need {name} > alpha, got {name} = {real}, alpha = {alpha}")
+def _convergent(s: complex, alpha: float, name: str) -> None:
+    """DomainError unless s is finite and its real part, called `name` in the
+    message, exceeds alpha, where each interval integral is finite."""
+    if not np.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    if s.real <= alpha:
+        raise DomainError(f"divergent kernel: need {name} > alpha, got {name} = {s.real}, alpha = {alpha}")
 
 
 def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
@@ -58,7 +62,7 @@ def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
     Requires Re s > alpha so each closed-form interval integral is finite.
     """
     s = complex(s)
-    _convergent(s.real, series.alpha, "Re s")
+    _convergent(s, series.alpha, "Re s")
     w = _kernel(series.limit, s - series.alpha, times_exponent=True)
     return complex(np.sum(series.values[1 : series.limit] * w))
 
@@ -82,7 +86,7 @@ def signed_and_absolute_integrals(
     depends on no seed, so a run computes it once per sigma.
     """
     sigma = float(sigma)
-    _convergent(sigma, series.alpha, "sigma")
+    _convergent(complex(sigma), series.alpha, "sigma")
     if kernel is None:
         kernel = _kernel(series.limit, sigma - series.alpha)
     v = series.values[1 : series.limit] * kernel
@@ -95,7 +99,6 @@ def truncated_identity_sides(
     alpha: float,
     s: complex,
     limit: int,
-    table: SpfTable | None = None,
 ) -> tuple[complex, complex]:
     """(sum_{n<=N} g(n) n^-s, signed integral + boundary term).
 
@@ -109,13 +112,13 @@ def truncated_identity_sides(
     """
     s = complex(s)
     model = check_run(model, alpha, limit)
-    _convergent(s.real, alpha, "Re s")
+    _convergent(s, alpha, "Re s")
 
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
     more = engine_bytes(model, limit, 1, 1, limit) + 56 * (limit + 1)
-    table = sieve_for(max(limit, 2), table, more, f"the {model.value} series at N = {limit}")
+    table = sieve_for(max(limit, 2), None, more, f"the {model.value} series at N = {limit}")
     reducer = partial(WholeSeries, model, alpha, series_and_g)
     series, g = stream_trials(model, alpha, limit, [assignment], reducer, 1, limit, table)[0]
     integral_side = mellin_step_integral(series, s) + boundary_term(series, s)
@@ -133,7 +136,6 @@ class DivergenceRow:
     harper_witness: float
     limit: int
     prime_limit: int
-    seed: int
 
 
 def divergence_rows(
@@ -143,7 +145,6 @@ def divergence_rows(
     sigma_grid,
     limit: int,
     prime_limit: int,
-    table: SpfTable | None = None,
     grid_step: float | None = None,
     threads: int = 1,
 ) -> list[list[DivergenceRow]]:
@@ -168,7 +169,7 @@ def divergence_rows(
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
     more = engine_bytes(model, limit, len(assignments), threads, limit) + 8 * (limit + 1) * len(grid)
-    table = sieve_for(max(limit, prime_limit, 2), table, more, f"divergence at N = {limit}, P = {prime_limit}")
+    table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]
@@ -181,7 +182,6 @@ def divergence_rows(
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
     tables = []
     for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):
-        seed = assignment.seed if assignment.mode is SignMode.IID_RADEMACHER else 0
         rows = []
         for (signed, absolute), scan in zip(pairs, scan_row):
             witness_value = product(assignment, complex(scan.sigma, scan.t_star), prime_limit, table)
@@ -193,7 +193,6 @@ def divergence_rows(
                     harper_witness=float(abs(witness_value.value)) / scan.t_star,
                     limit=limit,
                     prime_limit=prime_limit,
-                    seed=seed,
                 )
             )
         tables.append(rows)

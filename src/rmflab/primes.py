@@ -86,6 +86,12 @@ def build_spf_sieve(limit: int) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
+def prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x) known before any sieve: pi(x) < 1.26 x / ln x
+    for x > 1 (Rosser and Schoenfeld), as int(1.26 (x + 1) / ln max(x, 3))."""
+    return int(1.26 * (x + 1) / math.log(max(x, 3)))
+
+
 def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTable:
     """The sieve that `what` reads up to limit: table if given, else a new one.
 

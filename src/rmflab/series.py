@@ -25,14 +25,13 @@ reconstruction test M_alpha(x) - M_alpha(x-1) = g(x)/x^alpha quantifies it.
 from __future__ import annotations
 
 import enum
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, primes_up_to, sieve_for, spf_cofactors, squarefree_mask
+from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for, spf_cofactors, squarefree_mask
 from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
@@ -176,12 +175,12 @@ def _stream_lane(weights: np.ndarray, lanes: np.ndarray, k: int, reduce, size: i
 def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
     """Bytes stream_trials holds at once: the seed-free arrays (16 per n; f
     also builds a squarefree mask, 1 per n), one batch's lane words and sign
-    rows (a byte per trial and prime, with pi(x) < 1.26 x / ln x), and each
+    rows (a byte per trial and prime, counted by prime_count_bound), and each
     thread's two 8-byte segment buffers."""
     batch = min(trials, LANES)
     seed_free = 17 if Model(model) is Model.F else 16
     lane = np.dtype(lane_dtype(batch)).itemsize
-    rows = batch * int(1.26 * (limit + 1) / math.log(max(limit, 3)))
+    rows = batch * prime_count_bound(limit)
     return (seed_free + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
 
 

@@ -191,18 +191,18 @@ def load_explicit_signs(path) -> dict[int, int]:
     """Read a two-column text file "p sign" into an explicit sign map.
 
     Blank lines and lines starting with '#' are ignored; signs must parse to
-    -1 or +1.
+    -1 or +1.  A malformed line raises DomainError naming path:line.
     """
     signs: dict[int, int] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{lineno}: expected 'p sign', got {line!r}")
-            p, s = int(parts[0]), int(parts[1])
+            try:  # a UnicodeDecodeError is a ValueError too
+                stripped = line.decode("ascii").strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                p, s = map(int, stripped.split())
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: expected two ASCII integers 'p sign', got {line!r}") from None
             if p < 2:
                 raise DomainError(f"{path}:{lineno}: p must be >= 2, got {p}")
             if s not in (-1, 1):

@@ -75,7 +75,7 @@ def test_1b_truncated_identity_100_configs(table):
         s = complex(re_s, im_s)
         a = SignAssignment.iid(seed)
         model = str(rng.choice(["f", "fstar"]))
-        lhs, rhs = truncated_identity_sides(a, model, alpha, s, limit, table)
+        lhs, rhs = truncated_identity_sides(a, model, alpha, s, limit)
         residual = abs(lhs - rhs)
         series = compute_series(a, model, alpha, limit, table)
         scale = abs(mellin_step_integral(series, s) + boundary_term(series, s)) + 1.0
@@ -164,13 +164,13 @@ def test_2b_mellin_vs_quadrature(table):
 # ---------------------------------------------------------------------------
 
 
-def test_3a_theorem1_shadow_sign_changes_f(table):
+def test_3a_theorem1_shadow_sign_changes_f():
     start = time.monotonic()
     fractions = {}
     for alpha in (0.0, 0.25, 0.5):
         cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=alpha,
                                limit=10**6, trials=100, base_seed=BASE_SEED)
-        stats = run_experiment(cfg, table)
+        stats = run_experiment(cfg)
         fractions[alpha] = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = all(v >= 0.95 for v in fractions.values()) and elapsed < 900
@@ -179,13 +179,13 @@ def test_3a_theorem1_shadow_sign_changes_f(table):
                   f"{fractions} (each >= 0.95); {elapsed:.0f} s (< 900 s)")
 
 
-def test_3b_theorem2_shadow_sign_changes_fstar(table):
+def test_3b_theorem2_shadow_sign_changes_fstar():
     start = time.monotonic()
     fractions = {}
     for alpha in (0.0, 0.25):
         cfg = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=alpha,
                                limit=10**6, trials=100, base_seed=BASE_SEED)
-        stats = run_experiment(cfg, table)
+        stats = run_experiment(cfg)
         fractions[alpha] = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = all(v >= 0.95 for v in fractions.values()) and elapsed < 900
@@ -194,10 +194,10 @@ def test_3b_theorem2_shadow_sign_changes_fstar(table):
                   f"{fractions} (each >= 0.95); {elapsed:.0f} s (< 900 s)")
 
 
-def test_3c_open_question_probe_reporting_only(table):
+def test_3c_open_question_probe_reporting_only():
     cfg = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=0.5,
                            limit=10**6, trials=100, base_seed=BASE_SEED)
-    stats = run_experiment(cfg, table)
+    stats = run_experiment(cfg)
     counts = sorted(r["count"] for r in stats.per_trial)
     ok = stats.summary["reporting_only"] and "pass_fraction" not in stats.summary
     assert report("3c open-question probe (fstar, alpha=1/2)", ok,
@@ -206,11 +206,11 @@ def test_3c_open_question_probe_reporting_only(table):
                   f"q75={counts[75]}, max={counts[-1]}")
 
 
-def test_3d_positivity_shadow(table):
+def test_3d_positivity_shadow():
     start = time.monotonic()
     cfg = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0,
                            limit=10**4, trials=10**4, base_seed=BASE_SEED)
-    stats = run_experiment(cfg, table)
+    stats = run_experiment(cfg)
     frac = stats.summary["pass_fraction"]
     elapsed = time.monotonic() - start
     ok = frac >= 0.99 and elapsed < 600
@@ -219,11 +219,11 @@ def test_3d_positivity_shadow(table):
                   f"(>= 0.99); {elapsed:.0f} s (< 600 s)")
 
 
-def test_3e_harper_trend(table):
+def test_3e_harper_trend():
     start = time.monotonic()
     cfg = ExperimentConfig(experiment="harper", trials=100, base_seed=BASE_SEED,
                            limit=1, prime_limit=10**6)
-    stats = run_experiment(cfg, table)
+    stats = run_experiment(cfg)
     medians = stats.summary["median_centered"]
     elapsed = time.monotonic() - start
     ok = stats.summary["trend_increasing"] and elapsed < 1200
@@ -235,14 +235,14 @@ def test_3e_harper_trend(table):
                   f"{elapsed:.0f} s (< 1200 s)")
 
 
-def test_3f_divergence_gap(table):
+def test_3f_divergence_gap():
     start = time.monotonic()
     results = {}
     for model, alpha in (("f", 0.5), ("fstar", 0.0)):
         cfg = ExperimentConfig(experiment="divergence", model=model, alpha=alpha,
                                limit=10**6, trials=50, base_seed=BASE_SEED,
                                prime_limit=10**6)
-        stats = run_experiment(cfg, table)
+        stats = run_experiment(cfg)
         results[(model, alpha)] = (
             stats.summary["triangle_inequality_ok"],
             stats.summary["fraction_ratio_monotone"],
@@ -262,7 +262,7 @@ def test_3f_divergence_gap(table):
 # ---------------------------------------------------------------------------
 
 
-def test_4_determinism_across_workers(table, tmp_path):
+def test_4_determinism_across_workers(tmp_path):
     configs = [
         dict(experiment="sign-changes", model="f", alpha=0.5, limit=10**4, trials=16,
              base_seed=BASE_SEED),
@@ -276,7 +276,7 @@ def test_4_determinism_across_workers(table, tmp_path):
         texts = set()
         for threads in (1, 4, 8):
             cfg = ExperimentConfig(**base, threads=threads)
-            stats = run_experiment(cfg, table)
+            stats = run_experiment(cfg)
             out = tmp_path / f"{base['experiment']}-{threads}"
             manifest_path, csv_path = write_experiment(stats, out)
             texts.add(open(csv_path, "rb").read())

@@ -329,10 +329,16 @@ def test_divergence_command(tmp_path):
 
 @pytest.mark.parametrize("command", experiments.EXPERIMENTS)
 def test_bad_threads_env_exit_3(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("RMF_LAB_THREADS", "abc")
-    code = run_cli(*WRITING_COMMANDS[command], "--out", str(tmp_path / "o"))
-    assert code == 3
-    assert "RMF_LAB_THREADS" in capsys.readouterr().err
+    # not an integer, or an integer below 1, from the env var or the flag
+    for value in ("abc", "0", "-4"):
+        monkeypatch.setenv("RMF_LAB_THREADS", value)
+        assert run_cli(*WRITING_COMMANDS[command], "--out", str(tmp_path / "o")) == 3
+        assert "RMF_LAB_THREADS must be an integer >= 1" in capsys.readouterr().err
+    monkeypatch.delenv("RMF_LAB_THREADS")
+    for value in ("0", "-4"):
+        assert run_cli(*WRITING_COMMANDS[command], "--threads", value, "--out", str(tmp_path / "o")) == 3
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # Each experiment command's option strings and usage line at 80 columns.
@@ -675,3 +681,40 @@ def test_bad_grid_step_exit_3(tmp_path, capsys, command, step):
     )
     assert code == 3
     assert "grid_step must be > 0" in capsys.readouterr().err
+
+
+SINGLE_COMMANDS = {
+    "series": ["series", "--limit", "99", "--out", "OUT"],
+    "euler": ["euler", "--sigma", "0.6", "--prime-limit", "99"],
+    "mellin-check": ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "99"],
+}
+
+
+@pytest.mark.parametrize("content", [b"2 1\nx 1\n", b"2 1\n5 1.0\n", b"2 1\n3 \xe2\x88\x921\n"],
+                         ids=["not-a-number", "not-an-integer", "not-ascii"])
+@pytest.mark.parametrize("command", list(SINGLE_COMMANDS))
+def test_malformed_signs_file_exit_3(tmp_path, capsys, command, content):
+    # the second line is at fault; the last case writes its sign with U+2212
+    signs = tmp_path / "signs.txt"
+    signs.write_bytes(content)
+    argv = [str(tmp_path / "s") if a == "OUT" else a for a in SINGLE_COMMANDS[command]]
+    assert run_cli(*argv, "--signs-file", str(signs)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {signs}:2: ")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "--sigma", "nan"],
+    ["euler", "--sigma", "0.6", "--t", "nan"],
+    ["euler", "--sigma", "0.6", "--t", "inf"],
+    ["mellin-check", "--alpha", "0.5", "--sigma", "nan", "--limit", "99"],
+    ["mellin-check", "--alpha", "0.5", "--sigma", "inf", "--limit", "99"],
+    ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--t", "nan", "--limit", "99"],
+], ids=" ".join)
+def test_non_finite_s_exit_3(capsys, argv):
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err

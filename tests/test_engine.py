@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
-from rmflab.errors import ResourceError
 from rmflab.experiments import (
     GROWTH_CHECKPOINTS,
     GROWTH_THETAS,
@@ -28,7 +27,6 @@ from rmflab.primes import build_spf_sieve, primes_up_to, spf_cofactors, squarefr
 from rmflab.series import compute_series, detect_sign_changes, engine_bytes, stream_trials, WeightedSumSeries
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
-from conftest import host_of
 from oracles import growth_statistic, is_squarefree, series_and_values, values_by_recurrence
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
@@ -82,7 +80,7 @@ class _Recorder:
         return self.reduce.result(), self.values, np.sign(self.weights)
 
 
-def _engine_run(config: ExperimentConfig, table, segment, threads: int):
+def _engine_run(config: ExperimentConfig, segment, threads: int):
     """(trials.csv, [(M_alpha, g) of each trial]) of one run, whose engine
     feeds a _Recorder around each trial's reducer."""
     fed = []
@@ -96,7 +94,7 @@ def _engine_run(config: ExperimentConfig, table, segment, threads: int):
     config.threads = threads
     with mock.patch.object(series_module, "SEGMENT", segment or config.limit), \
             mock.patch.object(experiments_module, "stream_trials", recording):
-        return trials_csv(run_experiment(config, table)), fed
+        return trials_csv(run_experiment(config)), fed
 
 
 @st.composite
@@ -126,7 +124,7 @@ def test_trials_csv_does_not_depend_on_segment_batch_or_threads(config):
     expected = _oracle_csv(config, table, trials)
     for segment in SEGMENTS:
         for threads in (1, 2):
-            csv, fed = _engine_run(config, table, segment, threads)
+            csv, fed = _engine_run(config, segment, threads)
             assert csv == expected, (segment, threads)
             assert len(fed) == len(trials)
             for (values, g), (series, want_g) in zip(fed, trials):
@@ -143,16 +141,16 @@ def test_segments_of_2_16_over_several_segments_match_the_oracle(experiment, tab
     )
     expected = _oracle_csv(config, table_1e5)
     for segment in (2**10, 2**16, None):
-        assert _engine_run(config, table_1e5, segment, 2)[0] == expected, segment
+        assert _engine_run(config, segment, 2)[0] == expected, segment
 
 
-def test_exact_zero_at_a_segment_edge_neither_creates_nor_hides_a_crossing(table_1e5):
+def test_exact_zero_at_a_segment_edge_neither_creates_nor_hides_a_crossing():
     # M_0 of the Liouville function at 1..10: 1 0 -1 0 -1 0 -1 -2 -1 0 crosses once,
     # at x = 3; a segment may end on any of its zeros
     config = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=0.0, limit=10,
                               trials=1, sign_mode="minus-one")
     for segment in (1, 2, 3, 4, None):
-        assert _engine_run(config, table_1e5, segment, 1)[0] == "trial,seed,count,last_position\n" + (
+        assert _engine_run(config, segment, 1)[0] == "trial,seed,count,last_position\n" + (
             f"0,{config.trial_assignments()[0][0]},1,3\n"
         )
 
@@ -203,11 +201,3 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
     # a caller that gives the table has checked what it needs
     assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
     assert len(checks) == 1
-
-
-def test_a_run_with_a_given_table_still_checks_its_engine(monkeypatch, table_1e5):
-    # a host of 1 MB: the table is there, the engine's 17 + 1 bytes per n are not
-    host_of(monkeypatch, 256)
-    config = ExperimentConfig(experiment="sign-changes", limit=10**5, trials=2)
-    with pytest.raises(ResourceError, match="sign-changes at N = 100000"):
-        run_experiment(config, table_1e5)

@@ -14,8 +14,8 @@ from rmflab.mellin import (
     truncated_identity_sides,
 )
 from rmflab.output import csv_text
-from rmflab.primes import build_spf_sieve, primes_up_to
-from rmflab.series import compute_series
+from rmflab.primes import primes_up_to
+from rmflab.series import compute_series, engine_bytes
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
@@ -85,7 +85,7 @@ def test_truncated_identity_n1(table_1e5):
     # sum_{n<=1} g(n) n^-s = 1; integral part 0; boundary M(1) * 1 = 1
     assert mellin_step_integral(series, 1.0) == 0j
     assert boundary_term(series, 1.0) == 1 + 0j
-    assert _residual(SignAssignment.iid(3), "f", 0.0, 1.0, 1, table_1e5) == 0.0
+    assert _residual(SignAssignment.iid(3), "f", 0.0, 1.0, 1) == 0.0
 
 
 def test_truncated_identity_n3_by_hand(table_1e5):
@@ -98,12 +98,12 @@ def test_truncated_identity_n3_by_hand(table_1e5):
     assert series.values[1:].tolist() == [1.0, 2.0, 1.0]
     integral = mellin_step_integral(series, 1.0)
     assert abs(integral - 5.0 / 6.0) < 1e-15
-    residual = _residual(a, "f", 0.0, 1.0, 3, table_1e5)
+    residual = _residual(a, "f", 0.0, 1.0, 3)
     assert residual < 1e-15
 
 
-def test_truncated_identity_residual_large(table_1e6):
-    residual = _residual(SignAssignment.iid(11), "f", 0.5, 0.75, 10**6, table_1e6)
+def test_truncated_identity_residual_large():
+    residual = _residual(SignAssignment.iid(11), "f", 0.5, 0.75, 10**6)
     assert residual <= 1e-9
 
 
@@ -117,7 +117,7 @@ def test_truncated_identity_random_configurations(table_1e5):
         limit = int(rng.choice([10**3, 10**4]))
         a = SignAssignment.iid(seed)
         model = str(rng.choice(["f", "fstar"]))
-        residual = _residual(a, model, alpha, complex(re_s, im_s), limit, table_1e5)
+        residual = _residual(a, model, alpha, complex(re_s, im_s), limit)
         series = compute_series(a, model, alpha, limit, table_1e5)
         scale = abs(mellin_step_integral(series, complex(re_s, im_s)) + boundary_term(series, complex(re_s, im_s))) + 1.0
         assert residual <= 1e-9 * scale
@@ -137,11 +137,8 @@ def assignments(draw, limit: int, table):
 
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), limit=st.integers(1, 3000), model=st.sampled_from(["f", "fstar"]),
-       alpha=st.just(0.0) | st.floats(0.0, 1.0), re_above=st.floats(0.01, 2.0), im_s=st.floats(-50.0, 50.0),
-       own_sieve=st.booleans())
-def test_truncated_identity_sides_equal_the_two_pass_route(
-    table_1e5, data, limit, model, alpha, re_above, im_s, own_sieve
-):
+       alpha=st.just(0.0) | st.floats(0.0, 1.0), re_above=st.floats(0.01, 2.0), im_s=st.floats(-50.0, 50.0))
+def test_truncated_identity_sides_equal_the_two_pass_route(table_1e5, data, limit, model, alpha, re_above, im_s):
     # the one-pass sides against g and M_alpha from the per-trial oracle,
     # summed exactly as before the engine handed reducers their weights
     assignment = data.draw(assignments(limit, table_1e5))
@@ -149,8 +146,7 @@ def test_truncated_identity_sides_equal_the_two_pass_route(
     series, g = series_and_values(assignment, model, alpha, limit, table_1e5)
     n = np.arange(1, limit + 1, dtype=np.float64)
     two_pass = (complex(np.sum(g[1:] * n ** (-s))), mellin_step_integral(series, s) + boundary_term(series, s))
-    table = None if own_sieve else table_1e5
-    assert truncated_identity_sides(assignment, model, alpha, s, limit, table) == two_pass
+    assert truncated_identity_sides(assignment, model, alpha, s, limit) == two_pass
 
 
 def test_kernel_positivity():
@@ -210,60 +206,59 @@ def test_evaluate_mellin_record(table_1e5):
     assert ev_complex.abs_integral is None
 
 
-def test_divergence_comparison_validation(table_1e5):
+def test_divergence_comparison_validation():
     a = SignAssignment.iid(1)
     with pytest.raises(DomainError):
-        divergence_rows([a], "f", 0.5, [], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [], 100, 100)
     with pytest.raises(DomainError):
-        divergence_rows([a], "f", 0.5, [0.52, 0.56], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.52, 0.56], 100, 100)
     with pytest.raises(DomainError):
-        divergence_rows([a], "f", 0.5, [0.8, 0.6], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.8, 0.6], 100, 100)
     with pytest.raises(DomainError):
-        divergence_rows([a], "f", 0.5, [0.65, 0.55], 100, 100, table_1e5)
+        divergence_rows([a], "f", 0.5, [0.65, 0.55], 100, 100)
 
 
-def test_divergence_rows_refuse_a_short_table_and_check_a_new_sieve(monkeypatch):
-    a = SignAssignment.iid(3)
-    with pytest.raises(DomainError, match="covers 1000 < required 100000"):
-        divergence_rows([a], "f", 0.5, (0.55,), 10**3, 10**5, build_spf_sieve(10**3))
-    # a host of 1 MB; a sieve to 10^6 takes 4 MB
-    host_of(monkeypatch, 256)
+def _refused_bytes(monkeypatch, pages: int, *args) -> int:
+    """The bytes divergence_rows(*args) asks for, on a host of `pages` 4 KiB
+    pages too small for them, without building a sieve."""
+    host_of(monkeypatch, pages)
     monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
-    with pytest.raises(ResourceError, match="physical memory"):
-        divergence_rows([a], "f", 0.5, (0.55,), 10**3, 10**6)
+    with pytest.raises(ResourceError, match="physical memory") as info:
+        divergence_rows(*args)
+    return info.value.requested_bytes
 
 
-def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch, table_1e5):
+def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
+    # a host of 1 MB; the sieve to P = 10^6 takes 4 MB, the run at N = 10^3 little
+    requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
+    assert requested == engine_bytes("f", 10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + 4 * (10**6 + 1)
+
+
+def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch):
     # a host of 1 MB holds the sieve to 10^5 (0.4 MB), not the engine's two
-    # whole series and the kernel, with or without a table
-    host_of(monkeypatch, 256)
-    monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    # whole series and the kernel
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
-    for table in (None, table_1e5):
-        with pytest.raises(ResourceError, match="divergence at N = 100000, P = 1000"):
-            divergence_rows(assignments, "f", 0.5, (0.55,), 10**5, 10**3, table)
+    requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
+    assert requested == engine_bytes("f", 10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + 4 * (10**5 + 1)
 
 
-def test_divergence_comparison_rows(table_1e5):
+def test_divergence_comparison_rows():
     a = SignAssignment.iid(12)
-    rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4, table_1e5)[0]
+    rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4)[0]
     assert [r.sigma for r in rows] == [0.58, 0.54]
     for row in rows:
         assert row.absolute >= abs(row.signed)
         assert row.harper_witness > 0
         assert row.limit == 2000 and row.prime_limit == 10**4
-        assert row.seed == 12
-    minus_rows = divergence_rows(
-        [SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000, table_1e5
-    )[0]
-    assert minus_rows[0].seed == 0
+    minus_rows = divergence_rows([SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000)[0]
+    assert minus_rows[0].absolute >= abs(minus_rows[0].signed)
 
 
-def test_comparison_csv_schema(table_1e5):
-    rows = [DivergenceRow(0.58, 1.5, 2.0, 0.3, 100, 1000, 7)]
-    fields = ("sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit", "seed")
-    header = ("sigma", "signed", "absolute", "harper_witness", "N", "prime_limit", "seed")
+def test_comparison_csv_schema():
+    rows = [DivergenceRow(0.58, 1.5, 2.0, 0.3, 100, 1000)]
+    fields = ("sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit")
+    header = ("sigma", "signed", "absolute", "harper_witness", "N", "prime_limit")
     text = csv_text(header, [[getattr(r, name) for r in rows] for name in fields])
     lines = text.strip().split("\n")
-    assert lines[0] == "sigma,signed,absolute,harper_witness,N,prime_limit,seed"
-    assert lines[1].split(",")[4:] == ["100", "1000", "7"]
+    assert lines[0] == "sigma,signed,absolute,harper_witness,N,prime_limit"
+    assert lines[1].split(",")[4:] == ["100", "1000"]

@@ -7,6 +7,7 @@ run.  Scalar cross-check routes live in tests/oracles.py, not in the package.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -65,8 +66,23 @@ def test_public_surface():
         (rmflab.series, "plan_run"),
         (rmflab.series, "RunPlan"),
         (rmflab.experiments, "_shared_table"),
+        # command-level runs build their own sieve
+        (rmflab.experiments, "_series_table"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
+
+
+def test_only_the_primitives_take_a_table():
+    # each command-level run sizes and builds its own sieve; the primitives
+    # that callers in src/ share a sieve through keep an optional table
+    runs = [rmflab.run_experiment, rmflab.divergence_rows, rmflab.truncated_identity_sides,
+            *(spec.body for spec in rmflab.experiments.EXPERIMENTS.values())]
+    primitives = [rmflab.compute_series, rmflab.series.stream_trials, rmflab.sup_scans, rmflab.euler_product_F,
+                  rmflab.euler_product_F_star, rmflab.exponential_formula_check]
+    takes_table = {f.__name__: "table" in inspect.signature(f).parameters for f in runs + primitives}
+    assert takes_table == {**{f.__name__: False for f in runs}, **{f.__name__: True for f in primitives}}
+    assert [field.name for field in dataclasses.fields(rmflab.DivergenceRow)] == [
+        "sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit"]
 
 
 def test_every_public_name_resolves():

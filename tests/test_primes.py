@@ -3,7 +3,7 @@ import pytest
 
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
-from rmflab.primes import build_spf_sieve, primes_up_to, sieve_for
+from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, sieve_for
 
 from conftest import host_of, oracle_prime_mask
 from oracles import factorize, is_squarefree
@@ -29,6 +29,14 @@ def test_spf_fixed_point_count_is_prime_count(table_1e6):
     fixed = int(np.count_nonzero(table_1e6.spf[2:] == n[2:]))
     oracle = int(np.count_nonzero(oracle_prime_mask(10**6)))
     assert fixed == oracle == 78498
+
+
+def test_prime_count_bound_bounds_pi_up_to_1e6(table_1e6):
+    # pi[i] = pi(i + 2)
+    x = np.arange(2, 10**6 + 1)
+    pi = np.cumsum(table_1e6.spf[2:] == x)
+    assert pi[-1] == 78498 and prime_count_bound(10**6) == 91201
+    assert np.all(pi <= [prime_count_bound(v) for v in x.tolist()])
 
 
 def test_primes_up_to_small_cases():
