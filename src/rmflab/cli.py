@@ -35,59 +35,48 @@ from .experiments import (
     write_series,
 )
 from .output import fmt_float
-from .signs import SignAssignment, SignMode, load_explicit_signs
+from .series import Model
+from .signs import SignAssignment, SignMode
+
+MODELS = [model.value for model in Model]
 
 
 def _add_assignment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for the iid sign assignment")
-    parser.add_argument(
-        "--minus-one",
-        action="store_true",
-        help="use the deterministic all-minus-one assignment (Moebius/Liouville mode)",
-    )
-    parser.add_argument(
-        "--signs-file",
-        type=str,
-        default=None,
-        help="two-column 'p sign' text file for an explicit assignment",
-    )
+    parser.add_argument("--minus-one", dest="sign_mode", action="store_const", const=SignMode.ALL_MINUS_ONE,
+                        default=SignMode.IID_RADEMACHER,
+                        help="use the deterministic all-minus-one assignment (Moebius/Liouville mode)")
+    parser.add_argument("--signs-file", help="two-column 'p sign' text file for an explicit assignment")
 
 
 def _assignment_from_args(args) -> SignAssignment:
-    if args.signs_file:
-        return SignAssignment.explicit(load_explicit_signs(args.signs_file))
-    if args.minus_one:
-        return SignAssignment.all_minus_one()
-    return SignAssignment.iid(args.seed)
+    # a signs file overrides --minus-one
+    return SignAssignment.of(SignMode.EXPLICIT if args.signs_file else args.sign_mode, args.seed, args.signs_file)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser, spec: Experiment) -> None:
     """--model/--alpha unless the experiment fixes them, the run flags, the
-    scan flags if it scans (one left out takes ExperimentConfig's default),
-    and the experiment runner as the command's run."""
+    scan flags if it scans, and the experiment runner as the command's run.
+    Each dest but out and assert_mode is an ExperimentConfig field; as the
+    parser has argument_default=SUPPRESS, a flag left out takes its default."""
     if spec.fixed is None:
-        parser.add_argument("--model", choices=["f", "fstar"], default="f")
-        parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--limit", type=int, default=10**6, help="partial-sum cutoff N")
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=42, help="experiment base seed")
-    parser.add_argument(
-        "--minus-one",
-        action="store_true",
-        help="deterministic all-minus-one signs in every trial",
-    )
-    parser.add_argument("--threads", type=int, default=None, help="worker count (default: all cores, or RMF_LAB_THREADS)")
+        parser.add_argument("--model", choices=MODELS)
+        parser.add_argument("--alpha", type=float)
+    else:
+        parser.set_defaults(model=spec.fixed[0], alpha=spec.fixed[1])
+    parser.add_argument("--limit", type=int, help="partial-sum cutoff N")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="experiment base seed")
+    parser.add_argument("--minus-one", dest="sign_mode", action="store_const", const=SignMode.ALL_MINUS_ONE,
+                        help="deterministic all-minus-one signs in every trial")
+    parser.add_argument("--threads", type=int, help="worker count (default: all cores, or RMF_LAB_THREADS)")
     parser.add_argument("--out", type=str, required=True, help="output directory")
-    parser.add_argument(
-        "--assert",
-        dest="assert_mode",
-        action="store_true",
-        help="fail (exit 1) if the statistical expectation does not hold",
-    )
+    parser.add_argument("--assert", dest="assert_mode", action="store_true", default=False,
+                        help="fail (exit 1) if the statistical expectation does not hold")
     if spec.sigma_grid is not None:
-        parser.add_argument("--sigma-grid", type=_sigma_grid, default=None, help="comma-separated, strictly decreasing")
-        parser.add_argument("--prime-limit", type=int, default=None, help=f"default {DEFAULT_PRIME_LIMIT}")
-        parser.add_argument("--grid-step", type=float, default=None)
+        parser.add_argument("--sigma-grid", type=_sigma_grid, help="comma-separated, strictly decreasing")
+        parser.add_argument("--prime-limit", type=int, help=f"default {DEFAULT_PRIME_LIMIT}")
+        parser.add_argument("--grid-step", type=float)
     parser.set_defaults(run=_run_experiment_command)
 
 
@@ -104,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="one weighted partial-sum series plus its sign changes")
-    p.add_argument("--model", choices=["f", "fstar"], default="f")
+    p.add_argument("--model", choices=MODELS, default="f")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--limit", type=int, required=True)
     _add_assignment_flags(p)
@@ -112,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_series)
 
     for name, spec in EXPERIMENTS.items():
-        _add_experiment_flags(sub.add_parser(name, help=spec.help), spec)
+        _add_experiment_flags(sub.add_parser(name, help=spec.help, argument_default=argparse.SUPPRESS), spec)
 
     p = sub.add_parser("euler", help="evaluate a truncated Euler product at one point")
-    p.add_argument("--model", choices=["f", "fstar"], default="f")
+    p.add_argument("--model", choices=MODELS, default="f")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--prime-limit", type=int, default=10**5)
@@ -123,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_euler)
 
     p = sub.add_parser("mellin-check", help="residual of the truncated partial-summation identity")
-    p.add_argument("--model", choices=["f", "fstar"], default="f")
+    p.add_argument("--model", choices=MODELS, default="f")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
@@ -154,21 +143,8 @@ def _run_series(args) -> int:
 
 
 def _run_experiment_command(args) -> int:
-    # an experiment that fixes (model, alpha) has no --model/--alpha flags
-    model, alpha = EXPERIMENTS[args.command].fixed or (args.model, args.alpha)
-    config = ExperimentConfig(
-        experiment=args.command,
-        model=model,
-        alpha=alpha,
-        limit=args.limit,
-        trials=args.trials,
-        base_seed=args.seed,
-        sign_mode=SignMode.ALL_MINUS_ONE if args.minus_one else SignMode.IID_RADEMACHER,
-        sigma_grid=getattr(args, "sigma_grid", None),
-        prime_limit=getattr(args, "prime_limit", None),
-        grid_step=getattr(args, "grid_step", None),
-        threads=args.threads,
-    )
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "run", "out", "assert_mode")}
+    config = ExperimentConfig(experiment=args.command, **fields)
     start = time.monotonic()
     stats = run_experiment(config)
     manifest_path, csv_path = write_experiment(stats, args.out, time.monotonic() - start)

@@ -10,6 +10,9 @@ and taking logarithms factorwise gives the exponential formulas
     log F(s)     = sum_p f(p)/p^s - (1/2) log zeta(2s) + bounded term,
     log Fstar(s) = sum_p f(p)/p^s + (1/2) log zeta(2s) + bounded term.
 
+One rule gives both, with e = +1 for f and -1 for fstar: the factor
+(1 + e f(p)/p^s)^e, whose log is e log(1 + e f(p)/p^s), and -(e/2) log zeta(2s).
+
 Everything here replaces the infinite products/sums by truncations at a
 prime limit P; callers must carry P in their outputs, and each product
 reports |last factor - 1| as a Cauchy-style convergence diagnostic.
@@ -60,7 +63,7 @@ _B2K_OVER_FACT = _bernoulli_over_factorial(_EM_TERMS)
 
 
 def zeta(s: complex) -> complex:
-    """zeta(s) for Re s > 0, s != 1, by Euler-Maclaurin summation.
+    """zeta(s) for finite s with Re s > 0, s != 1, by Euler-Maclaurin summation.
 
     sum_{n<N} n^-s  +  N^(1-s)/(s-1)  +  N^-s/2  +  Bernoulli corrections,
     with N growing linearly in |Im s|.  Absolute error is below 1e-10
@@ -70,8 +73,8 @@ def zeta(s: complex) -> complex:
     s = complex(s)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
-    if s.real <= 0.0:
-        raise DomainError(f"zeta evaluation requires Re s > 0, got {s}")
+    if not np.isfinite(s) or s.real <= 0.0:
+        raise DomainError(f"zeta evaluation requires a finite s with Re s > 0, got {s}")
     n_cut = 48 + int(math.ceil(abs(s.imag) / 2.0))
     n = np.arange(1, n_cut, dtype=np.float64)
     value = complex(np.sum(n ** (-s)))
@@ -112,9 +115,16 @@ def _product_factors(
     return signs.astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
 
 
-def _euler_product(assignment, s, prime_limit, table, factor) -> EulerProduct:
-    """prod_{p <= prime_limit} factor(f(p)/p^s), factors multiplied in ascending p."""
-    factors = factor(_product_factors(assignment, s, prime_limit, table))
+#: The exponent e of each model's Euler factor (1 + e f(p)/p^s)^e.
+_EXPONENT = {"f": 1, "fstar": -1}
+
+
+def _euler_product(assignment, s, prime_limit, table, e: int) -> EulerProduct:
+    """prod_{p <= prime_limit} (1 + e f(p)/p^s)^e, factors multiplied in
+    ascending p: F at e = +1, Fstar at e = -1."""
+    factors = 1.0 + e * _product_factors(assignment, s, prime_limit, table)
+    if e < 0:  # by division: np.reciprocal rounds differently, np.power is slower
+        factors = 1.0 / factors
     value = complex(np.multiply.accumulate(factors)[-1])
     return EulerProduct(
         value=value,
@@ -131,7 +141,7 @@ def euler_product_F(
 ) -> EulerProduct:
     """prod_{p <= prime_limit} (1 + f(p)/p^s), factors multiplied in
     ascending p."""
-    return _euler_product(assignment, s, prime_limit, table, lambda x: 1.0 + x)
+    return _euler_product(assignment, s, prime_limit, table, _EXPONENT["f"])
 
 
 def euler_product_F_star(
@@ -145,7 +155,7 @@ def euler_product_F_star(
     Each factor needs |f(p)/p^s| < 1, which holds automatically for p >= 2
     and Re s > 1/2.
     """
-    return _euler_product(assignment, s, prime_limit, table, lambda x: 1.0 / (1.0 - x))
+    return _euler_product(assignment, s, prime_limit, table, _EXPONENT["fstar"])
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +182,12 @@ def exponential_formula_check(
         raise DomainError(f"exponential formula check requires Re s >= 0.51, got {s}")
     if prime_limit < 10**3:
         raise DomainError(f"prime_limit must be >= 10^3, got {prime_limit}")
-    model_value = getattr(model, "value", model)
-    if model_value not in ("f", "fstar"):
+    e = _EXPONENT.get(getattr(model, "value", model))
+    if e is None:
         raise DomainError(f"model must be 'f' or 'fstar', got {model!r}")
     x = _product_factors(assignment, s, prime_limit, table)
-    if model_value == "f":
-        log_product = complex(np.cumsum(np.log(1.0 + x))[-1])
-        half_log_zeta = -0.5 * np.log(complex(zeta(2 * s)))
-    else:
-        log_product = complex(-np.cumsum(np.log(1.0 - x))[-1])
-        half_log_zeta = +0.5 * np.log(complex(zeta(2 * s)))
+    log_product = e * complex(np.cumsum(np.log(1.0 + e * x))[-1])
+    half_log_zeta = -(e / 2) * np.log(complex(zeta(2 * s)))
     prime_sum = complex(np.cumsum(x)[-1])
     return float(abs(log_product - (prime_sum + half_log_zeta)))
 
@@ -274,7 +280,7 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
 
     The grid must be nonempty and strictly decreasing, with every entry in
     (low, 0.6], where the scan window is defined; low is 1/2 or above.  A
-    given grid_step must be > 0.
+    given grid_step must be finite and > 0.
     """
     if not sigma_grid:
         raise DomainError("sigma_grid must be nonempty")
@@ -284,8 +290,8 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     for sig in grid:
         if not low < sig <= 0.6:
             raise DomainError(f"sigma must lie in ({low}, 0.6], got {sig}")
-    if grid_step is not None and not grid_step > 0:
-        raise DomainError(f"grid_step must be > 0, got {grid_step}")
+    if grid_step is not None and not 0 < grid_step < math.inf:
+        raise DomainError(f"grid_step must be > 0 and finite, got {grid_step}")
     return grid
 
 

@@ -60,7 +60,7 @@ from .series import (
     sign_crossings,
     stream_trials,
 )
-from .signs import SignAssignment, SignMode, load_explicit_signs, trial_seed
+from .signs import SignAssignment, SignMode, trial_seed
 
 DEFAULT_PRIME_LIMIT = 10**6
 GROWTH_THETAS = (0.0, 0.25, 0.5)
@@ -156,9 +156,7 @@ class ExperimentConfig:
         """(seeds, assignments) of every trial, in trial order; all-minus-one
         mode ignores the seeds."""
         seeds = [trial_seed(self.base_seed, i) for i in range(self.trials)]
-        if self.sign_mode is SignMode.ALL_MINUS_ONE:
-            return seeds, [SignAssignment.all_minus_one() for _ in seeds]
-        return seeds, [SignAssignment.iid(seed) for seed in seeds]
+        return seeds, [SignAssignment.of(self.sign_mode, seed) for seed in seeds]
 
 
 @dataclass
@@ -540,11 +538,18 @@ def _optional(manifest: dict, key: str, convert):
     return None if manifest.get(key) is None else convert(manifest[key])
 
 
+def _number(value) -> float:
+    """float(value) of a JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing a fractional number instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """int(value) of a JSON integer or integral number; a bool, a string or a fraction is refused."""
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 @contextlib.contextmanager
@@ -562,15 +567,15 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
     with _manifest_errors():
         return ExperimentConfig(
             experiment=manifest["command"],
-            model=Model(manifest["model"]),
-            alpha=float(manifest["alpha"]),
+            model=manifest["model"],
+            alpha=_number(manifest["alpha"]),
             limit=_integer(manifest["N"]),
             trials=_integer(manifest["trials"]),
             base_seed=_integer(manifest["base_seed"]),
-            sign_mode=SignMode(manifest["sign_mode"]),
-            sigma_grid=_optional(manifest, "sigma_grid", tuple),
+            sign_mode=manifest["sign_mode"],
+            sigma_grid=_optional(manifest, "sigma_grid", lambda grid: tuple(map(_number, grid))),
             prime_limit=_optional(manifest, "prime_limit", _integer),
-            grid_step=_optional(manifest, "grid_step", float),
+            grid_step=_optional(manifest, "grid_step", _number),
         )
 
 
@@ -597,7 +602,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
         config.validate()
     elif command == "series":
         with _manifest_errors():
-            mode, model, alpha = SignMode(manifest["sign_mode"]), Model(manifest["model"]), float(manifest["alpha"])
+            mode, model, alpha = SignMode(manifest["sign_mode"]), Model(manifest["model"]), _number(manifest["alpha"])
             limit, seed, signs_file = _integer(manifest["N"]), _integer(manifest["seed"]), manifest["signs_file"]
         if mode is SignMode.EXPLICIT and not isinstance(signs_file, str):
             raise DomainError(f"not a replayable manifest: explicit signs with signs_file {signs_file!r}")
@@ -613,12 +618,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
             recorded_signs, current = manifest.get("signs_sha256"), sha256_file(signs_file)
             if current != recorded_signs:
                 return False, {signs_file: recorded_signs}, {signs_file: current}
-            assignment = SignAssignment.explicit(load_explicit_signs(signs_file))
-        elif mode is SignMode.ALL_MINUS_ONE:
-            assignment = SignAssignment.all_minus_one()
-        else:
-            assignment = SignAssignment.iid(seed)
-        texts = _series_csvs(*run_series(assignment, model, alpha, limit))
+        texts = _series_csvs(*run_series(SignAssignment.of(mode, seed, signs_file), model, alpha, limit))
     recomputed = {name: sha256_text(text) for name, text in texts.items()}
     return recomputed == recorded, recorded, recomputed
 

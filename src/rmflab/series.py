@@ -175,13 +175,13 @@ def _stream_lane(weights: np.ndarray, lanes: np.ndarray, k: int, reduce, size: i
 def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
     """Bytes stream_trials holds at once: the seed-free arrays (16 per n; f
     also builds a squarefree mask, 1 per n), one batch's lane words and sign
-    rows (a byte per trial and prime, counted by prime_count_bound), and each
-    thread's two 8-byte segment buffers."""
+    rows (a byte per trial and prime, counted by prime_count_bound), and the
+    two 8-byte segment buffers of each trial that runs at once."""
     batch = min(trials, LANES)
     seed_free = 17 if Model(model) is Model.F else 16
     lane = np.dtype(lane_dtype(batch)).itemsize
-    rows = batch * prime_count_bound(limit)
-    return (seed_free + lane) * (limit + 1) + rows + threads * 16 * min(segment or SEGMENT, limit)
+    buffers = concurrent_calls(threads, batch) * 16 * min(segment or SEGMENT, limit)
+    return (seed_free + lane) * (limit + 1) + batch * prime_count_bound(limit) + buffers
 
 
 class WholeSeries:
@@ -238,14 +238,20 @@ def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:
     return np.sqrt(x) * np.log(np.log(x)) ** float(theta)
 
 
+def concurrent_calls(threads: int, items: int) -> int:
+    """Calls map_ordered runs at once: one per thread, at most one per item."""
+    return max(1, min(threads, items))
+
+
 def map_ordered(worker, items, threads: int) -> list:
-    """[worker(x) for x in items], on up to `threads` threads.
+    """[worker(x) for x in items], concurrent_calls of them at a time.
 
     Results come back in item order whatever the thread count; an exception
     raised by any call is raised here.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    running = concurrent_calls(threads, len(items))
+    if running == 1:
         return [worker(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=running) as pool:
         return list(pool.map(worker, items))

@@ -106,6 +106,14 @@ class SignAssignment:
                 raise DomainError(f"explicit sign at p={p} must be -1 or +1, got {s}")
         return cls(mode=SignMode.EXPLICIT, explicit_signs=dict(signs))
 
+    @classmethod
+    def of(cls, mode: SignMode | str, seed: int = 0, signs_file=None) -> "SignAssignment":
+        """The assignment of a sign mode: iid from seed, all -1, or read from signs_file."""
+        mode = SignMode(mode)
+        if mode is SignMode.EXPLICIT:
+            return cls.explicit(load_explicit_signs(signs_file))
+        return cls.all_minus_one() if mode is SignMode.ALL_MINUS_ONE else cls.iid(seed)
+
 
 def prime_sign_table(assignment: SignAssignment, primes: np.ndarray) -> np.ndarray:
     """Signs at an array of primes, as int8, by the rule of SignAssignment.

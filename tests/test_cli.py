@@ -254,10 +254,15 @@ def test_replay_of_a_mistyped_key_exit_3(tmp_path, capsys, case, key, value):
     "case, key, value",
     [*(pytest.param("harper", key, value, id=f"{key}-{value}")
        for key, value in [("N", 1.5), ("trials", 2.5), ("base_seed", 4.5), ("prime_limit", 5000.7)]),
-     ("series", "N", 99.5), ("series", "seed", 3.5)],
+     ("series", "N", 99.5), ("series", "seed", 3.5),
+     # int() and float() would take these too: JSON booleans and numeric strings
+     *(pytest.param("sign-changes", key, value, id=f"{key}-{json.dumps(value)}")
+       for key, value in [("N", True), ("trials", True), ("alpha", False), ("base_seed", "42"), ("N", "1")]),
+     pytest.param("harper", "sigma_grid", ["0.58", "0.55"], id="sigma_grid-strings"),
+     pytest.param("series", "seed", True, id="series-seed-true")],
 )
 def test_replay_of_a_fractional_integer_exit_3(tmp_path, capsys, case, key, value):
-    # int() would truncate these and replay the run they were edited from
+    # int() would truncate the fractional ones and replay the run they were edited from
     outdir = tmp_path / "out"
     assert run_cli(*WRITING_COMMANDS[case], "--out", str(outdir)) == 0
     manifest_path = outdir / "manifest.json"
@@ -266,7 +271,9 @@ def test_replay_of_a_fractional_integer_exit_3(tmp_path, capsys, case, key, valu
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert run_cli("replay", "--manifest", str(manifest_path)) == 3
-    assert "is not an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a replayable manifest: ")
+    assert ("is not a number" if key in ("alpha", "sigma_grid") else "is not an integer") in err
 
 
 def test_harper_with_another_model_exit_3(tmp_path, capsys):
@@ -548,6 +555,20 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
     assert not outdir.exists()
 
 
+# One trial runs on one thread whatever --threads says.  Each host lies
+# between the largest request that counts one thread's segment buffers
+# (divergence: its sup scan, 2.82 MB; sign-changes: 3.26 MB) and the engine
+# check that counts eight (3.48 MB and 10.6 MB).
+@pytest.mark.parametrize("command, pages", [
+    (["divergence", "--limit", "20000", "--prime-limit", "10000"], 768),
+    (["sign-changes", "--limit", "100000"], 1024),
+], ids=["divergence", "sign-changes"])
+def test_one_trial_on_many_threads_counts_the_buffers_of_one(tmp_path, monkeypatch, command, pages):
+    host_of(monkeypatch, pages)
+    assert run_cli(*command, "--trials", "1", "--threads", "8", "--out", str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "trials.csv").exists()
+
+
 def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
     # a host of 1 MB: the sieve to 10^6 takes 4 MB
     host_of(monkeypatch, 256)
@@ -673,7 +694,7 @@ def test_malformed_sigma_grid_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["harper", "divergence"])
-@pytest.mark.parametrize("step", ["0", "-1"])
+@pytest.mark.parametrize("step", ["0", "-1", "inf"])
 def test_bad_grid_step_exit_3(tmp_path, capsys, command, step):
     code = run_cli(
         command, "--limit", "100", "--trials", "2", "--sigma-grid", "0.58,0.54",

@@ -57,6 +57,9 @@ def test_zeta_domain_errors():
         zeta(-0.5)
     with pytest.raises(DomainError):
         zeta(0.0 + 3.0j)
+    for s in (complex("nan"), complex(0.75, math.nan), complex(math.inf, 1.0), complex(0.75, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            zeta(s)
 
 
 def test_zeta_conjugate_symmetry():

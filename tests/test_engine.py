@@ -23,7 +23,7 @@ from rmflab.experiments import (
     run_experiment,
     trials_csv,
 )
-from rmflab.primes import build_spf_sieve, primes_up_to, spf_cofactors, squarefree_mask
+from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, spf_cofactors, squarefree_mask
 from rmflab.series import compute_series, detect_sign_changes, engine_bytes, stream_trials, WeightedSumSeries
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
@@ -201,3 +201,13 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
     # a caller that gives the table has checked what it needs
     assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
     assert len(checks) == 1
+
+
+def test_engine_bytes_count_only_the_trials_that_run_at_once():
+    # a batch of 3 trials runs on at most 3 of 8 threads, one trial on one:
+    # seed-free arrays and mask (17), one-byte lane words, sign rows, and
+    # two 8-byte segment buffers per running trial
+    limit = 10**5
+    assert engine_bytes("f", limit, 3, 8) == 18 * (limit + 1) + 3 * prime_count_bound(limit) + 3 * 16 * 2**16
+    assert engine_bytes("f", limit, 1, 8, limit) == engine_bytes("f", limit, 1, 1, limit)
+    assert engine_bytes("f", limit, 1, 1, limit) == 18 * (limit + 1) + prime_count_bound(limit) + 16 * limit

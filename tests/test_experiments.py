@@ -292,6 +292,7 @@ def test_assert_outcome_positivity():
         ((0.56, 0.5), None),
         ((0.58, 0.54), 0.0),
         ((0.58, 0.54), -1.0),
+        ((0.58, 0.54), float("inf")),
     ],
 )
 def test_divergence_apis_reject_the_same_grids(grid, step):

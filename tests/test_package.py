@@ -156,3 +156,15 @@ def test_every_sieve_and_memory_check_goes_through_the_gate():
     # memory check: each computation hands it what it allocates besides
     assert _callers_in_src("build_spf_sieve") == {("primes.py", "sieve_for")}
     assert _callers_in_src("require_memory") == {("primes.py", "sieve_for")}
+
+
+def test_each_rule_is_stated_once():
+    # SignAssignment.of is the one map from sign mode to assignment
+    for constructor in ("iid", "all_minus_one", "explicit"):
+        assert {file for file, _ in _callers_in_src(constructor)} == {"signs.py"}, constructor
+    # the experiment subparsers' dests are ExperimentConfig's fields, so the
+    # CLI passes the parsed inputs through, not field by field
+    with open(os.path.join(ROOT, "src", "rmflab", "cli.py"), encoding="utf-8") as fh:
+        calls = [node for node in ast.walk(ast.parse(fh.read()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentConfig"]
+    assert [[k.arg for k in call.keywords if k.arg is not None] for call in calls] == [["experiment"]]
