@@ -30,12 +30,11 @@ from .experiments import (
     assert_outcome,
     replay_experiment,
     run_experiment,
-    run_series,
     write_experiment,
     write_series,
 )
 from .output import fmt_float
-from .series import Model
+from .series import Model, compute_series, detect_sign_changes
 from .signs import SignAssignment, SignMode
 
 MODELS = [model.value for model in Model]
@@ -130,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_series(args) -> int:
     assignment = _assignment_from_args(args)
     start = time.monotonic()
-    series, log = run_series(assignment, args.model, args.alpha, args.limit)
+    series = compute_series(assignment, args.model, args.alpha, args.limit)
+    log = detect_sign_changes(series)
     outdir = write_series(series, log, assignment, args.out, time.monotonic() - start, args.signs_file)
     magnitude = np.abs(series.values[1:])
     k = int(np.argmax(magnitude))  # the first x where |M| is largest

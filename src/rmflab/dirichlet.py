@@ -280,7 +280,8 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
 
     The grid must be nonempty and strictly decreasing, with every entry in
     (low, 0.6], where the scan window is defined; low is 1/2 or above.  A
-    given grid_step must be finite and > 0.
+    given grid_step must lie in (0, T - 1], T - 1 the width of the window
+    [1, T] at grid[0], the narrowest: every sigma then scans 2 points or more.
     """
     if not sigma_grid:
         raise DomainError("sigma_grid must be nonempty")
@@ -290,8 +291,9 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     for sig in grid:
         if not low < sig <= 0.6:
             raise DomainError(f"sigma must lie in ({low}, 0.6], got {sig}")
-    if grid_step is not None and not 0 < grid_step < math.inf:
-        raise DomainError(f"grid_step must be > 0 and finite, got {grid_step}")
+    if grid_step is not None and not 0 < grid_step <= harper_window(grid[0]) - 1.0:
+        raise DomainError(f"grid_step must be > 0 and at most {harper_window(grid[0]) - 1.0!r}, "
+                          f"the width of the scan window at sigma = {grid[0]!r}, got {grid_step}")
     return grid
 
 

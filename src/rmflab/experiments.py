@@ -45,14 +45,13 @@ import numpy as np
 
 from . import __version__, dirichlet, mellin
 from .errors import DomainError
-from .output import atomic_write, csv_text, sha256_file, sha256_text
+from .output import atomic_write, csv_blocks, sha256_file, sha256_text, write_blocks
 from .primes import sieve_for
 from .primes import primes_up_to  # noqa: F401  the benchmark's tests read this binding
 from .series import (
     Model,
     SignChangeLog,
     WeightedSumSeries,
-    check_run,
     compute_series,
     detect_sign_changes,
     engine_bytes,
@@ -431,31 +430,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
 # ---------------------------------------------------------------------------
 
 
-def trials_csv(stats: AggregateStats) -> str:
-    """Per-trial CSV with the experiment's column schema, one row per record."""
-    return csv_text(stats.columns, [[r[c] for r in stats.per_trial] for c in stats.columns])
+def trials_csv(stats: AggregateStats):
+    """Per-trial CSV blocks with the experiment's column schema, one row per record."""
+    return csv_blocks(stats.columns, [[r[c] for r in stats.per_trial] for c in stats.columns])
 
 
-def run_series(
-    assignment: SignAssignment, model: Model | str, alpha: float, limit: int
-) -> tuple[WeightedSumSeries, SignChangeLog]:
-    """(series, sign changes) of one series run, after checking its
-    arguments and that the sieve, the engine and then the text of series.csv
-    fit in physical memory.  The text takes 200 bytes per n: its column
-    lists, a str per row and the joined text (the peak RSS of `series` grows
-    by 193 bytes per n at alpha = 1/2, 155 at alpha = 0)."""
-    model = check_run(model, alpha, limit)
-    more = engine_bytes(model, limit, 1, 1, limit) + 200 * (limit + 1)
-    table = sieve_for(max(limit, 2), None, more, f"the {model.value} series at N = {limit}")
-    series = compute_series(assignment, model, alpha, limit, table)
-    return series, detect_sign_changes(series)
-
-
-def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict[str, str]:
-    """File name -> CSV text of the series command's two outputs."""
+def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict:
+    """File name -> CSV blocks of the series command's two outputs."""
     return {
-        "series.csv": csv_text(("x", "value"), (range(1, series.limit + 1), series.values[1:])),
-        "sign_changes.csv": csv_text(("position", "sign_after"), (log.positions, log.signs_after())),
+        "series.csv": csv_blocks(("x", "value"), (range(1, series.limit + 1), series.values[1:])),
+        "sign_changes.csv": csv_blocks(("position", "sign_after"), (log.positions, log.signs_after())),
     }
 
 
@@ -492,19 +476,15 @@ def manifest_dict(stats: AggregateStats, wall_time: float | None = None) -> dict
     )
 
 
-def _write_run(outdir, manifest: dict, texts: dict[str, str]) -> list[str]:
-    """Write manifest.json with csv_sha256 null, then each CSV, then the
-    manifest again with csv_sha256 mapping each file name to its sha256.
-
-    Every write is temp-file + rename, so a manifest whose csv_sha256 is
-    null marks a run that did not finish.  Returns the absolute paths
-    written, manifest first.
-    """
-    paths = [os.path.join(os.path.abspath(outdir), name) for name in ("manifest.json", *texts)]
+def _write_run(outdir, manifest: dict, csvs: dict) -> list[str]:
+    """Write manifest.json with csv_sha256 null, then each CSV from its blocks,
+    then the manifest again with csv_sha256 mapping each file name to its sha256.
+    Every write is temp-file + rename, so a manifest whose csv_sha256 is null
+    marks a run that did not finish.  Returns the absolute paths written,
+    manifest first."""
+    paths = [os.path.join(os.path.abspath(outdir), name) for name in ("manifest.json", *csvs)]
     atomic_write(paths[0], json.dumps({**manifest, "csv_sha256": None}, indent=2) + "\n")
-    for path, text in zip(paths[1:], texts.values()):
-        atomic_write(path, text)
-    digests = {name: sha256_text(text) for name, text in texts.items()}
+    digests = {name: write_blocks(path, blocks) for path, (name, blocks) in zip(paths[1:], csvs.items())}
     atomic_write(paths[0], json.dumps({**manifest, "csv_sha256": digests}, indent=2) + "\n")
     return paths
 
@@ -519,12 +499,9 @@ def write_series(
     wall_time: float | None = None, signs_file: str | None = None,
 ) -> str:
     """Write the manifest, series.csv and sign_changes.csv of one series run
-    (see _write_run); returns the absolute outdir.
-
-    signs_file names the file an explicit assignment was read from; its
-    sha256 is recorded so that replay can tell a changed input from a
-    changed program.
-    """
+    (see _write_run); returns the absolute outdir.  The sha256 of signs_file,
+    the file an explicit assignment was read from, is recorded so that replay
+    can tell a changed input from a changed program."""
     manifest = _manifest(
         "series", series.model, series.alpha, series.limit, assignment.mode, wall_time,
         seed=assignment.seed,
@@ -612,14 +589,15 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
     if not isinstance(recorded, dict):
         return False, {"csv_sha256": recorded}, {"csv_sha256": "(not recomputed)"}
     if command in EXPERIMENTS:
-        texts = {"trials.csv": trials_csv(run_experiment(config))}
+        csvs = {"trials.csv": trials_csv(run_experiment(config))}
     else:
         if mode is SignMode.EXPLICIT:
             recorded_signs, current = manifest.get("signs_sha256"), sha256_file(signs_file)
             if current != recorded_signs:
                 return False, {signs_file: recorded_signs}, {signs_file: current}
-        texts = _series_csvs(*run_series(SignAssignment.of(mode, seed, signs_file), model, alpha, limit))
-    recomputed = {name: sha256_text(text) for name, text in texts.items()}
+        series = compute_series(SignAssignment.of(mode, seed, signs_file), model, alpha, limit)
+        csvs = _series_csvs(series, detect_sign_changes(series))
+    recomputed = {name: sha256_text(blocks) for name, blocks in csvs.items()}
     return recomputed == recorded, recorded, recomputed
 
 

@@ -5,7 +5,7 @@ g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, g and M_alpha one trial at a time by the int8 recurrence, a compensated running sum, fstar by Dirichlet convolution,
 the prime cosine sum and the Riesz mean at one point, the sup scan with a
 full cosine matrix, the Mellin record at one point, the growth statistic
-over a whole series.  Tests compare the package against them, and wrap
+over a whole series, a CSV file as one string.  Tests compare the package against them, and wrap
 synthetic series of explicit values (series_from_values).
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from rmflab.errors import DomainError, MissingSignError
 from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
+from rmflab.output import fmt_float
 from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to
 from rmflab.series import Model, WeightedSumSeries, growth_norm
 from rmflab.signs import (
@@ -26,6 +27,23 @@ from rmflab.signs import (
     mix64,
     prime_sign_table,
 )
+
+
+def csv_text(header, columns) -> str:
+    """CSV text: the header row, then row i holds entry i of every column.
+
+    A column whose first entry is a float (numpy floats included) is written
+    with fmt_float, any other column with str.  Columns are formatted whole,
+    then joined row by row; output.csv_blocks formats blocks of rows instead.
+    """
+    cells = []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        fmt = fmt_float if values and isinstance(values[0], float) else str
+        cells.append(map(fmt, values))
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
 
 
 def series_from_values(values, model: Model | str = Model.F, alpha: float = 0.0) -> WeightedSumSeries:

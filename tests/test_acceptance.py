@@ -279,7 +279,8 @@ def test_4_determinism_across_workers(tmp_path):
             stats = run_experiment(cfg)
             out = tmp_path / f"{base['experiment']}-{threads}"
             manifest_path, csv_path = write_experiment(stats, out)
-            texts.add(open(csv_path, "rb").read())
+            with open(csv_path, "rb") as fh:
+                texts.add(fh.read())
         all_ok &= len(texts) == 1
     assert report("4 determinism across 1/4/8 workers", all_ok,
                   "per-trial CSVs byte-identical for sign-changes, divergence, harper")

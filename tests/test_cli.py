@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from rmflab import errors, experiments, primes
 from rmflab.cli import build_parser, parse_and_dispatch
+from rmflab.series import engine_bytes
 
 from conftest import host_of
 
@@ -162,15 +164,21 @@ def test_experiment_manifest_matches_replay(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["series", "growth"])
 def test_manifest_is_written_before_and_after_the_csvs(tmp_path, monkeypatch, case):
+    # the manifests go through atomic_write, each CSV through write_blocks
     writes = []
-    real_write = experiments.atomic_write
+    real_write, real_blocks = experiments.atomic_write, experiments.write_blocks
 
     def recording_write(path, data):
-        name = os.path.basename(path)
-        writes.append((name, json.loads(data)["csv_sha256"] if name == "manifest.json" else data))
-        real_write(path, data)
+        writes.append((os.path.basename(path), json.loads(data)["csv_sha256"]))
+        return real_write(path, data)
+
+    def recording_blocks(path, blocks):
+        text = "".join(blocks)
+        writes.append((os.path.basename(path), text))
+        return real_blocks(path, [text])
 
     monkeypatch.setattr(experiments, "atomic_write", recording_write)
+    monkeypatch.setattr(experiments, "write_blocks", recording_blocks)
     assert run_cli(*WRITING_COMMANDS[case], "--out", str(tmp_path / "out")) == 0
     names = [name for name, _ in writes]
     assert names[0] == names[-1] == "manifest.json"
@@ -504,13 +512,11 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
 
 
 # At N = 10^5 the sieve and the engine's whole series need about 3.8 MB.
-# Formatting series.csv at alpha = 1/2 raises the series command's peak RSS
-# by about 19 MB, and the complex temporaries of mellin-check by about 5 MB,
-# so hosts of 10 MB and 4.5 MB pass a check that counts only the engine.
+# The complex temporaries of mellin-check raise its peak RSS by about 5 MB,
+# so a host of 4.5 MB passes a check that counts only the engine.
 @pytest.mark.parametrize("command, pages", [
-    (["series", "--alpha", "0.5", "--limit", "100000", "--seed", "1", "--out", "OUT"], 2560),
     (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1152),
-], ids=["series", "mellin-check"])
+], ids=["mellin-check"])
 def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, monkeypatch, command, pages):
     host_of(monkeypatch, pages)
     outdir = tmp_path / "s"
@@ -578,12 +584,37 @@ def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
     assert captured.err.startswith("error: ") and "physical memory" in captured.err
 
 
-def test_series_replay_counts_the_csv_text(tmp_path, capsys, monkeypatch):
+def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatch):
+    # a host of 10 MB holds the sieve and the engine at N = 10^5 (3.8 MB);
+    # the CSVs are written and hashed a block of rows at a time
+    host_of(monkeypatch, 2560)
     outdir = tmp_path / "s"
     assert run_cli("series", "--alpha", "0.5", "--limit", "100000", "--seed", "1", "--out", str(outdir)) == 0
-    host_of(monkeypatch, 2560)
-    assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 3
-    assert "physical memory" in capsys.readouterr().err
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", str(outdir / "manifest.json")) == 0
+    assert "replay: MATCH" in capsys.readouterr().out
+
+
+def _peak_bytes(argv) -> int:
+    """The tracemalloc peak of one CLI run, over what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_memory_grows_as_its_engine(tmp_path):
+    # per n, the series command holds no more than its sieve (4 bytes) and
+    # engine: formatting and hashing the CSVs add one block of rows
+    limits = (200_000, 400_000)
+    peaks = [_peak_bytes(["series", "--model", "f", "--alpha", "0.5", "--limit", str(n), "--seed", "1",
+                          "--out", str(tmp_path / str(n))]) for n in limits]
+    engine = [engine_bytes("f", n, 1, 1, n) for n in limits]
+    per_n = (peaks[1] - peaks[0]) / (limits[1] - limits[0])
+    assert per_n <= (engine[1] - engine[0]) / (limits[1] - limits[0]) + 4
 
 
 def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
@@ -702,6 +733,40 @@ def test_bad_grid_step_exit_3(tmp_path, capsys, command, step):
     )
     assert code == 3
     assert "grid_step must be > 0" in capsys.readouterr().err
+
+
+# The scan window at sigma = 0.58 is [1, 12.7586...], 11.7586 wide: a wider
+# step would scan t = 1 alone, and report it as the supremum.
+@pytest.mark.parametrize("argv", [
+    ["harper", "--limit", "1", "--sigma-grid", "0.58,0.55", "--grid-step", "1e300"],
+    ["divergence", "--limit", "100", "--sigma-grid", "0.58", "--grid-step", "20"],
+], ids=["harper", "divergence"])
+def test_grid_step_wider_than_the_window_exit_3(tmp_path, capsys, argv):
+    outdir = tmp_path / "o"
+    assert run_cli(*argv, "--trials", "2", "--prime-limit", "1000", "--out", str(outdir)) == 3
+    assert "at most 11.758" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_grid_step_inside_the_window_scans_two_points(tmp_path):
+    outdir = tmp_path / "o"
+    assert run_cli("harper", "--limit", "1", "--sigma-grid", "0.58", "--grid-step", "11.7", "--trials", "2",
+                   "--prime-limit", "1000", "--out", str(outdir)) == 0
+    t_star = [float(row.split(",")[3]) for row in (outdir / "trials.csv").read_text().splitlines()[1:]]
+    assert set(t_star) <= {1.0, 12.7}
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    # mkstemp makes its file 0600, and the rename keeps that mode
+    umask = os.umask(0o022)
+    try:
+        assert run_cli("series", "--limit", "99", "--out", str(tmp_path / "s")) == 0
+        assert run_cli("growth", "--limit", "99", "--trials", "2", "--out", str(tmp_path / "g")) == 0
+    finally:
+        os.umask(umask)
+    modes = {path.relative_to(tmp_path).as_posix(): path.stat().st_mode & 0o777 for path in tmp_path.glob("*/*")}
+    assert modes == dict.fromkeys(
+        ["s/manifest.json", "s/series.csv", "s/sign_changes.csv", "g/manifest.json", "g/trials.csv"], 0o644)
 
 
 SINGLE_COMMANDS = {

@@ -18,12 +18,11 @@ from rmflab.dirichlet import (
 )
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
-from rmflab.output import csv_text
 from rmflab.primes import build_spf_sieve, primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
-from oracles import prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix
+from oracles import csv_text, prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def _oracle_csv(config: ExperimentConfig, table, trials=None) -> str:
     records = []
     for i, (series, _) in enumerate(trials):
         records += [{"trial": i, "seed": seeds[i], **row} for row in _oracle_rows(config.experiment, series)]
-    return trials_csv(AggregateStats(config, records, {}))
+    return "".join(trials_csv(AggregateStats(config, records, {})))
 
 
 class _Recorder:
@@ -94,7 +94,7 @@ def _engine_run(config: ExperimentConfig, segment, threads: int):
     config.threads = threads
     with mock.patch.object(series_module, "SEGMENT", segment or config.limit), \
             mock.patch.object(experiments_module, "stream_trials", recording):
-        return trials_csv(run_experiment(config)), fed
+        return "".join(trials_csv(run_experiment(config))), fed
 
 
 @st.composite

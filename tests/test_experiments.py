@@ -99,7 +99,7 @@ def test_sign_change_worker_count_invariance(base):
     texts = []
     for threads in (1, 2, 4, 8):
         cfg = ExperimentConfig(**base, threads=threads)
-        texts.append(trials_csv(run_experiment(cfg)))
+        texts.append("".join(trials_csv(run_experiment(cfg))))
     assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
@@ -240,10 +240,10 @@ def _summary_from_csv(experiment: str, csv_text: str, cfg: ExperimentConfig) -> 
 def test_summary_recomputable_from_csv():
     cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=0.25, limit=3000, trials=12, base_seed=4)
     stats = run_experiment(cfg)
-    assert _summary_from_csv("sign-changes", trials_csv(stats), cfg) == stats.summary
+    assert _summary_from_csv("sign-changes", "".join(trials_csv(stats)), cfg) == stats.summary
     cfg2 = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=500, trials=20, base_seed=5)
     stats2 = run_experiment(cfg2)
-    assert _summary_from_csv("positivity", trials_csv(stats2), cfg2) == stats2.summary
+    assert _summary_from_csv("positivity", "".join(trials_csv(stats2)), cfg2) == stats2.summary
 
 
 def test_manifest_round_trip():
@@ -268,7 +268,8 @@ def test_write_and_replay(tmp_path):
     cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=0.0, limit=2000, trials=5, base_seed=10)
     stats = run_experiment(cfg)
     manifest_path, csv_path = write_experiment(stats, tmp_path / "run", wall_time=0.5)
-    manifest = json.loads(open(manifest_path).read())
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
     assert manifest["csv_sha256"]
     ok, recorded, recomputed = replay_experiment(manifest_path)
     assert ok and recorded == recomputed
@@ -293,6 +294,7 @@ def test_assert_outcome_positivity():
         ((0.58, 0.54), 0.0),
         ((0.58, 0.54), -1.0),
         ((0.58, 0.54), float("inf")),
+        ((0.58, 0.54), 11.76),
     ],
 )
 def test_divergence_apis_reject_the_same_grids(grid, step):

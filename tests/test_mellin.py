@@ -13,13 +13,14 @@ from rmflab.mellin import (
     divergence_rows,
     truncated_identity_sides,
 )
-from rmflab.output import csv_text
 from rmflab.primes import primes_up_to
 from rmflab.series import compute_series, engine_bytes
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
-from oracles import MellinEvaluation, abs_mellin_integral, evaluate_mellin, series_and_values, series_from_values
+from oracles import (
+    MellinEvaluation, abs_mellin_integral, csv_text, evaluate_mellin, series_and_values, series_from_values,
+)
 
 
 def quad_oracle(series, s_real: float) -> float:

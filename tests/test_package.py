@@ -68,6 +68,9 @@ def test_public_surface():
         (rmflab.experiments, "_shared_table"),
         # command-level runs build their own sieve
         (rmflab.experiments, "_series_table"),
+        # CSVs are written in blocks of rows; the series command is its engine
+        (rmflab.output, "csv_text"),
+        (rmflab.experiments, "run_series"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 

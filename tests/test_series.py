@@ -270,7 +270,7 @@ def test_high_alpha_series_stabilize(table_1e6):
 def test_csv_exports(table_1e5):
     series = compute_series(SignAssignment.iid(2), "f", 0.5, 20, table_1e5)
     log = detect_sign_changes(series)
-    texts = _series_csvs(series, log)
+    texts = {name: "".join(blocks) for name, blocks in _series_csvs(series, log).items()}
     text = texts["series.csv"]
     lines = text.strip().split("\n")
     assert lines[0] == "x,value"
