@@ -20,11 +20,13 @@ reports |last factor - 1| as a Cauchy-style convergence diagnostic.
 The sup statistic scans t over the window [1, 2 (log(1/(sigma-1/2)))^2] for
 the largest value of sum_p f(p) cos(t log p) / p^sigma on a uniform grid.
 A uniform grid with recorded step gives a certified lower bound on the sup,
-which is the direction the comparison in the mellin module needs.  The scan
-fills its cosine rows by the three-term (Chebyshev, Goertzel) recurrence in
-t, seeded with exact cosines at the first two grid points of each 256-point
-block, and reports the cosine sum recomputed exactly at the grid point it
-selects.
+which is the direction the comparison in the mellin module needs.  The sum
+is band-limited to omega = log P, so the scan evaluates it exactly at about
+omega h Chebyshev points of the grid's span (half-width h), interpolates the
+whole grid from them, and recomputes exactly every grid point that the
+interpolant's error bound cannot rule out as the maximum (Odlyzko and
+Schoenhage 1988; Berrut and Trefethen 2004).  It reports the exact sum at
+the first grid point where that sum is largest.
 """
 
 from __future__ import annotations
@@ -214,9 +216,13 @@ class HarperScanResult:
     prime_limit: int
 
 
-#: Grid points per block of scan_grid_max; each block's first two are
-#: evaluated exactly and seed the cosine recurrence of the rest.
-CHUNK = 256
+#: Chebyshev points beyond the band limit omega*h of scan_grid_max's
+#: interpolant; at +30 its error at sigma = 0.51, P = 10^6 is near 1e-6.
+MARGIN = 60
+#: Points per slab of cosines over the primes, and grid points per
+#: barycentric block, in scan_grid_max.
+SLAB = 64
+BLOCK = 256
 
 
 def harper_window(sigma: float) -> float:
@@ -229,6 +235,67 @@ def default_grid_step(sigma: float) -> float:
     return 0.01 / math.log(1.0 / (sigma - 0.5))
 
 
+def interpolation_points(omega: float, half_width: float) -> int:
+    """Chebyshev points of scan_grid_max's interpolant on a span of
+    half-width h for frequencies up to omega: ceil(omega h) + MARGIN."""
+    return math.ceil(omega * half_width) + MARGIN
+
+
+def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t: np.ndarray):
+    """Yield weights @ cos(outer(t[start : start + SLAB], logp)).T for
+    start = 0, SLAB, ..., the cosines built in one reused slab."""
+    slab = np.empty((min(SLAB, t.size), logp.size))
+    for start in range(0, t.size, SLAB):
+        block = slab[: min(SLAB, t.size - start)]
+        np.outer(t[start : start + SLAB], logp, out=block)
+        np.cos(block, out=block)
+        yield weights @ block.T
+
+
+def _barycentric(node_values: np.ndarray, nodes: np.ndarray, grid: np.ndarray):
+    """Yield the values of the interpolant through (nodes, node_values) at
+    grid[start : start + BLOCK], start = 0, BLOCK, ..., by the second-form
+    barycentric formula
+    for Chebyshev points of the second kind; a grid point on a node takes
+    the node's value."""
+    node_weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    node_weights[[0, -1]] *= 0.5
+    kernels = np.empty((min(BLOCK, grid.size), nodes.size))
+    masks = np.empty(kernels.shape, dtype=bool)
+    for start in range(0, grid.size, BLOCK):
+        kernel, on_node = kernels[: grid.size - start], masks[: grid.size - start]
+        np.subtract(grid[start : start + BLOCK, None], nodes, out=kernel)
+        np.equal(kernel, 0.0, out=on_node)
+        kernel[on_node] = 1.0
+        np.divide(node_weights, kernel, out=kernel)
+        hit = on_node.any(axis=1)
+        kernel[hit] = on_node[hit]
+        yield (node_values @ kernel.T) / kernel.sum(axis=1)
+
+
+def _grid_values(weights, logp, t_start, grid_step, n_points):
+    """(E, blocks): the bound E of scan_grid_max, and an iterator over its
+    interpolated values at consecutive blocks of grid points, one row per
+    weight row."""
+    grid = t_start + grid_step * np.arange(n_points, dtype=np.float64)
+    half = 0.5 * grid_step * (n_points - 1)
+    omega = float(np.max(np.abs(logp)))
+    m = interpolation_points(omega, half)
+    total = max(float(np.sum(np.abs(row))) for row in weights)  # W, one row at a time
+    lebesgue = 2.0 / math.pi * math.log(m) + 1.0
+    rounding = (logp.size + 4 * (m + 1)) * np.finfo(np.float64).eps * 2.0 * (lebesgue + 1.0) * total
+    if n_points <= m + 1:
+        return rounding, _cosine_sums(weights, logp, grid)
+    # Bernstein ellipse of parameter rho = e^u: |Im x| <= sinh u on it, so
+    # |S| <= W e^(omega h sinh u) there (ATAP Thm 8.2, degree m - 1)
+    u = np.geomspace(1e-4, 50.0, 1000)
+    exponent = omega * half * np.sinh(u) - (m - 1) * u - np.log(np.expm1(u))
+    ellipse = 4.0 * total * math.exp(float(np.min(exponent)))
+    nodes = t_start + half * (1.0 - np.cos(np.pi * np.arange(m) / (m - 1)))
+    node_values = np.hstack(list(_cosine_sums(weights, logp, nodes)))
+    return ellipse + rounding, _barycentric(node_values, nodes, grid)
+
+
 def scan_grid_max(
     weights: np.ndarray,
     logp: np.ndarray,
@@ -236,42 +303,58 @@ def scan_grid_max(
     grid_step: float,
     n_points: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise maximum of sum_p w_p cos(t log p) over t = t_start + j*step.
+    """Row-wise maximum of S(t) = sum_p w_p cos(t log p) over t = t_start + j*step.
 
-    weights has one row per realization; returns (max values, argmax t) with
-    ties broken by the smallest t (first occurrence).  Blocks of CHUNK grid
-    points are evaluated in ascending t with a running strict-max reduction.
+    weights has one row per realization; returns (max values, argmax t):
+    the largest exact sum weights[i] @ np.cos(t * logp) over the grid, and
+    the smallest grid t that attains it.
 
-    The cosine rows come from the three-term recurrence
-    cos((j+1)theta) = 2 cos(theta) cos(j theta) - cos((j-1)theta) with
-    theta = step * log p, one vectorized step over the primes per grid point.
-    The first two grid points of every block are seeded exactly with
-    cos(t_j log p), which keeps the recurrence's rounding error near 1e-12.
-    Each returned max value is recomputed exactly at its t, one dot product
-    per row, so it is the cosine sum at a grid point.
+    S is band-limited to omega = max |log p|.  On the grid's span, of
+    half-width h, it is interpolated at m = ceil(omega h) + MARGIN Chebyshev
+    points of the second kind: the node values come from cosine GEMMs of
+    SLAB nodes each, the grid values from the second-form barycentric
+    formula, one GEMM per BLOCK grid points.  The interpolant lies within E
+    of every exact grid value, where, with W = max_i sum_p |w_p|,
+    n = len(logp) and Lambda = (2/pi) log m + 1 >= the nodes' Lebesgue
+    constant,
+
+        E = min over u > 0 of 4 W e^(omega h sinh u) / (e^(m u) - e^((m-1) u))
+            + (n + 4 (m + 1)) eps 2 (Lambda + 1) W.
+
+    The first term is the Bernstein-ellipse bound for degree m - 1
+    (Trefethen, ATAP Thm 8.2), as |cos| <= e^(omega h sinh u) on the
+    ellipse rho = e^u; the second bounds the rounding of the node GEMM, the
+    barycentric step and the exact sums.  Every grid point whose
+    interpolated value lies within 2E of its row's interpolated maximum is
+    recomputed exactly, so E only decides how many points are.  A grid of
+    at most m + 1 points is evaluated with exact cosines instead, and E is
+    then the rounding term alone.
     """
     weights = np.atleast_2d(weights)
-    n_rows = weights.shape[0]
-    best = np.full(n_rows, -np.inf)
-    best_t = np.full(n_rows, t_start)
-    two_cos_step = 2.0 * np.cos(grid_step * logp)
-    buf = np.empty((min(CHUNK, n_points), len(logp)))
-    for start in range(0, n_points, CHUNK):
-        size = min(CHUNK, n_points - start)
-        for row in range(size):
-            if row < 2:
-                np.cos((t_start + grid_step * (start + row)) * logp, out=buf[row])
-            else:
-                np.multiply(two_cos_step, buf[row - 1], out=buf[row])
-                np.subtract(buf[row], buf[row - 2], out=buf[row])
-        vals = weights @ buf[:size].T
-        block_best = vals.max(axis=1)
-        block_arg = vals.argmax(axis=1)
-        update = block_best > best
-        best[update] = block_best[update]
-        best_t[update] = t_start + grid_step * (start + block_arg[update])
-    for i in range(n_rows):
-        best[i] = weights[i] @ np.cos(best_t[i] * logp)
+    bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points)
+    # block by block, keep each point within 2E of its row's running maximum
+    top = np.full(weights.shape[0], -np.inf)
+    found, start = [], 0
+    for values in blocks:
+        np.maximum(top, values.max(axis=1), out=top)
+        rows, points = np.nonzero(values >= (top - 2.0 * bound)[:, None])
+        found.append((rows, points + start, values[rows, points]))
+        start += values.shape[1]
+    rows, points, values = (np.concatenate(parts) for parts in zip(*found))
+    keep = values >= top[rows] - 2.0 * bound
+    rows, points = rows[keep], points[keep]
+    best = np.full(weights.shape[0], -np.inf)
+    best_t = np.full(weights.shape[0], t_start)
+    last = None
+    # in ascending t, one cosine row per candidate point shared by its rows
+    for k in np.lexsort((rows, points)):
+        i, j = rows[k], points[k]
+        if j != last:
+            t, last = t_start + grid_step * j, j
+            cosines = np.cos(t * logp)
+        value = weights[i] @ cosines
+        if value > best[i]:
+            best[i], best_t[i] = value, t
     return best, best_t
 
 
@@ -310,22 +393,29 @@ def sup_scans(
     Returns one list per assignment, one result per sigma in grid order;
     every sigma must lie in (1/2, 0.6], where the window is nonempty.
     grid_step None means default_grid_step(sigma) at each sigma.  Each
-    sup_value is the cosine sum at the grid point t_star, so a certified
-    lower bound for the true supremum at the recorded grid_step; halving
-    grid_step can only increase it, unless two grid values tie to within the
-    scan's rounding (about 1e-12).  All assignments are scanned against the
-    same cosine blocks, one scan_grid_max call per sigma with one weight row
-    per assignment.  Raises ResourceError, before the sieve if it builds
-    one, if the int8 signs and float64 weights (9 bytes per assignment and
-    prime) and the block of scan_grid_max, counted with prime_count_bound(P),
-    exceed the host's physical memory.
+    sup_value is the cosine sum at the grid point t_star, computed exactly
+    there, so a certified lower bound for the true supremum at the recorded
+    grid_step; halving grid_step can only increase it.  All assignments
+    share one scan_grid_max call per sigma, one weight row per assignment.
+    Raises ResourceError, before the sieve if it builds one, if the int8
+    signs and float64 weights (9 bytes per assignment and prime) and what
+    scan_grid_max allocates at the widest window (its cosine slab, node
+    values and barycentric block), counted with prime_count_bound(P) and
+    omega = log P, exceed the host's physical memory.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows, n_primes = len(assignments), prime_count_bound(prime_limit)
     steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
     n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
-    # scan_grid_max's block: CHUNK float64 cosine rows over the primes, a GEMM output row per trial
-    more = 9 * n_rows * n_primes + 8 * min(CHUNK, max(n_points)) * (n_primes + n_rows)
+    half = 0.5 * max(step * (points - 1) for step, points in zip(steps, n_points))
+    m, block = interpolation_points(math.log(max(prime_limit, 2)), half), min(BLOCK, max(n_points))
+    # signs and weights; the cosine slab and six arrays over the primes; per
+    # row the node values (twice, while stacked), a block's two products, its
+    # candidate mask and a result per sigma; the grid, the block's float
+    # kernel and its bool mask, and the float64 buffers of a numpy ufunc
+    more = 9 * n_rows * n_primes + 8 * (SLAB + 6) * n_primes
+    more += n_rows * (16 * m + 17 * block + 256 * len(grid)) + 8 * max(n_points) + 9 * block * m
+    more += 24 * np.getbufsize()
     what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
@@ -333,9 +423,10 @@ def sup_scans(
         signs[i] = prime_sign_table(assignment, primes)
     primes = primes.astype(np.float64)
     logp = np.log(primes)
-    results: list[list[HarperScanResult]] = [[] for _ in assignments]
+    weights = np.empty(signs.shape)
+    results: list[list[HarperScanResult]] = [[] for _ in range(n_rows)]
     for sigma, step, points in zip(grid, steps, n_points):
-        weights = signs * primes ** (-sigma)
+        np.multiply(signs, primes ** (-sigma), out=weights)
         sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, points)
         centered = sup_vals - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
         for i, row in enumerate(results):

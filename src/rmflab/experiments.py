@@ -37,7 +37,7 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -151,11 +151,27 @@ class ExperimentConfig:
             if self.prime_limit is None or self.prime_limit < 2:
                 raise DomainError("prime_limit >= 2 is required")
 
-    def trial_assignments(self) -> tuple[list[int], list[SignAssignment]]:
-        """(seeds, assignments) of every trial, in trial order; all-minus-one
-        mode ignores the seeds."""
-        seeds = [trial_seed(self.base_seed, i) for i in range(self.trials)]
-        return seeds, [SignAssignment.of(self.sign_mode, seed) for seed in seeds]
+    def trial_assignments(self) -> tuple[Sequence[int], Sequence[SignAssignment]]:
+        """(seeds, assignments) of every trial, in trial order, each built
+        when it is read: a run holds none of them before its memory check,
+        and then a batch at a time.  All-minus-one mode ignores the seeds."""
+        seeds = _Built(self.trials, partial(trial_seed, self.base_seed))
+        return seeds, _Built(self.trials, lambda i: SignAssignment.of(self.sign_mode, seeds[i]))
+
+
+class _Built(Sequence):
+    """The sequence fn(0), ..., fn(n - 1), each item built when it is read."""
+
+    def __init__(self, n: int, fn: Callable):
+        self.n, self.fn = n, fn
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.fn(i) for i in range(self.n)[index]]
+        return self.fn(range(self.n)[index])
 
 
 @dataclass
@@ -421,7 +437,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
     threads = resolve_threads(config.threads)
     seeds, assignments = config.trial_assignments()
     rows, summary = EXPERIMENTS[config.experiment].body(config, assignments, threads)
-    records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
+    records = [{"trial": i, "seed": seed, **row} for i, (seed, trial) in enumerate(zip(seeds, rows)) for row in trial]
     return AggregateStats(config=config, per_trial=records, summary=summary)
 
 

@@ -304,6 +304,44 @@ def scan_by_cosine_matrix(
     return best, best_t
 
 
+def scan_by_recurrence(
+    weights: np.ndarray,
+    logp: np.ndarray,
+    t_start: float,
+    grid_step: float,
+    n_points: int,
+    chunk: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """dirichlet.scan_grid_max with its cosine rows from the three-term
+    recurrence cos((j+1)theta) = 2 cos(theta) cos(j theta) - cos((j-1)theta),
+    theta = step log p, seeded with exact cosines at the first two grid
+    points of every chunk: row-wise (max, first argmax t) by a running strict
+    max over the chunks, each max recomputed exactly at its t."""
+    weights = np.atleast_2d(weights)
+    n_rows = weights.shape[0]
+    best = np.full(n_rows, -np.inf)
+    best_t = np.full(n_rows, t_start)
+    two_cos_step = 2.0 * np.cos(grid_step * logp)
+    buf = np.empty((min(chunk, n_points), len(logp)))
+    for start in range(0, n_points, chunk):
+        size = min(chunk, n_points - start)
+        for row in range(size):
+            if row < 2:
+                np.cos((t_start + grid_step * (start + row)) * logp, out=buf[row])
+            else:
+                np.multiply(two_cos_step, buf[row - 1], out=buf[row])
+                np.subtract(buf[row], buf[row - 2], out=buf[row])
+        vals = weights @ buf[:size].T
+        block_best = vals.max(axis=1)
+        block_arg = vals.argmax(axis=1)
+        update = block_best > best
+        best[update] = block_best[update]
+        best_t[update] = t_start + grid_step * (start + block_arg[update])
+    for i in range(n_rows):
+        best[i] = weights[i] @ np.cos(best_t[i] * logp)
+    return best, best_t
+
+
 def riesz_mean(assignment, x: int, table=None) -> float:
     """sum_{n<=x} (f(n)/sqrt(n)) * log(x/n), natural log.
 

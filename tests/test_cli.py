@@ -477,6 +477,18 @@ def test_sup_scan_larger_than_memory_exit_3_before_allocating(tmp_path):
     assert not (tmp_path / "h").exists()
 
 
+def test_many_trials_exit_3_before_their_assignments_are_built(tmp_path, capsys, monkeypatch):
+    # a host of 1 MB: the scan of 10^6 trials needs 1.6 GB; their seeds and
+    # sign assignments, about 184 bytes a trial if built first, are not built
+    host_of(monkeypatch, 256)
+    outdir = tmp_path / "h"
+    peak = _peak_growth(lambda: run_cli("harper", "--trials", "1000000", "--limit", "1", "--prime-limit", "1000",
+                                        "--sigma-grid", "0.58", "--out", str(outdir)), 3)
+    assert peak < 2**20
+    assert "sup scan of 1000000 trials" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     # the sieve (4 bytes per n) and the engine's seed-free arrays (17 bytes
     # per n for f) alone exceed physical memory at this N
@@ -563,7 +575,7 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
-# (divergence: its sup scan, 2.82 MB; sign-changes: 3.26 MB) and the engine
+# (divergence: its sup scan, 1.53 MB; sign-changes: 3.26 MB) and the engine
 # check that counts eight (3.48 MB and 10.6 MB).
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 768),
@@ -595,15 +607,21 @@ def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatc
     assert "replay: MATCH" in capsys.readouterr().out
 
 
-def _peak_bytes(argv) -> int:
-    """The tracemalloc peak of one CLI run, over what was traced before it."""
+def _peak_growth(run, code: int) -> int:
+    """The tracemalloc peak of run(), which must return code, over what was
+    traced before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert run_cli(*argv) == 0
+        assert run() == code
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def _peak_bytes(argv) -> int:
+    """The tracemalloc peak of one CLI run, over what was traced before it."""
+    return _peak_growth(lambda: run_cli(*argv), 0)
 
 
 def test_series_memory_grows_as_its_engine(tmp_path):
@@ -619,7 +637,8 @@ def test_series_memory_grows_as_its_engine(tmp_path):
 
 def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
     # 2262 primes below 20000: their signs and weights take 20 kB, the
-    # scan's block of 256 cosine rows 4.6 MB, more than a 1 MB host
+    # scan's slab of 64 cosine rows 1.3 MB (counted with pi(P) < 2545),
+    # more than a 1 MB host
     host_of(monkeypatch, 256)
     outdir = tmp_path / "h"
     code = run_cli("harper", "--trials", "1", "--limit", "1", "--prime-limit", "20000",

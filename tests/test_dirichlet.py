@@ -1,28 +1,31 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmflab.dirichlet import (
-    CHUNK,
+    BLOCK,
     default_grid_step,
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
     harper_window,
+    interpolation_points,
     scan_grid_max,
     sup_scans,
     zeta,
 )
+import rmflab.dirichlet as dirichlet_module
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
 from rmflab.primes import build_spf_sieve, primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
-from oracles import csv_text, prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix
+from oracles import csv_text, prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix, scan_by_recurrence
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +199,33 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
         sup_scans(assignments, (0.58,), None, 10**6)
     n_primes = int(1.26 * (10**6 + 1) / math.log(10**6))
-    block = 8 * 256 * (n_primes + 100)  # about 187 MB
-    assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + block
+    step = default_grid_step(0.58)
+    n_points = int(math.floor((harper_window(0.58) - 1.0) / step)) + 1  # 2970
+    m = math.ceil(math.log(10**6) * 0.5 * step * (n_points - 1)) + 60  # 142 Chebyshev points
+    # the 64-point cosine slab and 6 arrays over the primes (51 MB); per trial
+    # the node values twice, a 256-point block's two products and its mask,
+    # and a 256-byte result; the grid, the block's float kernel and bool mask
+    # and three float64 ufunc buffers (1.2 MB together)
+    scan = 8 * (64 + 6) * n_primes + 100 * (16 * m + 17 * 256 + 256) + 8 * n_points + 9 * 256 * m
+    scan += 24 * np.getbufsize()
+    assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
+
+
+def test_sup_scan_peak_stays_under_its_estimate(table_1e5, monkeypatch):
+    # what sup_scans asks the gate for, against what tracemalloc sees it
+    # hold: interpolated at the default step, evaluated exactly at step 1
+    requested = []
+    monkeypatch.setattr(primes_module, "require_memory", lambda need, what: requested.append(need))
+    assignments = [SignAssignment.iid(k) for k in range(20)]
+    for step, slack in ((None, 1.5), (1.0, 2.5)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= requested[-1] < slack * peak
 
 
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
@@ -354,6 +382,7 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
     n_points = data.draw(st.sampled_from([1, 2, 255, 256, 257, 513]) | st.integers(1, 1200))
 
     oracle_sup, oracle_t = scan_by_cosine_matrix(weights, logp, t_start, step, n_points)
+    recurrence_sup, recurrence_t = scan_by_recurrence(weights, logp, t_start, step, n_points)
     t_grid = t_start + step * np.arange(n_points, dtype=np.float64)
     grid_values = np.sort(weights @ np.cos(np.outer(t_grid, logp)).T, axis=1)
     sup, t_star = scan_grid_max(weights, logp, t_start, step, n_points)
@@ -361,22 +390,60 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
         assert sup[i] == weights[i] @ np.cos(t_star[i] * logp)
         at_t_star = scan_by_cosine_matrix(weights[i], logp, t_star[i], step, 1)[0][0]
         assert abs(at_t_star - oracle_sup[i]) <= 1e-12
+        assert abs(sup[i] - recurrence_sup[i]) <= 1e-12
         if n_points == 1 or grid_values[i, -1] - grid_values[i, -2] > 1e-9:
-            assert t_star[i] == oracle_t[i]
+            assert t_star[i] == oracle_t[i] == recurrence_t[i]
+            assert sup[i] == recurrence_sup[i]
 
 
 def test_scan_grid_max_ties_take_the_first_occurrence():
-    # theta = pi/2 and t_0 = pi/4: cos(t_j) = +-1/sqrt(2), so the grid maximum
-    # ties at half the points (j mod 4 in {0, 3}), across several blocks
-    weights = np.array([[1.0]])
-    n_points = 4 * CHUNK + 3
-    sup, t_star = scan_grid_max(weights, np.array([1.0]), math.pi / 4, math.pi / 2, n_points)
-    assert abs(sup[0] - math.sqrt(0.5)) <= 1e-12
-    assert round((t_star[0] - math.pi / 4) / (math.pi / 2)) % 4 in (0, 3)
-    # log p = 0: every grid value is exactly 1, within and across blocks, so
-    # the first grid point is the maximum
+    # log p = 0: every grid value is exactly the weight, so each row's first
+    # grid point is its maximum; interpolated over more than 3 blocks
+    weights = np.array([[1.0], [-2.0]])
+    n_points = 3 * BLOCK + 3
+    assert n_points > interpolation_points(0.0, 0.5 * 0.5 * (n_points - 1)) + 1
     sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
-    assert sup[0] == 1.0 and t_star[0] == 2.0
+    assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
+    # on a grid of at most m + 1 points, evaluated exactly: the same
+    n_points = 40
+    assert n_points <= interpolation_points(0.0, 0.5 * 0.5 * (n_points - 1)) + 1
+    sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
+    assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
+    # theta = pi/2 and t_0 = pi/4: cos(t_j) = +-1/sqrt(2), so the grid maximum
+    # ties at half the points (j mod 4 in {0, 3}) up to the rounding of t_j
+    for n_points in (63, 3 * BLOCK + 3):
+        sup, t_star = scan_grid_max(weights[:1], np.array([1.0]), math.pi / 4, math.pi / 2, n_points)
+        assert abs(sup[0] - math.sqrt(0.5)) <= 1e-12
+        assert round((t_star[0] - math.pi / 4) / (math.pi / 2)) % 4 in (0, 3)
+
+
+def test_scan_interpolant_error_lies_under_its_bound(table_1e6, monkeypatch):
+    # sigma = 0.51 over the largest 2000 primes below 10^6: the band
+    # omega = log P and the window of the sup scan at its smallest sigma
+    primes = primes_up_to(table_1e6)[-2000:]
+    weights = np.array([prime_sign_table(SignAssignment.iid(seed), primes) for seed in (1, 2)])
+    weights = weights * primes.astype(np.float64) ** -0.51
+    logp = np.log(primes.astype(np.float64))
+    step = default_grid_step(0.51)
+    n_points = int(math.floor((harper_window(0.51) - 1.0) / step)) + 1
+    exact = np.empty((2, n_points))
+    for start in range(0, n_points, 1024):
+        t_block = 1.0 + step * np.arange(start, min(start + 1024, n_points), dtype=np.float64)
+        exact[:, start : start + 1024] = weights @ np.cos(np.outer(t_block, logp)).T
+
+    def error_and_bound():
+        bound, blocks = dirichlet_module._grid_values(weights, logp, 1.0, step, n_points)
+        values = np.hstack(list(blocks))
+        return np.max(np.abs(values - exact)), bound
+
+    error, bound = error_and_bound()
+    assert error <= bound
+    # the shipped margin leaves a bound near the rounding: few exact rechecks
+    assert bound < 1e-9
+    # at +30 the interpolant is off by about 1e-6, far above the rounding
+    monkeypatch.setattr(dirichlet_module, "MARGIN", 30)
+    error, bound = error_and_bound()
+    assert 1e-7 < error <= bound
 
 
 def test_harper_sup_validation(table_1e5):
