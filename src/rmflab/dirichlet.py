@@ -21,12 +21,15 @@ The sup statistic scans t over the window [1, 2 (log(1/(sigma-1/2)))^2] for
 the largest value of sum_p f(p) cos(t log p) / p^sigma on a uniform grid.
 A uniform grid with recorded step gives a certified lower bound on the sup,
 which is the direction the comparison in the mellin module needs.  The sum
-is band-limited to omega = log P, so the scan evaluates it exactly at about
-omega h Chebyshev points of the grid's span (half-width h), interpolates the
-whole grid from them, and recomputes exactly every grid point that the
-interpolant's error bound cannot rule out as the maximum (Odlyzko and
-Schoenhage 1988; Berrut and Trefethen 2004).  It reports the exact sum at
-the first grid point where that sum is largest.
+is entire of exponential type omega = log P and bounded, so it is fixed by
+its samples on a lattice spaced below the Nyquist spacing pi/omega.  The
+scan computes the sum on such a lattice, its cosines by the three-term
+recurrence with exact reseeds, filters the grid from the lattice with a
+Gaussian-regularized sinc (Qian, Proc. AMS 131 (2003); Schmeisser and
+Stenger, Sampl. Theory Signal Image Process. 6 (2007)), and recomputes
+exactly every grid point that the filter's error bound cannot rule out as
+the maximum.  It reports the exact sum at the first grid point where that
+sum is largest.
 """
 
 from __future__ import annotations
@@ -216,13 +219,17 @@ class HarperScanResult:
     prime_limit: int
 
 
-#: Chebyshev points beyond the band limit omega*h of scan_grid_max's
-#: interpolant; at +30 its error at sigma = 0.51, P = 10^6 is near 1e-6.
-MARGIN = 60
-#: Points per slab of cosines over the primes, and grid points per
-#: barycentric block, in scan_grid_max.
+#: scan_grid_max samples S on a lattice OVERSAMPLE times finer than its
+#: Nyquist spacing pi/omega, filters each grid point from the 2 TAPS lattice
+#: sums around it, and computes the first two of every RESEED lattice rows
+#: of cosines by np.cos, the others by the three-term recurrence.
+OVERSAMPLE = 1.5
+TAPS = 36
+RESEED = 64
+#: Rows per slab of cosines over the primes, and grid points per block of
+#: filtered values, in scan_grid_max.
 SLAB = 64
-BLOCK = 256
+BLOCK_POINTS = 1024
 
 
 def harper_window(sigma: float) -> float:
@@ -235,65 +242,101 @@ def default_grid_step(sigma: float) -> float:
     return 0.01 / math.log(1.0 / (sigma - 0.5))
 
 
-def interpolation_points(omega: float, half_width: float) -> int:
-    """Chebyshev points of scan_grid_max's interpolant on a span of
-    half-width h for frequencies up to omega: ceil(omega h) + MARGIN."""
-    return math.ceil(omega * half_width) + MARGIN
+def lattice(omega: float, grid_step: float, n_points: int) -> tuple[int, int]:
+    """(q, rows): scan_grid_max's lattice for frequencies up to omega on a
+    grid of n_points spaced grid_step.
+
+    q grid points fill each lattice cell, at most n_points and BLOCK_POINTS,
+    and at most pi / (OVERSAMPLE omega grid_step), so the lattice spacing q
+    grid_step is at most pi / (OVERSAMPLE omega); the grid needs
+    (n_points - 1) // q + 2 TAPS lattice rows.  A grid of no more points
+    than that gets (0, n_points): it is evaluated exactly.
+    """
+    q = min(n_points, BLOCK_POINTS)
+    if OVERSAMPLE * omega * grid_step * q > math.pi:
+        q = math.floor(math.pi / (OVERSAMPLE * omega * grid_step))
+    rows = (n_points - 1) // q + 2 * TAPS if q else n_points
+    return (q, rows) if rows < n_points else (0, n_points)
 
 
-def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t: np.ndarray):
-    """Yield weights @ cos(outer(t[start : start + SLAB], logp)).T for
-    start = 0, SLAB, ..., the cosines built in one reused slab."""
-    slab = np.empty((min(SLAB, t.size), logp.size))
-    for start in range(0, t.size, SLAB):
-        block = slab[: min(SLAB, t.size - start)]
-        np.outer(t[start : start + SLAB], logp, out=block)
-        np.cos(block, out=block)
-        yield weights @ block.T
+def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int, reseed: int):
+    """Yield weights @ cos(outer(t, logp)).T at t = t_start + spacing * i for
+    i < count, SLAB rows i at a time, the cosines built in one reused slab:
+    a row with i % reseed < 2 by np.cos, the others by the recurrence
+    cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta), theta = spacing log p."""
+    slab = np.empty((min(SLAB, count), logp.size))
+    two_cos = np.multiply(spacing, logp)
+    np.cos(two_cos, out=two_cos)
+    two_cos *= 2.0
+    for start in range(0, count, SLAB):
+        for i in range(start, min(start + SLAB, count)):
+            row = slab[i % SLAB]
+            if i % reseed < 2:
+                np.multiply(t_start + spacing * i, logp, out=row)
+                np.cos(row, out=row)
+            else:
+                np.multiply(two_cos, slab[(i - 1) % SLAB], out=row)
+                np.subtract(row, slab[(i - 2) % SLAB], out=row)
+        yield weights @ slab[: min(SLAB, count - start)].T
 
 
-def _barycentric(node_values: np.ndarray, nodes: np.ndarray, grid: np.ndarray):
-    """Yield the values of the interpolant through (nodes, node_values) at
-    grid[start : start + BLOCK], start = 0, BLOCK, ..., by the second-form
-    barycentric formula
-    for Chebyshev points of the second kind; a grid point on a node takes
-    the node's value."""
-    node_weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    node_weights[[0, -1]] *= 0.5
-    kernels = np.empty((min(BLOCK, grid.size), nodes.size))
-    masks = np.empty(kernels.shape, dtype=bool)
-    for start in range(0, grid.size, BLOCK):
-        kernel, on_node = kernels[: grid.size - start], masks[: grid.size - start]
-        np.subtract(grid[start : start + BLOCK, None], nodes, out=kernel)
-        np.equal(kernel, 0.0, out=on_node)
-        kernel[on_node] = 1.0
-        np.divide(node_weights, kernel, out=kernel)
-        hit = on_node.any(axis=1)
-        kernel[hit] = on_node[hit]
-        yield (node_values @ kernel.T) / kernel.sum(axis=1)
+def _taps(q: int, alpha: float) -> np.ndarray:
+    """The q x 2 TAPS filter: row r holds g(r/q - n) for the lattice offsets
+    n = 1 - TAPS, ..., TAPS, where g(x) = sinc(x) exp(-alpha x^2 / TAPS)."""
+    x = np.arange(q)[:, None] / q - np.arange(1 - TAPS, TAPS + 1)
+    return np.sinc(x) * np.exp(-alpha / TAPS * x * x)
+
+
+def _tone_bound(alpha: float) -> float:
+    """2 e^(-alpha N) / sqrt(pi alpha N) (1 + 2 / sqrt(pi alpha N)), N = TAPS:
+    the filter's error on a tone e^(i nu x) of frequency |nu| <= pi - 2 alpha
+    sampled at the integers."""
+    root = math.sqrt(math.pi * alpha * TAPS)
+    return 2.0 * math.exp(-alpha * TAPS) / root * (1.0 + 2.0 / root)
+
+
+def _filtered(sums: np.ndarray, taps: np.ndarray, n_points: int):
+    """Yield the filter's values at the grid points from the lattice sums,
+    BLOCK_POINTS // q whole cells at a time, each block in the buffer of the
+    last: the window of 2 TAPS sums starting at cell k times the taps gives
+    cell k's q points."""
+    rows, q = sums.shape[0], taps.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view(sums, 2 * TAPS, axis=1)
+    cells = min(BLOCK_POINTS // q, windows.shape[1])
+    window, values = np.empty(rows * cells * 2 * TAPS), np.empty(rows * cells * q)
+    for first in range(0, windows.shape[1], cells):
+        size = min(cells, windows.shape[1] - first)
+        block = window[: rows * size * 2 * TAPS].reshape(rows, size, 2 * TAPS)
+        np.copyto(block, windows[:, first : first + size])
+        out = values[: rows * size * q].reshape(rows * size, q)
+        np.matmul(block.reshape(rows * size, 2 * TAPS), taps.T, out=out)
+        yield out.reshape(rows, size * q)[:, : n_points - first * q]
 
 
 def _grid_values(weights, logp, t_start, grid_step, n_points):
-    """(E, blocks): the bound E of scan_grid_max, and an iterator over its
-    interpolated values at consecutive blocks of grid points, one row per
+    """(E, blocks): the bound E of scan_grid_max, and an iterator over the
+    values it compares at consecutive blocks of grid points, one row per
     weight row."""
-    grid = t_start + grid_step * np.arange(n_points, dtype=np.float64)
-    half = 0.5 * grid_step * (n_points - 1)
     omega = float(np.max(np.abs(logp)))
-    m = interpolation_points(omega, half)
+    q, rows = lattice(omega, grid_step, n_points)
     total = max(float(np.sum(np.abs(row))) for row in weights)  # W, one row at a time
-    lebesgue = 2.0 / math.pi * math.log(m) + 1.0
-    rounding = (logp.size + 4 * (m + 1)) * np.finfo(np.float64).eps * 2.0 * (lebesgue + 1.0) * total
-    if n_points <= m + 1:
-        return rounding, _cosine_sums(weights, logp, grid)
-    # Bernstein ellipse of parameter rho = e^u: |Im x| <= sinh u on it, so
-    # |S| <= W e^(omega h sinh u) there (ATAP Thm 8.2, degree m - 1)
-    u = np.geomspace(1e-4, 50.0, 1000)
-    exponent = omega * half * np.sinh(u) - (m - 1) * u - np.log(np.expm1(u))
-    ellipse = 4.0 * total * math.exp(float(np.min(exponent)))
-    nodes = t_start + half * (1.0 - np.cos(np.pi * np.arange(m) / (m - 1)))
-    node_values = np.hstack(list(_cosine_sums(weights, logp, nodes)))
-    return ellipse + rounding, _barycentric(node_values, nodes, grid)
+    eps = float(np.finfo(np.float64).eps)
+    if not q:
+        reach = max(abs(t_start), abs(t_start + grid_step * (n_points - 1)))
+        rounding = 2.0 * eps * total * (logp.size + 4.0 * (1.0 + omega * reach))
+        return rounding, _cosine_sums(weights, logp, t_start, grid_step, n_points, 1)
+    spacing = q * grid_step
+    alpha = 0.5 * (math.pi - omega * spacing)
+    t_first = t_start - (TAPS - 1) * spacing
+    reach = max(abs(t_first), abs(t_first + spacing * (rows - 1)))
+    taps = _taps(q, alpha)
+    lebesgue = float(np.max(np.sum(np.abs(taps), axis=1)))
+    rounding = eps * total * (lebesgue + 1.0) * (
+        logp.size + 2 * TAPS + 2 * RESEED**2 + 4 * RESEED * (1.0 + omega * reach))
+    sums = np.empty((weights.shape[0], rows))
+    for start, block in zip(range(0, rows, SLAB), _cosine_sums(weights, logp, t_first, spacing, rows, RESEED)):
+        sums[:, start : start + SLAB] = block
+    return total * _tone_bound(alpha) + rounding, _filtered(sums, taps, n_points)
 
 
 def scan_grid_max(
@@ -309,26 +352,29 @@ def scan_grid_max(
     the largest exact sum weights[i] @ np.cos(t * logp) over the grid, and
     the smallest grid t that attains it.
 
-    S is band-limited to omega = max |log p|.  On the grid's span, of
-    half-width h, it is interpolated at m = ceil(omega h) + MARGIN Chebyshev
-    points of the second kind: the node values come from cosine GEMMs of
-    SLAB nodes each, the grid values from the second-form barycentric
-    formula, one GEMM per BLOCK grid points.  The interpolant lies within E
-    of every exact grid value, where, with W = max_i sum_p |w_p|,
-    n = len(logp) and Lambda = (2/pi) log m + 1 >= the nodes' Lebesgue
-    constant,
+    S is entire of exponential type omega = max |log p| and bounded by
+    W = max_i sum_p |w_p|.  Its sums at the lattice u_i = t_start +
+    (i - N + 1) Delta, N = TAPS, with the spacing Delta = q step of
+    lattice(omega, step, n_points), come from cosine GEMMs of SLAB rows
+    each: the first two of every RESEED rows by np.cos, the others by the
+    three-term recurrence.  The grid point t_start + (k + r/q) Delta gets
+    sum over n = 1 - N..N of S(u_(k+n+N-1)) g(r/q - n), one GEMM per block
+    of cells, with the Gaussian-regularized sinc g(x) = sinc(x)
+    exp(-alpha x^2 / N), alpha = (pi - omega Delta) / 2 (Qian 2003;
+    Schmeisser and Stenger 2007).  Those values lie within E of every exact
+    grid value, where, with n = len(logp), Lambda = max_r sum_n |g(r/q - n)|
+    and T the largest |u_i|,
 
-        E = min over u > 0 of 4 W e^(omega h sinh u) / (e^(m u) - e^((m-1) u))
-            + (n + 4 (m + 1)) eps 2 (Lambda + 1) W.
+        E = W 2 e^(-alpha N) / sqrt(pi alpha N) (1 + 2 / sqrt(pi alpha N))
+            + eps W (Lambda + 1) (n + 2 N + 2 RESEED^2 + 4 RESEED (1 + omega T)).
 
-    The first term is the Bernstein-ellipse bound for degree m - 1
-    (Trefethen, ATAP Thm 8.2), as |cos| <= e^(omega h sinh u) on the
-    ellipse rho = e^u; the second bounds the rounding of the node GEMM, the
-    barycentric step and the exact sums.  Every grid point whose
-    interpolated value lies within 2E of its row's interpolated maximum is
-    recomputed exactly, so E only decides how many points are.  A grid of
-    at most m + 1 points is evaluated with exact cosines instead, and E is
-    then the rounding term alone.
+    The first term bounds the filter's error on each tone cos(t log p); the
+    second the rounding of the recurrence (quadratic in the rows since a
+    reseed, linear in the phases' rounding), the lattice GEMM, the taps and
+    the exact sums.  Every grid point whose value lies within 2E of its
+    row's maximum is recomputed exactly, so E only decides how many points
+    are.  A grid of no more points than lattice rows is evaluated with
+    exact cosines instead, and E is then 2 eps W (n + 4 (1 + omega T)).
     """
     weights = np.atleast_2d(weights)
     bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points)
@@ -380,6 +426,43 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     return grid
 
 
+def _scan_grids(sigma_grid, grid_step: float | None) -> list[tuple[float, float, int]]:
+    """(sigma, step, n_points) of each sigma's scan: the grid t = 1 + step j
+    over the window [1, harper_window(sigma)], step default_grid_step(sigma)
+    if grid_step is None."""
+    grids = []
+    for sigma in sigma_grid:
+        step = default_grid_step(sigma) if grid_step is None else float(grid_step)
+        grids.append((sigma, step, int(math.floor((harper_window(sigma) - 1.0) / step)) + 1))
+    return grids
+
+
+def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: int) -> int:
+    """The bytes that sup_scans of n_rows assignments allocates besides its
+    sieve, counted before the sieve with prime_count_bound(P) primes and
+    omega = log P (no larger q, no fewer lattice rows than the scan's).
+
+    Throughout: the int8 signs and float64 weights, six float64 arrays over
+    the primes, per row the longest lattice's sums and a result per sigma,
+    and the float64 buffers of a numpy ufunc.  Then the larger of the
+    cosine phase (the slab, no more rows than a lattice or exact grid has,
+    the 2 cos(theta) row, per row two slabs' sums and a mask) and the filter phase (the taps and their temporaries; per
+    row a block's windows of sums, its values and its candidate mask).
+    """
+    n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
+    slab, sums, filtering = 0, 0, 0
+    for _sigma, step, points in _scan_grids(sigma_grid, grid_step):
+        q, rows = lattice(omega, step, points)
+        slab = max(slab, min(SLAB, rows))
+        if q:
+            cells = BLOCK_POINTS // q
+            sums = max(sums, 8 * rows)
+            filtering = max(filtering, n_rows * (9 * cells * q + 16 * TAPS * cells) + 96 * TAPS * (q + 1))
+    cosines = 8 * (slab + 1) * n_primes + 17 * slab * n_rows
+    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 256 * len(sigma_grid))
+    return more + max(cosines, filtering) + 24 * np.getbufsize()
+
+
 def sup_scans(
     assignments,
     sigma_grid,
@@ -397,25 +480,14 @@ def sup_scans(
     there, so a certified lower bound for the true supremum at the recorded
     grid_step; halving grid_step can only increase it.  All assignments
     share one scan_grid_max call per sigma, one weight row per assignment.
-    Raises ResourceError, before the sieve if it builds one, if the int8
-    signs and float64 weights (9 bytes per assignment and prime) and what
-    scan_grid_max allocates at the widest window (its cosine slab, node
-    values and barycentric block), counted with prime_count_bound(P) and
-    omega = log P, exceed the host's physical memory.
+    Without a table, raises ResourceError before it builds its sieve if
+    scan_bytes (the signs and weights, the cosine slab, the lattice sums
+    and the filter's blocks) and the sieve exceed the host's physical
+    memory; a caller that passes a table has counted scan_bytes itself.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
-    n_rows, n_primes = len(assignments), prime_count_bound(prime_limit)
-    steps = [default_grid_step(sigma) if grid_step is None else float(grid_step) for sigma in grid]
-    n_points = [int(math.floor((harper_window(sigma) - 1.0) / step)) + 1 for sigma, step in zip(grid, steps)]
-    half = 0.5 * max(step * (points - 1) for step, points in zip(steps, n_points))
-    m, block = interpolation_points(math.log(max(prime_limit, 2)), half), min(BLOCK, max(n_points))
-    # signs and weights; the cosine slab and six arrays over the primes; per
-    # row the node values (twice, while stacked), a block's two products, its
-    # candidate mask and a result per sigma; the grid, the block's float
-    # kernel and its bool mask, and the float64 buffers of a numpy ufunc
-    more = 9 * n_rows * n_primes + 8 * (SLAB + 6) * n_primes
-    more += n_rows * (16 * m + 17 * block + 256 * len(grid)) + 8 * max(n_points) + 9 * block * m
-    more += 24 * np.getbufsize()
+    n_rows = len(assignments)
+    more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit)
     what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
@@ -425,7 +497,7 @@ def sup_scans(
     logp = np.log(primes)
     weights = np.empty(signs.shape)
     results: list[list[HarperScanResult]] = [[] for _ in range(n_rows)]
-    for sigma, step, points in zip(grid, steps, n_points):
+    for sigma, step, points in _scan_grids(grid, grid_step):
         np.multiply(signs, primes ** (-sigma), out=weights)
         sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, points)
         centered = sup_vals - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))

@@ -158,17 +158,18 @@ def divergence_rows(
     across the whole grid: mixing realizations across sigma would destroy
     the phenomenon being compared.
 
-    The sieve first checks the engine (one segment of N) and 8 bytes per n
-    of each sigma's kernel.  The sup scan runs once for all assignments;
-    then the engine builds each whole series (one segment: np.sum adds
-    pairwise, so the integrals cannot be summed per segment) on up to
-    `threads` threads and integrates it against each sigma's kernel,
-    computed once per run; the witness product is evaluated at each
-    assignment's t* for each sigma.
+    The sieve first checks the engine (one segment of N), 8 bytes per n of
+    each sigma's kernel and the sup scan (dirichlet.scan_bytes), which then
+    runs once for all assignments.  The engine builds each whole series
+    (one segment: np.sum adds pairwise, so the integrals cannot be summed
+    per segment) on up to `threads` threads and integrates it against each
+    sigma's kernel, computed once per run; the witness product is evaluated
+    at each assignment's t* for each sigma.
     """
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
     more = engine_bytes(model, limit, len(assignments), threads, limit) + 8 * (limit + 1) * len(grid)
+    more += dirichlet.scan_bytes(len(assignments), grid, grid_step, prime_limit)
     table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)

@@ -25,7 +25,8 @@ reconstruction test M_alpha(x) - M_alpha(x-1) = g(x)/x^alpha quantifies it.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,15 +244,33 @@ def concurrent_calls(threads: int, items: int) -> int:
     return max(1, min(threads, items))
 
 
+#: map_ordered's worker pools, one per worker count, kept for the process.
+#: A pool per call would start and end its threads each time, and a thread
+#: that starts while an ended one has not yet handed back its malloc arena
+#: gets a new arena, which keeps what the thread's arrays leave in it: the
+#: peak RSS of a run would then depend on thread timing.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
 def map_ordered(worker, items, threads: int) -> list:
     """[worker(x) for x in items], concurrent_calls of them at a time.
 
     Results come back in item order whatever the thread count; an exception
-    raised by any call is raised here.
+    raised by any call is raised here, the first in item order, after the
+    calls already running have ended and those not yet started are dropped.
     """
     items = list(items)
     running = concurrent_calls(threads, len(items))
     if running == 1:
         return [worker(x) for x in items]
-    with ThreadPoolExecutor(max_workers=running) as pool:
-        return list(pool.map(worker, items))
+    with _POOLS_LOCK:
+        if running not in _POOLS:
+            _POOLS[running] = ThreadPoolExecutor(max_workers=running, thread_name_prefix="rmflab")
+        pool = _POOLS[running]
+    futures = [pool.submit(worker, x) for x in items]
+    _done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+    for future in pending:
+        future.cancel()
+    wait(pending)
+    return [future.result() for future in futures]

@@ -575,8 +575,8 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
-# (divergence: its sup scan, 1.53 MB; sign-changes: 3.26 MB) and the engine
-# check that counts eight (3.48 MB and 10.6 MB).
+# (divergence: its one check, the sup scan included, 2.13 MB; sign-changes:
+# 3.26 MB) and the check that counts eight (4.27 MB and 10.6 MB).
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 768),
     (["sign-changes", "--limit", "100000"], 1024),
@@ -658,6 +658,20 @@ def test_harper_checks_its_scan_before_the_sieve(tmp_path, capsys, monkeypatch):
                    "--sigma-grid", "0.58", "--out", str(outdir))
     assert code == 3
     assert "sup scan of 100 trials" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_divergence_checks_its_scan_before_the_sieve(tmp_path, capsys, monkeypatch):
+    # a host of 16 MB holds the sieve to 10^6 (4 MB) and the engine at
+    # N = 1000, not the sup scan of 100 trials over its primes: divergence
+    # counts the scan in its one check, so the sieve is never built
+    host_of(monkeypatch, 4096)
+    monkeypatch.setattr(primes, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
+    outdir = tmp_path / "d"
+    code = run_cli("divergence", "--trials", "100", "--limit", "1000", "--prime-limit", "1000000",
+                   "--sigma-grid", "0.55", "--out", str(outdir))
+    assert code == 3
+    assert "divergence at N = 1000, P = 1000000" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmflab.dirichlet import (
-    BLOCK,
+    BLOCK_POINTS,
+    TAPS,
     default_grid_step,
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
     harper_window,
-    interpolation_points,
+    lattice,
+    scan_bytes,
     scan_grid_max,
     sup_scans,
     zeta,
@@ -25,7 +27,14 @@ from rmflab.primes import build_spf_sieve, primes_up_to
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
-from oracles import csv_text, prime_cosine_sum, prime_sum_real, scan_by_cosine_matrix, scan_by_recurrence
+from oracles import (
+    csv_text,
+    prime_cosine_sum,
+    prime_sum_real,
+    scan_by_chebyshev,
+    scan_by_cosine_matrix,
+    scan_by_recurrence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +210,28 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     n_primes = int(1.26 * (10**6 + 1) / math.log(10**6))
     step = default_grid_step(0.58)
     n_points = int(math.floor((harper_window(0.58) - 1.0) / step)) + 1  # 2970
-    m = math.ceil(math.log(10**6) * 0.5 * step * (n_points - 1)) + 60  # 142 Chebyshev points
-    # the 64-point cosine slab and 6 arrays over the primes (51 MB); per trial
-    # the node values twice, a 256-point block's two products and its mask,
-    # and a 256-byte result; the grid, the block's float kernel and bool mask
-    # and three float64 ufunc buffers (1.2 MB together)
-    scan = 8 * (64 + 6) * n_primes + 100 * (16 * m + 17 * 256 + 256) + 8 * n_points + 9 * 256 * m
-    scan += 24 * np.getbufsize()
+    # omega = log P: 38 grid points per lattice cell, 2969 // 38 + 2 TAPS =
+    # 150 lattice rows, blocks of 1024 // 38 = 26 cells
+    q = math.floor(math.pi / (1.5 * math.log(10**6) * step))
+    rows, cells = (n_points - 1) // q + 72, 1024 // q
+    assert (q, rows) == (38, 150)
+    # throughout: 6 arrays over the primes, per trial its lattice sums and a
+    # 256-byte result, three float64 ufunc buffers; then the larger of the
+    # 64-row cosine slab with its 2 cos(theta) row and two slabs' sums per
+    # trial (48 MB), and the filter (2.5 MB): per trial a block's window of
+    # 72 sums per cell, its values and their mask, and the taps with their
+    # temporaries
+    cosines = 8 * 65 * n_primes + 17 * 64 * 100
+    filtering = 100 * (9 * cells * q + 16 * 36 * cells) + 96 * 36 * (q + 1)
+    scan = 48 * n_primes + 100 * (8 * rows + 256) + 24 * np.getbufsize() + max(cosines, filtering)
     assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
 
 
-def test_sup_scan_peak_stays_under_its_estimate(table_1e5, monkeypatch):
-    # what sup_scans asks the gate for, against what tracemalloc sees it
-    # hold: interpolated at the default step, evaluated exactly at step 1
-    requested = []
-    monkeypatch.setattr(primes_module, "require_memory", lambda need, what: requested.append(need))
+def test_sup_scan_peak_stays_under_its_estimate(table_1e5):
+    # scan_bytes, what sup_scans asks the gate for, against what tracemalloc
+    # sees it hold: filtered at the default step, evaluated exactly at step 1
     assignments = [SignAssignment.iid(k) for k in range(20)]
-    for step, slack in ((None, 1.5), (1.0, 2.5)):
+    for step in (None, 1.0):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -225,7 +239,7 @@ def test_sup_scan_peak_stays_under_its_estimate(table_1e5, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= requested[-1] < slack * peak
+        assert peak <= scan_bytes(20, (0.56, 0.54, 0.52), step, 10**5) < 1.5 * peak
 
 
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
@@ -382,7 +396,8 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
     n_points = data.draw(st.sampled_from([1, 2, 255, 256, 257, 513]) | st.integers(1, 1200))
 
     oracle_sup, oracle_t = scan_by_cosine_matrix(weights, logp, t_start, step, n_points)
-    recurrence_sup, recurrence_t = scan_by_recurrence(weights, logp, t_start, step, n_points)
+    routes = [scan_by_recurrence(weights, logp, t_start, step, n_points),
+              scan_by_chebyshev(weights, logp, t_start, step, n_points)]
     t_grid = t_start + step * np.arange(n_points, dtype=np.float64)
     grid_values = np.sort(weights @ np.cos(np.outer(t_grid, logp)).T, axis=1)
     sup, t_star = scan_grid_max(weights, logp, t_start, step, n_points)
@@ -390,31 +405,53 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
         assert sup[i] == weights[i] @ np.cos(t_star[i] * logp)
         at_t_star = scan_by_cosine_matrix(weights[i], logp, t_star[i], step, 1)[0][0]
         assert abs(at_t_star - oracle_sup[i]) <= 1e-12
-        assert abs(sup[i] - recurrence_sup[i]) <= 1e-12
-        if n_points == 1 or grid_values[i, -1] - grid_values[i, -2] > 1e-9:
-            assert t_star[i] == oracle_t[i] == recurrence_t[i]
-            assert sup[i] == recurrence_sup[i]
+        for route_sup, route_t in routes:
+            assert abs(sup[i] - route_sup[i]) <= 1e-12
+            if n_points == 1 or grid_values[i, -1] - grid_values[i, -2] > 1e-9:
+                assert t_star[i] == oracle_t[i] == route_t[i]
+                assert sup[i] == route_sup[i]
 
 
 def test_scan_grid_max_ties_take_the_first_occurrence():
     # log p = 0: every grid value is exactly the weight, so each row's first
-    # grid point is its maximum; interpolated over more than 3 blocks
+    # grid point is its maximum; filtered from the lattice in 4 blocks of
+    # one 1024-point cell
     weights = np.array([[1.0], [-2.0]])
-    n_points = 3 * BLOCK + 3
-    assert n_points > interpolation_points(0.0, 0.5 * 0.5 * (n_points - 1)) + 1
+    n_points = 3 * BLOCK_POINTS + 3
+    assert lattice(0.0, 0.5, n_points)[0] == BLOCK_POINTS
     sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
     assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
-    # on a grid of at most m + 1 points, evaluated exactly: the same
-    n_points = 40
-    assert n_points <= interpolation_points(0.0, 0.5 * 0.5 * (n_points - 1)) + 1
+    # on a grid of no more points than lattice rows, evaluated exactly: the same
+    n_points = 2 * TAPS
+    assert lattice(0.0, 0.5, n_points) == (0, n_points)
     sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
     assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
-    # theta = pi/2 and t_0 = pi/4: cos(t_j) = +-1/sqrt(2), so the grid maximum
-    # ties at half the points (j mod 4 in {0, 3}) up to the rounding of t_j
-    for n_points in (63, 3 * BLOCK + 3):
-        sup, t_star = scan_grid_max(weights[:1], np.array([1.0]), math.pi / 4, math.pi / 2, n_points)
-        assert abs(sup[0] - math.sqrt(0.5)) <= 1e-12
-        assert round((t_star[0] - math.pi / 4) / (math.pi / 2)) % 4 in (0, 3)
+    # theta = pi/4 and t_0 = pi/8: cos(t_j) = cos(pi/8) at j mod 8 in {0, 7}
+    # up to the rounding of t_j, the grid maximum; 2 grid points per lattice
+    # cell, so 3075 points are filtered in 4 blocks of 512 cells
+    for n_points, q in ((63, 0), (3 * BLOCK_POINTS + 3, 2)):
+        assert lattice(1.0, math.pi / 4, n_points)[0] == q
+        sup, t_star = scan_grid_max(weights[:1], np.array([1.0]), math.pi / 8, math.pi / 4, n_points)
+        assert abs(sup[0] - math.cos(math.pi / 8)) <= 1e-12
+        assert round((t_star[0] - math.pi / 8) / (math.pi / 4)) % 8 in (0, 7)
+
+
+@pytest.mark.parametrize("taps", [8, TAPS])
+@pytest.mark.parametrize("band", [1 / 4, 1 / 2, 2 / 3, 0.9])
+def test_filter_error_on_each_tone_lies_under_its_bound(monkeypatch, taps, band):
+    # tones e^(i nu x), 0 <= nu <= band * pi, sampled at the integers and
+    # filtered to x = r/q in [0, 1): the per-tone term of scan_grid_max's E,
+    # from Schmeisser and Stenger's bound, plus the rounding of the taps
+    monkeypatch.setattr(dirichlet_module, "TAPS", taps)
+    alpha, q = 0.5 * math.pi * (1.0 - band), 101
+    filtered = dirichlet_module._taps(q, alpha)
+    n, x = np.arange(1 - taps, taps + 1), np.arange(q) / q
+    nu = np.linspace(0.0, band * math.pi, 501)
+    error = np.abs(np.exp(1j * np.outer(nu, n)) @ filtered.T - np.exp(1j * np.outer(nu, x)))
+    bound = dirichlet_module._tone_bound(alpha)
+    assert error.max() <= bound + 8 * taps * np.finfo(np.float64).eps
+    if bound > 1e-12:  # the bound is close: within a factor of 7
+        assert error.max() > bound / 7
 
 
 def test_scan_interpolant_error_lies_under_its_bound(table_1e6, monkeypatch):
@@ -433,15 +470,17 @@ def test_scan_interpolant_error_lies_under_its_bound(table_1e6, monkeypatch):
 
     def error_and_bound():
         bound, blocks = dirichlet_module._grid_values(weights, logp, 1.0, step, n_points)
-        values = np.hstack(list(blocks))
+        values = np.hstack([block.copy() for block in blocks])  # each block reuses the last one's buffer
         return np.max(np.abs(values - exact)), bound
 
+    total = float(np.max(np.sum(np.abs(weights), axis=1)))
     error, bound = error_and_bound()
     assert error <= bound
-    # the shipped margin leaves a bound near the rounding: few exact rechecks
-    assert bound < 1e-9
-    # at +30 the interpolant is off by about 1e-6, far above the rounding
-    monkeypatch.setattr(dirichlet_module, "MARGIN", 30)
+    # the shipped taps leave a bound of 1.5e-9 W, mostly the filter's term
+    # (the error is 3.6e-11): few exact rechecks
+    assert bound < 2e-9 * total
+    # at 12 taps the filter is off by about 1e-5, far above the rounding
+    monkeypatch.setattr(dirichlet_module, "TAPS", 12)
     error, bound = error_and_bound()
     assert 1e-7 < error <= bound
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import rmflab.primes as primes_module
+from rmflab.dirichlet import scan_bytes
 from rmflab.errors import DomainError, ResourceError
 from rmflab.mellin import (
     DivergenceRow,
@@ -232,7 +233,8 @@ def _refused_bytes(monkeypatch, pages: int, *args) -> int:
 def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
     # a host of 1 MB; the sieve to P = 10^6 takes 4 MB, the run at N = 10^3 little
     requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
-    assert requested == engine_bytes("f", 10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + 4 * (10**6 + 1)
+    run = engine_bytes("f", 10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6)
+    assert requested == run + 4 * (10**6 + 1)
 
 
 def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch):
@@ -240,7 +242,18 @@ def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypat
     # whole series and the kernel
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
-    assert requested == engine_bytes("f", 10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + 4 * (10**5 + 1)
+    run = engine_bytes("f", 10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3)
+    assert requested == run + 4 * (10**5 + 1)
+
+
+def test_divergence_rows_check_their_scan_before_the_sieve(monkeypatch):
+    # a host of 16 MB holds the sieve to P = 10^6 (4 MB), the engine and the
+    # kernel at N = 10^3, not the sup scan of 100 trials (its cosine slab
+    # alone takes 47 MB), so the one check refuses the run and no sieve is built
+    assignments = [SignAssignment.iid(k) for k in range(100)]
+    requested = _refused_bytes(monkeypatch, 4096, assignments, "f", 0.5, (0.55,), 10**3, 10**6)
+    scan = scan_bytes(100, (0.55,), None, 10**6)
+    assert requested - scan < 4096 * 4096 < scan
 
 
 def test_divergence_comparison_rows():

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from rmflab.series import (
     Model,
     compute_series,
     detect_sign_changes,
+    map_ordered,
 )
 from rmflab.experiments import _Crossings, _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
@@ -286,3 +289,36 @@ def test_model_enum_round_trip():
     assert Model("fstar") is Model.F_STAR
     with pytest.raises(ValueError):
         Model("g")
+
+
+def test_map_ordered_runs_every_call_on_the_same_threads():
+    # a pool per call would start new threads each time, and with them new
+    # malloc arenas whenever an ended thread had not yet handed its back
+    idents = set()
+
+    def square(x):
+        idents.add(threading.get_native_id())
+        time.sleep(0.001)
+        return x * x
+
+    for _ in range(5):
+        assert map_ordered(square, range(8), 2) == [x * x for x in range(8)]
+    assert len(idents) <= 2 and threading.get_native_id() not in idents
+
+
+def test_map_ordered_raises_the_first_failure_in_item_order_after_running_calls_end():
+    ended = []
+
+    def work(x):
+        if x == 1:
+            time.sleep(0.2)
+            raise ValueError("item 1")
+        if x == 3:
+            raise KeyError("item 3")  # fails first in time
+        time.sleep(0.01)
+        ended.append(x)
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        map_ordered(work, range(12), 2)
+    assert 0 in ended and 2 in ended
