@@ -443,8 +443,9 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     omega = log P (no larger q, no fewer lattice rows than the scan's).
 
     Throughout: the int8 signs and float64 weights, six float64 arrays over
-    the primes, per row the longest lattice's sums and a result per sigma,
-    and the float64 buffers of a numpy ufunc.  Then the larger of the
+    the primes, per row the longest lattice's sums and 640 bytes per sigma
+    (its result, and the divergence row and CSV columns built from it), and
+    the float64 buffers of a numpy ufunc.  Then the larger of the
     cosine phase (the slab, no more rows than a lattice or exact grid has,
     the 2 cos(theta) row, per row two slabs' sums and a mask) and the filter phase (the taps and their temporaries; per
     row a block's windows of sums, its values and its candidate mask).
@@ -459,7 +460,7 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
             sums = max(sums, 8 * rows)
             filtering = max(filtering, n_rows * (9 * cells * q + 16 * TAPS * cells) + 96 * TAPS * (q + 1))
     cosines = 8 * (slab + 1) * n_primes + 17 * slab * n_rows
-    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 256 * len(sigma_grid))
+    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 640 * len(sigma_grid))
     return more + max(cosines, filtering) + 24 * np.getbufsize()
 
 

@@ -2,9 +2,8 @@
 
 run_experiment is the one runner.  It validates the config, derives every
 trial's seed and assignment, and hands them to the experiment's body, which
-returns each trial's rows and the summary; the runner prefixes every row
-with its trial index and seed.  Each body's row literal is the experiment's
-CSV schema.
+returns its CSV columns, {name: numpy array} in schema order, and the
+summary it computes from them; the runner puts trial and seed first.
 
 Trial i of an experiment uses the derived seed mix64((base_seed ^ salt) +
 i * golden), so per-trial results are independent of execution order and
@@ -13,9 +12,9 @@ experiments run their trials through series.stream_trials: each trial feeds
 its M_alpha and signed weights, segment by segment, to its own reducer (sign
 changes carry the last nonzero sign through series.sign_crossings,
 positivity keeps the minimum, growth a running maximum per theta up to each
-checkpoint) and keeps only its CSV rows.  Each run builds its own sieve,
-and sizes itself in the memory check of primes.sieve_for before it does:
-stream_trials counts its engine, growth adds its norms, and
+checkpoint) and keeps only the values of its CSV rows.  Each run builds
+its own sieve, and sizes itself in the memory check of primes.sieve_for
+before it does: _series_sieve counts the engine and the CSV rows, and
 mellin.divergence_rows and dirichlet.sup_scans count theirs.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
@@ -33,12 +32,11 @@ a pass or a fail there.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -176,16 +174,12 @@ class _Built(Sequence):
 
 @dataclass
 class AggregateStats:
-    """Ordered per-trial records plus a summary recomputable from them."""
+    """A run's CSV as columns, {name: numpy array} in schema order, row i
+    being entry i of each, in trial order, and a summary recomputable from them."""
 
     config: ExperimentConfig
-    per_trial: list[dict] = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
     summary: dict
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The CSV schema: the keys of the records, in record order."""
-        return tuple(self.per_trial[0])
 
 
 def _quantile_summary(values, prefix: str) -> dict:
@@ -198,11 +192,22 @@ def _quantile_summary(values, prefix: str) -> dict:
     }
 
 
+def _series_sieve(config: ExperimentConfig, threads: int, columns: int, rows: int = 1, more: int = 0):
+    """The sieve of a series experiment, after its one memory check: the
+    engine, `more` bytes and per CSV row (`rows` a trial) 8 bytes for each
+    of `columns` columns and 128 for the Python objects of a reducer's
+    result until they become columns (tracemalloc: 109 for sign-changes)."""
+    more += engine_bytes(config.model, config.limit, config.trials, threads)
+    more += config.trials * rows * (8 * columns + 128)
+    what = f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads"
+    return sieve_for(max(config.limit, 2), None, more, what)
+
+
 # ---------------------------------------------------------------------------
 # Reducers: feed(start, values, weights) takes one segment of a trial, with
 # M_alpha(n) and g(n)/n^alpha at n = start - 1 + i in slot i >= 1 and the sum
 # before the segment in slot 0, valid only during feed (series.stream_trials).
-# result() is the trial's rows.
+# result() is the values of the trial's rows.
 # ---------------------------------------------------------------------------
 
 
@@ -219,8 +224,8 @@ class _Crossings:
             self.count += at.size
             self.last_position = start + int(at[-1])
 
-    def result(self) -> list[dict]:
-        return [{"count": self.count, "last_position": self.last_position}]
+    def result(self) -> tuple[int, int]:
+        return self.count, self.last_position
 
 
 class _Minimum:
@@ -232,39 +237,39 @@ class _Minimum:
     def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         self.min_value = min(self.min_value, float(np.min(values[1:])))
 
-    def result(self) -> list[dict]:
-        return [{"all_positive": int(self.min_value > 0.0), "min_value": self.min_value}]
+    def result(self) -> float:
+        return self.min_value
 
 
 class _GrowthMaxima:
     """max over 16 <= x <= N of |M_0(x)| / norms[theta][x] at each checkpoint
-    N and theta: running maxima, recorded as x passes each N."""
+    N and theta: running maxima, recorded as x passes each N, theta fastest."""
 
     def __init__(self, norms: list[np.ndarray], checkpoints: list[int]):
         self.norms, self.checkpoints = norms, checkpoints
         self.best = [-math.inf] * len(norms)
-        self.rows: list[dict] = []
+        self.values: list[float] = []
 
     def feed(self, start: int, values: np.ndarray, weights: np.ndarray) -> None:
         stop = start + values.size - 1
         lo = max(start, 16)
-        for n in self.checkpoints[len(self.rows) // len(GROWTH_THETAS) :]:
+        for n in self.checkpoints[len(self.values) // len(GROWTH_THETAS) :]:
             hi = min(stop, n + 1)
             if lo < hi:
                 magnitude = np.abs(values[lo - start + 1 : hi - start + 1])
                 self.best = [max(b, float(np.max(magnitude / norm[lo:hi]))) for b, norm in zip(self.best, self.norms)]
             if hi <= n:
                 return
-            self.rows += [{"theta": float(t), "N": n, "value": b} for t, b in zip(GROWTH_THETAS, self.best)]
+            self.values += self.best
             lo = hi
 
-    def result(self) -> list[dict]:
-        return self.rows
+    def result(self) -> list[float]:
+        return self.values
 
 
 # ---------------------------------------------------------------------------
 # The experiments.  Each body takes (config, assignments, threads) and
-# returns (rows of each trial, summary); run_experiment adds trial and seed.
+# returns (columns, summary); run_experiment adds trial and seed.
 # ---------------------------------------------------------------------------
 
 
@@ -273,14 +278,15 @@ def _sign_changes(config: ExperimentConfig, assignments, threads: int):
     last crossing position; the summary holds count quantiles and, except in
     the reporting-only regime, the fraction of trials with at least
     MIN_SIGN_CHANGES crossings."""
-    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Crossings, threads)
-    counts = [trial[0]["count"] for trial in rows]
-    summary = _quantile_summary(counts, "count")
+    results = stream_trials(config.model, config.alpha, config.limit, assignments, _Crossings, threads,
+                            table=_series_sieve(config, threads, 4))
+    count, last_position = np.array(results, dtype=np.int64).T
+    summary = _quantile_summary(count, "count")
     summary["reporting_only"] = config.reporting_only
     if not config.reporting_only:
-        summary["pass_fraction"] = float(np.mean([c >= MIN_SIGN_CHANGES for c in counts]))
+        summary["pass_fraction"] = float(np.mean(count >= MIN_SIGN_CHANGES))
         summary["min_sign_changes"] = MIN_SIGN_CHANGES
-    return rows, summary
+    return {"count": count, "last_position": last_position}, summary
 
 
 def _positivity(config: ExperimentConfig, assignments, threads: int):
@@ -290,10 +296,19 @@ def _positivity(config: ExperimentConfig, assignments, threads: int):
     it is positive (equivalently that M_1(x) > 0 for all 2 <= x <= N, since
     M_1(1) = 1).
     """
-    rows = stream_trials(config.model, config.alpha, config.limit, assignments, _Minimum, threads)
-    summary = _quantile_summary([trial[0]["min_value"] for trial in rows], "min_value")
-    summary["pass_fraction"] = float(np.mean([trial[0]["all_positive"] for trial in rows]))
-    return rows, summary
+    min_value = np.array(stream_trials(config.model, config.alpha, config.limit, assignments, _Minimum, threads,
+                                       table=_series_sieve(config, threads, 4)))
+    all_positive = (min_value > 0.0).astype(np.int64)
+    summary = _quantile_summary(min_value, "min_value")
+    summary["pass_fraction"] = float(np.mean(all_positive))
+    return {"all_positive": all_positive, "min_value": min_value}, summary
+
+
+def _field_columns(trials) -> dict[str, np.ndarray]:
+    """The column of each field of the dataclass rows of every trial, in
+    field order; the field limit is the column N."""
+    rows = [row for trial in trials for row in trial]
+    return {{"limit": "N"}.get(f.name, f.name): np.array([getattr(r, f.name) for r in rows]) for f in fields(rows[0])}
 
 
 def _harper(config: ExperimentConfig, assignments, threads: int):
@@ -305,11 +320,9 @@ def _harper(config: ExperimentConfig, assignments, threads: int):
     sigma and whether the medians increase at every step of the
     (decreasing-sigma) grid.
     """
-    scans = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
-    med_list = [
-        float(np.quantile([row[k].centered_value for row in scans], 0.5))
-        for k in range(len(config.sigma_grid))
-    ]
+    columns = _field_columns(dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit))
+    centered = columns["centered_value"].reshape(config.trials, len(config.sigma_grid))
+    med_list = [float(m) for m in np.quantile(centered, 0.5, axis=0)]
     trend_steps = sum(1 for a, b in zip(med_list, med_list[1:]) if b > a)
     summary = {
         "median_centered": {repr(float(sig)): m for sig, m in zip(config.sigma_grid, med_list)},
@@ -317,69 +330,52 @@ def _harper(config: ExperimentConfig, assignments, threads: int):
         "trend_steps_total": max(len(med_list) - 1, 0),
         "trend_increasing": trend_steps == max(len(med_list) - 1, 0),
     }
-    return [[asdict(scan) for scan in row] for row in scans], summary
+    return columns, summary
 
 
 def _divergence(config: ExperimentConfig, assignments, threads: int):
     """Signed vs absolute Mellin integrals with sup-scan witnesses, per trial.
 
     One assignment per trial is shared across the whole sigma grid.  The
-    summary reports the fraction of trials whose absolute/|signed| ratio
-    increases monotonically toward sigma = 1/2 and whether the triangle
-    inequality absolute >= |signed| held everywhere (it must).
+    summary reports the fraction of trials whose absolute/|signed| ratio (inf
+    where signed = 0) increases monotonically toward sigma = 1/2 and whether
+    the triangle inequality absolute >= |signed| held everywhere (it must).
     """
-    tables = mellin.divergence_rows(
+    columns = _field_columns(mellin.divergence_rows(
         assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-        config.prime_limit, config.grid_step, threads,
-    )
-    rows = [
-        [{"sigma": row.sigma, "signed": row.signed, "absolute": row.absolute,
-          "harper_witness": row.harper_witness, "N": row.limit, "prime_limit": row.prime_limit}
-         for row in trial]
-        for trial in tables
-    ]
-    monotone_flags = []
-    for trial in tables:
-        ratios = [row.absolute / abs(row.signed) if row.signed != 0.0 else math.inf for row in trial]
-        monotone_flags.append(all(b > a for a, b in zip(ratios, ratios[1:])))
+        config.prime_limit, config.grid_step, threads))
+    shape = (config.trials, len(config.sigma_grid))
+    signed, absolute = columns["signed"].reshape(shape), columns["absolute"].reshape(shape)
+    ratio = np.divide(absolute, np.abs(signed), out=np.full(shape, math.inf), where=signed != 0.0)
     summary = {
-        "fraction_ratio_monotone": float(np.mean(monotone_flags)),
-        "triangle_inequality_ok": all(row.absolute >= abs(row.signed) for trial in tables for row in trial),
+        "fraction_ratio_monotone": float(np.mean(np.all(ratio[:, 1:] > ratio[:, :-1], axis=1))),
+        "triangle_inequality_ok": bool(np.all(absolute >= np.abs(signed))),
         "median_ratio": {
-            repr(float(sigma)): float(
-                np.quantile(
-                    [trial[k].absolute / abs(trial[k].signed) for trial in tables if trial[k].signed != 0.0],
-                    0.5,
-                )
-            )
+            repr(float(sigma)): float(np.quantile(ratio[signed[:, k] != 0.0, k], 0.5))
             for k, sigma in enumerate(config.sigma_grid)
         },
     }
-    return rows, summary
+    return columns, summary
 
 
 def _growth(config: ExperimentConfig, assignments, threads: int):
     """Growth-envelope statistics max |M_0(x)| / (sqrt(x) (log log x)^theta).
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
-    admit no finite-N pass/fail.  The sieve first checks the engine and
-    the float64 norms, 8 bytes per n and theta.
+    admit no finite-N pass/fail.  The sieve first checks the engine, the
+    CSV rows and the float64 norms, 8 bytes per n and theta.
     """
-    more = engine_bytes(config.model, config.limit, config.trials, threads)
-    more += 8 * (config.limit + 1) * len(GROWTH_THETAS)
-    what = f"growth at N = {config.limit} with {config.trials} trials on {threads} threads"
-    table = sieve_for(config.limit, None, more, what)
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
+    thetas, ns = np.tile(GROWTH_THETAS, len(checkpoints)), np.repeat(checkpoints, len(GROWTH_THETAS))
+    table = _series_sieve(config, threads, 5, thetas.size, 8 * (config.limit + 1) * len(GROWTH_THETAS))
     x = np.arange(16, config.limit + 1, dtype=np.float64)
     norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
-    reducer = partial(_GrowthMaxima, norms, checkpoints)
-    rows = stream_trials(config.model, config.alpha, config.limit, assignments, reducer, threads, table=table)
-    cells = []
-    for k, (n, theta) in enumerate(itertools.product(checkpoints, GROWTH_THETAS)):
-        values = [trial[k]["value"] for trial in rows]
-        cells.append({"theta": float(theta), "N": n, "median": float(np.quantile(values, 0.5)),
-                      "q95": float(np.quantile(values, 0.95))})
-    return rows, {"cells": cells, "reporting_only": True}
+    values = np.array(stream_trials(config.model, config.alpha, config.limit, assignments,
+                                    partial(_GrowthMaxima, norms, checkpoints), threads, table=table))
+    cells = [{"theta": float(t), "N": int(n), "median": float(m), "q95": float(q)} for t, n, m, q in
+             zip(thetas, ns, np.quantile(values, 0.5, axis=0), np.quantile(values, 0.95, axis=0))]
+    columns = {"theta": np.tile(thetas, config.trials), "N": np.tile(ns, config.trials), "value": values.ravel()}
+    return columns, {"cells": cells, "reporting_only": True}
 
 
 @dataclass(frozen=True)
@@ -431,14 +427,16 @@ EXPERIMENTS = {
 def run_experiment(config: ExperimentConfig) -> AggregateStats:
     """Run every trial of the config's experiment and summarize them.
 
-    Records come in trial order, each prefixed by trial and seed.
+    The columns trial and seed (uint64), a trial's value on each of its
+    rows, come before the body's columns.
     """
     config.validate()
     threads = resolve_threads(config.threads)
     seeds, assignments = config.trial_assignments()
-    rows, summary = EXPERIMENTS[config.experiment].body(config, assignments, threads)
-    records = [{"trial": i, "seed": seed, **row} for i, (seed, trial) in enumerate(zip(seeds, rows)) for row in trial]
-    return AggregateStats(config=config, per_trial=records, summary=summary)
+    columns, summary = EXPERIMENTS[config.experiment].body(config, assignments, threads)
+    rows = len(next(iter(columns.values()))) // config.trials
+    trial, seed = np.arange(config.trials), np.fromiter(seeds, np.uint64, config.trials)
+    return AggregateStats(config, {"trial": trial.repeat(rows), "seed": seed.repeat(rows), **columns}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +445,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateStats:
 
 
 def trials_csv(stats: AggregateStats):
-    """Per-trial CSV blocks with the experiment's column schema, one row per record."""
-    return csv_blocks(stats.columns, [[r[c] for r in stats.per_trial] for c in stats.columns])
+    """Per-trial CSV blocks: the header, then row i holds entry i of every column."""
+    return csv_blocks(stats.columns, stats.columns.values())
 
 
 def _series_csvs(series: WeightedSumSeries, log: SignChangeLog) -> dict:

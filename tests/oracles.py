@@ -7,20 +7,23 @@ compensated running sum, fstar by Dirichlet convolution, the prime cosine
 sum and the Riesz mean at one point, the sup scan with a full cosine
 matrix, by the cosine recurrence and by a Chebyshev interpolant, the Mellin
 record at one point, the growth statistic over a whole series, a CSV file
-as one string.  Tests compare the package against them, and wrap synthetic
-series of explicit values (series_from_values).
+as one string, and trials.csv by one dict per row (records_csv).  Tests
+compare the package against them, and wrap synthetic series of explicit
+values (series_from_values).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from rmflab.dirichlet import sup_scans
 from rmflab.errors import DomainError, MissingSignError
-from rmflab.mellin import boundary_term, mellin_step_integral, signed_and_absolute_integrals
+from rmflab.experiments import GROWTH_CHECKPOINTS, GROWTH_THETAS
+from rmflab.mellin import boundary_term, divergence_rows, mellin_step_integral, signed_and_absolute_integrals
 from rmflab.output import fmt_float
 from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to
-from rmflab.series import Model, WeightedSumSeries, growth_norm
+from rmflab.series import Model, WeightedSumSeries, detect_sign_changes, growth_norm
 from rmflab.signs import (
     _GOLDEN,
     _MASK64,
@@ -483,3 +486,46 @@ def evaluate_mellin(series: WeightedSumSeries, s: complex) -> MellinEvaluation:
         boundary_term=bnd,
         abs_integral=absint,
     )
+
+
+def experiment_rows(experiment: str, series: WeightedSumSeries) -> list[dict]:
+    """A trial's rows of a series experiment from its whole series, as each
+    experiment formed them before the engine reduced segments."""
+    if experiment == "sign-changes":
+        log = detect_sign_changes(series)
+        return [{"count": log.count, "last_position": int(log.positions[-1]) if log.count else 0}]
+    if experiment == "positivity":
+        min_value = float(np.min(series.values[1:]))
+        return [{"all_positive": int(min_value > 0.0), "min_value": min_value}]
+    checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= series.limit] or [series.limit]
+    return [
+        {"theta": float(theta), "N": n,
+         "value": growth_statistic(WeightedSumSeries(series.model, series.alpha, series.values[: n + 1]), theta)}
+        for n in checkpoints for theta in GROWTH_THETAS
+    ]
+
+
+def records_csv(config, table=None, trials=None) -> str:
+    """trials.csv of an ExperimentConfig by the record route: one dict per
+    CSV row, {"trial": i, "seed": seed of trial i, **row} in trial order,
+    written by csv_text with the first record's keys as the header.
+
+    A series experiment's rows come from each trial's whole series
+    (experiment_rows of series_and_values over table; trials, if given, is
+    series_and_values of each trial), harper's from sup_scans by asdict and
+    divergence's from divergence_rows by asdict, with limit written as N.
+    """
+    seeds, assignments = config.trial_assignments()
+    if config.experiment == "harper":
+        scans = sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
+        rows = [[asdict(scan) for scan in trial] for trial in scans]
+    elif config.experiment == "divergence":
+        tables = divergence_rows(assignments, config.model, config.alpha, config.sigma_grid, config.limit,
+                                 config.prime_limit, config.grid_step)
+        rows = [[{"N" if k == "limit" else k: v for k, v in asdict(row).items()} for row in trial] for trial in tables]
+    else:
+        if trials is None:
+            trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]
+        rows = [experiment_rows(config.experiment, series) for series, _ in trials]
+    records = [{"trial": i, "seed": seeds[i], **row} for i, trial in enumerate(rows) for row in trial]
+    return csv_text(records[0], [[record[c] for record in records] for c in records[0]])

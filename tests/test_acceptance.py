@@ -198,7 +198,7 @@ def test_3c_open_question_probe_reporting_only():
     cfg = ExperimentConfig(experiment="sign-changes", model="fstar", alpha=0.5,
                            limit=10**6, trials=100, base_seed=BASE_SEED)
     stats = run_experiment(cfg)
-    counts = sorted(r["count"] for r in stats.per_trial)
+    counts = sorted(stats.columns["count"].tolist())
     ok = stats.summary["reporting_only"] and "pass_fraction" not in stats.summary
     assert report("3c open-question probe (fstar, alpha=1/2)", ok,
                   "reported only, no pass/fail attached; count quantiles "

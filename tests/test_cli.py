@@ -489,6 +489,18 @@ def test_many_trials_exit_3_before_their_assignments_are_built(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_many_series_trials_exit_3_before_any_trial_runs(tmp_path, capsys, monkeypatch):
+    # a host of 1 MB: 40000 positivity trials at N = 100 need 1.3 MB for
+    # their 4 CSV columns alone, 6.4 MB with their results' Python objects
+    host_of(monkeypatch, 256)
+    monkeypatch.setattr(experiments, "stream_trials", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    outdir = tmp_path / "p"
+    assert run_cli("positivity", "--limit", "100", "--trials", "40000", "--out", str(outdir)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "physical memory" in captured.err
+    assert not outdir.exists()
+
+
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     # the sieve (4 bytes per n) and the engine's seed-free arrays (17 bytes
     # per n for f) alone exceed physical memory at this N
@@ -542,7 +554,12 @@ def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, m
 @pytest.mark.parametrize("command", [
     ["series", "--alpha", "0.5", "--limit", "1000", "--seed", "1", "--out", "OUT"],
     ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "1000"],
-], ids=["series", "mellin-check"])
+    ["sign-changes", "--limit", "1000", "--trials", "3", "--out", "OUT"],
+    ["positivity", "--limit", "1000", "--trials", "3", "--out", "OUT"],
+    ["harper", "--limit", "1", "--prime-limit", "1000", "--trials", "3", "--out", "OUT"],
+    ["divergence", "--limit", "1000", "--prime-limit", "1000", "--trials", "3", "--out", "OUT"],
+    ["growth", "--limit", "1000", "--trials", "3", "--out", "OUT"],
+], ids=["series", "mellin-check", "sign-changes", "positivity", "harper", "divergence", "growth"])
 def test_single_series_checks_its_memory_once(tmp_path, monkeypatch, command):
     checks = []
 

@@ -215,15 +215,15 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     q = math.floor(math.pi / (1.5 * math.log(10**6) * step))
     rows, cells = (n_points - 1) // q + 72, 1024 // q
     assert (q, rows) == (38, 150)
-    # throughout: 6 arrays over the primes, per trial its lattice sums and a
-    # 256-byte result, three float64 ufunc buffers; then the larger of the
-    # 64-row cosine slab with its 2 cos(theta) row and two slabs' sums per
-    # trial (48 MB), and the filter (2.5 MB): per trial a block's window of
-    # 72 sums per cell, its values and their mask, and the taps with their
-    # temporaries
+    # throughout: 6 arrays over the primes, per trial its lattice sums and
+    # 640 bytes for its result and CSV row, three float64 ufunc buffers;
+    # then the larger of the 64-row cosine slab with its 2 cos(theta) row
+    # and two slabs' sums per trial (48 MB), and the filter (2.5 MB): per
+    # trial a block's window of 72 sums per cell, its values and their mask,
+    # and the taps with their temporaries
     cosines = 8 * 65 * n_primes + 17 * 64 * 100
     filtering = 100 * (9 * cells * q + 16 * 36 * cells) + 96 * 36 * (q + 1)
-    scan = 48 * n_primes + 100 * (8 * rows + 256) + 24 * np.getbufsize() + max(cosines, filtering)
+    scan = 48 * n_primes + 100 * (8 * rows + 640) + 24 * np.getbufsize() + max(cosines, filtering)
     assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
 
 

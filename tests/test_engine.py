@@ -1,10 +1,10 @@
 """The batched trial engine against the per-trial route it replaced.
 
 The per-trial route (tests/oracles.py: values_by_recurrence and
-series_and_values, with the whole-array statistics of each experiment) is the
-oracle; the engine must reproduce it, M_alpha and the signed weights it hands
-each reducer, bit for bit whatever the segment size, lane batch and worker
-count.
+series_and_values, with the whole-array statistics of each experiment
+written by records_csv) is the oracle; the engine must reproduce it,
+M_alpha and the signed weights it hands each reducer, bit for bit whatever
+the segment size, lane batch and worker count.
 """
 
 import math
@@ -15,56 +15,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
-from rmflab.experiments import (
-    GROWTH_CHECKPOINTS,
-    GROWTH_THETAS,
-    AggregateStats,
-    ExperimentConfig,
-    run_experiment,
-    trials_csv,
-)
+from rmflab.experiments import ExperimentConfig, run_experiment, trials_csv
 from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, spf_cofactors, squarefree_mask
-from rmflab.series import compute_series, detect_sign_changes, engine_bytes, stream_trials, WeightedSumSeries
+from rmflab.series import compute_series, engine_bytes, stream_trials
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
-from oracles import growth_statistic, is_squarefree, series_and_values, values_by_recurrence
+from oracles import is_squarefree, records_csv, series_and_values, values_by_recurrence
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
 TRIAL_COUNTS = (1, 8, 9, 16, 17, 64, 65)  # every lane width and batch edge
 
 
-def _oracle_rows(experiment: str, series: WeightedSumSeries) -> list[dict]:
-    """A trial's rows from its whole series, as each experiment formed them
-    before the engine reduced segments."""
-    if experiment == "sign-changes":
-        log = detect_sign_changes(series)
-        return [{"count": log.count, "last_position": int(log.positions[-1]) if log.count else 0}]
-    if experiment == "positivity":
-        min_value = float(np.min(series.values[1:]))
-        return [{"all_positive": int(min_value > 0.0), "min_value": min_value}]
-    checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= series.limit] or [series.limit]
-    return [
-        {"theta": float(theta), "N": n,
-         "value": growth_statistic(WeightedSumSeries(series.model, series.alpha, series.values[: n + 1]), theta)}
-        for n in checkpoints for theta in GROWTH_THETAS
-    ]
-
-
-def _oracle_csv(config: ExperimentConfig, table, trials=None) -> str:
-    """The oracle's trials.csv; trials, if given, is series_and_values of
-    each trial."""
-    seeds, assignments = config.trial_assignments()
-    if trials is None:
-        trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]
-    records = []
-    for i, (series, _) in enumerate(trials):
-        records += [{"trial": i, "seed": seeds[i], **row} for row in _oracle_rows(config.experiment, series)]
-    return "".join(trials_csv(AggregateStats(config, records, {})))
-
-
 class _Recorder:
     """Hands each segment on to an experiment's reducer and copies it:
-    result() is (the reducer's rows, M_alpha on 1..limit, g on 1..limit),
+    result() is (the reducer's result, M_alpha on 1..limit, g on 1..limit),
     with g as np.sign of the signed weights."""
 
     def __init__(self, limit: int, reduce):
@@ -89,7 +53,7 @@ def _engine_run(config: ExperimentConfig, segment, threads: int):
         results = stream_trials(model, alpha, limit, assignments, lambda: _Recorder(limit, reducer()), threads,
                                 segment, table)
         fed.extend((values, g) for _, values, g in results)
-        return [rows for rows, _, _ in results]
+        return [result for result, _, _ in results]
 
     config.threads = threads
     with mock.patch.object(series_module, "SEGMENT", segment or config.limit), \
@@ -121,7 +85,7 @@ def test_trials_csv_does_not_depend_on_segment_batch_or_threads(config):
     table = build_spf_sieve(max(config.limit, 2))
     _, assignments = config.trial_assignments()
     trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]
-    expected = _oracle_csv(config, table, trials)
+    expected = records_csv(config, table, trials)
     for segment in SEGMENTS:
         for threads in (1, 2):
             csv, fed = _engine_run(config, segment, threads)
@@ -139,7 +103,7 @@ def test_segments_of_2_16_over_several_segments_match_the_oracle(experiment, tab
         experiment=experiment, model="f" if experiment != "positivity" else "fstar",
         alpha={"positivity": 1.0}.get(experiment, 0.0), limit=10**5, trials=9, base_seed=77,
     )
-    expected = _oracle_csv(config, table_1e5)
+    expected = records_csv(config, table_1e5)
     for segment in (2**10, 2**16, None):
         assert _engine_run(config, segment, 2)[0] == expected, segment
 

@@ -1,8 +1,11 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rmflab import experiments as experiments_module, primes as primes_module
 from rmflab.dirichlet import default_grid_step, sup_scans
 from rmflab.errors import DomainError
 from rmflab.experiments import (
@@ -16,9 +19,11 @@ from rmflab.experiments import (
     trials_csv,
     write_experiment,
 )
-from rmflab.mellin import divergence_rows
-from rmflab.series import compute_series, detect_sign_changes
+from rmflab.mellin import DivergenceRow, divergence_rows
+from rmflab.series import compute_series, detect_sign_changes, engine_bytes
 from rmflab.signs import SignAssignment, SignMode, trial_seed
+
+from oracles import records_csv
 
 
 def test_config_validation():
@@ -66,8 +71,8 @@ def test_default_grids_applied():
 def test_sign_change_trivial_single_trial():
     cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=0.0, limit=1, trials=1, base_seed=0)
     stats = run_experiment(cfg)
-    assert stats.per_trial[0]["count"] == 0
-    assert stats.per_trial[0]["last_position"] == 0
+    assert stats.columns["count"].tolist() == [0]
+    assert stats.columns["last_position"].tolist() == [0]
 
 
 def test_sign_change_records_depend_only_on_trial_seed(table_1e5):
@@ -79,8 +84,8 @@ def test_sign_change_records_depend_only_on_trial_seed(table_1e5):
         seed = trial_seed(99, i)
         series = compute_series(SignAssignment.iid(seed), "fstar", 0.25, 5000, table_1e5)
         log = detect_sign_changes(series)
-        assert stats.per_trial[i]["seed"] == seed
-        assert stats.per_trial[i]["count"] == log.count
+        assert stats.columns["seed"][i] == seed
+        assert stats.columns["count"][i] == log.count
 
 
 @pytest.mark.parametrize(
@@ -116,16 +121,16 @@ def test_positivity_trivial_n1():
     cfg = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=1, trials=4, base_seed=2)
     stats = run_experiment(cfg)
     assert stats.summary["pass_fraction"] == 1.0
-    assert all(r["min_value"] == 1.0 for r in stats.per_trial)
+    assert stats.columns["min_value"].tolist() == [1.0] * 4
 
 
 def test_positivity_small_run():
     cfg = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=100, trials=64, base_seed=3, threads=2)
     stats = run_experiment(cfg)
-    for r in stats.per_trial:
-        assert (r["min_value"] > 0) == bool(r["all_positive"])
+    min_value = stats.columns["min_value"]
+    assert np.array_equal(min_value > 0, stats.columns["all_positive"] == 1)
     # M_1(2) = 1 + fstar(2)/2 >= 1/2 > 0 regardless of the sign
-    assert all(r["min_value"] > 0 or r["min_value"] <= 0.5 for r in stats.per_trial)
+    assert np.all((min_value > 0) | (min_value <= 0.5))
 
 
 def test_harper_minus_one_trials_identical():
@@ -139,10 +144,9 @@ def test_harper_minus_one_trials_identical():
         prime_limit=10**4,
     )
     stats = run_experiment(cfg)
-    rows_by_trial = {}
-    for row in stats.per_trial:
-        rows_by_trial.setdefault(row["trial"], []).append((row["sigma"], row["sup_value"], row["t_star"]))
-    assert rows_by_trial[0] == rows_by_trial[1] == rows_by_trial[2]
+    by_trial = np.stack([stats.columns[c] for c in ("sigma", "sup_value", "t_star")], axis=1).reshape(3, 2, 3)
+    assert np.array_equal(stats.columns["trial"], [0, 0, 1, 1, 2, 2])
+    assert np.array_equal(by_trial[0], by_trial[1]) and np.array_equal(by_trial[0], by_trial[2])
 
 
 def test_harper_batch_matches_single_scan(table_1e5):
@@ -153,10 +157,9 @@ def test_harper_batch_matches_single_scan(table_1e5):
     for i in (0, 2):
         seed = trial_seed(11, i)
         single = sup_scans([SignAssignment.iid(seed)], (0.55,), None, 10**4, table_1e5)[0][0]
-        row = [r for r in stats.per_trial if r["trial"] == i][0]
-        assert abs(row["sup_value"] - single.sup_value) < 1e-9
-        assert abs(row["t_star"] - single.t_star) < 1e-12
-        assert row["grid_step"] == single.grid_step
+        assert abs(stats.columns["sup_value"][i] - single.sup_value) < 1e-9
+        assert abs(stats.columns["t_star"][i] - single.t_star) < 1e-12
+        assert stats.columns["grid_step"][i] == single.grid_step
 
 
 def test_harper_grid_step_refinement_non_decreasing():
@@ -164,8 +167,7 @@ def test_harper_grid_step_refinement_non_decreasing():
     step = default_grid_step(0.55)
     coarse = run_experiment(ExperimentConfig(**base, grid_step=step))
     fine = run_experiment(ExperimentConfig(**base, grid_step=step / 2))
-    for r_coarse, r_fine in zip(coarse.per_trial, fine.per_trial):
-        assert r_fine["sup_value"] >= r_coarse["sup_value"]
+    assert np.all(fine.columns["sup_value"] >= coarse.columns["sup_value"])
 
 
 def test_divergence_experiment_summary():
@@ -176,10 +178,9 @@ def test_divergence_experiment_summary():
     stats = run_experiment(cfg)
     assert stats.summary["triangle_inequality_ok"] is True
     assert 0.0 <= stats.summary["fraction_ratio_monotone"] <= 1.0
-    assert len(stats.per_trial) == 6 * 3
-    for row in stats.per_trial:
-        assert row["absolute"] >= abs(row["signed"])
-        assert row["N"] == 4000
+    assert stats.columns["trial"].size == 6 * 3
+    assert np.all(stats.columns["absolute"] >= np.abs(stats.columns["signed"]))
+    assert stats.columns["N"].tolist() == [4000] * (6 * 3)
 
 
 def test_growth_experiment_reporting():
@@ -187,7 +188,8 @@ def test_growth_experiment_reporting():
     stats = run_experiment(cfg)
     assert stats.summary["reporting_only"] is True
     # theta = 0.25 can never beat theta = 0 (normalizer >= 1 on x >= 16)
-    by_key = {(r["trial"], r["theta"], r["N"]): r["value"] for r in stats.per_trial}
+    by_key = {(trial, theta, n): value for trial, theta, n, value in
+              zip(*(stats.columns[c].tolist() for c in ("trial", "theta", "N", "value")))}
     for trial in range(3):
         assert by_key[(trial, 0.25, 10**4)] <= by_key[(trial, 0.0, 10**4)]
         assert by_key[(trial, 0.5, 10**4)] <= by_key[(trial, 0.25, 10**4)]
@@ -201,9 +203,8 @@ def test_growth_minus_one_deterministic():
         sign_mode=SignMode.ALL_MINUS_ONE,
     )
     stats = run_experiment(cfg)
-    v0 = [r["value"] for r in stats.per_trial if r["trial"] == 0]
-    v1 = [r["value"] for r in stats.per_trial if r["trial"] == 1]
-    assert v0 == v1
+    v0, v1 = stats.columns["value"].reshape(2, -1)
+    assert v0.tolist() == v1.tolist()
 
 
 def _summary_from_csv(experiment: str, csv_text: str, cfg: ExperimentConfig) -> dict:
@@ -234,16 +235,117 @@ def _summary_from_csv(experiment: str, csv_text: str, cfg: ExperimentConfig) -> 
             "q95_min_value": float(np.quantile(mins, 0.95)),
             "pass_fraction": float(np.mean([int(r["all_positive"]) for r in rows])),
         }
+    if experiment == "harper":
+        medians = [float(np.quantile([float(r["centered_value"]) for r in rows if float(r["sigma"]) == sigma], 0.5))
+                   for sigma in cfg.sigma_grid]
+        steps = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
+        return {
+            "median_centered": {repr(sigma): m for sigma, m in zip(cfg.sigma_grid, medians)},
+            "trend_steps_increasing": steps,
+            "trend_steps_total": len(medians) - 1,
+            "trend_increasing": steps == len(medians) - 1,
+        }
+    if experiment == "divergence":
+        def ratio(r):
+            signed = float(r["signed"])
+            return float(r["absolute"]) / abs(signed) if signed != 0.0 else math.inf
+
+        trials = {}
+        for r in rows:
+            trials.setdefault(r["trial"], []).append(ratio(r))
+        return {
+            "fraction_ratio_monotone": float(np.mean([all(b > a for a, b in zip(t, t[1:])) for t in trials.values()])),
+            "triangle_inequality_ok": all(float(r["absolute"]) >= abs(float(r["signed"])) for r in rows),
+            "median_ratio": {
+                repr(sigma): float(np.quantile([ratio(r) for r in rows
+                                                if float(r["sigma"]) == sigma and float(r["signed"]) != 0.0], 0.5))
+                for sigma in cfg.sigma_grid
+            },
+        }
+    if experiment == "growth":
+        cells = []
+        for cell in (r for r in rows if r["trial"] == "0"):
+            values = [float(r["value"]) for r in rows if (r["theta"], r["N"]) == (cell["theta"], cell["N"])]
+            cells.append({"theta": float(cell["theta"]), "N": int(cell["N"]),
+                          "median": float(np.quantile(values, 0.5)), "q95": float(np.quantile(values, 0.95))})
+        return {"cells": cells, "reporting_only": True}
     raise NotImplementedError(experiment)
 
 
 def test_summary_recomputable_from_csv():
-    cfg = ExperimentConfig(experiment="sign-changes", model="f", alpha=0.25, limit=3000, trials=12, base_seed=4)
+    configs = [
+        ExperimentConfig(experiment="sign-changes", model="f", alpha=0.25, limit=3000, trials=12, base_seed=4),
+        ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=500, trials=20, base_seed=5),
+        ExperimentConfig(experiment="harper", limit=1, trials=9, base_seed=6, sigma_grid=(0.58, 0.55, 0.52),
+                         prime_limit=10**4),
+        ExperimentConfig(experiment="divergence", model="f", alpha=0.5, limit=2000, trials=9, base_seed=7,
+                         sigma_grid=(0.58, 0.55, 0.52), prime_limit=2000),
+        ExperimentConfig(experiment="growth", model="f", alpha=0.0, limit=10**5, trials=7, base_seed=8),
+    ]
+    for cfg in configs:
+        stats = run_experiment(cfg)
+        assert _summary_from_csv(cfg.experiment, "".join(trials_csv(stats)), cfg) == stats.summary, cfg.experiment
+
+
+def test_divergence_summary_takes_a_zero_signed_integral_as_an_infinite_ratio(monkeypatch):
+    # ratios (absolute / |signed|, inf where signed = 0) per trial:
+    # [2, inf, 2.5] falls at the end, [2, 3, inf] and [1, 2, 4] rise
+    signed = [[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [-1.0, 0.5, 0.25]]
+    absolute = [[2.0, 3.0, 5.0], [2.0, 3.0, 4.0], [1.0, 1.0, 1.0]]
+    grid = (0.58, 0.55, 0.52)
+    tables = [[DivergenceRow(sigma, s, a, 1.0, 100, 1000) for sigma, s, a in zip(grid, ss, aa)]
+              for ss, aa in zip(signed, absolute)]
+    monkeypatch.setattr(experiments_module.mellin, "divergence_rows", lambda *args: tables)
+    cfg = ExperimentConfig(experiment="divergence", model="f", alpha=0.5, limit=100, trials=3, sigma_grid=grid,
+                           prime_limit=1000)
     stats = run_experiment(cfg)
-    assert _summary_from_csv("sign-changes", "".join(trials_csv(stats)), cfg) == stats.summary
-    cfg2 = ExperimentConfig(experiment="positivity", model="fstar", alpha=1.0, limit=500, trials=20, base_seed=5)
-    stats2 = run_experiment(cfg2)
-    assert _summary_from_csv("positivity", "".join(trials_csv(stats2)), cfg2) == stats2.summary
+    assert stats.summary == {
+        "fraction_ratio_monotone": 2 / 3,
+        "triangle_inequality_ok": True,
+        "median_ratio": {"0.58": 2.0, "0.55": 2.5, "0.52": 3.25},
+    }
+    assert _summary_from_csv("divergence", "".join(trials_csv(stats)), cfg) == stats.summary
+
+
+# trial seeds 0, 1 and 3 of base seed 0 lie at or above 2^63, where an int64 seed would wrap
+@pytest.mark.parametrize("base", [
+    dict(experiment="sign-changes", model="f", alpha=0.5, limit=3000, trials=10),
+    dict(experiment="sign-changes", model="fstar", alpha=0.0, limit=1000, trials=3, sign_mode="minus-one"),
+    dict(experiment="positivity", model="fstar", alpha=1.0, limit=2000, trials=12),
+    dict(experiment="harper", limit=1, trials=5, sigma_grid=(0.56, 0.53), prime_limit=10**4),
+    dict(experiment="harper", limit=1, trials=2, sigma_grid=(0.56,), prime_limit=10**3, sign_mode="minus-one"),
+    dict(experiment="divergence", model="fstar", alpha=0.25, limit=3000, trials=5, sigma_grid=(0.58, 0.54),
+         prime_limit=3000),
+    dict(experiment="divergence", model="f", alpha=0.5, limit=500, trials=2, sigma_grid=(0.56,), prime_limit=500,
+         sign_mode="minus-one"),
+    dict(experiment="growth", model="f", alpha=0.0, limit=2000, trials=6),
+    dict(experiment="growth", model="f", alpha=0.0, limit=2000, trials=2, sign_mode="minus-one"),
+], ids=lambda base: "-".join(filter(None, (base["experiment"], base.get("sign_mode")))))
+def test_trials_csv_matches_the_record_route(base):
+    config = ExperimentConfig(**base, base_seed=0, threads=2)
+    assert trial_seed(0, 0) >= 2**63
+    assert "".join(trials_csv(run_experiment(config))) == records_csv(config)
+
+
+@pytest.mark.parametrize("experiment, model, alpha", [("sign-changes", "f", 0.5), ("positivity", "fstar", 1.0)])
+def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model, alpha):
+    # at N = 100 nearly all that 10^4 trials hold is per trial: the Python
+    # objects of their results at the peak, then only the CSV columns
+    trials, asked = 10**4, []
+    monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))
+    config = dict(experiment=experiment, model=model, alpha=alpha, limit=100, threads=1)
+    run_experiment(ExperimentConfig(**config, trials=3))  # what a first run allocates once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stats = run_experiment(ExperimentConfig(**config, trials=trials))
+        held, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    per_row = (asked[-1] - engine_bytes(model, 100, trials, 1) - 4 * 101) / trials
+    assert peak / trials <= per_row
+    # 16 a trial: the interpreter keeps up to 2000 freed pairs for reuse (112 kB)
+    assert held <= trials * (8 * len(stats.columns) + 16)
 
 
 def test_manifest_round_trip():

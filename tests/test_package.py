@@ -86,6 +86,7 @@ def test_only_the_primitives_take_a_table():
     assert takes_table == {**{f.__name__: False for f in runs}, **{f.__name__: True for f in primitives}}
     assert [field.name for field in dataclasses.fields(rmflab.DivergenceRow)] == [
         "sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit"]
+    assert [field.name for field in dataclasses.fields(rmflab.AggregateStats)] == ["config", "columns", "summary"]
 
 
 def test_every_public_name_resolves():

@@ -157,11 +157,11 @@ def test_crossings_fed_block_by_block_match_the_whole_series_rule(case):
     for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
         if lo < hi:  # slot 0 holds the sum before the block
             reducer.feed(lo + 1, np.array([values[lo - 1] if lo else 0.0, *values[lo:hi]]), None)
-    row = reducer.result()[0]
+    count, last_position = reducer.result()
     log = detect_sign_changes(series_from_values(values))
     positions, _ = naive_sign_changes(values)
-    assert row["count"] == log.count == len(positions)
-    assert row["last_position"] == (int(log.positions[-1]) if log.count else 0) == (positions[-1] if positions else 0)
+    assert count == log.count == len(positions)
+    assert last_position == (int(log.positions[-1]) if log.count else 0) == (positions[-1] if positions else 0)
 
 
 def test_detect_sign_changes_zero_bridges():
