@@ -23,7 +23,6 @@ from .series import (
 )
 from .dirichlet import (
     EulerProduct,
-    HarperScanResult,
     euler_product_F,
     euler_product_F_star,
     exponential_formula_check,
@@ -31,7 +30,6 @@ from .dirichlet import (
     zeta,
 )
 from .mellin import (
-    DivergenceRow,
     divergence_rows,
     mellin_step_integral,
     signed_and_absolute_integrals,
@@ -63,13 +61,11 @@ __all__ = [
     "compute_series",
     "detect_sign_changes",
     "EulerProduct",
-    "HarperScanResult",
     "zeta",
     "euler_product_F",
     "euler_product_F_star",
     "exponential_formula_check",
     "sup_scans",
-    "DivergenceRow",
     "mellin_step_integral",
     "signed_and_absolute_integrals",
     "truncated_identity_sides",

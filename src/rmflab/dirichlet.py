@@ -202,23 +202,6 @@ def exponential_formula_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarperScanResult:
-    """Largest grid value of the prime cosine sum over the t-window.
-
-    t_star is the smallest grid point attaining the maximum; centered_value
-    subtracts 2 log log(1/(sigma-1/2)), the centering under which large
-    values force the absolute Mellin integral to dominate the signed one.
-    """
-
-    sigma: float
-    t_star: float
-    sup_value: float
-    centered_value: float
-    grid_step: float
-    prime_limit: int
-
-
 #: scan_grid_max samples S on a lattice OVERSAMPLE times finer than its
 #: Nyquist spacing pi/omega, filters each grid point from the 2 TAPS lattice
 #: sums around it, and computes the first two of every RESEED lattice rows
@@ -319,7 +302,7 @@ def _grid_values(weights, logp, t_start, grid_step, n_points):
     weight row."""
     omega = float(np.max(np.abs(logp)))
     q, rows = lattice(omega, grid_step, n_points)
-    total = max(float(np.sum(np.abs(row))) for row in weights)  # W, one row at a time
+    total = max((float(np.sum(np.abs(row))) for row in weights), default=0.0)  # W, one row at a time
     eps = float(np.finfo(np.float64).eps)
     if not q:
         reach = max(abs(t_start), abs(t_start + grid_step * (n_points - 1)))
@@ -412,9 +395,9 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     given grid_step must lie in (0, T - 1], T - 1 the width of the window
     [1, T] at grid[0], the narrowest: every sigma then scans 2 points or more.
     """
-    if not sigma_grid:
-        raise DomainError("sigma_grid must be nonempty")
     grid = tuple(float(x) for x in sigma_grid)
+    if not grid:
+        raise DomainError("sigma_grid must be nonempty")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("sigma_grid must be sorted strictly decreasing")
     for sig in grid:
@@ -443,12 +426,12 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     omega = log P (no larger q, no fewer lattice rows than the scan's).
 
     Throughout: the int8 signs and float64 weights, six float64 arrays over
-    the primes, per row the longest lattice's sums and 640 bytes per sigma
-    (its result, and the divergence row and CSV columns built from it), and
-    the float64 buffers of a numpy ufunc.  Then the larger of the
-    cosine phase (the slab, no more rows than a lattice or exact grid has,
-    the 2 cos(theta) row, per row two slabs' sums and a mask) and the filter phase (the taps and their temporaries; per
-    row a block's windows of sums, its values and its candidate mask).
+    the primes, per row the longest lattice's sums and 48 bytes per sigma
+    (its six 8-byte columns), and the float64 buffers of a numpy ufunc.
+    Then the larger of the cosine phase (the slab, no more rows than a
+    lattice or exact grid has, the 2 cos(theta) row, per row two slabs'
+    sums and a mask) and the filter phase (the taps and their temporaries;
+    per row a block's windows of sums, its values and its candidate mask).
     """
     n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
     slab, sums, filtering = 0, 0, 0
@@ -460,7 +443,7 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
             sums = max(sums, 8 * rows)
             filtering = max(filtering, n_rows * (9 * cells * q + 16 * TAPS * cells) + 96 * TAPS * (q + 1))
     cosines = 8 * (slab + 1) * n_primes + 17 * slab * n_rows
-    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 640 * len(sigma_grid))
+    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
     return more + max(cosines, filtering) + 24 * np.getbufsize()
 
 
@@ -470,21 +453,27 @@ def sup_scans(
     grid_step: float | None,
     prime_limit: int,
     table: SpfTable | None = None,
-) -> list[list[HarperScanResult]]:
+) -> dict[str, np.ndarray]:
     """Grid supremum of the prime cosine sum over t in
     [1, 2 log(1/(sigma-1/2))^2] for every assignment and sigma.
 
-    Returns one list per assignment, one result per sigma in grid order;
-    every sigma must lie in (1/2, 0.6], where the window is nonempty.
-    grid_step None means default_grid_step(sigma) at each sigma.  Each
-    sup_value is the cosine sum at the grid point t_star, computed exactly
-    there, so a certified lower bound for the true supremum at the recorded
-    grid_step; halving grid_step can only increase it.  All assignments
-    share one scan_grid_max call per sigma, one weight row per assignment.
+    Returns the columns sigma, t_star, sup_value, centered_value, grid_step
+    and prime_limit (int64), {name: numpy array}, row i len(grid) + k being
+    assignment i at the k-th sigma; every sigma must lie in (1/2, 0.6],
+    where the window is nonempty.  grid_step None means
+    default_grid_step(sigma) at each sigma.  t_star is the smallest grid
+    point attaining the maximum, and sup_value the cosine sum there,
+    computed exactly, so a certified lower bound for the true supremum at
+    the recorded grid_step; halving grid_step can only increase it.
+    centered_value subtracts 2 log log(1/(sigma-1/2)), the centering under
+    which large values force the absolute Mellin integral to dominate the
+    signed one.  All assignments share one scan_grid_max call per sigma, one
+    weight row per assignment, whose two result arrays fill the columns.
     Without a table, raises ResourceError before it builds its sieve if
-    scan_bytes (the signs and weights, the cosine slab, the lattice sums
-    and the filter's blocks) and the sieve exceed the host's physical
-    memory; a caller that passes a table has counted scan_bytes itself.
+    scan_bytes (the signs and weights, the cosine slab, the lattice sums,
+    the filter's blocks and the columns) and the sieve exceed the host's
+    physical memory; a caller that passes a table has counted scan_bytes
+    itself.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows = len(assignments)
@@ -497,20 +486,17 @@ def sup_scans(
     primes = primes.astype(np.float64)
     logp = np.log(primes)
     weights = np.empty(signs.shape)
-    results: list[list[HarperScanResult]] = [[] for _ in range(n_rows)]
-    for sigma, step, points in _scan_grids(grid, grid_step):
+    grids = _scan_grids(grid, grid_step)
+    t_star, sup_value, centered = (np.empty((n_rows, len(grid))) for _ in range(3))
+    for k, (sigma, step, points) in enumerate(grids):
         np.multiply(signs, primes ** (-sigma), out=weights)
-        sup_vals, t_stars = scan_grid_max(weights, logp, 1.0, step, points)
-        centered = sup_vals - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
-        for i, row in enumerate(results):
-            row.append(
-                HarperScanResult(
-                    sigma=sigma,
-                    t_star=float(t_stars[i]),
-                    sup_value=float(sup_vals[i]),
-                    centered_value=float(centered[i]),
-                    grid_step=step,
-                    prime_limit=prime_limit,
-                )
-            )
-    return results
+        sup_value[:, k], t_star[:, k] = scan_grid_max(weights, logp, 1.0, step, points)
+        centered[:, k] = sup_value[:, k] - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
+    return {
+        "sigma": np.tile(grid, n_rows),
+        "t_star": t_star.ravel(),
+        "sup_value": sup_value.ravel(),
+        "centered_value": centered.ravel(),
+        "grid_step": np.tile([step for _sigma, step, _points in grids], n_rows),
+        "prime_limit": np.full(n_rows * len(grid), prime_limit, dtype=np.int64),
+    }

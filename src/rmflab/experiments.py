@@ -15,7 +15,8 @@ positivity keeps the minimum, growth a running maximum per theta up to each
 checkpoint) and keeps only the values of its CSV rows.  Each run builds
 its own sieve, and sizes itself in the memory check of primes.sieve_for
 before it does: _series_sieve counts the engine and the CSV rows, and
-mellin.divergence_rows and dirichlet.sup_scans count theirs.
+mellin.divergence_rows and dirichlet.sup_scans count theirs.  Those two
+return their CSV columns, trial-major, as the bodies do.
 
 EXPERIMENTS declares each experiment once (see Experiment); the config
 defaults, validation, assert mode and the CLI all read that table.
@@ -36,7 +37,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -304,13 +305,6 @@ def _positivity(config: ExperimentConfig, assignments, threads: int):
     return {"all_positive": all_positive, "min_value": min_value}, summary
 
 
-def _field_columns(trials) -> dict[str, np.ndarray]:
-    """The column of each field of the dataclass rows of every trial, in
-    field order; the field limit is the column N."""
-    rows = [row for trial in trials for row in trial]
-    return {{"limit": "N"}.get(f.name, f.name): np.array([getattr(r, f.name) for r in rows]) for f in fields(rows[0])}
-
-
 def _harper(config: ExperimentConfig, assignments, threads: int):
     """Sup-scan statistics per trial and sigma, with the trend summary.
 
@@ -320,7 +314,7 @@ def _harper(config: ExperimentConfig, assignments, threads: int):
     sigma and whether the medians increase at every step of the
     (decreasing-sigma) grid.
     """
-    columns = _field_columns(dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit))
+    columns = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
     centered = columns["centered_value"].reshape(config.trials, len(config.sigma_grid))
     med_list = [float(m) for m in np.quantile(centered, 0.5, axis=0)]
     trend_steps = sum(1 for a, b in zip(med_list, med_list[1:]) if b > a)
@@ -341,9 +335,8 @@ def _divergence(config: ExperimentConfig, assignments, threads: int):
     where signed = 0) increases monotonically toward sigma = 1/2 and whether
     the triangle inequality absolute >= |signed| held everywhere (it must).
     """
-    columns = _field_columns(mellin.divergence_rows(
-        assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-        config.prime_limit, config.grid_step, threads))
+    columns = mellin.divergence_rows(assignments, config.model, config.alpha, config.sigma_grid, config.limit,
+                                     config.prime_limit, config.grid_step, threads)
     shape = (config.trials, len(config.sigma_grid))
     signed, absolute = columns["signed"].reshape(shape), columns["absolute"].reshape(shape)
     ratio = np.divide(absolute, np.abs(signed), out=np.full(shape, math.inf), where=signed != 0.0)

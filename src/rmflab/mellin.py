@@ -25,7 +25,6 @@ primes.sieve_for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -126,18 +125,6 @@ def truncated_identity_sides(
     return complex(np.sum(g * n ** (-s))), integral_side
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
-    """One sigma row of the signed/absolute/witness comparison table."""
-
-    sigma: float
-    signed: float
-    absolute: float
-    harper_witness: float
-    limit: int
-    prime_limit: int
-
-
 def divergence_rows(
     assignments,
     model: Model | str,
@@ -147,54 +134,59 @@ def divergence_rows(
     prime_limit: int,
     grid_step: float | None = None,
     threads: int = 1,
-) -> list[list[DivergenceRow]]:
-    """The signed vs absolute comparison table of each assignment: one row
-    per sigma of the strictly decreasing grid in (max(alpha, 1/2), 0.6].
+) -> dict[str, np.ndarray]:
+    """The signed vs absolute comparison table of each assignment at each
+    sigma of the strictly decreasing grid in (max(alpha, 1/2), 0.6].
 
-    signed and absolute are the integrals of M_alpha and |M_alpha| without
-    prefactor (signed_and_absolute_integrals); the witness is
-    |G(sigma + i t*)| / t* for the model's truncated Euler product G, with
-    t* from the sup scan at the same prime_limit.  Each assignment is used
-    across the whole grid: mixing realizations across sigma would destroy
-    the phenomenon being compared.
+    Returns the columns sigma, signed, absolute, harper_witness, N and
+    prime_limit (both int64), {name: numpy array}, row i len(grid) + k being
+    assignment i at the k-th sigma.  signed and absolute are the integrals
+    of M_alpha and |M_alpha| without prefactor
+    (signed_and_absolute_integrals); the witness is |G(sigma + i t*)| / t*
+    for the model's truncated Euler product G, with t* from the sup scan at
+    the same prime_limit.  Each assignment is used across the whole grid:
+    mixing realizations across sigma would destroy the phenomenon being
+    compared.
 
     The sieve first checks the engine (one segment of N), 8 bytes per n of
-    each sigma's kernel and the sup scan (dirichlet.scan_bytes), which then
-    runs once for all assignments.  The engine builds each whole series
-    (one segment: np.sum adds pairwise, so the integrals cannot be summed
-    per segment) on up to `threads` threads and integrates it against each
-    sigma's kernel, computed once per run; the witness product is evaluated
-    at each assignment's t* for each sigma.
+    each sigma's kernel, the sup scan (dirichlet.scan_bytes), which then
+    runs once for all assignments, and what is held here: 176 bytes per
+    assignment for the array of its integrals that the engine returns
+    (tracemalloc: 169 with the temporaries of stacking them), and 48 per
+    row for the integrals stacked, the witness and three columns.  The
+    engine builds each whole series (one segment: np.sum adds pairwise, so
+    the integrals cannot be summed per segment) on up to `threads` threads
+    and integrates it against each sigma's kernel, computed once per run;
+    the witness product is evaluated at each assignment's t* for each
+    sigma.
     """
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
-    more = engine_bytes(model, limit, len(assignments), threads, limit) + 8 * (limit + 1) * len(grid)
-    more += dirichlet.scan_bytes(len(assignments), grid, grid_step, prime_limit)
+    shape = (len(assignments), len(grid))
+    more = engine_bytes(model, limit, shape[0], threads, limit) + 8 * (limit + 1) * len(grid)
+    more += dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit) + (176 + 48 * len(grid)) * shape[0]
     table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]
 
-    def integrals(series: WeightedSumSeries, _weights) -> list[tuple[float, float]]:
-        return [signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)]
+    def integrals(series: WeightedSumSeries, _weights) -> np.ndarray:
+        return np.array([signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)])
 
     reducer = partial(WholeSeries, model, alpha, integrals)
-    per_assignment = stream_trials(model, alpha, limit, assignments, reducer, threads, limit, table)
+    pairs = np.array(stream_trials(model, alpha, limit, assignments, reducer, threads, limit, table))
+    pairs = pairs.reshape(*shape, 2)
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
-    tables = []
-    for assignment, pairs, scan_row in zip(assignments, per_assignment, scans):
-        rows = []
-        for (signed, absolute), scan in zip(pairs, scan_row):
-            witness_value = product(assignment, complex(scan.sigma, scan.t_star), prime_limit, table)
-            rows.append(
-                DivergenceRow(
-                    sigma=scan.sigma,
-                    signed=signed,
-                    absolute=absolute,
-                    harper_witness=float(abs(witness_value.value)) / scan.t_star,
-                    limit=limit,
-                    prime_limit=prime_limit,
-                )
-            )
-        tables.append(rows)
-    return tables
+    t_star, witness = scans["t_star"].reshape(shape), np.empty(shape)
+    for i, assignment in enumerate(assignments):
+        for k, sigma in enumerate(grid):
+            value = product(assignment, complex(sigma, t_star[i, k]), prime_limit, table).value
+            witness[i, k] = float(abs(value)) / t_star[i, k]
+    return {
+        "sigma": scans["sigma"],
+        "signed": pairs[..., 0].ravel(),
+        "absolute": pairs[..., 1].ravel(),
+        "harper_witness": witness.ravel(),
+        "N": np.full(witness.size, limit, dtype=np.int64),
+        "prime_limit": scans["prime_limit"],
+    }

@@ -13,7 +13,7 @@ values (series_from_values).
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -505,6 +505,11 @@ def experiment_rows(experiment: str, series: WeightedSumSeries) -> list[dict]:
     ]
 
 
+def _rows(columns: dict) -> list[dict]:
+    """The rows of a batch's columns, {name: entry} each, entries as Python scalars."""
+    return [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
+
+
 def records_csv(config, table=None, trials=None) -> str:
     """trials.csv of an ExperimentConfig by the record route: one dict per
     CSV row, {"trial": i, "seed": seed of trial i, **row} in trial order,
@@ -512,17 +517,16 @@ def records_csv(config, table=None, trials=None) -> str:
 
     A series experiment's rows come from each trial's whole series
     (experiment_rows of series_and_values over table; trials, if given, is
-    series_and_values of each trial), harper's from sup_scans by asdict and
-    divergence's from divergence_rows by asdict, with limit written as N.
+    series_and_values of each trial); harper's and divergence's from one
+    sup_scans or divergence_rows call per assignment (a batch of one), taken
+    apart row by row, one row per sigma.
     """
     seeds, assignments = config.trial_assignments()
     if config.experiment == "harper":
-        scans = sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
-        rows = [[asdict(scan) for scan in trial] for trial in scans]
+        rows = [_rows(sup_scans([a], config.sigma_grid, config.grid_step, config.prime_limit)) for a in assignments]
     elif config.experiment == "divergence":
-        tables = divergence_rows(assignments, config.model, config.alpha, config.sigma_grid, config.limit,
-                                 config.prime_limit, config.grid_step)
-        rows = [[{"N" if k == "limit" else k: v for k, v in asdict(row).items()} for row in trial] for trial in tables]
+        rows = [_rows(divergence_rows([a], config.model, config.alpha, config.sigma_grid, config.limit,
+                                      config.prime_limit, config.grid_step)) for a in assignments]
     else:
         if trials is None:
             trials = [series_and_values(a, config.model, config.alpha, config.limit, table) for a in assignments]

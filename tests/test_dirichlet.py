@@ -216,14 +216,14 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     rows, cells = (n_points - 1) // q + 72, 1024 // q
     assert (q, rows) == (38, 150)
     # throughout: 6 arrays over the primes, per trial its lattice sums and
-    # 640 bytes for its result and CSV row, three float64 ufunc buffers;
+    # 48 bytes for its six CSV columns, three float64 ufunc buffers;
     # then the larger of the 64-row cosine slab with its 2 cos(theta) row
     # and two slabs' sums per trial (48 MB), and the filter (2.5 MB): per
     # trial a block's window of 72 sums per cell, its values and their mask,
     # and the taps with their temporaries
     cosines = 8 * 65 * n_primes + 17 * 64 * 100
     filtering = 100 * (9 * cells * q + 16 * 36 * cells) + 96 * 36 * (q + 1)
-    scan = 48 * n_primes + 100 * (8 * rows + 640) + 24 * np.getbufsize() + max(cosines, filtering)
+    scan = 48 * n_primes + 100 * (8 * rows + 48) + 24 * np.getbufsize() + max(cosines, filtering)
     assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
 
 
@@ -364,20 +364,20 @@ def test_harper_window_arithmetic():
 
 def test_harper_sup_dominates_t1(table_1e5):
     a = SignAssignment.iid(17)
-    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)[0][0]
+    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)
     at_one = prime_cosine_sum(a, 0.55, 1.0, 10**4, table_1e5)
-    assert scan.sup_value >= at_one - 1e-12
-    assert 1.0 <= scan.t_star <= harper_window(0.55)
+    assert scan["sup_value"][0] >= at_one - 1e-12
+    assert 1.0 <= scan["t_star"][0] <= harper_window(0.55)
     centering = 2.0 * math.log(math.log(1.0 / 0.05))
-    assert abs(scan.centered_value - (scan.sup_value - centering)) < 1e-12
+    assert abs(scan["centered_value"][0] - (scan["sup_value"][0] - centering)) < 1e-12
 
 
 def test_harper_sup_grid_refinement(table_1e5):
     a = SignAssignment.iid(17)
     step = default_grid_step(0.55)
-    coarse = sup_scans([a], (0.55,), step, 10**4, table_1e5)[0][0]
-    fine = sup_scans([a], (0.55,), step / 2, 10**4, table_1e5)[0][0]
-    assert fine.sup_value >= coarse.sup_value
+    coarse = sup_scans([a], (0.55,), step, 10**4, table_1e5)
+    fine = sup_scans([a], (0.55,), step / 2, 10**4, table_1e5)
+    assert fine["sup_value"][0] >= coarse["sup_value"][0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -497,10 +497,23 @@ def test_harper_sup_validation(table_1e5):
 
 def test_harper_scan_csv(table_1e5):
     a = SignAssignment.iid(17)
-    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)[0][0]
-    header = ("sigma", "t_star", "sup_value", "centered_value", "grid_step", "prime_limit")
-    text = csv_text(header, [[getattr(scan, name)] for name in header])
+    scan = sup_scans([a], (0.55,), None, 10**4, table_1e5)
+    text = csv_text(scan, scan.values())
     lines = text.strip().split("\n")
     assert lines[0] == "sigma,t_star,sup_value,centered_value,grid_step,prime_limit"
     assert len(lines) == 2
     assert lines[1].endswith(",10000")
+
+
+def test_sup_scans_take_a_numpy_grid_and_no_assignments(table_1e5):
+    assignments = [SignAssignment.iid(k) for k in range(3)]
+    by_tuple = sup_scans(assignments, (0.56, 0.54), None, 10**4, table_1e5)
+    by_array = sup_scans(assignments, np.array([0.56, 0.54]), None, 10**4, table_1e5)
+    assert list(by_array) == list(by_tuple)
+    assert all(np.array_equal(by_array[name], by_tuple[name]) for name in by_tuple)
+    with pytest.raises(DomainError, match="nonempty"):
+        sup_scans(assignments, np.array([]), None, 10**4, table_1e5)
+    empty = sup_scans([], (0.56, 0.54), None, 10**4, table_1e5)
+    assert list(empty) == list(by_tuple)
+    assert [(column.size, column.dtype) for column in empty.values()] == [
+        (0, column.dtype) for column in by_tuple.values()]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmflab import experiments as experiments_module, primes as primes_module
-from rmflab.dirichlet import default_grid_step, sup_scans
+from rmflab.dirichlet import default_grid_step, scan_bytes, sup_scans
 from rmflab.errors import DomainError
 from rmflab.experiments import (
     MIN_SIGN_CHANGES,
@@ -19,7 +19,7 @@ from rmflab.experiments import (
     trials_csv,
     write_experiment,
 )
-from rmflab.mellin import DivergenceRow, divergence_rows
+from rmflab.mellin import divergence_rows
 from rmflab.series import compute_series, detect_sign_changes, engine_bytes
 from rmflab.signs import SignAssignment, SignMode, trial_seed
 
@@ -156,10 +156,10 @@ def test_harper_batch_matches_single_scan(table_1e5):
     stats = run_experiment(cfg)
     for i in (0, 2):
         seed = trial_seed(11, i)
-        single = sup_scans([SignAssignment.iid(seed)], (0.55,), None, 10**4, table_1e5)[0][0]
-        assert abs(stats.columns["sup_value"][i] - single.sup_value) < 1e-9
-        assert abs(stats.columns["t_star"][i] - single.t_star) < 1e-12
-        assert stats.columns["grid_step"][i] == single.grid_step
+        single = sup_scans([SignAssignment.iid(seed)], (0.55,), None, 10**4, table_1e5)
+        assert abs(stats.columns["sup_value"][i] - single["sup_value"][0]) < 1e-9
+        assert abs(stats.columns["t_star"][i] - single["t_star"][0]) < 1e-12
+        assert stats.columns["grid_step"][i] == single["grid_step"][0]
 
 
 def test_harper_grid_step_refinement_non_decreasing():
@@ -293,9 +293,9 @@ def test_divergence_summary_takes_a_zero_signed_integral_as_an_infinite_ratio(mo
     signed = [[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [-1.0, 0.5, 0.25]]
     absolute = [[2.0, 3.0, 5.0], [2.0, 3.0, 4.0], [1.0, 1.0, 1.0]]
     grid = (0.58, 0.55, 0.52)
-    tables = [[DivergenceRow(sigma, s, a, 1.0, 100, 1000) for sigma, s, a in zip(grid, ss, aa)]
-              for ss, aa in zip(signed, absolute)]
-    monkeypatch.setattr(experiments_module.mellin, "divergence_rows", lambda *args: tables)
+    columns = {"sigma": np.tile(grid, 3), "signed": np.ravel(signed), "absolute": np.ravel(absolute),
+               "harper_witness": np.ones(9), "N": np.full(9, 100), "prime_limit": np.full(9, 1000)}
+    monkeypatch.setattr(experiments_module.mellin, "divergence_rows", lambda *args: columns)
     cfg = ExperimentConfig(experiment="divergence", model="f", alpha=0.5, limit=100, trials=3, sigma_grid=grid,
                            prime_limit=1000)
     stats = run_experiment(cfg)
@@ -327,14 +327,31 @@ def test_trials_csv_matches_the_record_route(base):
     assert "".join(trials_csv(run_experiment(config))) == records_csv(config)
 
 
-@pytest.mark.parametrize("experiment, model, alpha", [("sign-changes", "f", 0.5), ("positivity", "fstar", 1.0)])
+@pytest.mark.parametrize("experiment, model, alpha", [
+    ("sign-changes", "f", 0.5), ("positivity", "fstar", 1.0), ("harper", "f", 0.0), ("divergence", "f", 0.5)])
 def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model, alpha):
-    # at N = 100 nearly all that 10^4 trials hold is per trial: the Python
-    # objects of their results at the peak, then only the CSV columns
-    trials, asked = 10**4, []
+    # at N = 100 and P = 1000 nearly all that 10^4 trials hold is per row: the
+    # Python objects of their results or the scan's blocks at the peak, then
+    # only the CSV columns; divergence's peak is taken from its first Euler
+    # product on, after the scan and the engine
+    trials, grid, asked, reset = 10**4, (0.56, 0.54, 0.52), [], []
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))
     config = dict(experiment=experiment, model=model, alpha=alpha, limit=100, threads=1)
+    if experiment in ("harper", "divergence"):
+        config.update(sigma_grid=grid, prime_limit=1000)
+    # what the check counts that does not grow with the rows: the engine (its
+    # batch is capped), the sieve, divergence's kernels and a scan of no rows
+    engine, scan = engine_bytes(model, 100, trials, 1), scan_bytes(0, grid, None, 1000) + 4 * 1001
+    fixed = {"harper": scan, "divergence": engine + 8 * 101 * len(grid) + scan}.get(experiment, engine + 4 * 101)
     run_experiment(ExperimentConfig(**config, trials=3))  # what a first run allocates once
+    product = experiments_module.dirichlet.euler_product_F
+
+    def product_after_reset(*args):
+        if not reset:
+            reset.append(tracemalloc.reset_peak())
+        return product(*args)
+
+    monkeypatch.setattr(experiments_module.dirichlet, "euler_product_F", product_after_reset)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -342,10 +359,11 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
         held, peak = (traced - before for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    per_row = (asked[-1] - engine_bytes(model, 100, trials, 1) - 4 * 101) / trials
-    assert peak / trials <= per_row
-    # 16 a trial: the interpreter keeps up to 2000 freed pairs for reuse (112 kB)
-    assert held <= trials * (8 * len(stats.columns) + 16)
+    rows = len(stats.columns["trial"])
+    assert bool(reset) == (experiment == "divergence")
+    assert peak / rows <= (asked[-1] - fixed) / rows
+    # 16 a row: the interpreter keeps up to 2000 freed pairs for reuse (112 kB)
+    assert held <= rows * (8 * len(stats.columns) + 16)
 
 
 def test_manifest_round_trip():

@@ -7,7 +7,6 @@ import rmflab.primes as primes_module
 from rmflab.dirichlet import scan_bytes
 from rmflab.errors import DomainError, ResourceError
 from rmflab.mellin import (
-    DivergenceRow,
     boundary_term,
     mellin_step_integral,
     signed_and_absolute_integrals,
@@ -233,7 +232,8 @@ def _refused_bytes(monkeypatch, pages: int, *args) -> int:
 def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
     # a host of 1 MB; the sieve to P = 10^6 takes 4 MB, the run at N = 10^3 little
     requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
-    run = engine_bytes("f", 10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6)
+    # and 176 + 48 bytes for the trial's integrals, witness and columns at one sigma
+    run = engine_bytes("f", 10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
     assert requested == run + 4 * (10**6 + 1)
 
 
@@ -242,7 +242,7 @@ def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypat
     # whole series and the kernel
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
-    run = engine_bytes("f", 10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3)
+    run = engine_bytes("f", 10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
     assert requested == run + 4 * (10**5 + 1)
 
 
@@ -258,21 +258,32 @@ def test_divergence_rows_check_their_scan_before_the_sieve(monkeypatch):
 
 def test_divergence_comparison_rows():
     a = SignAssignment.iid(12)
-    rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4)[0]
-    assert [r.sigma for r in rows] == [0.58, 0.54]
-    for row in rows:
-        assert row.absolute >= abs(row.signed)
-        assert row.harper_witness > 0
-        assert row.limit == 2000 and row.prime_limit == 10**4
-    minus_rows = divergence_rows([SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000)[0]
-    assert minus_rows[0].absolute >= abs(minus_rows[0].signed)
+    rows = divergence_rows([a], "f", 0.5, [0.58, 0.54], 2000, 10**4)
+    assert rows["sigma"].tolist() == [0.58, 0.54]
+    assert np.all(rows["absolute"] >= np.abs(rows["signed"]))
+    assert np.all(rows["harper_witness"] > 0)
+    assert rows["N"].tolist() == [2000, 2000] and rows["prime_limit"].tolist() == [10**4, 10**4]
+    minus_rows = divergence_rows([SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000)
+    assert minus_rows["absolute"][0] >= abs(minus_rows["signed"][0])
 
 
 def test_comparison_csv_schema():
-    rows = [DivergenceRow(0.58, 1.5, 2.0, 0.3, 100, 1000)]
-    fields = ("sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit")
-    header = ("sigma", "signed", "absolute", "harper_witness", "N", "prime_limit")
-    text = csv_text(header, [[getattr(r, name) for r in rows] for name in fields])
+    rows = divergence_rows([SignAssignment.iid(12)], "f", 0.5, [0.58], 100, 1000)
+    text = csv_text(rows, rows.values())
     lines = text.strip().split("\n")
     assert lines[0] == "sigma,signed,absolute,harper_witness,N,prime_limit"
     assert lines[1].split(",")[4:] == ["100", "1000"]
+
+
+def test_divergence_rows_take_a_numpy_grid_and_no_assignments():
+    assignments = [SignAssignment.iid(k) for k in range(3)]
+    by_tuple = divergence_rows(assignments, "f", 0.5, (0.56, 0.54), 500, 1000)
+    by_array = divergence_rows(assignments, "f", 0.5, np.array([0.56, 0.54]), 500, 1000)
+    assert list(by_array) == list(by_tuple)
+    assert all(np.array_equal(by_array[name], by_tuple[name]) for name in by_tuple)
+    with pytest.raises(DomainError, match="nonempty"):
+        divergence_rows(assignments, "f", 0.5, np.array([]), 500, 1000)
+    empty = divergence_rows([], "f", 0.5, (0.56, 0.54), 500, 1000)
+    assert list(empty) == list(by_tuple)
+    assert [(column.size, column.dtype) for column in empty.values()] == [
+        (0, column.dtype) for column in by_tuple.values()]

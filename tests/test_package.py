@@ -28,8 +28,8 @@ def _perfbench_spans():
 
 
 PUBLIC_NAMES = [
-    "AggregateStats", "DivergenceRow", "DomainError", "EulerProduct", "ExperimentConfig",
-    "HarperScanResult", "MissingSignError", "Model", "MultiplicativeEvaluator", "ResourceError",
+    "AggregateStats", "DomainError", "EulerProduct", "ExperimentConfig",
+    "MissingSignError", "Model", "MultiplicativeEvaluator", "ResourceError",
     "SignAssignment", "SignChangeLog", "SignMode", "SpfTable", "WeightedSumSeries", "__version__",
     "build_spf_sieve", "compute_series", "detect_sign_changes", "divergence_rows",
     "euler_product_F", "euler_product_F_star", "exponential_formula_check",
@@ -71,6 +71,10 @@ def test_public_surface():
         # CSVs are written in blocks of rows; the series command is its engine
         (rmflab.output, "csv_text"),
         (rmflab.experiments, "run_series"),
+        # the sup scan and the divergence table return their CSV columns
+        (rmflab.dirichlet, "HarperScanResult"),
+        (rmflab.mellin, "DivergenceRow"),
+        (rmflab.experiments, "_field_columns"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 
@@ -84,8 +88,11 @@ def test_only_the_primitives_take_a_table():
                   rmflab.euler_product_F_star, rmflab.exponential_formula_check]
     takes_table = {f.__name__: "table" in inspect.signature(f).parameters for f in runs + primitives}
     assert takes_table == {**{f.__name__: False for f in runs}, **{f.__name__: True for f in primitives}}
-    assert [field.name for field in dataclasses.fields(rmflab.DivergenceRow)] == [
-        "sigma", "signed", "absolute", "harper_witness", "limit", "prime_limit"]
+    a = rmflab.SignAssignment.iid(1)
+    assert list(rmflab.sup_scans([a], (0.56,), None, 100)) == [
+        "sigma", "t_star", "sup_value", "centered_value", "grid_step", "prime_limit"]
+    assert list(rmflab.divergence_rows([a], "f", 0.5, (0.56,), 100, 100)) == [
+        "sigma", "signed", "absolute", "harper_witness", "N", "prime_limit"]
     assert [field.name for field in dataclasses.fields(rmflab.AggregateStats)] == ["config", "columns", "summary"]
 
 
