@@ -209,10 +209,11 @@ def exponential_formula_check(
 OVERSAMPLE = 1.5
 TAPS = 36
 RESEED = 64
-#: Rows per slab of cosines over the primes, and grid points per block of
-#: filtered values, in scan_grid_max.
+#: Rows per slab of cosines over the primes, and grid points and weight
+#: rows per block of filtered values, in scan_grid_max.
 SLAB = 64
 BLOCK_POINTS = 1024
+BLOCK_ROWS = 64
 
 
 def harper_window(sigma: float) -> float:
@@ -279,27 +280,30 @@ def _tone_bound(alpha: float) -> float:
 
 
 def _filtered(sums: np.ndarray, taps: np.ndarray, n_points: int):
-    """Yield the filter's values at the grid points from the lattice sums,
+    """Yield (first row, first point, values): the filter's values at the
+    grid points from the lattice sums, BLOCK_ROWS weight rows and
     BLOCK_POINTS // q whole cells at a time, each block in the buffer of the
     last: the window of 2 TAPS sums starting at cell k times the taps gives
     cell k's q points."""
-    rows, q = sums.shape[0], taps.shape[0]
+    q = taps.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(sums, 2 * TAPS, axis=1)
-    cells = min(BLOCK_POINTS // q, windows.shape[1])
-    window, values = np.empty(rows * cells * 2 * TAPS), np.empty(rows * cells * q)
-    for first in range(0, windows.shape[1], cells):
-        size = min(cells, windows.shape[1] - first)
-        block = window[: rows * size * 2 * TAPS].reshape(rows, size, 2 * TAPS)
-        np.copyto(block, windows[:, first : first + size])
-        out = values[: rows * size * q].reshape(rows * size, q)
-        np.matmul(block.reshape(rows * size, 2 * TAPS), taps.T, out=out)
-        yield out.reshape(rows, size * q)[:, : n_points - first * q]
+    height, cells = min(BLOCK_ROWS, sums.shape[0]), min(BLOCK_POINTS // q, windows.shape[1])
+    window, values = np.empty(height * cells * 2 * TAPS), np.empty(height * cells * q)
+    for row in range(0, sums.shape[0] or 1, BLOCK_ROWS):  # one empty block without rows
+        rows = min(height, sums.shape[0] - row)
+        for first in range(0, windows.shape[1], cells):
+            size = min(cells, windows.shape[1] - first)
+            block = window[: rows * size * 2 * TAPS].reshape(rows, size, 2 * TAPS)
+            np.copyto(block, windows[row : row + rows, first : first + size])
+            out = values[: rows * size * q].reshape(rows * size, q)
+            np.matmul(block.reshape(rows * size, 2 * TAPS), taps.T, out=out)
+            yield row, first * q, out.reshape(rows, size * q)[:, : n_points - first * q]
 
 
 def _grid_values(weights, logp, t_start, grid_step, n_points):
     """(E, blocks): the bound E of scan_grid_max, and an iterator over the
-    values it compares at consecutive blocks of grid points, one row per
-    weight row."""
+    values it compares, (first row, first point, values) per block of
+    weight rows and consecutive grid points."""
     omega = float(np.max(np.abs(logp)))
     q, rows = lattice(omega, grid_step, n_points)
     total = max((float(np.sum(np.abs(row))) for row in weights), default=0.0)  # W, one row at a time
@@ -307,7 +311,8 @@ def _grid_values(weights, logp, t_start, grid_step, n_points):
     if not q:
         reach = max(abs(t_start), abs(t_start + grid_step * (n_points - 1)))
         rounding = 2.0 * eps * total * (logp.size + 4.0 * (1.0 + omega * reach))
-        return rounding, _cosine_sums(weights, logp, t_start, grid_step, n_points, 1)
+        blocks = _cosine_sums(weights, logp, t_start, grid_step, n_points, 1)
+        return rounding, ((0, start, block) for start, block in zip(range(0, n_points, SLAB), blocks))
     spacing = q * grid_step
     alpha = 0.5 * (math.pi - omega * spacing)
     t_first = t_start - (TAPS - 1) * spacing
@@ -363,12 +368,12 @@ def scan_grid_max(
     bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points)
     # block by block, keep each point within 2E of its row's running maximum
     top = np.full(weights.shape[0], -np.inf)
-    found, start = [], 0
-    for values in blocks:
-        np.maximum(top, values.max(axis=1), out=top)
-        rows, points = np.nonzero(values >= (top - 2.0 * bound)[:, None])
-        found.append((rows, points + start, values[rows, points]))
-        start += values.shape[1]
+    found = []
+    for first, start, values in blocks:
+        running = top[first : first + values.shape[0]]
+        np.maximum(running, values.max(axis=1), out=running)
+        rows, points = np.nonzero(values >= (running - 2.0 * bound)[:, None])
+        found.append((rows + first, points + start, values[rows, points]))
     rows, points, values = (np.concatenate(parts) for parts in zip(*found))
     keep = values >= top[rows] - 2.0 * bound
     rows, points = rows[keep], points[keep]
@@ -431,7 +436,8 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     Then the larger of the cosine phase (the slab, no more rows than a
     lattice or exact grid has, the 2 cos(theta) row, per row two slabs'
     sums and a mask) and the filter phase (the taps and their temporaries;
-    per row a block's windows of sums, its values and its candidate mask).
+    per row of a block of BLOCK_ROWS its windows of sums, its values and its
+    candidate mask).
     """
     n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
     slab, sums, filtering = 0, 0, 0
@@ -441,7 +447,8 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
         if q:
             cells = BLOCK_POINTS // q
             sums = max(sums, 8 * rows)
-            filtering = max(filtering, n_rows * (9 * cells * q + 16 * TAPS * cells) + 96 * TAPS * (q + 1))
+            filtering = max(filtering, min(n_rows, BLOCK_ROWS) * (9 * cells * q + 16 * TAPS * cells)
+                            + 96 * TAPS * (q + 1))
     cosines = 8 * (slab + 1) * n_primes + 17 * slab * n_rows
     more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
     return more + max(cosines, filtering) + 24 * np.getbufsize()

@@ -3,19 +3,22 @@
 The sieve is the only piece of shared number-theoretic state in the package:
 everything downstream (sign evaluation, partial sums, prime sums) reads
 smallest prime factors from it, through sieve_for, the one gate that checks
-and builds a sieve, and the list of primes is derived from it once per
-table.  spf_cofactors and squarefree_mask derive the per-n arrays that a run
-of the series engine builds once.
+and builds a sieve.  The build stores p at every multiple of p from p^2 on,
+for the primes p <= sqrt(N) in descending order, so the smallest prime
+factor is stored last; the integers left at 0 are the primes, which the
+table keeps.  spf_cofactors and squarefree_mask derive the per-n arrays
+that a run of the series engine builds once.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
-plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8).  N may not exceed
-2^32 - 1.  Construction is single-threaded; the finished table is immutable
-and safe for concurrent reads.
+plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8), and its int64
+primes 8 pi(N) bytes more.  The build peaks below 4(N+1) + (N+1) +
+16 prime_count_bound(N) bytes, with its bool mask of zeros or two arrays of
+primes.  N may not exceed 2^32 - 1.  Construction is single-threaded; the
+finished table is immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,23 +38,17 @@ class SpfTable:
 
     ``spf[n]`` is the smallest prime factor of n for 2 <= n <= limit
     (entries 0 and 1 are unused and set to 0).  ``spf[p] == p`` exactly when
-    p is prime.
+    p is prime; ``primes`` holds all primes <= limit, strictly increasing, as
+    int64.  Both arrays are read-only.
     """
 
     limit: int
     spf: np.ndarray = field(repr=False)
+    primes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.spf.setflags(write=False)
-
-    @functools.cached_property
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, strictly increasing, as read-only int64;
-        computed on first use."""
-        n = np.arange(2, self.limit + 1, dtype=np.uint32)
-        primes = (np.flatnonzero(self.spf[2:] == n) + 2).astype(np.int64)
-        primes.setflags(write=False)
-        return primes
+        self.primes.setflags(write=False)
 
     def check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -75,15 +72,19 @@ def build_spf_sieve(limit: int) -> SpfTable:
             f"cannot allocate spf table for limit {limit}",
             requested_bytes=4 * (limit + 1),
         ) from exc
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    # Remaining zero entries at n >= 2 are primes > sqrt(limit).
-    n = np.arange(limit + 1, dtype=np.uint32)
-    mask = (spf == 0) & (n >= 2)
-    spf[mask] = n[mask]
-    return SpfTable(limit=limit, spf=spf)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if small[i]:
+            small[i * i :: i] = False
+    # a smaller p overwrites a larger one, so n keeps its smallest prime
+    # factor, and only the primes stay 0
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return SpfTable(limit=limit, spf=spf, primes=primes)
 
 
 def prime_count_bound(x: int) -> int:
@@ -147,8 +148,8 @@ def primes_up_to(table: SpfTable, limit: int | None = None) -> np.ndarray:
     """All primes <= limit (default table.limit), strictly increasing, as
     read-only int64.
 
-    A view of SpfTable.primes, computed once per table and shared by every
-    call.  Raises DomainError if limit exceeds table.limit.
+    SpfTable.primes or a view of it, shared by every call.  Raises
+    DomainError if limit exceeds table.limit.
     """
     if limit is not None and limit > table.limit:
         raise DomainError(f"primes up to {limit} requested from a sieve up to {table.limit}")

@@ -47,17 +47,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 on a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> 30
-    z *= np.uint64(_MIX_A)
-    z ^= z >> 27
-    z *= np.uint64(_MIX_B)
-    z ^= z >> 31
-    return z
-
-
 def trial_seed(base_seed: int, index: int) -> int:
     """Derive the seed of trial ``index`` from an experiment's base seed.
 
@@ -118,7 +107,11 @@ class SignAssignment:
 def prime_sign_table(assignment: SignAssignment, primes: np.ndarray) -> np.ndarray:
     """Signs at an array of primes, as int8, by the rule of SignAssignment.
 
-    Checked entry by entry against the scalar oracles.sign_at_prime.
+    In iid mode, mix64 runs in place on one uint64 buffer, with one reused
+    temporary for the shifts; the sign is 1 - 2 b for the top bit b, which
+    the last step z ^ (z >> 31) leaves unchanged, so that step is skipped.
+    Checked entry by entry against the scalar oracles.sign_at_prime and the
+    whole-array oracles.prime_sign_table_by_where.
     """
     if assignment.mode is SignMode.ALL_MINUS_ONE:
         return np.full(len(primes), -1, dtype=np.int8)
@@ -131,9 +124,16 @@ def prime_sign_table(assignment: SignAssignment, primes: np.ndarray) -> np.ndarr
                 raise MissingSignError(f"explicit assignment has no sign for p={pv}")
             out[i] = signs[pv]
         return out
-    z = np.uint64(assignment.seed) + primes.astype(np.uint64) * np.uint64(_GOLDEN)
-    z = _mix64_array(z)
-    return np.where((z >> 63) == 0, 1, -1).astype(np.int8)
+    z = np.multiply(primes, np.uint64(_GOLDEN), dtype=np.uint64, casting="unsafe")
+    z += np.uint64(assignment.seed)
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, _MIX_A), (27, _MIX_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(factor)
+    signs = np.right_shift(z, np.uint64(63), out=z).astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def lane_dtype(batch: int) -> type:

@@ -1,6 +1,7 @@
 """Slow or independent reference routes that only tests use.
 
-Each one recomputes something the package computes another way: a sign or
+Each one recomputes something the package computes another way: the sieve
+by one mask pass per prime, the iid sign table by np.where, a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, g and M_alpha one trial at a time by the int8 recurrence, a
 compensated running sum, fstar by Dirichlet convolution, the prime cosine
@@ -27,6 +28,8 @@ from rmflab.series import Model, WeightedSumSeries, detect_sign_changes, growth_
 from rmflab.signs import (
     _GOLDEN,
     _MASK64,
+    _MIX_A,
+    _MIX_B,
     MultiplicativeEvaluator,
     SignAssignment,
     SignMode,
@@ -106,6 +109,36 @@ def is_squarefree(n: int, table: SpfTable) -> bool:
         if m % p == 0:
             return False
     return True
+
+
+def spf_sieve_by_masks(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(spf, primes) as build_spf_sieve fills them, the route it took before
+    its descending strided stores: for each i <= sqrt(limit) still at 0, set
+    the entries of i^2, i^2 + i, ... that are still 0 to i, then each
+    remaining 0 at n >= 2 to n; the primes are the n with spf[n] = n."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    n = np.arange(limit + 1, dtype=np.uint32)
+    mask = (spf == 0) & (n >= 2)
+    spf[mask] = n[mask]
+    primes = (np.flatnonzero(spf[2:] == n[2:]) + 2).astype(np.int64)
+    return spf, primes
+
+
+def prime_sign_table_by_where(seed: int, primes: np.ndarray) -> np.ndarray:
+    """The iid signs of prime_sign_table at an array of primes, as int8: the
+    whole mix64 on fresh arrays, then np.where on the top bit; the route
+    prime_sign_table took before it ran mix64 in place."""
+    z = np.uint64(seed) + np.asarray(primes).astype(np.uint64) * np.uint64(_GOLDEN)
+    z ^= z >> 30
+    z *= np.uint64(_MIX_A)
+    z ^= z >> 27
+    z *= np.uint64(_MIX_B)
+    z ^= z >> 31
+    return np.where((z >> 63) == 0, 1, -1).astype(np.int8)
 
 
 def sign_at_prime(assignment: SignAssignment, p: int) -> int:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmflab.dirichlet import (
     BLOCK_POINTS,
+    BLOCK_ROWS,
     TAPS,
     default_grid_step,
     euler_product_F,
@@ -242,6 +243,36 @@ def test_sup_scan_peak_stays_under_its_estimate(table_1e5):
         assert peak <= scan_bytes(20, (0.56, 0.54, 0.52), step, 10**5) < 1.5 * peak
 
 
+def test_sup_scan_filters_a_capped_block_of_rows(table_1e5):
+    # 2,000 trials at P = 1000 on the divergence grid: the filter holds a
+    # block of BLOCK_ROWS rows, so the peak stays below what one block of
+    # all 2,000 rows would hold (about 32 MB), and under scan_bytes
+    grid, trials = (0.56, 0.54, 0.52), 2000
+    assignments = [SignAssignment.iid(k) for k in range(trials)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        columns = sup_scans(assignments, grid, None, 1000, table_1e5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    uncapped = 0
+    for sigma in grid:
+        step = default_grid_step(sigma)
+        n_points = math.floor((harper_window(sigma) - 1.0) / step) + 1
+        q = lattice(math.log(997), step, n_points)[0]
+        cells = BLOCK_POINTS // q
+        uncapped = max(uncapped, trials * (9 * cells * q + 16 * TAPS * cells))
+    assert peak <= scan_bytes(trials, grid, None, 1000) < 1.5 * peak
+    assert peak < uncapped / 3
+    # rows on both sides of a block edge, as one block of their own
+    part = slice(BLOCK_ROWS - 4, BLOCK_ROWS + 4)
+    alone = sup_scans(assignments[part], grid, None, 1000, table_1e5)
+    rows = slice(part.start * len(grid), part.stop * len(grid))
+    for name, column in alone.items():
+        assert np.array_equal(columns[name][rows], column), name
+
+
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
     a = SignAssignment.iid(11)
     value = prime_cosine_sum(a, 0.7, 0.0, 10**4, table_1e5)
@@ -470,7 +501,7 @@ def test_scan_interpolant_error_lies_under_its_bound(table_1e6, monkeypatch):
 
     def error_and_bound():
         bound, blocks = dirichlet_module._grid_values(weights, logp, 1.0, step, n_points)
-        values = np.hstack([block.copy() for block in blocks])  # each block reuses the last one's buffer
+        values = np.hstack([block.copy() for _row, _point, block in blocks])  # each block reuses the last one's buffer
         return np.max(np.abs(values - exact)), bound
 
     total = float(np.max(np.sum(np.abs(weights), axis=1)))

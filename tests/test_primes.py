@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
 from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, sieve_for
 
 from conftest import host_of, oracle_prime_mask
-from oracles import factorize, is_squarefree
+from oracles import factorize, is_squarefree, spf_sieve_by_masks
 
 
 def test_spf_limit_10():
@@ -29,6 +32,36 @@ def test_spf_fixed_point_count_is_prime_count(table_1e6):
     fixed = int(np.count_nonzero(table_1e6.spf[2:] == n[2:]))
     oracle = int(np.count_nonzero(oracle_prime_mask(10**6)))
     assert fixed == oracle == 78498
+
+
+def _assert_sieve_matches_mask_route(limit):
+    table = build_spf_sieve(limit)
+    spf, primes = spf_sieve_by_masks(limit)
+    assert table.spf.dtype == np.uint32 and np.array_equal(table.spf, spf)
+    assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
+
+
+# around squares of primes, where the strided stores start
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 8, 9, 24, 25, 26, 48, 49, 120, 121, 1000, 1001, 10**5 + 1])
+def test_sieve_matches_the_mask_per_prime_route(limit):
+    _assert_sieve_matches_mask_route(limit)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 2 * 10**4))
+def test_sieve_matches_the_mask_per_prime_route_at_any_limit(limit):
+    _assert_sieve_matches_mask_route(limit)
+
+
+def test_sieve_build_peaks_at_the_table_a_mask_and_two_prime_arrays():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        build_spf_sieve(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (n + 1) + (n + 1) + 16 * prime_count_bound(n)
 
 
 def test_prime_count_bound_bounds_pi_up_to_1e6(table_1e6):
@@ -179,3 +212,7 @@ def test_allocation_failure_reports_size(monkeypatch):
 def test_table_is_immutable(table_1e5):
     with pytest.raises(ValueError):
         table_1e5.spf[10] = 3
+    # the primes are built with the table, and every call shares them
+    assert primes_up_to(table_1e5) is table_1e5.primes is primes_up_to(table_1e5)
+    with pytest.raises(ValueError):
+        table_1e5.primes[0] = 3

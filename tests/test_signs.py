@@ -15,7 +15,14 @@ from rmflab.signs import (
     trial_seed,
 )
 
-from oracles import evaluate_f, evaluate_f_star, f_star_by_convolution, sign_at_prime, values_by_stripping
+from oracles import (
+    evaluate_f,
+    evaluate_f_star,
+    f_star_by_convolution,
+    prime_sign_table_by_where,
+    sign_at_prime,
+    values_by_stripping,
+)
 
 
 def test_all_minus_one_mode():
@@ -49,6 +56,25 @@ def test_scalar_matches_vectorized(table_1e5):
         scal = np.array([sign_at_prime(a, int(p)) for p in primes[:500]], dtype=np.int8)
         assert np.array_equal(vec[:500], scal)
         assert set(np.unique(vec)) <= {-1, 1}
+
+
+def _assert_sign_table_matches_where_route(seed, primes):
+    signs = prime_sign_table(SignAssignment.iid(seed), primes)
+    assert signs.dtype == np.int8 and signs.shape == primes.shape
+    assert np.array_equal(signs, prime_sign_table_by_where(seed, primes))
+    assert np.all(np.abs(signs) == 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_sign_table_matches_the_where_route(table_1e5, seed):
+    _assert_sign_table_matches_where_route(seed, primes_up_to(table_1e5))
+    _assert_sign_table_matches_where_route(seed, primes_up_to(table_1e5)[:0])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**64 - 1))
+def test_sign_table_matches_the_where_route_at_any_seed(table_1e5, seed):
+    _assert_sign_table_matches_where_route(seed, primes_up_to(table_1e5))
 
 
 def test_fair_coin_across_seeds():
