@@ -34,6 +34,9 @@ sum is largest.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
+from .series import concurrent_calls, map_ordered, map_runs
 from .signs import SignAssignment, prime_sign_table
 
 # ---------------------------------------------------------------------------
@@ -209,9 +213,9 @@ def exponential_formula_check(
 OVERSAMPLE = 1.5
 TAPS = 36
 RESEED = 64
-#: Rows per slab of cosines over the primes, and grid points and weight
-#: rows per block of filtered values, in scan_grid_max.
-SLAB = 64
+#: Rows per GEMM of cosines in a reseed period's ring (RESEED is a multiple),
+#: and grid points and weight rows per block of filtered values, in scan_grid_max.
+SLAB = 32
 BLOCK_POINTS = 1024
 BLOCK_ROWS = 64
 
@@ -243,25 +247,38 @@ def lattice(omega: float, grid_step: float, n_points: int) -> tuple[int, int]:
     return (q, rows) if rows < n_points else (0, n_points)
 
 
-def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int, reseed: int):
-    """Yield weights @ cos(outer(t, logp)).T at t = t_start + spacing * i for
-    i < count, SLAB rows i at a time, the cosines built in one reused slab:
-    a row with i % reseed < 2 by np.cos, the others by the recurrence
-    cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta), theta = spacing log p."""
-    slab = np.empty((min(SLAB, count), logp.size))
+def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int, reseed: int,
+                 threads: int) -> np.ndarray:
+    """weights @ cos(outer(t, logp)).T at t = t_start + spacing * i for
+    i < count.  The periods of RESEED rows i go round-robin to one task per
+    thread, each with its own ring of SLAB rows of cosines per GEMM, all
+    allocated here: a row with i % reseed < 2 by np.cos, the others by the
+    recurrence cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta),
+    theta = spacing log p."""
+    sums = np.empty((weights.shape[0], count))
     two_cos = np.multiply(spacing, logp)
     np.cos(two_cos, out=two_cos)
     two_cos *= 2.0
-    for start in range(0, count, SLAB):
-        for i in range(start, min(start + SLAB, count)):
-            row = slab[i % SLAB]
-            if i % reseed < 2:
-                np.multiply(t_start + spacing * i, logp, out=row)
-                np.cos(row, out=row)
-            else:
-                np.multiply(two_cos, slab[(i - 1) % SLAB], out=row)
-                np.subtract(row, slab[(i - 2) % SLAB], out=row)
-        yield weights @ slab[: min(SLAB, count - start)].T
+    tasks = concurrent_calls(threads, -(-count // RESEED))
+    rings = np.empty((tasks, min(SLAB, count), logp.size))
+
+    def periods(k: int) -> None:
+        ring = rings[k]
+        for start in (s for first in range(k * RESEED, count, tasks * RESEED)
+                      for s in range(first, min(first + RESEED, count), SLAB)):
+            stop = min(start + SLAB, count)
+            for i in range(start, stop):
+                row = ring[i % SLAB]
+                if i % reseed < 2:
+                    np.multiply(t_start + spacing * i, logp, out=row)
+                    np.cos(row, out=row)
+                else:
+                    np.multiply(two_cos, ring[(i - 1) % SLAB], out=row)
+                    np.subtract(row, ring[(i - 2) % SLAB], out=row)
+            np.matmul(weights, ring[: stop - start].T, out=sums[:, start:stop])
+
+    map_ordered(periods, range(tasks), threads)
+    return sums
 
 
 def _taps(q: int, alpha: float) -> np.ndarray:
@@ -300,10 +317,11 @@ def _filtered(sums: np.ndarray, taps: np.ndarray, n_points: int):
             yield row, first * q, out.reshape(rows, size * q)[:, : n_points - first * q]
 
 
-def _grid_values(weights, logp, t_start, grid_step, n_points):
+def _grid_values(weights, logp, t_start, grid_step, n_points, threads=1):
     """(E, blocks): the bound E of scan_grid_max, and an iterator over the
     values it compares, (first row, first point, values) per block of
-    weight rows and consecutive grid points."""
+    weight rows and consecutive grid points; the cosine sums take up to
+    `threads` threads."""
     omega = float(np.max(np.abs(logp)))
     q, rows = lattice(omega, grid_step, n_points)
     total = max((float(np.sum(np.abs(row))) for row in weights), default=0.0)  # W, one row at a time
@@ -311,8 +329,7 @@ def _grid_values(weights, logp, t_start, grid_step, n_points):
     if not q:
         reach = max(abs(t_start), abs(t_start + grid_step * (n_points - 1)))
         rounding = 2.0 * eps * total * (logp.size + 4.0 * (1.0 + omega * reach))
-        blocks = _cosine_sums(weights, logp, t_start, grid_step, n_points, 1)
-        return rounding, ((0, start, block) for start, block in zip(range(0, n_points, SLAB), blocks))
+        return rounding, [(0, 0, _cosine_sums(weights, logp, t_start, grid_step, n_points, 1, threads))]
     spacing = q * grid_step
     alpha = 0.5 * (math.pi - omega * spacing)
     t_first = t_start - (TAPS - 1) * spacing
@@ -321,9 +338,7 @@ def _grid_values(weights, logp, t_start, grid_step, n_points):
     lebesgue = float(np.max(np.sum(np.abs(taps), axis=1)))
     rounding = eps * total * (lebesgue + 1.0) * (
         logp.size + 2 * TAPS + 2 * RESEED**2 + 4 * RESEED * (1.0 + omega * reach))
-    sums = np.empty((weights.shape[0], rows))
-    for start, block in zip(range(0, rows, SLAB), _cosine_sums(weights, logp, t_first, spacing, rows, RESEED)):
-        sums[:, start : start + SLAB] = block
+    sums = _cosine_sums(weights, logp, t_first, spacing, rows, RESEED, threads)
     return total * _tone_bound(alpha) + rounding, _filtered(sums, taps, n_points)
 
 
@@ -333,6 +348,8 @@ def scan_grid_max(
     t_start: float,
     grid_step: float,
     n_points: int,
+    *,
+    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise maximum of S(t) = sum_p w_p cos(t log p) over t = t_start + j*step.
 
@@ -363,9 +380,11 @@ def scan_grid_max(
     row's maximum is recomputed exactly, so E only decides how many points
     are.  A grid of no more points than lattice rows is evaluated with
     exact cosines instead, and E is then 2 eps W (n + 4 (1 + omega T)).
+    Up to `threads` threads build the cosines, one task per RESEED lattice
+    rows, and recompute the candidates; no value depends on their count.
     """
     weights = np.atleast_2d(weights)
-    bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points)
+    bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points, threads)
     # block by block, keep each point within 2E of its row's running maximum
     top = np.full(weights.shape[0], -np.inf)
     found = []
@@ -376,19 +395,25 @@ def scan_grid_max(
         found.append((rows + first, points + start, values[rows, points]))
     rows, points, values = (np.concatenate(parts) for parts in zip(*found))
     keep = values >= top[rows] - 2.0 * bound
-    rows, points = rows[keep], points[keep]
+    order = np.lexsort((rows[keep], points[keep]))
+    rows, points = rows[keep][order], points[keep][order]
+    # the candidate rows of each point, the points in ascending t, and one
+    # cosine row per point
+    starts = np.flatnonzero(np.diff(points, prepend=-1))
+    groups, times = np.split(rows, starts)[1:], t_start + grid_step * points[starts]
+
+    def exact(k: int) -> list:
+        cosines = np.multiply(times[k], logp)
+        np.cos(cosines, out=cosines)
+        return [weights[i] @ cosines for i in groups[k]]
+
     best = np.full(weights.shape[0], -np.inf)
     best_t = np.full(weights.shape[0], t_start)
-    last = None
-    # in ascending t, one cosine row per candidate point shared by its rows
-    for k in np.lexsort((rows, points)):
-        i, j = rows[k], points[k]
-        if j != last:
-            t, last = t_start + grid_step * j, j
-            cosines = np.cos(t * logp)
-        value = weights[i] @ cosines
-        if value > best[i]:
-            best[i], best_t[i] = value, t
+    # folded in ascending t: the first grid point of a row's maximum wins
+    for t, group, values in zip(times, groups, map_runs(exact, len(groups), threads)):
+        for i, value in zip(group, values):
+            if value > best[i]:
+                best[i], best_t[i] = value, t
     return best, best_t
 
 
@@ -425,33 +450,56 @@ def _scan_grids(sigma_grid, grid_step: float | None) -> list[tuple[float, float,
     return grids
 
 
-def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: int) -> int:
-    """The bytes that sup_scans of n_rows assignments allocates besides its
-    sieve, counted before the sieve with prime_count_bound(P) primes and
-    omega = log P (no larger q, no fewer lattice rows than the scan's).
+def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: int, threads: int = 1) -> int:
+    """The bytes that sup_scans of n_rows assignments on `threads` threads
+    allocates besides its sieve, counted before the sieve with
+    prime_count_bound(P) primes and omega = log P (no larger q, no fewer
+    lattice rows than the scan's).
 
     Throughout: the int8 signs and float64 weights, six float64 arrays over
-    the primes, per row the longest lattice's sums and 48 bytes per sigma
-    (its six 8-byte columns), and the float64 buffers of a numpy ufunc.
-    Then the larger of the cosine phase (the slab, no more rows than a
-    lattice or exact grid has, the 2 cos(theta) row, per row two slabs'
-    sums and a mask) and the filter phase (the taps and their temporaries;
-    per row of a block of BLOCK_ROWS its windows of sums, its values and its
-    candidate mask).
+    the primes, per row the longest lattice's or exact grid's sums and 48
+    bytes per sigma (its six 8-byte columns), and the float64 buffers of a
+    numpy ufunc.  Then the largest of: the cosines (2 cos(theta) and each
+    concurrent task's ring, whose GEMMs write into the sums; the recheck
+    holds less), the taps' temporaries, and the filter (the taps; per row
+    of a block of BLOCK_ROWS its windows of sums, its values and its
+    candidate mask; over an exact grid, one mask).
     """
     n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
-    slab, sums, filtering = 0, 0, 0
+    rings, sums, phases = 0, 0, 0
     for _sigma, step, points in _scan_grids(sigma_grid, grid_step):
         q, rows = lattice(omega, step, points)
-        slab = max(slab, min(SLAB, rows))
+        rings = max(rings, concurrent_calls(threads, -(-rows // RESEED)) * min(SLAB, rows))
+        sums = max(sums, 8 * rows)
         if q:
             cells = BLOCK_POINTS // q
-            sums = max(sums, 8 * rows)
-            filtering = max(filtering, min(n_rows, BLOCK_ROWS) * (9 * cells * q + 16 * TAPS * cells)
-                            + 96 * TAPS * (q + 1))
-    cosines = 8 * (slab + 1) * n_primes + 17 * slab * n_rows
+            filtering = min(n_rows, BLOCK_ROWS) * (9 * cells * q + 16 * TAPS * cells) + 16 * TAPS * q
+            phases = max(phases, 96 * TAPS * (q + 1), filtering)
+        else:
+            phases = max(phases, n_rows * rows)
     more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
-    return more + max(cosines, filtering) + 24 * np.getbufsize()
+    return more + max(8 * (rings + 1) * n_primes, phases) + 24 * np.getbufsize()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, found once in /proc/self/maps; None if there is none.  The scan
+    holds it at one thread: after a threaded call its threads spin on the
+    cores the run's own threads use, and a dot split over threads rounds
+    apart."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = [ctypes.CDLL(path) for path in sorted({line.split(maxsplit=5)[5].strip()
+                                                          for line in maps if "openblas" in line})]
+    except OSError:
+        return None
+    for name, lib in itertools.product(("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"), libs):
+        get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get and set_:
+            get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def sup_scans(
@@ -460,6 +508,8 @@ def sup_scans(
     grid_step: float | None,
     prime_limit: int,
     table: SpfTable | None = None,
+    *,
+    threads: int = 1,
 ) -> dict[str, np.ndarray]:
     """Grid supremum of the prime cosine sum over t in
     [1, 2 log(1/(sigma-1/2))^2] for every assignment and sigma.
@@ -475,16 +525,18 @@ def sup_scans(
     centered_value subtracts 2 log log(1/(sigma-1/2)), the centering under
     which large values force the absolute Mellin integral to dominate the
     signed one.  All assignments share one scan_grid_max call per sigma, one
-    weight row per assignment, whose two result arrays fill the columns.
+    weight row per assignment, whose two result arrays fill the columns;
+    each call runs on up to `threads` threads, with the loaded OpenBLAS
+    held at one thread, so the columns depend on neither count.
     Without a table, raises ResourceError before it builds its sieve if
-    scan_bytes (the signs and weights, the cosine slab, the lattice sums,
+    scan_bytes (the signs and weights, the cosine rings, the lattice sums,
     the filter's blocks and the columns) and the sieve exceed the host's
     physical memory; a caller that passes a table has counted scan_bytes
     itself.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows = len(assignments)
-    more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit)
+    more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit, threads)
     what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
     signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
@@ -495,10 +547,16 @@ def sup_scans(
     weights = np.empty(signs.shape)
     grids = _scan_grids(grid, grid_step)
     t_star, sup_value, centered = (np.empty((n_rows, len(grid))) for _ in range(3))
-    for k, (sigma, step, points) in enumerate(grids):
-        np.multiply(signs, primes ** (-sigma), out=weights)
-        sup_value[:, k], t_star[:, k] = scan_grid_max(weights, logp, 1.0, step, points)
-        centered[:, k] = sup_value[:, k] - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
+    get, set_ = _openblas() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        for k, (sigma, step, points) in enumerate(grids):
+            np.multiply(signs, primes ** (-sigma), out=weights)
+            sup_value[:, k], t_star[:, k] = scan_grid_max(weights, logp, 1.0, step, points, threads=threads)
+            centered[:, k] = sup_value[:, k] - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
+    finally:
+        set_(before)
     return {
         "sigma": np.tile(grid, n_rows),
         "t_star": t_star.ravel(),

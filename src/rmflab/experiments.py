@@ -314,7 +314,8 @@ def _harper(config: ExperimentConfig, assignments, threads: int):
     sigma and whether the medians increase at every step of the
     (decreasing-sigma) grid.
     """
-    columns = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit)
+    columns = dirichlet.sup_scans(assignments, config.sigma_grid, config.grid_step, config.prime_limit,
+                                  threads=threads)
     centered = columns["centered_value"].reshape(config.trials, len(config.sigma_grid))
     med_list = [float(m) for m in np.quantile(centered, 0.5, axis=0)]
     trend_steps = sum(1 for a, b in zip(med_list, med_list[1:]) if b > a)

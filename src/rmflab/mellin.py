@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import sieve_for
-from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, stream_trials
+from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, map_runs, stream_trials
 from .signs import SignAssignment
 from . import dirichlet
 
@@ -156,18 +156,18 @@ def divergence_rows(
     row for the integrals stacked, the witness and three columns.  The
     engine builds each whole series (one segment: np.sum adds pairwise, so
     the integrals cannot be summed per segment) on up to `threads` threads
-    and integrates it against each sigma's kernel, computed once per run;
-    the witness product is evaluated at each assignment's t* for each
-    sigma.
+    and integrates it against each sigma's kernel, computed once per run.
+    The sup scan, and then the witness product at each assignment's t* for
+    each sigma, take the same threads.
     """
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
     shape = (len(assignments), len(grid))
     more = engine_bytes(model, limit, shape[0], threads, limit) + 8 * (limit + 1) * len(grid)
-    more += dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit) + (176 + 48 * len(grid)) * shape[0]
+    more += dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads) + (176 + 48 * len(grid)) * shape[0]
     table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
 
-    scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table)
+    scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table, threads=threads)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]
 
     def integrals(series: WeightedSumSeries, _weights) -> np.ndarray:
@@ -177,11 +177,13 @@ def divergence_rows(
     pairs = np.array(stream_trials(model, alpha, limit, assignments, reducer, threads, limit, table))
     pairs = pairs.reshape(*shape, 2)
     product = dirichlet.euler_product_F if model is Model.F else dirichlet.euler_product_F_star
-    t_star, witness = scans["t_star"].reshape(shape), np.empty(shape)
-    for i, assignment in enumerate(assignments):
-        for k, sigma in enumerate(grid):
-            value = product(assignment, complex(sigma, t_star[i, k]), prime_limit, table).value
-            witness[i, k] = float(abs(value)) / t_star[i, k]
+    t_star = scans["t_star"].reshape(shape)
+
+    def witnesses(i: int) -> list[float]:
+        return [float(abs(product(assignments[i], complex(sigma, t), prime_limit, table).value)) / t
+                for sigma, t in zip(grid, t_star[i])]
+
+    witness = np.array(map_runs(witnesses, shape[0], threads)).reshape(shape)
     return {
         "sigma": scans["sigma"],
         "signed": pairs[..., 0].ravel(),

@@ -274,3 +274,10 @@ def map_ordered(worker, items, threads: int) -> list:
         future.cancel()
     wait(pending)
     return [future.result() for future in futures]
+
+
+def map_runs(worker, count: int, threads: int) -> list:
+    """[worker(i) for i in range(count)], by map_ordered of one run of
+    consecutive i per concurrent call: no more calls than threads."""
+    runs = np.array_split(np.arange(count), concurrent_calls(threads, count))
+    return [y for run in map_ordered(lambda run: [worker(i) for i in run], runs, threads) for y in run]

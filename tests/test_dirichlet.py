@@ -206,8 +206,6 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     host_of(monkeypatch, 2048)
     monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
     assignments = [SignAssignment.iid(k) for k in range(100)]
-    with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
-        sup_scans(assignments, (0.58,), None, 10**6)
     n_primes = int(1.26 * (10**6 + 1) / math.log(10**6))
     step = default_grid_step(0.58)
     n_points = int(math.floor((harper_window(0.58) - 1.0) / step)) + 1  # 2970
@@ -217,30 +215,37 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     rows, cells = (n_points - 1) // q + 72, 1024 // q
     assert (q, rows) == (38, 150)
     # throughout: 6 arrays over the primes, per trial its lattice sums and
-    # 48 bytes for its six CSV columns, three float64 ufunc buffers;
-    # then the larger of the 64-row cosine slab with its 2 cos(theta) row
-    # and two slabs' sums per trial (48 MB), and the filter (2.5 MB): per
-    # trial a block's window of 72 sums per cell, its values and their mask,
-    # and the taps with their temporaries
-    cosines = 8 * 65 * n_primes + 17 * 64 * 100
-    filtering = 100 * (9 * cells * q + 16 * 36 * cells) + 96 * 36 * (q + 1)
-    scan = 48 * n_primes + 100 * (8 * rows + 48) + 24 * np.getbufsize() + max(cosines, filtering)
-    assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
+    # 48 bytes for its six CSV columns, three float64 ufunc buffers; then
+    # the largest of the cosines, the 2 cos(theta) row and a 32-row ring
+    # (24 MB) per task, one task per thread for the 150 rows' 3 reseed
+    # periods, the taps' temporaries (0.5 MB), and the filter (1.5 MB):
+    # per trial of a block of 64 its window of 72 sums per cell, its values
+    # and their mask, and the taps
+    filtering = 64 * (9 * cells * q + 16 * 36 * cells) + 16 * 36 * q
+    for threads in (1, 2):
+        with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
+            sup_scans(assignments, (0.58,), None, 10**6, threads=threads)
+        cosines = 8 * (1 + 32 * threads) * n_primes
+        scan = 48 * n_primes + 100 * (8 * rows + 48) + 24 * np.getbufsize() + max(cosines, 96 * 36 * (q + 1), filtering)
+        assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
 
 
 def test_sup_scan_peak_stays_under_its_estimate(table_1e5):
     # scan_bytes, what sup_scans asks the gate for, against what tracemalloc
-    # sees it hold: filtered at the default step, evaluated exactly at step 1
-    assignments = [SignAssignment.iid(k) for k in range(20)]
-    for step in (None, 1.0):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= scan_bytes(20, (0.56, 0.54, 0.52), step, 10**5) < 1.5 * peak
+    # sees it hold on all threads: filtered at the default step, evaluated
+    # exactly at step 1, and at P = 1000 with few trials
+    grid = (0.56, 0.54, 0.52)
+    for prime_limit, trials, step in ((10**5, 20, None), (10**5, 20, 1.0), (1000, 20, None), (1000, 64, None)):
+        assignments = [SignAssignment.iid(k) for k in range(trials)]
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                sup_scans(assignments, grid, step, prime_limit, table_1e5, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= scan_bytes(trials, grid, step, prime_limit, threads) < 1.5 * peak, (prime_limit, trials)
 
 
 def test_sup_scan_filters_a_capped_block_of_rows(table_1e5):
@@ -271,6 +276,54 @@ def test_sup_scan_filters_a_capped_block_of_rows(table_1e5):
     rows = slice(part.start * len(grid), part.stop * len(grid))
     for name, column in alone.items():
         assert np.array_equal(columns[name][rows], column), name
+
+
+@pytest.mark.parametrize("step", [None, 1.0])
+def test_sup_scans_do_not_depend_on_the_thread_count(table_1e5, step):
+    # filtered from the lattice at the default step, 3 reseed periods per
+    # sigma; evaluated exactly at step 1
+    assignments = [SignAssignment.iid(k) for k in range(7)]
+    one = sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5)
+    for threads in (2, 3):
+        columns = sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5, threads=threads)
+        assert list(columns) == list(one)
+        for name, column in one.items():
+            assert np.array_equal(columns[name], column), (threads, name)
+
+
+def test_sup_scans_hold_blas_at_one_thread_and_restore_it(table_1e5, monkeypatch):
+    blas = dirichlet_module._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, set_ = blas
+    seen, scan = [], dirichlet_module.scan_grid_max
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return scan(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("scan failed")
+
+    assignments = [SignAssignment.iid(k) for k in range(3)]
+    before = get()
+    set_(2)
+    try:
+        monkeypatch.setattr(dirichlet_module, "scan_grid_max", spy)
+        columns = sup_scans(assignments, (0.56, 0.54), None, 10**4, table_1e5, threads=2)
+        assert seen == [1, 1] and get() == 2
+        monkeypatch.setattr(dirichlet_module, "scan_grid_max", failing)
+        with pytest.raises(RuntimeError, match="scan failed"):
+            sup_scans(assignments, (0.56, 0.54), None, 10**4, table_1e5, threads=2)
+        assert seen == [1, 1, 1] and get() == 2
+    finally:
+        set_(before)
+    # without a BLAS library found, nothing is held and the columns are the same
+    monkeypatch.setattr(dirichlet_module, "scan_grid_max", scan)
+    monkeypatch.setattr(dirichlet_module, "_openblas", lambda: None)
+    unheld = sup_scans(assignments, (0.56, 0.54), None, 10**4, table_1e5, threads=2)
+    assert all(np.array_equal(unheld[name], column) for name, column in columns.items())
 
 
 def test_prime_cosine_sum_reduces_at_t0(table_1e5):
@@ -425,13 +478,14 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
     t_start = data.draw(st.floats(0.0, 100.0))
     step = data.draw(st.floats(1e-3, 0.5))
     n_points = data.draw(st.sampled_from([1, 2, 255, 256, 257, 513]) | st.integers(1, 1200))
+    threads = data.draw(st.integers(1, 3))
 
     oracle_sup, oracle_t = scan_by_cosine_matrix(weights, logp, t_start, step, n_points)
     routes = [scan_by_recurrence(weights, logp, t_start, step, n_points),
               scan_by_chebyshev(weights, logp, t_start, step, n_points)]
     t_grid = t_start + step * np.arange(n_points, dtype=np.float64)
     grid_values = np.sort(weights @ np.cos(np.outer(t_grid, logp)).T, axis=1)
-    sup, t_star = scan_grid_max(weights, logp, t_start, step, n_points)
+    sup, t_star = scan_grid_max(weights, logp, t_start, step, n_points, threads=threads)
     for i in range(len(weights)):
         assert sup[i] == weights[i] @ np.cos(t_star[i] * logp)
         at_t_star = scan_by_cosine_matrix(weights[i], logp, t_star[i], step, 1)[0][0]
@@ -446,25 +500,27 @@ def test_scan_grid_max_matches_cosine_matrix_oracle(table_1e5, data):
 def test_scan_grid_max_ties_take_the_first_occurrence():
     # log p = 0: every grid value is exactly the weight, so each row's first
     # grid point is its maximum; filtered from the lattice in 4 blocks of
-    # one 1024-point cell
+    # one 1024-point cell, the rechecked points split into a run per thread
     weights = np.array([[1.0], [-2.0]])
-    n_points = 3 * BLOCK_POINTS + 3
-    assert lattice(0.0, 0.5, n_points)[0] == BLOCK_POINTS
-    sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
-    assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
-    # on a grid of no more points than lattice rows, evaluated exactly: the same
-    n_points = 2 * TAPS
-    assert lattice(0.0, 0.5, n_points) == (0, n_points)
-    sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points)
-    assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
-    # theta = pi/4 and t_0 = pi/8: cos(t_j) = cos(pi/8) at j mod 8 in {0, 7}
-    # up to the rounding of t_j, the grid maximum; 2 grid points per lattice
-    # cell, so 3075 points are filtered in 4 blocks of 512 cells
-    for n_points, q in ((63, 0), (3 * BLOCK_POINTS + 3, 2)):
-        assert lattice(1.0, math.pi / 4, n_points)[0] == q
-        sup, t_star = scan_grid_max(weights[:1], np.array([1.0]), math.pi / 8, math.pi / 4, n_points)
-        assert abs(sup[0] - math.cos(math.pi / 8)) <= 1e-12
-        assert round((t_star[0] - math.pi / 8) / (math.pi / 4)) % 8 in (0, 7)
+    for threads in (1, 2, 3):
+        n_points = 3 * BLOCK_POINTS + 3
+        assert lattice(0.0, 0.5, n_points)[0] == BLOCK_POINTS
+        sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points, threads=threads)
+        assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
+        # on a grid of no more points than lattice rows, evaluated exactly: the same
+        n_points = 2 * TAPS
+        assert lattice(0.0, 0.5, n_points) == (0, n_points)
+        sup, t_star = scan_grid_max(weights, np.array([0.0]), 2.0, 0.5, n_points, threads=threads)
+        assert sup.tolist() == [1.0, -2.0] and t_star.tolist() == [2.0, 2.0]
+        # theta = pi/4 and t_0 = pi/8: cos(t_j) = cos(pi/8) at j mod 8 in {0, 7}
+        # up to the rounding of t_j, the grid maximum; 2 grid points per lattice
+        # cell, so 3075 points are filtered in 4 blocks of 512 cells
+        for n_points, q in ((63, 0), (3 * BLOCK_POINTS + 3, 2)):
+            assert lattice(1.0, math.pi / 4, n_points)[0] == q
+            sup, t_star = scan_grid_max(weights[:1], np.array([1.0]), math.pi / 8, math.pi / 4, n_points,
+                                        threads=threads)
+            assert abs(sup[0] - math.cos(math.pi / 8)) <= 1e-12
+            assert round((t_star[0] - math.pi / 8) / (math.pi / 4)) % 8 in (0, 7)
 
 
 @pytest.mark.parametrize("taps", [8, TAPS])

@@ -248,8 +248,8 @@ def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypat
 
 def test_divergence_rows_check_their_scan_before_the_sieve(monkeypatch):
     # a host of 16 MB holds the sieve to P = 10^6 (4 MB), the engine and the
-    # kernel at N = 10^3, not the sup scan of 100 trials (its cosine slab
-    # alone takes 47 MB), so the one check refuses the run and no sieve is built
+    # kernel at N = 10^3, not the sup scan of 100 trials (its cosine ring
+    # alone takes 24 MB), so the one check refuses the run and no sieve is built
     assignments = [SignAssignment.iid(k) for k in range(100)]
     requested = _refused_bytes(monkeypatch, 4096, assignments, "f", 0.5, (0.55,), 10**3, 10**6)
     scan = scan_bytes(100, (0.55,), None, 10**6)
@@ -265,6 +265,19 @@ def test_divergence_comparison_rows():
     assert rows["N"].tolist() == [2000, 2000] and rows["prime_limit"].tolist() == [10**4, 10**4]
     minus_rows = divergence_rows([SignAssignment.all_minus_one()], "fstar", 0.0, [0.58], 500, 1000)
     assert minus_rows["absolute"][0] >= abs(minus_rows["signed"][0])
+
+
+@pytest.mark.parametrize("step", [None, 1.0])
+def test_divergence_rows_do_not_depend_on_the_thread_count(step):
+    # the scan filtered at the default step and exact at step 1, the engine
+    # and the witness products on 1, 2 and 3 threads
+    assignments = [SignAssignment.iid(k) for k in range(5)]
+    one = divergence_rows(assignments, "f", 0.5, (0.56, 0.54, 0.52), 2000, 10**5, step)
+    for threads in (2, 3):
+        rows = divergence_rows(assignments, "f", 0.5, (0.56, 0.54, 0.52), 2000, 10**5, step, threads)
+        assert list(rows) == list(one)
+        for name, column in one.items():
+            assert np.array_equal(rows[name], column), (threads, name)
 
 
 def test_comparison_csv_schema():
