@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
-from .series import concurrent_calls, map_ordered, map_runs
+from .series import concurrent_calls, map_ordered
 from .signs import SignAssignment, prime_sign_table
 
 # ---------------------------------------------------------------------------
@@ -250,22 +250,21 @@ def lattice(omega: float, grid_step: float, n_points: int) -> tuple[int, int]:
 def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int, reseed: int,
                  threads: int) -> np.ndarray:
     """weights @ cos(outer(t, logp)).T at t = t_start + spacing * i for
-    i < count.  The periods of RESEED rows i go round-robin to one task per
-    thread, each with its own ring of SLAB rows of cosines per GEMM, all
-    allocated here: a row with i % reseed < 2 by np.cos, the others by the
-    recurrence cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta),
-    theta = spacing log p."""
+    i < count.  One task per thread takes a run of consecutive periods of
+    RESEED rows i, split as map_ordered splits its items, with its own ring
+    of SLAB rows of cosines per GEMM, all allocated here: a row with
+    i % reseed < 2 by np.cos, the others by the recurrence
+    cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta), theta = spacing log p."""
     sums = np.empty((weights.shape[0], count))
     two_cos = np.multiply(spacing, logp)
     np.cos(two_cos, out=two_cos)
     two_cos *= 2.0
-    tasks = concurrent_calls(threads, -(-count // RESEED))
-    rings = np.empty((tasks, min(SLAB, count), logp.size))
+    runs = np.array_split(np.arange(0, count, RESEED), concurrent_calls(threads, -(-count // RESEED)))
+    rings = np.empty((len(runs), min(SLAB, count), logp.size))
 
     def periods(k: int) -> None:
         ring = rings[k]
-        for start in (s for first in range(k * RESEED, count, tasks * RESEED)
-                      for s in range(first, min(first + RESEED, count), SLAB)):
+        for start in (s for first in runs[k] for s in range(first, min(first + RESEED, count), SLAB)):
             stop = min(start + SLAB, count)
             for i in range(start, stop):
                 row = ring[i % SLAB]
@@ -277,7 +276,7 @@ def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing:
                     np.subtract(row, ring[(i - 2) % SLAB], out=row)
             np.matmul(weights, ring[: stop - start].T, out=sums[:, start:stop])
 
-    map_ordered(periods, range(tasks), threads)
+    map_ordered(periods, range(len(runs)), threads)
     return sums
 
 
@@ -380,23 +379,28 @@ def scan_grid_max(
     row's maximum is recomputed exactly, so E only decides how many points
     are.  A grid of no more points than lattice rows is evaluated with
     exact cosines instead, and E is then 2 eps W (n + 4 (1 + omega T)).
-    Up to `threads` threads build the cosines, one task per RESEED lattice
-    rows, and recompute the candidates; no value depends on their count.
+    Up to `threads` threads build the cosines (runs of RESEED-row periods)
+    and recompute the candidates (runs of points); no value depends on that.
     """
     weights = np.atleast_2d(weights)
     bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points, threads)
     # block by block, keep each point within 2E of its row's running maximum
     top = np.full(weights.shape[0], -np.inf)
     found = []
-    for first, start, values in blocks:
-        running = top[first : first + values.shape[0]]
-        np.maximum(running, values.max(axis=1), out=running)
-        rows, points = np.nonzero(values >= (running - 2.0 * bound)[:, None])
-        found.append((rows + first, points + start, values[rows, points]))
-    rows, points, values = (np.concatenate(parts) for parts in zip(*found))
-    keep = values >= top[rows] - 2.0 * bound
-    order = np.lexsort((rows[keep], points[keep]))
-    rows, points = rows[keep][order], points[keep][order]
+    for first, band in itertools.groupby(blocks, key=lambda block: block[0]):
+        parts = []
+        for _first, start, values in band:
+            running = top[first : first + values.shape[0]]
+            np.maximum(running, values.max(axis=1), out=running)
+            rows, points = np.nonzero(values >= (running - 2.0 * bound)[:, None])
+            parts.append((rows + first, points + start, values[rows, points]))
+        # the maxima of the band's rows are final: keep its points within 2E of them
+        rows, points, values = (np.concatenate(arrays) for arrays in zip(*parts))
+        keep = values >= top[rows] - 2.0 * bound
+        found.append((rows[keep], points[keep]))
+    rows, points = (np.concatenate(arrays) for arrays in zip(*found))
+    order = np.lexsort((rows, points))
+    rows, points = rows[order], points[order]
     # the candidate rows of each point, the points in ascending t, and one
     # cosine row per point
     starts = np.flatnonzero(np.diff(points, prepend=-1))
@@ -410,7 +414,7 @@ def scan_grid_max(
     best = np.full(weights.shape[0], -np.inf)
     best_t = np.full(weights.shape[0], t_start)
     # folded in ascending t: the first grid point of a row's maximum wins
-    for t, group, values in zip(times, groups, map_runs(exact, len(groups), threads)):
+    for t, group, values in zip(times, groups, map_ordered(exact, range(len(groups)), threads)):
         for i, value in zip(group, values):
             if value > best[i]:
                 best[i], best_t[i] = value, t
@@ -456,7 +460,7 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     prime_count_bound(P) primes and omega = log P (no larger q, no fewer
     lattice rows than the scan's).
 
-    Throughout: the int8 signs and float64 weights, six float64 arrays over
+    Throughout: the float64 weights, six float64 arrays over
     the primes, per row the longest lattice's or exact grid's sums and 48
     bytes per sigma (its six 8-byte columns), and the float64 buffers of a
     numpy ufunc.  Then the largest of: the cosines (2 cos(theta) and each
@@ -477,7 +481,7 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
             phases = max(phases, 96 * TAPS * (q + 1), filtering)
         else:
             phases = max(phases, n_rows * rows)
-    more = 9 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
+    more = 8 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
     return more + max(8 * (rings + 1) * n_primes, phases) + 24 * np.getbufsize()
 
 
@@ -529,7 +533,7 @@ def sup_scans(
     each call runs on up to `threads` threads, with the loaded OpenBLAS
     held at one thread, so the columns depend on neither count.
     Without a table, raises ResourceError before it builds its sieve if
-    scan_bytes (the signs and weights, the cosine rings, the lattice sums,
+    scan_bytes (the weights, the cosine rings, the lattice sums,
     the filter's blocks and the columns) and the sieve exceed the host's
     physical memory; a caller that passes a table has counted scan_bytes
     itself.
@@ -539,12 +543,11 @@ def sup_scans(
     more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit, threads)
     what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
-    signs = np.empty((len(assignments), len(primes)), dtype=np.int8)
+    weights = np.empty((n_rows, len(primes)))  # the signs, then each sigma's weights
     for i, assignment in enumerate(assignments):
-        signs[i] = prime_sign_table(assignment, primes)
+        weights[i] = prime_sign_table(assignment, primes)
     primes = primes.astype(np.float64)
     logp = np.log(primes)
-    weights = np.empty(signs.shape)
     grids = _scan_grids(grid, grid_step)
     t_star, sup_value, centered = (np.empty((n_rows, len(grid))) for _ in range(3))
     get, set_ = _openblas() or (lambda: None, lambda count: None)
@@ -552,7 +555,7 @@ def sup_scans(
     set_(1)
     try:
         for k, (sigma, step, points) in enumerate(grids):
-            np.multiply(signs, primes ** (-sigma), out=weights)
+            np.copysign(primes ** (-sigma), weights, out=weights)
             sup_value[:, k], t_star[:, k] = scan_grid_max(weights, logp, 1.0, step, points, threads=threads)
             centered[:, k] = sup_value[:, k] - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
     finally:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import sieve_for
-from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, map_runs, stream_trials
+from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, map_ordered, stream_trials
 from .signs import SignAssignment
 from . import dirichlet
 
@@ -183,7 +183,7 @@ def divergence_rows(
         return [float(abs(product(assignments[i], complex(sigma, t), prime_limit, table).value)) / t
                 for sigma, t in zip(grid, t_star[i])]
 
-    witness = np.array(map_runs(witnesses, shape[0], threads)).reshape(shape)
+    witness = np.array(map_ordered(witnesses, range(shape[0]), threads)).reshape(shape)
     return {
         "sigma": scans["sigma"],
         "signed": pairs[..., 0].ravel(),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +144,7 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     results = []
     for first in range(0, len(assignments), LANES):
         batch = assignments[first : first + LANES]
-        rows = map_ordered(lambda a: prime_sign_table(a, primes), batch, threads)
-        lanes = sign_lanes(rows, cofactor, spf_index)
-        del rows
+        lanes = sign_lanes(map_ordered(lambda a: prime_sign_table(a, primes), batch, threads), cofactor, spf_index)
         results += map_ordered(lambda k: _stream_lane(weights, lanes, k, reducer(), size), range(len(batch)), threads)
     return results
 
@@ -240,7 +238,7 @@ def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:
 
 
 def concurrent_calls(threads: int, items: int) -> int:
-    """Calls map_ordered runs at once: one per thread, at most one per item."""
+    """map_ordered's runs of items: one per thread, at most one per item."""
     return max(1, min(threads, items))
 
 
@@ -254,13 +252,12 @@ _POOLS_LOCK = threading.Lock()
 
 
 def map_ordered(worker, items, threads: int) -> list:
-    """[worker(x) for x in items], concurrent_calls of them at a time.
-
-    Results come back in item order whatever the thread count; an exception
-    raised by any call is raised here, the first in item order, after the
-    calls already running have ended and those not yet started are dropped.
-    """
-    items = list(items)
+    """[worker(x) for x in items], a sequence, in concurrent_calls(threads,
+    len(items)) runs of consecutive items, split as by np.array_split: one
+    run on the calling thread, more one call per run on the kept pool of
+    that many threads, so each starts at once.  A run stops at its own first
+    exception; once every run has ended, the one first in item order is
+    raised, or the results come back in item order."""
     running = concurrent_calls(threads, len(items))
     if running == 1:
         return [worker(x) for x in items]
@@ -268,16 +265,7 @@ def map_ordered(worker, items, threads: int) -> list:
         if running not in _POOLS:
             _POOLS[running] = ThreadPoolExecutor(max_workers=running, thread_name_prefix="rmflab")
         pool = _POOLS[running]
-    futures = [pool.submit(worker, x) for x in items]
-    _done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-    for future in pending:
-        future.cancel()
-    wait(pending)
-    return [future.result() for future in futures]
-
-
-def map_runs(worker, count: int, threads: int) -> list:
-    """[worker(i) for i in range(count)], by map_ordered of one run of
-    consecutive i per concurrent call: no more calls than threads."""
-    runs = np.array_split(np.arange(count), concurrent_calls(threads, count))
-    return [y for run in map_ordered(lambda run: [worker(i) for i in run], runs, threads) for y in run]
+    runs = np.array_split(np.arange(len(items)), running)
+    futures = [pool.submit(lambda run: [worker(items[i]) for i in run], run) for run in runs]
+    wait(futures)
+    return [y for future in futures for y in future.result()]

@@ -198,8 +198,8 @@ class MultiplicativeEvaluator:
 def load_explicit_signs(path) -> dict[int, int]:
     """Read a two-column text file "p sign" into an explicit sign map.
 
-    Blank lines and lines starting with '#' are ignored; signs must parse to
-    -1 or +1.  A malformed line raises DomainError naming path:line.
+    Blank lines and lines starting with '#' are ignored; each p comes once,
+    its sign -1 or +1.  A malformed line raises DomainError naming path:line.
     """
     signs: dict[int, int] = {}
     with open(path, "rb") as fh:
@@ -215,5 +215,7 @@ def load_explicit_signs(path) -> dict[int, int]:
                 raise DomainError(f"{path}:{lineno}: p must be >= 2, got {p}")
             if s not in (-1, 1):
                 raise DomainError(f"{path}:{lineno}: sign must be -1 or +1, got {s}")
+            if p in signs:
+                raise DomainError(f"{path}:{lineno}: p = {p} is listed twice")
             signs[p] = s
     return signs

@@ -826,8 +826,8 @@ SINGLE_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("content", [b"2 1\nx 1\n", b"2 1\n5 1.0\n", b"2 1\n3 \xe2\x88\x921\n"],
-                         ids=["not-a-number", "not-an-integer", "not-ascii"])
+@pytest.mark.parametrize("content", [b"2 1\nx 1\n", b"2 1\n5 1.0\n", b"2 1\n3 \xe2\x88\x921\n", b"2 1\n2 -1\n"],
+                         ids=["not-a-number", "not-an-integer", "not-ascii", "a-prime-twice"])
 @pytest.mark.parametrize("command", list(SINGLE_COMMANDS))
 def test_malformed_signs_file_exit_3(tmp_path, capsys, command, content):
     # the second line is at fault; the last case writes its sign with U+2212

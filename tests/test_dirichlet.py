@@ -202,7 +202,8 @@ def test_products_and_scans_without_a_table_check_their_sieve(monkeypatch):
 
 def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     # a host of 8 MB holds the sieve to 10^6 (4 MB), not the scan: before
-    # the sieve, pi(P) < 1.26 P / ln P stands for the 78498 primes
+    # the sieve, pi(P) < 1.26 P / ln P stands for the 78498 primes, each
+    # with 8 bytes of float64 weight per trial
     host_of(monkeypatch, 2048)
     monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
     assignments = [SignAssignment.iid(k) for k in range(100)]
@@ -227,7 +228,7 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
             sup_scans(assignments, (0.58,), None, 10**6, threads=threads)
         cosines = 8 * (1 + 32 * threads) * n_primes
         scan = 48 * n_primes + 100 * (8 * rows + 48) + 24 * np.getbufsize() + max(cosines, 96 * 36 * (q + 1), filtering)
-        assert info.value.requested_bytes == 4 * (10**6 + 1) + 9 * 100 * n_primes + scan
+        assert info.value.requested_bytes == 4 * (10**6 + 1) + 8 * 100 * n_primes + scan
 
 
 def test_sup_scan_peak_stays_under_its_estimate(table_1e5):

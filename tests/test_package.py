@@ -75,6 +75,8 @@ def test_public_surface():
         (rmflab.dirichlet, "HarperScanResult"),
         (rmflab.mellin, "DivergenceRow"),
         (rmflab.experiments, "_field_columns"),
+        # one fan-out: map_ordered splits its items into one run per thread
+        (rmflab.series, "map_runs"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 

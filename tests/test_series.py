@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rmflab.errors import DomainError
 from rmflab.series import (
     Model,
     compute_series,
+    concurrent_calls,
     detect_sign_changes,
     map_ordered,
 )
@@ -306,19 +308,47 @@ def test_map_ordered_runs_every_call_on_the_same_threads():
     assert len(idents) <= 2 and threading.get_native_id() not in idents
 
 
+@pytest.mark.parametrize("items, threads", [(7, 3), (2, 5), (8, 2), (5, 1), (0, 4)])
+def test_map_ordered_submits_one_call_per_run(monkeypatch, items, threads):
+    # 7 items on 3 threads run as 0-2, 3-4 and 5-6; with more threads than
+    # items each item is a run; one run goes on the calling thread
+    submitted, ran = [], {}
+    submit = ThreadPoolExecutor.submit
+
+    def counted(pool, fn, *args):
+        submitted.append(args)
+        return submit(pool, fn, *args)
+
+    def square(x):
+        ran.setdefault(threading.get_native_id(), []).append(x)
+        return x * x
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    assert map_ordered(square, range(items), threads) == [x * x for x in range(items)]
+    calls = concurrent_calls(threads, items)
+    assert len(submitted) == (calls if calls > 1 else 0)
+    runs = [run.tolist() for (run,) in submitted] or [list(range(items))]
+    assert runs == [list(run) for run in np.array_split(np.arange(items), calls)]
+    # every item ran once, each thread's items in ascending order
+    assert sorted(x for xs in ran.values() for x in xs) == list(range(items))
+    assert all(xs == sorted(xs) for xs in ran.values())
+
+
 def test_map_ordered_raises_the_first_failure_in_item_order_after_running_calls_end():
+    # 12 items on 2 threads run as items 0-5 and 6-11, and a run stops at
+    # its own first failure
     ended = []
 
     def work(x):
         if x == 1:
             time.sleep(0.2)
             raise ValueError("item 1")
-        if x == 3:
-            raise KeyError("item 3")  # fails first in time
-        time.sleep(0.01)
+        if x == 7:
+            raise KeyError("item 7")  # fails first in time
         ended.append(x)
         return x
 
     with pytest.raises(ValueError, match="item 1"):
         map_ordered(work, range(12), 2)
-    assert 0 in ended and 2 in ended
+    # both runs have ended, and neither ran past its failure
+    assert sorted(ended) == [0, 6]
