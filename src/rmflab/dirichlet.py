@@ -377,45 +377,37 @@ def scan_grid_max(
     reseed, linear in the phases' rounding), the lattice GEMM, the taps and
     the exact sums.  Every grid point whose value lies within 2E of its
     row's maximum is recomputed exactly, so E only decides how many points
-    are.  A grid of no more points than lattice rows is evaluated with
-    exact cosines instead, and E is then 2 eps W (n + 4 (1 + omega T)).
-    Up to `threads` threads build the cosines (runs of RESEED-row periods)
-    and recompute the candidates (runs of points); no value depends on that.
+    are: by bands of BLOCK_ROWS rows as each closes, one np.cos row and one
+    dot product per candidate, folded in ascending t per row.  A grid of no
+    more points than lattice rows is evaluated with exact cosines instead,
+    and E is then 2 eps W (n + 4 (1 + omega T)).  Up to `threads` threads
+    build the cosines (runs of RESEED-row periods) and recompute a band's
+    candidates (runs of candidates); no value depends on that.
     """
     weights = np.atleast_2d(weights)
     bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points, threads)
-    # block by block, keep each point within 2E of its row's running maximum
-    top = np.full(weights.shape[0], -np.inf)
-    found = []
+    top, best, best_t = (np.full(weights.shape[0], fill) for fill in (-np.inf, -np.inf, t_start))
+
+    def exact(k: int) -> float:  # the band's candidate rows[k], times[k]
+        cosines = np.multiply(times[k], logp)
+        np.cos(cosines, out=cosines)
+        return weights[rows[k]] @ cosines
+
     for first, band in itertools.groupby(blocks, key=lambda block: block[0]):
+        # block by block, keep each point within 2E of its row's running maximum
         parts = []
         for _first, start, values in band:
             running = top[first : first + values.shape[0]]
             np.maximum(running, values.max(axis=1), out=running)
             rows, points = np.nonzero(values >= (running - 2.0 * bound)[:, None])
             parts.append((rows + first, points + start, values[rows, points]))
-        # the maxima of the band's rows are final: keep its points within 2E of them
+        # the maxima of the band's rows are final: recompute its points within
+        # 2E of them, folded in the blocks' order, ascending t in each row, so
+        # the first grid point of a row's maximum wins
         rows, points, values = (np.concatenate(arrays) for arrays in zip(*parts))
         keep = values >= top[rows] - 2.0 * bound
-        found.append((rows[keep], points[keep]))
-    rows, points = (np.concatenate(arrays) for arrays in zip(*found))
-    order = np.lexsort((rows, points))
-    rows, points = rows[order], points[order]
-    # the candidate rows of each point, the points in ascending t, and one
-    # cosine row per point
-    starts = np.flatnonzero(np.diff(points, prepend=-1))
-    groups, times = np.split(rows, starts)[1:], t_start + grid_step * points[starts]
-
-    def exact(k: int) -> list:
-        cosines = np.multiply(times[k], logp)
-        np.cos(cosines, out=cosines)
-        return [weights[i] @ cosines for i in groups[k]]
-
-    best = np.full(weights.shape[0], -np.inf)
-    best_t = np.full(weights.shape[0], t_start)
-    # folded in ascending t: the first grid point of a row's maximum wins
-    for t, group, values in zip(times, groups, map_ordered(exact, range(len(groups)), threads)):
-        for i, value in zip(group, values):
+        rows, times = rows[keep], t_start + grid_step * points[keep]
+        for i, t, value in zip(rows, times, map_ordered(exact, range(rows.size), threads)):
             if value > best[i]:
                 best[i], best_t[i] = value, t
     return best, best_t
@@ -427,7 +419,8 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     The grid must be nonempty and strictly decreasing, with every entry in
     (low, 0.6], where the scan window is defined; low is 1/2 or above.  A
     given grid_step must lie in (0, T - 1], T - 1 the width of the window
-    [1, T] at grid[0], the narrowest: every sigma then scans 2 points or more.
+    [1, T] at grid[0], the narrowest: every sigma then scans 2 points or
+    more; and it must put fewer than 2^63 points, an index, in the widest.
     """
     grid = tuple(float(x) for x in sigma_grid)
     if not grid:
@@ -440,6 +433,8 @@ def check_sigma_grid(sigma_grid, grid_step: float | None, low: float = 0.5) -> t
     if grid_step is not None and not 0 < grid_step <= harper_window(grid[0]) - 1.0:
         raise DomainError(f"grid_step must be > 0 and at most {harper_window(grid[0]) - 1.0!r}, "
                           f"the width of the scan window at sigma = {grid[0]!r}, got {grid_step}")
+    if grid_step is not None and not (harper_window(grid[-1]) - 1.0) / grid_step < 2**63:
+        raise DomainError(f"grid_step {grid_step!r} puts 2^63 or more points in the window at sigma = {grid[-1]!r}")
     return grid
 
 
@@ -464,10 +459,13 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     the primes, per row the longest lattice's or exact grid's sums and 48
     bytes per sigma (its six 8-byte columns), and the float64 buffers of a
     numpy ufunc.  Then the largest of: the cosines (2 cos(theta) and each
-    concurrent task's ring, whose GEMMs write into the sums; the recheck
-    holds less), the taps' temporaries, and the filter (the taps; per row
-    of a block of BLOCK_ROWS its windows of sums, its values and its
-    candidate mask; over an exact grid, one mask).
+    concurrent task's ring, whose GEMMs write into the sums), the taps'
+    temporaries, and the filter (the taps; per row of a band of BLOCK_ROWS
+    its windows of sums, its values and its candidate mask; over an exact
+    grid, one mask) with one band's recheck: a cosine row per thread, 512
+    bytes of array headers per block, and 128 bytes per candidate (its row,
+    point, value, t and result), counted at one per row and block; a row's
+    near-ties within 2E beyond that are held uncounted.
     """
     n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
     rings, sums, phases = 0, 0, 0
@@ -477,10 +475,12 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
         sums = max(sums, 8 * rows)
         if q:
             cells = BLOCK_POINTS // q
-            filtering = min(n_rows, BLOCK_ROWS) * (9 * cells * q + 16 * TAPS * cells) + 16 * TAPS * q
-            phases = max(phases, 96 * TAPS * (q + 1), filtering)
+            band, blocks = min(n_rows, BLOCK_ROWS), -(-(rows - 2 * TAPS + 1) // cells)
+            filtering = band * (9 * cells * q + 16 * TAPS * cells) + 16 * TAPS * q
+            phases = max(phases, 96 * TAPS * (q + 1))
         else:
-            phases = max(phases, n_rows * rows)
+            band, blocks, filtering = n_rows, 1, n_rows * rows
+        phases = max(phases, filtering + 8 * threads * n_primes + blocks * (512 + 128 * band))
     more = 8 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
     return more + max(8 * (rings + 1) * n_primes, phases) + 24 * np.getbufsize()
 

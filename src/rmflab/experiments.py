@@ -124,8 +124,8 @@ class ExperimentConfig:
         spec = EXPERIMENTS.get(self.experiment)
         if spec is None:
             raise DomainError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < 2**63:  # a trial index, and its seed a uint64
+            raise DomainError(f"trials must be >= 1 and below 2^63, got {self.trials}")
         if self.limit < spec.min_limit:
             raise DomainError(
                 f"{self.experiment} experiment requires limit >= {spec.min_limit}, got {self.limit}"
@@ -582,7 +582,7 @@ def replay_experiment(manifest_path) -> tuple[bool, dict, dict]:
     if not isinstance(manifest, dict):
         raise DomainError(f"{manifest_path}: manifest must be a JSON object")
     command = manifest.get("command")
-    if command in EXPERIMENTS:
+    if isinstance(command, str) and command in EXPERIMENTS:
         config = config_from_manifest(manifest)
         config.validate()
     elif command == "series":

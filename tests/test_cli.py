@@ -243,7 +243,10 @@ def test_replay_checks_the_digest_map_before_recomputing(tmp_path, monkeypatch, 
 @pytest.mark.parametrize(
     "case, key, value",
     [*(("harper", key, value) for key in ("prime_limit", "grid_step", "sigma_grid") for value in ("abc", [1], [])),
-     ("series-signs-file", "signs_file", None)],
+     ("series-signs-file", "signs_file", None),
+     # a step whose point count overflows a float, and trial counts no index holds
+     *(pytest.param(case, key, value, id=f"{case}-{key}-{value!r}") for case in ("harper", "divergence")
+       for key, value in (("grid_step", 1e-320), ("trials", 10**20), ("trials", 2**63)))],
 )
 def test_replay_of_a_mistyped_key_exit_3(tmp_path, capsys, case, key, value):
     argv = [str(_signs_file(tmp_path)) if a == "SIGNS" else a for a in WRITING_COMMANDS[case]]
@@ -578,7 +581,15 @@ def test_single_series_checks_its_memory_once(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command, needle", [
     (["series", "--alpha", "2", "--limit", "10000000", "--seed", "1", "--out", "OUT"], "alpha must lie in [0, 1]"),
     (["mellin-check", "--alpha", "0.5", "--sigma", "0.4", "--limit", "1000000"], "need Re s > alpha"),
-], ids=["series", "mellin-check"])
+    # a step whose point count overflows a float, and a trial count no index holds
+    (["harper", "--limit", "1", "--prime-limit", "1000000", "--grid-step", "1e-320", "--out", "OUT"],
+     "2^63 or more points"),
+    (["divergence", "--limit", "1000000", "--prime-limit", "1000000", "--grid-step", "1e-320", "--out", "OUT"],
+     "2^63 or more points"),
+    (["harper", "--limit", "1", "--prime-limit", "1000000", "--trials", str(10**20), "--out", "OUT"], "below 2^63"),
+    (["divergence", "--limit", "1000000", "--prime-limit", "1000000", "--trials", str(2**63), "--out", "OUT"],
+     "below 2^63"),
+], ids=["series", "mellin-check", "harper-grid-step", "divergence-grid-step", "harper-trials", "divergence-trials"])
 def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command, needle):
     # a 10^7 or 10^6 sieve would be built, then thrown away
     monkeypatch.setattr(primes, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
@@ -746,6 +757,8 @@ def test_series_prints_max_abs_at_its_first_x(tmp_path, capsys):
             "not a replayable manifest",
             id="parent-series",
         ),
+        pytest.param('{"command": ["growth"]}', "not a replayable manifest", id="command-list"),
+        pytest.param('{"command": {"growth": 1}}', "not a replayable manifest", id="command-object"),
     ],
 )
 def test_malformed_manifest_exit_3(tmp_path, capsys, text, needle):

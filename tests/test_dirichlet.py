@@ -279,17 +279,25 @@ def test_sup_scan_filters_a_capped_block_of_rows(table_1e5):
         assert np.array_equal(columns[name][rows], column), name
 
 
-@pytest.mark.parametrize("step", [None, 1.0])
-def test_sup_scans_do_not_depend_on_the_thread_count(table_1e5, step):
+@pytest.mark.parametrize("prime_limit, trials, step", [
+    pytest.param(10**5, 7, None, id="None"), pytest.param(10**5, 7, 1.0, id="1.0"),
+    pytest.param(1000, 130, None, id="bands")])
+def test_sup_scans_do_not_depend_on_the_thread_count(table_1e5, prime_limit, trials, step):
     # filtered from the lattice at the default step, 3 reseed periods per
-    # sigma; evaluated exactly at step 1
-    assignments = [SignAssignment.iid(k) for k in range(7)]
-    one = sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5)
+    # sigma; evaluated exactly at step 1; 130 rows in 3 bands of BLOCK_ROWS,
+    # each rechecked as it closes, trials k and k + 100 with the same signs
+    assignments = [SignAssignment.iid(k % 100) for k in range(trials)]
+    one = sup_scans(assignments, (0.56, 0.54, 0.52), step, prime_limit, table_1e5)
     for threads in (2, 3):
-        columns = sup_scans(assignments, (0.56, 0.54, 0.52), step, 10**5, table_1e5, threads=threads)
+        columns = sup_scans(assignments, (0.56, 0.54, 0.52), step, prime_limit, table_1e5, threads=threads)
         assert list(columns) == list(one)
         for name, column in one.items():
             assert np.array_equal(columns[name], column), (threads, name)
+    # rows k and k + 100 lie in different bands, and their points are rechecked in each
+    assert BLOCK_ROWS <= 100
+    for name, column in one.items():
+        rows = column.reshape(trials, 3)
+        assert np.array_equal(rows[: max(trials - 100, 0)], rows[100:]), name
 
 
 def test_sup_scans_hold_blas_at_one_thread_and_restore_it(table_1e5, monkeypatch):
