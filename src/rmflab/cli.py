@@ -157,18 +157,19 @@ def _run_experiment_command(args) -> int:
     return 0
 
 
+def _fmt_complex(z: complex) -> str:
+    """z as re+imi, or re-|im|i when im < 0."""
+    return f"{fmt_float(z.real)}{'+' if z.imag >= 0 else '-'}{fmt_float(abs(z.imag))}i"
+
+
 def _run_euler(args) -> int:
     assignment = _assignment_from_args(args)
     s = complex(args.sigma, args.t)
     product = dirichlet.euler_product_F if args.model == "f" else dirichlet.euler_product_F_star
     result = product(assignment, s, args.prime_limit)
+    print(f"model={args.model} s={_fmt_complex(s)} prime_limit={args.prime_limit}")
     print(
-        f"model={args.model} s={fmt_float(args.sigma)}+{fmt_float(args.t)}i "
-        f"prime_limit={args.prime_limit}"
-    )
-    print(
-        f"value={fmt_float(result.value.real)}{'+' if result.value.imag >= 0 else '-'}"
-        f"{fmt_float(abs(result.value.imag))}i abs={fmt_float(abs(result.value))} "
+        f"value={_fmt_complex(result.value)} abs={fmt_float(abs(result.value))} "
         f"last_factor_deviation={fmt_float(result.last_factor_deviation)}"
     )
     return 0
@@ -180,10 +181,7 @@ def _run_mellin_check(args) -> int:
     lhs, rhs = mellin.truncated_identity_sides(assignment, args.model, args.alpha, s, args.limit)
     residual = float(abs(lhs - rhs))
     scale = abs(lhs) + 1.0
-    print(
-        f"model={args.model} alpha={fmt_float(args.alpha)} s={fmt_float(args.sigma)}"
-        f"+{fmt_float(args.t)}i N={args.limit}"
-    )
+    print(f"model={args.model} alpha={fmt_float(args.alpha)} s={_fmt_complex(s)} N={args.limit}")
     print(f"residual={fmt_float(residual)} relative={fmt_float(residual / scale)}")
     return 0
 

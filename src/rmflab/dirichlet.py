@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
-from .series import concurrent_calls, map_ordered
+from .series import map_ordered, split_runs
 from .signs import SignAssignment, prime_sign_table
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,8 @@ def _product_factors(
     prime_limit: int,
     table: SpfTable | None,
 ) -> np.ndarray:
-    if not np.isfinite(s) or complex(s).real <= 0.5:
-        raise DomainError(f"Euler products require a finite s with Re s > 1/2, got {s}")
+    if not np.isfinite(s) or complex(s).real <= 0.5 or not math.isfinite(abs(s) * math.log(max(prime_limit, 2))):
+        raise DomainError(f"Euler products require a finite s with Re s > 1/2 and |s| log P finite, got {s}")
     primes = primes_up_to(sieve_for(prime_limit, table, 0, f"the sieve to P = {prime_limit}"), prime_limit)
     signs = prime_sign_table(assignment, primes)
     return signs.astype(np.float64) * np.exp(-complex(s) * np.log(primes.astype(np.float64)))
@@ -247,36 +247,28 @@ def lattice(omega: float, grid_step: float, n_points: int) -> tuple[int, int]:
     return (q, rows) if rows < n_points else (0, n_points)
 
 
-def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int, reseed: int,
-                 threads: int) -> np.ndarray:
+def _cosine_sums(weights: np.ndarray, logp: np.ndarray, t_start: float, spacing: float, count: int,
+                 reseed: int) -> np.ndarray:
     """weights @ cos(outer(t, logp)).T at t = t_start + spacing * i for
-    i < count.  One task per thread takes a run of consecutive periods of
-    RESEED rows i, split as map_ordered splits its items, with its own ring
-    of SLAB rows of cosines per GEMM, all allocated here: a row with
+    i < count, one GEMM per SLAB rows of cosines in one ring: a row with
     i % reseed < 2 by np.cos, the others by the recurrence
     cos(x + theta) = 2 cos(theta) cos(x) - cos(x - theta), theta = spacing log p."""
     sums = np.empty((weights.shape[0], count))
     two_cos = np.multiply(spacing, logp)
     np.cos(two_cos, out=two_cos)
     two_cos *= 2.0
-    runs = np.array_split(np.arange(0, count, RESEED), concurrent_calls(threads, -(-count // RESEED)))
-    rings = np.empty((len(runs), min(SLAB, count), logp.size))
-
-    def periods(k: int) -> None:
-        ring = rings[k]
-        for start in (s for first in runs[k] for s in range(first, min(first + RESEED, count), SLAB)):
-            stop = min(start + SLAB, count)
-            for i in range(start, stop):
-                row = ring[i % SLAB]
-                if i % reseed < 2:
-                    np.multiply(t_start + spacing * i, logp, out=row)
-                    np.cos(row, out=row)
-                else:
-                    np.multiply(two_cos, ring[(i - 1) % SLAB], out=row)
-                    np.subtract(row, ring[(i - 2) % SLAB], out=row)
-            np.matmul(weights, ring[: stop - start].T, out=sums[:, start:stop])
-
-    map_ordered(periods, range(len(runs)), threads)
+    ring = np.empty((min(SLAB, count), logp.size))
+    for start in range(0, count, SLAB):
+        stop = min(start + SLAB, count)
+        for i in range(start, stop):
+            row = ring[i % SLAB]
+            if i % reseed < 2:
+                np.multiply(t_start + spacing * i, logp, out=row)
+                np.cos(row, out=row)
+            else:
+                np.multiply(two_cos, ring[(i - 1) % SLAB], out=row)
+                np.subtract(row, ring[(i - 2) % SLAB], out=row)
+        np.matmul(weights, ring[: stop - start].T, out=sums[:, start:stop])
     return sums
 
 
@@ -316,11 +308,10 @@ def _filtered(sums: np.ndarray, taps: np.ndarray, n_points: int):
             yield row, first * q, out.reshape(rows, size * q)[:, : n_points - first * q]
 
 
-def _grid_values(weights, logp, t_start, grid_step, n_points, threads=1):
+def _grid_values(weights, logp, t_start, grid_step, n_points):
     """(E, blocks): the bound E of scan_grid_max, and an iterator over the
     values it compares, (first row, first point, values) per block of
-    weight rows and consecutive grid points; the cosine sums take up to
-    `threads` threads."""
+    weight rows and consecutive grid points."""
     omega = float(np.max(np.abs(logp)))
     q, rows = lattice(omega, grid_step, n_points)
     total = max((float(np.sum(np.abs(row))) for row in weights), default=0.0)  # W, one row at a time
@@ -328,7 +319,7 @@ def _grid_values(weights, logp, t_start, grid_step, n_points, threads=1):
     if not q:
         reach = max(abs(t_start), abs(t_start + grid_step * (n_points - 1)))
         rounding = 2.0 * eps * total * (logp.size + 4.0 * (1.0 + omega * reach))
-        return rounding, [(0, 0, _cosine_sums(weights, logp, t_start, grid_step, n_points, 1, threads))]
+        return rounding, [(0, 0, _cosine_sums(weights, logp, t_start, grid_step, n_points, 1))]
     spacing = q * grid_step
     alpha = 0.5 * (math.pi - omega * spacing)
     t_first = t_start - (TAPS - 1) * spacing
@@ -337,7 +328,7 @@ def _grid_values(weights, logp, t_start, grid_step, n_points, threads=1):
     lebesgue = float(np.max(np.sum(np.abs(taps), axis=1)))
     rounding = eps * total * (lebesgue + 1.0) * (
         logp.size + 2 * TAPS + 2 * RESEED**2 + 4 * RESEED * (1.0 + omega * reach))
-    sums = _cosine_sums(weights, logp, t_first, spacing, rows, RESEED, threads)
+    sums = _cosine_sums(weights, logp, t_first, spacing, rows, RESEED)
     return total * _tone_bound(alpha) + rounding, _filtered(sums, taps, n_points)
 
 
@@ -347,8 +338,6 @@ def scan_grid_max(
     t_start: float,
     grid_step: float,
     n_points: int,
-    *,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise maximum of S(t) = sum_p w_p cos(t log p) over t = t_start + j*step.
 
@@ -380,18 +369,12 @@ def scan_grid_max(
     are: by bands of BLOCK_ROWS rows as each closes, one np.cos row and one
     dot product per candidate, folded in ascending t per row.  A grid of no
     more points than lattice rows is evaluated with exact cosines instead,
-    and E is then 2 eps W (n + 4 (1 + omega T)).  Up to `threads` threads
-    build the cosines (runs of RESEED-row periods) and recompute a band's
-    candidates (runs of candidates); no value depends on that.
+    and E is then 2 eps W (n + 4 (1 + omega T)).  It runs on the calling
+    thread.
     """
     weights = np.atleast_2d(weights)
-    bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points, threads)
+    bound, blocks = _grid_values(weights, logp, t_start, grid_step, n_points)
     top, best, best_t = (np.full(weights.shape[0], fill) for fill in (-np.inf, -np.inf, t_start))
-
-    def exact(k: int) -> float:  # the band's candidate rows[k], times[k]
-        cosines = np.multiply(times[k], logp)
-        np.cos(cosines, out=cosines)
-        return weights[rows[k]] @ cosines
 
     for first, band in itertools.groupby(blocks, key=lambda block: block[0]):
         # block by block, keep each point within 2E of its row's running maximum
@@ -406,8 +389,8 @@ def scan_grid_max(
         # the first grid point of a row's maximum wins
         rows, points, values = (np.concatenate(arrays) for arrays in zip(*parts))
         keep = values >= top[rows] - 2.0 * bound
-        rows, times = rows[keep], t_start + grid_step * points[keep]
-        for i, t, value in zip(rows, times, map_ordered(exact, range(rows.size), threads)):
+        for i, t in zip(rows[keep], t_start + grid_step * points[keep]):
+            value = weights[i] @ np.cos(t * logp)
             if value > best[i]:
                 best[i], best_t[i] = value, t
     return best, best_t
@@ -455,34 +438,36 @@ def scan_bytes(n_rows: int, sigma_grid, grid_step: float | None, prime_limit: in
     prime_count_bound(P) primes and omega = log P (no larger q, no fewer
     lattice rows than the scan's).
 
-    Throughout: the float64 weights, six float64 arrays over
-    the primes, per row the longest lattice's or exact grid's sums and 48
-    bytes per sigma (its six 8-byte columns), and the float64 buffers of a
-    numpy ufunc.  Then the largest of: the cosines (2 cos(theta) and each
-    concurrent task's ring, whose GEMMs write into the sums), the taps'
-    temporaries, and the filter (the taps; per row of a band of BLOCK_ROWS
-    its windows of sums, its values and its candidate mask; over an exact
-    grid, one mask) with one band's recheck: a cosine row per thread, 512
-    bytes of array headers per block, and 128 bytes per candidate (its row,
-    point, value, t and result), counted at one per row and block; a row's
+    Throughout: six float64 arrays over the primes, 48 bytes per row and
+    sigma (its six 8-byte columns), and the float64 buffers of a numpy
+    ufunc.  Then, for each run of sigmas that sup_scans scans at once, one
+    per thread, its float64 weight matrix and the most that one of its
+    sigmas holds besides: per row the lattice's or exact grid's sums, and
+    the largest of the cosines (2 cos(theta) and a ring, whose GEMMs write
+    into the sums), the taps' temporaries, and the filter (the taps; per
+    row of a band of BLOCK_ROWS its windows of sums, its values and its
+    candidate mask; over an exact grid, one mask) with one band's recheck:
+    the phases and the cosines of one grid point over the primes, 512 bytes
+    of array headers per block, and 128 bytes per candidate (its row, point,
+    value, t and result), counted at one per row and block; a row's
     near-ties within 2E beyond that are held uncounted.
     """
     n_primes, omega = prime_count_bound(prime_limit), math.log(max(prime_limit, 2))
-    rings, sums, phases = 0, 0, 0
+    held = []  # each sigma's bytes besides its weights
     for _sigma, step, points in _scan_grids(sigma_grid, grid_step):
         q, rows = lattice(omega, step, points)
-        rings = max(rings, concurrent_calls(threads, -(-rows // RESEED)) * min(SLAB, rows))
-        sums = max(sums, 8 * rows)
+        phase = 8 * (min(SLAB, rows) + 1) * n_primes
         if q:
             cells = BLOCK_POINTS // q
             band, blocks = min(n_rows, BLOCK_ROWS), -(-(rows - 2 * TAPS + 1) // cells)
             filtering = band * (9 * cells * q + 16 * TAPS * cells) + 16 * TAPS * q
-            phases = max(phases, 96 * TAPS * (q + 1))
+            phase = max(phase, 96 * TAPS * (q + 1))
         else:
             band, blocks, filtering = n_rows, 1, n_rows * rows
-        phases = max(phases, filtering + 8 * threads * n_primes + blocks * (512 + 128 * band))
-    more = 8 * n_rows * n_primes + 48 * n_primes + n_rows * (sums + 48 * len(sigma_grid))
-    return more + max(8 * (rings + 1) * n_primes, phases) + 24 * np.getbufsize()
+        held.append(8 * n_rows * rows + max(phase, filtering + 16 * n_primes + blocks * (512 + 128 * band)))
+    runs = split_runs(threads, len(held))
+    more = 48 * n_primes + 48 * n_rows * len(held) + 24 * np.getbufsize()
+    return more + sum(8 * n_rows * n_primes + max(held[k] for k in run) for run in runs)
 
 
 @functools.cache
@@ -529,14 +514,16 @@ def sup_scans(
     centered_value subtracts 2 log log(1/(sigma-1/2)), the centering under
     which large values force the absolute Mellin integral to dominate the
     signed one.  All assignments share one scan_grid_max call per sigma, one
-    weight row per assignment, whose two result arrays fill the columns;
-    each call runs on up to `threads` threads, with the loaded OpenBLAS
-    held at one thread, so the columns depend on neither count.
+    weight row per assignment, whose two result arrays fill the columns.
+    The sigmas are split into the runs of split_runs(threads, len(grid)),
+    one run per worker thread with its own weight matrix, each sigma
+    scanned whole on its run's thread, with the loaded OpenBLAS held at one
+    thread, so the columns depend on neither count.
     Without a table, raises ResourceError before it builds its sieve if
-    scan_bytes (the weights, the cosine rings, the lattice sums,
-    the filter's blocks and the columns) and the sieve exceed the host's
-    physical memory; a caller that passes a table has counted scan_bytes
-    itself.
+    scan_bytes (per concurrent sigma the weights, the cosine ring, the
+    lattice sums and the filter's blocks; the columns) and the sieve exceed
+    the host's physical memory; a caller that passes a table has counted
+    scan_bytes itself.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows = len(assignments)
@@ -546,25 +533,33 @@ def sup_scans(
     weights = np.empty((n_rows, len(primes)))  # the signs, then each sigma's weights
     for i, assignment in enumerate(assignments):
         weights[i] = prime_sign_table(assignment, primes)
+    runs = split_runs(threads, len(grid))
+    matrices = [weights] + [weights.copy() for _run in runs[1:]]
     primes = primes.astype(np.float64)
     logp = np.log(primes)
     grids = _scan_grids(grid, grid_step)
-    t_star, sup_value, centered = (np.empty((n_rows, len(grid))) for _ in range(3))
+    t_star, sup_value = (np.empty((n_rows, len(grid))) for _ in range(2))
+
+    def scan(run) -> None:  # (its weight matrix, a run of the sigmas' indices)
+        weights, sigmas = run
+        for j in sigmas:
+            sigma, step, points = grids[j]
+            np.copysign(primes ** (-sigma), weights, out=weights)
+            sup_value[:, j], t_star[:, j] = scan_grid_max(weights, logp, 1.0, step, points)
+
     get, set_ = _openblas() or (lambda: None, lambda count: None)
     before = get()
     set_(1)
     try:
-        for k, (sigma, step, points) in enumerate(grids):
-            np.copysign(primes ** (-sigma), weights, out=weights)
-            sup_value[:, k], t_star[:, k] = scan_grid_max(weights, logp, 1.0, step, points, threads=threads)
-            centered[:, k] = sup_value[:, k] - 2.0 * math.log(math.log(1.0 / (sigma - 0.5)))
+        map_ordered(scan, list(zip(matrices, runs)), threads)
     finally:
         set_(before)
+    centering = [2.0 * math.log(math.log(1.0 / (sigma - 0.5))) for sigma in grid]
     return {
         "sigma": np.tile(grid, n_rows),
         "t_star": t_star.ravel(),
         "sup_value": sup_value.ravel(),
-        "centered_value": centered.ravel(),
+        "centered_value": (sup_value - centering).ravel(),
         "grid_step": np.tile([step for _sigma, step, _points in grids], n_rows),
         "prime_limit": np.full(n_rows * len(grid), prime_limit, dtype=np.int64),
     }

@@ -25,6 +25,7 @@ primes.sieve_for.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -46,11 +47,13 @@ def _kernel(limit: int, exponent: complex, times_exponent: bool = False) -> np.n
     return weights if times_exponent else weights / exponent
 
 
-def _convergent(s: complex, alpha: float, name: str) -> None:
-    """DomainError unless s is finite and its real part, called `name` in the
-    message, exceeds alpha, where each interval integral is finite."""
-    if not np.isfinite(s):
-        raise DomainError(f"s must be finite, got {s}")
+def _convergent(s: complex, alpha: float, name: str, limit: int) -> None:
+    """DomainError unless s is finite, so is |s - alpha| log(limit), which
+    bounds the exponent of n^-(s - alpha) for n <= limit, and the real part
+    of s, called `name` in the message, exceeds alpha, where each interval
+    integral is finite."""
+    if not np.isfinite(s) or not math.isfinite(abs(s - alpha) * math.log(max(limit, 1))):
+        raise DomainError(f"s must be finite, with |s - alpha| log N finite, got {s}")
     if s.real <= alpha:
         raise DomainError(f"divergent kernel: need {name} > alpha, got {name} = {s.real}, alpha = {alpha}")
 
@@ -61,7 +64,7 @@ def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
     Requires Re s > alpha so each closed-form interval integral is finite.
     """
     s = complex(s)
-    _convergent(s, series.alpha, "Re s")
+    _convergent(s, series.alpha, "Re s", series.limit)
     w = _kernel(series.limit, s - series.alpha, times_exponent=True)
     return complex(np.sum(series.values[1 : series.limit] * w))
 
@@ -85,7 +88,7 @@ def signed_and_absolute_integrals(
     depends on no seed, so a run computes it once per sigma.
     """
     sigma = float(sigma)
-    _convergent(complex(sigma), series.alpha, "sigma")
+    _convergent(complex(sigma), series.alpha, "sigma", series.limit)
     if kernel is None:
         kernel = _kernel(series.limit, sigma - series.alpha)
     v = series.values[1 : series.limit] * kernel
@@ -111,7 +114,7 @@ def truncated_identity_sides(
     """
     s = complex(s)
     model = check_run(model, alpha, limit)
-    _convergent(s, alpha, "Re s")
+    _convergent(s, alpha, "Re s", limit)
 
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
@@ -157,8 +160,9 @@ def divergence_rows(
     engine builds each whole series (one segment: np.sum adds pairwise, so
     the integrals cannot be summed per segment) on up to `threads` threads
     and integrates it against each sigma's kernel, computed once per run.
-    The sup scan, and then the witness product at each assignment's t* for
-    each sigma, take the same threads.
+    The sup scan scans up to `threads` sigmas at once, each whole on one
+    thread, and then the witness products at each assignment's t* for each
+    sigma take the same threads by runs of assignments.
     """
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))

@@ -179,7 +179,7 @@ def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segm
     batch = min(trials, LANES)
     seed_free = 17 if Model(model) is Model.F else 16
     lane = np.dtype(lane_dtype(batch)).itemsize
-    buffers = concurrent_calls(threads, batch) * 16 * min(segment or SEGMENT, limit)
+    buffers = len(split_runs(threads, batch)) * 16 * min(segment or SEGMENT, limit)
     return (seed_free + lane) * (limit + 1) + batch * prime_count_bound(limit) + buffers
 
 
@@ -237,9 +237,10 @@ def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:
     return np.sqrt(x) * np.log(np.log(x)) ** float(theta)
 
 
-def concurrent_calls(threads: int, items: int) -> int:
-    """map_ordered's runs of items: one per thread, at most one per item."""
-    return max(1, min(threads, items))
+def split_runs(threads: int, items: int) -> list[np.ndarray]:
+    """map_ordered's runs of range(items), one per thread and at most one per
+    item, of consecutive indices as np.array_split splits them."""
+    return np.array_split(np.arange(items), max(1, min(threads, items)))
 
 
 #: map_ordered's worker pools, one per worker count, kept for the process.
@@ -252,20 +253,19 @@ _POOLS_LOCK = threading.Lock()
 
 
 def map_ordered(worker, items, threads: int) -> list:
-    """[worker(x) for x in items], a sequence, in concurrent_calls(threads,
-    len(items)) runs of consecutive items, split as by np.array_split: one
-    run on the calling thread, more one call per run on the kept pool of
-    that many threads, so each starts at once.  A run stops at its own first
-    exception; once every run has ended, the one first in item order is
-    raised, or the results come back in item order."""
-    running = concurrent_calls(threads, len(items))
-    if running == 1:
+    """[worker(x) for x in items], a sequence, in the runs of consecutive
+    items of split_runs(threads, len(items)): one run on the calling thread,
+    more one call per run on the kept pool of that many threads, so each
+    starts at once.  A run stops at its own first exception; once every run
+    has ended, the one first in item order is raised, or the results come
+    back in item order."""
+    runs = split_runs(threads, len(items))
+    if len(runs) == 1:
         return [worker(x) for x in items]
     with _POOLS_LOCK:
-        if running not in _POOLS:
-            _POOLS[running] = ThreadPoolExecutor(max_workers=running, thread_name_prefix="rmflab")
-        pool = _POOLS[running]
-    runs = np.array_split(np.arange(len(items)), running)
+        if len(runs) not in _POOLS:
+            _POOLS[len(runs)] = ThreadPoolExecutor(max_workers=len(runs), thread_name_prefix="rmflab")
+        pool = _POOLS[len(runs)]
     futures = [pool.submit(lambda run: [worker(items[i]) for i in run], run) for run in runs]
     wait(futures)
     return [y for future in futures for y in future.result()]

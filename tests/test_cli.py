@@ -1,14 +1,18 @@
 import argparse
 import builtins
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmflab import errors, experiments, primes
 from rmflab.cli import build_parser, parse_and_dispatch
@@ -55,6 +59,13 @@ def test_euler_command_prints_value(capsys):
     assert run_cli("euler", "--model", "f", "--sigma", "2.0", "--minus-one", "--prime-limit", "10000") == 0
     out = capsys.readouterr().out
     assert "value=" in out and "last_factor_deviation=" in out
+
+
+def test_negative_t_prints_as_a_minus_sign(capsys):
+    assert run_cli("euler", "--sigma", "0.6", "--t", "-3", "--prime-limit", "99") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "model=f s=0.59999999999999998-3i prime_limit=99"
+    assert run_cli("mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--t", "-3", "--limit", "99") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "model=f alpha=0.5 s=0.75-3i N=99"
 
 
 def test_mellin_check_command(capsys):
@@ -589,7 +600,12 @@ def test_single_series_checks_its_memory_once(tmp_path, monkeypatch, command):
     (["harper", "--limit", "1", "--prime-limit", "1000000", "--trials", str(10**20), "--out", "OUT"], "below 2^63"),
     (["divergence", "--limit", "1000000", "--prime-limit", "1000000", "--trials", str(2**63), "--out", "OUT"],
      "below 2^63"),
-], ids=["series", "mellin-check", "harper-grid-step", "divergence-grid-step", "harper-trials", "divergence-trials"])
+    # an s whose phases |s - alpha| log N overflow, with alpha = 0 and N = P for euler
+    (["euler", "--sigma", "0.6", "--t", "1e308", "--prime-limit", "1000"], "log P finite"),
+    (["euler", "--sigma", "1e308"], "log P finite"),
+    (["mellin-check", "--alpha", "0", "--sigma", "0.7", "--t", "1e308", "--limit", "100"], "log N finite"),
+], ids=["series", "mellin-check", "harper-grid-step", "divergence-grid-step", "harper-trials", "divergence-trials",
+        "euler-t", "euler-sigma", "mellin-check-t"])
 def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command, needle):
     # a 10^7 or 10^6 sieve would be built, then thrown away
     monkeypatch.setattr(primes, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
@@ -867,3 +883,73 @@ def test_non_finite_s_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+# Tiny runs of every command: the property test below puts a drawn numeral in
+# place of one numeric flag's value, or a drawn JSON value in place of one key
+# of the manifest a writing command wrote.
+TINY_COMMANDS = {
+    "series": ["series", "--alpha", "0.5", "--limit", "30", "--seed", "1", "--out", "OUT"],
+    "sign-changes": ["sign-changes", "--model", "f", "--alpha", "0.5", "--limit", "30", "--trials", "2",
+                     "--seed", "1", "--threads", "1", "--out", "OUT"],
+    "positivity": ["positivity", "--limit", "30", "--trials", "2", "--seed", "1", "--threads", "1", "--out", "OUT"],
+    "growth": ["growth", "--limit", "30", "--trials", "2", "--seed", "1", "--threads", "1", "--out", "OUT"],
+    "harper": ["harper", "--limit", "1", "--trials", "2", "--seed", "1", "--threads", "1", "--sigma-grid", "0.58,0.55",
+               "--prime-limit", "100", "--grid-step", "0.5", "--out", "OUT"],
+    "divergence": ["divergence", "--model", "f", "--alpha", "0.5", "--limit", "30", "--trials", "2", "--seed", "1",
+                   "--threads", "1", "--sigma-grid", "0.58,0.55", "--prime-limit", "100", "--grid-step", "0.5",
+                   "--out", "OUT"],
+    "euler": ["euler", "--sigma", "0.6", "--t", "1", "--prime-limit", "100", "--seed", "1"],
+    "mellin-check": ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--t", "1", "--limit", "30", "--seed", "1"],
+}
+NUMERIC_FLAGS = [(command, i) for command, argv in TINY_COMMANDS.items() for i in range(1, len(argv) - 1)
+                 if argv[i].startswith("--") and argv[i + 1][:1].isdigit()]
+# subnormal, huge, non-finite, signed zero, Unicode digits (Arabic-Indic,
+# fullwidth) and empty; the numbers are small enough to run, or too large
+# for any host
+NUMERALS = st.sampled_from([
+    "5e-324", "-5e-324", "2.2e-308", "1e308", "-1e308", "1e309", str(2**63), str(2**64), str(-2**64), str(10**30),
+    "nan", "-nan", "inf", "-inf", "Infinity", "0", "-0", "-0.0", "0e0", "0x10", "1_0", "\u0663", "\uff11\uff12",
+    "\u0660.\u0665\u0665", "", " ", "0.56,", ",", "0.58,0.58"])
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), NUMERALS,
+    st.sampled_from([0, -1, 2, 2**63, 2**64, -2**64, 10**30, 5e-324, 1e308, -0.0, 0.5, float("nan"), float("inf")]),
+    st.lists(st.sampled_from([0.58, "0.58", None, 2]), max_size=2), st.dictionaries(st.just("a"), st.just(1)))
+
+
+@pytest.fixture(scope="module")
+def tiny_manifests(tmp_path_factory):
+    manifests = {}
+    for command, argv in TINY_COMMANDS.items():
+        if "OUT" in argv:
+            outdir = tmp_path_factory.mktemp(command)
+            assert run_cli(*[str(outdir) if a == "OUT" else a for a in argv]) == 0
+            manifests[command] = json.loads((outdir / "manifest.json").read_text())
+    return manifests
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_malformed_numbers_exit_with_a_documented_code(tiny_manifests, data):
+    # exit 0, 2 (usage) or 3 (domain) for a command; 0, 3 or 1 with MISMATCH
+    # for a replay; never an exception out of parse_and_dispatch
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, "out")
+        if data.draw(st.booleans()):
+            command, i = data.draw(st.sampled_from(NUMERIC_FLAGS))
+            argv = [out if a == "OUT" else a for a in TINY_COMMANDS[command]]
+            argv[i + 1] = data.draw(NUMERALS)
+            documented = {0, 2, 3}
+        else:
+            command = data.draw(st.sampled_from(sorted(tiny_manifests)))
+            manifest = dict(tiny_manifests[command])
+            manifest[data.draw(st.sampled_from(sorted(manifest)))] = data.draw(JSON_VALUES)
+            argv = ["replay", "--manifest", os.path.join(scratch, "manifest.json")]
+            with open(argv[2], "w") as fh:
+                json.dump(manifest, fh)
+            documented = {0, 1, 3}
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+            code = parse_and_dispatch(argv)
+    assert code in documented, argv
+    assert code != 1 or "replay: MISMATCH" in printed.getvalue()

@@ -11,9 +11,9 @@ from rmflab.errors import DomainError
 from rmflab.series import (
     Model,
     compute_series,
-    concurrent_calls,
     detect_sign_changes,
     map_ordered,
+    split_runs,
 )
 from rmflab.experiments import _Crossings, _series_csvs
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment
@@ -325,10 +325,11 @@ def test_map_ordered_submits_one_call_per_run(monkeypatch, items, threads):
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
     assert map_ordered(square, range(items), threads) == [x * x for x in range(items)]
-    calls = concurrent_calls(threads, items)
+    calls = max(1, min(threads, items))  # one run per thread, at most one per item
     assert len(submitted) == (calls if calls > 1 else 0)
     runs = [run.tolist() for (run,) in submitted] or [list(range(items))]
     assert runs == [list(run) for run in np.array_split(np.arange(items), calls)]
+    assert runs == [run.tolist() for run in split_runs(threads, items)]
     # every item ran once, each thread's items in ascending order
     assert sorted(x for xs in ran.values() for x in xs) == list(range(items))
     assert all(xs == sorted(xs) for xs in ran.values())
