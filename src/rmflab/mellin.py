@@ -85,14 +85,16 @@ def signed_and_absolute_integrals(
     over the identical per-interval products, so absolute >= |signed| holds
     exactly in floating point (rounding is monotone), not just up to error.
     kernel, if given, is _kernel(series.limit, sigma - series.alpha), which
-    depends on no seed, so a run computes it once per sigma.
+    depends on no seed, so a run computes it once per sigma.  The products
+    take one temporary, 8 bytes per n, made absolute in place once summed.
     """
     sigma = float(sigma)
     _convergent(complex(sigma), series.alpha, "sigma", series.limit)
     if kernel is None:
         kernel = _kernel(series.limit, sigma - series.alpha)
     v = series.values[1 : series.limit] * kernel
-    return float(np.sum(v)), float(np.sum(np.abs(v)))
+    signed = float(np.sum(v))
+    return signed, float(np.sum(np.abs(v, out=v)))
 
 
 def truncated_identity_sides(
@@ -152,11 +154,13 @@ def divergence_rows(
     compared.
 
     The sieve first checks the engine (one segment of N), 8 bytes per n of
-    each sigma's kernel, the sup scan (dirichlet.scan_bytes), which then
-    runs once for all assignments, and what is held here: 176 bytes per
-    assignment for the array of its integrals that the engine returns
-    (tracemalloc: 169 with the temporaries of stacking them), and 48 per
-    row for the integrals stacked, the witness and three columns.  The
+    each sigma's kernel and of the integrand of each trial that runs at
+    once (signed_and_absolute_integrals), the sup scan
+    (dirichlet.scan_bytes), which then runs once for all assignments, and
+    what is held here: 176 bytes per assignment for the array of its
+    integrals that the engine returns (tracemalloc: 169 with the
+    temporaries of stacking them), and 48 per row for the integrals
+    stacked, the witness and three columns.  The
     engine builds each whole series (one segment: np.sum adds pairwise, so
     the integrals cannot be summed per segment) on up to `threads` threads
     and integrates it against each sigma's kernel, computed once per run.
@@ -167,7 +171,7 @@ def divergence_rows(
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
     shape = (len(assignments), len(grid))
-    more = engine_bytes(model, limit, shape[0], threads, limit) + 8 * (limit + 1) * len(grid)
+    more = engine_bytes(model, limit, shape[0], threads, limit) + 8 * (limit + 1) * (len(grid) + min(threads, shape[0]))
     more += dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads) + (176 + 48 * len(grid)) * shape[0]
     table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
 

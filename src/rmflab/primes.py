@@ -6,8 +6,8 @@ smallest prime factors from it, through sieve_for, the one gate that checks
 and builds a sieve.  The build stores p at every multiple of p from p^2 on,
 for the primes p <= sqrt(N) in descending order, so the smallest prime
 factor is stored last; the integers left at 0 are the primes, which the
-table keeps.  spf_cofactors and squarefree_mask derive the per-n arrays
-that a run of the series engine builds once.
+table keeps.  squarefree_mask derives the one per-n array that a run of
+model f builds once; the series engine reads spf straight from the table.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
 plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8), and its int64
@@ -28,8 +28,6 @@ from .errors import DomainError, ResourceError, require_memory
 
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
-#: Integers per chunk of the derived per-n arrays.
-_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -109,29 +107,6 @@ def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTa
     if need:
         require_memory(need, what)
     return table if table is not None else build_spf_sieve(limit)
-
-
-def spf_cofactors(table: SpfTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cofactor, spf_index) of every n <= limit, both int32.
-
-    For 2 <= n <= limit, cofactor[n] = n / spf(n) and spf_index[n] is the
-    index of spf(n) in primes_up_to(table); entries 0 and 1 are 0.  As
-    cofactor[n] <= n/2 < 2^31, int32 holds them for every table.
-    """
-    table.check_range(limit)
-    cofactor = np.zeros(limit + 1, dtype=np.int32)
-    spf_index = np.zeros(limit + 1, dtype=np.int32)
-    primes = primes_up_to(table, limit)
-    spf_index[primes] = np.arange(primes.size, dtype=np.int32)
-    # In chunks, to keep the float64 and index temporaries small; rewriting
-    # spf_index in place is safe as its entry at a prime never changes.
-    for lo in range(2, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        spf = table.spf[lo:hi]
-        # exact: p divides n, and n < 2^32 is far below 2^53
-        np.divide(np.arange(lo, hi, dtype=np.float64), spf, out=cofactor[lo:hi], casting="unsafe")
-        spf_index[lo:hi] = spf_index.take(spf)
-    return cofactor, spf_index
 
 
 def squarefree_mask(table: SpfTable, limit: int) -> np.ndarray:

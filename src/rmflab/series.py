@@ -5,13 +5,13 @@ consecutive integers, so the integer samples stored here are a lossless
 representation; the mellin module relies on exactly this.
 
 Every M_alpha comes from one trial engine, stream_trials.  Each call does
-the seed-free work once (_seed_free): the cofactor n/spf(n), the index of
-spf(n) among the primes and the weights n^-alpha, from the sieve of
-primes.sieve_for.  A batch of up to 64 trials gets g in one pass, one bit
-lane per trial (signs.sign_lanes).  Each trial then accumulates its signed
-weights g(n)/n^alpha in fixed segments and hands each segment, sums and
-weights, to a reducer, so an experiment keeps its statistics, not its
-series; a single series (compute_series) is a batch of one in one segment.
+the seed-free work once (_seed_free): the primes and the weights n^-alpha,
+from the sieve of primes.sieve_for.  A batch of up to 64 trials gets g in
+one pass over the sieve's smallest prime factors, one bit lane per trial
+(signs.sign_lanes).  Each trial then accumulates its signed weights
+g(n)/n^alpha in fixed segments and hands each segment, sums and weights,
+to a reducer, so an experiment keeps its statistics, not its series; a
+single series (compute_series) is a batch of one in one segment.
 sign_crossings states the crossing rule for a whole series
 (detect_sign_changes) and for one segment of it alike.
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for, spf_cofactors, squarefree_mask
-from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
+from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for, squarefree_mask
+from .signs import LANE_STEP, SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
 class Model(str, enum.Enum):
@@ -103,17 +103,16 @@ def check_run(model: Model | str, alpha: float, limit: int) -> Model:
 
 
 def _seed_free(model: Model, alpha: float, limit: int, table: SpfTable):
-    """stream_trials' seed-free arrays: the primes <= limit, spf_cofactors,
-    and weights[n] = n^-alpha as float64, +0.0 at n = 0 and, for f, where n
-    is not squarefree, so that the lanes of fstar give f."""
-    cofactor, spf_index = spf_cofactors(table, limit)
+    """stream_trials' seed-free arrays: the primes <= limit and weights[n] =
+    n^-alpha as float64, +0.0 at n = 0 and, for f, where n is not
+    squarefree, so that the lanes of fstar give f."""
     weights = np.arange(limit + 1, dtype=np.float64)
     weights[0] = 1.0
     np.power(weights, -float(alpha), out=weights)
     weights[0] = 0.0
     if model is Model.F:
         weights *= squarefree_mask(table, limit)
-    return primes_up_to(table, limit), cofactor, spf_index, weights
+    return primes_up_to(table, limit), weights
 
 
 def stream_trials(model: Model | str, alpha: float, limit: int, assignments, reducer, threads: int,
@@ -123,13 +122,13 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     After check_run, primes.sieve_for gives the sieve, checking it and
     engine_bytes of this call first unless the caller gives a table.
     Assignments go in batches of up to LANES.  A batch's sign rows are built
-    on `threads` worker threads and packed into one bit lane per trial, and
-    one pass of sign_lanes gives fstar for the whole batch.  Then each trial,
-    on the worker threads, turns its lane into weights +-w by XOR-ing the
-    float sign bit, accumulates them in ascending n one segment of `segment`
-    integers at a time (default SEGMENT), and calls feed(start, values,
-    weights) of its own reducer per segment: values[i] = M_alpha(n) and
-    weights[i] = g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of
+    on `threads` worker threads, and one pass of sign_lanes over the sieve
+    gives fstar for the whole batch, one bit lane per trial.  Then each
+    trial, on the worker threads, turns its lane into weights +-w by XOR-ing
+    the float sign bit, accumulates them in ascending n one segment of
+    `segment` integers at a time (default SEGMENT), and calls feed(start,
+    values, weights) of its own reducer per segment: values[i] = M_alpha(n)
+    and weights[i] = g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of
     both holds the sum before the segment, and a segment of size limit is a
     whole series.  The arrays are the engine's buffers, valid only during
     feed, except in one-segment runs, where they last through result().
@@ -139,12 +138,12 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     model = check_run(model, alpha, limit)
     more = 0 if table is not None else engine_bytes(model, limit, len(assignments), threads, segment)
     table = sieve_for(max(limit, 2), table, more, f"{len(assignments)} {model.value} series at N = {limit}")
-    primes, cofactor, spf_index, weights = _seed_free(model, alpha, limit, table)
+    primes, weights = _seed_free(model, alpha, limit, table)
     size = min(segment or SEGMENT, limit)
     results = []
     for first in range(0, len(assignments), LANES):
         batch = assignments[first : first + LANES]
-        lanes = sign_lanes(map_ordered(lambda a: prime_sign_table(a, primes), batch, threads), cofactor, spf_index)
+        lanes = sign_lanes(map_ordered(lambda a: prime_sign_table(a, primes), batch, threads), table, limit)
         results += map_ordered(lambda k: _stream_lane(weights, lanes, k, reducer(), size), range(len(batch)), threads)
     return results
 
@@ -172,15 +171,18 @@ def _stream_lane(weights: np.ndarray, lanes: np.ndarray, k: int, reduce, size: i
 
 
 def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
-    """Bytes stream_trials holds at once: the seed-free arrays (16 per n; f
-    also builds a squarefree mask, 1 per n), one batch's lane words and sign
-    rows (a byte per trial and prime, counted by prime_count_bound), and the
-    two 8-byte segment buffers of each trial that runs at once."""
+    """Bytes stream_trials holds at once: the weights (8 per n; f also
+    builds a squarefree mask, 1 per n), one batch's lane words (w per n), its
+    sign rows and their packed words (b + w per prime for b trials, counted
+    by prime_count_bound), a lane step's temporaries ((24 + 2 w) per integer
+    of LANE_STEP; signs.sign_lanes), and two 8-byte segment buffers for each
+    trial that runs at once."""
     batch = min(trials, LANES)
-    seed_free = 17 if Model(model) is Model.F else 16
+    seed_free = 9 if Model(model) is Model.F else 8
     lane = np.dtype(lane_dtype(batch)).itemsize
     buffers = len(split_runs(threads, batch)) * 16 * min(segment or SEGMENT, limit)
-    return (seed_free + lane) * (limit + 1) + batch * prime_count_bound(limit) + buffers
+    step = (24 + 2 * lane) * min(LANE_STEP, limit + 1)
+    return (seed_free + lane) * (limit + 1) + (batch + lane) * prime_count_bound(limit) + step + buffers
 
 
 class WholeSeries:

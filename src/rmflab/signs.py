@@ -30,13 +30,15 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, MissingSignError
-from .primes import SpfTable, primes_up_to, spf_cofactors, squarefree_mask
+from .primes import SpfTable, primes_up_to, squarefree_mask
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _TRIAL_SALT = 0x5851F42D4C957F2D
+#: Most integers per step of sign_lanes, which bounds its temporaries.
+LANE_STEP = 2**16
 
 
 def mix64(z: int) -> int:
@@ -141,28 +143,37 @@ def lane_dtype(batch: int) -> type:
     return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= batch)
 
 
-def sign_lanes(rows, cofactor: np.ndarray, spf_index: np.ndarray) -> np.ndarray:
+def sign_lanes(rows, table: SpfTable, limit: int) -> np.ndarray:
     """fstar(0..limit) for up to 64 rows of signs at once, one bit lane per row.
 
-    rows[k] holds the signs at the primes, as prime_sign_table returns them;
-    bit k of lanes[n] is set exactly when fstar(n) = -1 under rows[k] (bit 0
-    throughout at n = 0 and n = 1), in words of lane_dtype(len(rows)).
-    cofactor and spf_index are primes.spf_cofactors, of length limit + 1.
-    With p = spf(n) and q = n/p, fstar(n) = fstar(q) s(p); as q <= n/2, a
-    step over [lo, hi) with hi <= 2 lo reads only finished words, so a step
-    is one XOR of gathered words for the whole batch, and the cost O(limit).
+    rows[k] holds the signs at primes_up_to(table, limit), as
+    prime_sign_table returns them; bit k of lanes[n] is set exactly when
+    fstar(n) = -1 under rows[k] (bit 0 throughout at n = 0 and n = 1), in
+    words of lane_dtype(len(rows)).  Each prime gets its word first.  A step
+    over [lo, hi) then sets lanes[n] to lanes[n/p] XOR lanes[p] for p =
+    spf(n), read from the sieve.  At a composite n, p <= sqrt(n) < lo holds
+    its prime's word and fstar(n) = fstar(n/p) s(p); at a prime, n/p = 1
+    and the word stays its own.  As n/p <= n/2, a step with hi <= 2 lo reads
+    only finished words: a step is one XOR of gathered words for the whole
+    batch, and the cost O(limit).  Steps hold at most LANE_STEP integers;
+    besides lanes and the packed words (w bytes per prime for words of w
+    bytes) their temporaries take at most (24 + 2 w) bytes per integer
+    (tracemalloc at limit = 10^6: 18, 20, 24, 32 for w = 1, 2, 4, 8).
     """
     dtype = lane_dtype(len(rows))
     words = np.zeros(len(rows[0]), dtype=dtype)
     for k, row in enumerate(rows):
         words |= (row < 0).astype(dtype) << k
-    limit = cofactor.size - 1
     lanes = np.zeros(limit + 1, dtype=dtype)
-    lo = 2
+    lanes[primes_up_to(table, limit)] = words
+    ints = np.empty(min(LANE_STEP, limit + 1), dtype=np.intp)
+    lo = 4
     while lo <= limit:
-        # steps of at most 2^20 integers keep the gathered temporaries small
-        hi = min(2 * lo, lo + 2**20, limit + 1)
-        np.bitwise_xor(lanes.take(cofactor[lo:hi]), words.take(spf_index[lo:hi]), out=lanes[lo:hi])
+        hi = min(2 * lo, lo + LANE_STEP, limit + 1)
+        spf, at = table.spf[lo:hi], ints[: hi - lo]
+        # n / spf(n) is exact in float64: spf(n) divides n < 2^32
+        np.divide(np.arange(lo, hi, dtype=np.float64), spf, out=at, casting="unsafe")
+        np.bitwise_xor(lanes.take(at), lanes.take(spf), out=lanes[lo:hi])
         lo = hi
     return lanes
 
@@ -187,7 +198,7 @@ class MultiplicativeEvaluator:
             raise DomainError(f"model must be 'f' or 'fstar', got {model!r}")
         self.table.check_range(limit)
         primes = primes_up_to(self.table, limit)
-        lanes = sign_lanes([prime_sign_table(self.assignment, primes)], *spf_cofactors(self.table, limit))
+        lanes = sign_lanes([prime_sign_table(self.assignment, primes)], self.table, limit)
         g = 1 - 2 * lanes.view(np.int8)
         if model == "f":
             g *= squarefree_mask(self.table, limit)

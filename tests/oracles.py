@@ -3,9 +3,10 @@
 Each one recomputes something the package computes another way: the sieve
 by one mask pass per prime, the iid sign table by np.where, a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
-prime factors, g and M_alpha one trial at a time by the int8 recurrence, a
-compensated running sum, fstar by Dirichlet convolution, the prime cosine
-sum and the Riesz mean at one point, the sup scan with a full cosine
+prime factors, g and M_alpha one trial at a time by the int8 recurrence,
+the lanes of fstar from per-n cofactor and spf-index arrays, a compensated
+running sum, fstar by Dirichlet convolution, the prime cosine sum and the
+Riesz mean at one point, the sup scan with a full cosine
 matrix, by the cosine recurrence and by a Chebyshev interpolant, the Mellin
 record at one point, the growth statistic over a whole series, a CSV file
 as one string, and trials.csv by one dict per row (records_csv).  Tests
@@ -33,6 +34,7 @@ from rmflab.signs import (
     MultiplicativeEvaluator,
     SignAssignment,
     SignMode,
+    lane_dtype,
     mix64,
     prime_sign_table,
 )
@@ -215,6 +217,40 @@ def values_by_recurrence(ev: MultiplicativeEvaluator, limit: int, model: str) ->
         np.multiply(g[q], s, out=g[lo:hi])
         lo = hi
     return g
+
+
+def spf_cofactors(table: SpfTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cofactor, spf_index) of every n <= limit, both int32: for 2 <= n <=
+    limit, cofactor[n] = n / spf(n) and spf_index[n] is the index of spf(n)
+    in primes_up_to(table); entries 0 and 1 are 0.  The per-n arrays the
+    engine built before sign_lanes read the sieve itself."""
+    table.check_range(limit)
+    cofactor = np.zeros(limit + 1, dtype=np.int32)
+    spf_index = np.zeros(limit + 1, dtype=np.int32)
+    primes = primes_up_to(table, limit)
+    spf_index[primes] = np.arange(primes.size, dtype=np.int32)
+    spf = table.spf[2 : limit + 1]
+    cofactor[2:] = np.arange(2, limit + 1) // spf
+    spf_index[2:] = spf_index.take(spf)
+    return cofactor, spf_index
+
+
+def lanes_by_cofactors(rows, table: SpfTable, limit: int) -> np.ndarray:
+    """sign_lanes(rows, table, limit) by the pass it replaced: from n = 2 in
+    dyadic steps, lanes[n] = lanes[cofactor[n]] XOR words[spf_index[n]],
+    with the batch's words indexed by the position of the prime."""
+    cofactor, spf_index = spf_cofactors(table, limit)
+    dtype = lane_dtype(len(rows))
+    words = np.zeros(len(rows[0]), dtype=dtype)
+    for k, row in enumerate(rows):
+        words |= (row < 0).astype(dtype) << k
+    lanes = np.zeros(limit + 1, dtype=dtype)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        np.bitwise_xor(lanes.take(cofactor[lo:hi]), words.take(spf_index[lo:hi]), out=lanes[lo:hi])
+        lo = hi
+    return lanes
 
 
 def series_and_values(assignment, model, alpha: float, limit: int, table=None):

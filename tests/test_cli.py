@@ -516,10 +516,11 @@ def test_many_series_trials_exit_3_before_any_trial_runs(tmp_path, capsys, monke
 
 
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
-    # the sieve (4 bytes per n) and the engine's seed-free arrays (17 bytes
-    # per n for f) alone exceed physical memory at this N
+    # the sieve (4 bytes per n) and the engine's seed-free arrays (9 bytes
+    # per n for f: the weights and the squarefree mask) alone exceed
+    # physical memory at this N
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = physical // 21 + 1
+    limit = physical // 13 + 1
     if limit > 2**32 - 1:
         pytest.skip("this host's memory holds the largest sieve")
     result = run_python(
@@ -539,7 +540,7 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
 ])
 def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
     # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
-    # whole series from the engine about 3.5 MB more
+    # whole series from the engine about 4.3 MB more
     host_of(monkeypatch, 256)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
@@ -549,11 +550,11 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
     assert not outdir.exists()
 
 
-# At N = 10^5 the sieve and the engine's whole series need about 3.8 MB.
+# At N = 10^5 the sieve and the engine's whole series need about 4.7 MB.
 # The complex temporaries of mellin-check raise its peak RSS by about 5 MB,
-# so a host of 4.5 MB passes a check that counts only the engine.
+# so a host of 6 MB passes a check that counts only the engine.
 @pytest.mark.parametrize("command, pages", [
-    (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1152),
+    (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1536),
 ], ids=["mellin-check"])
 def test_single_series_counts_what_it_holds_after_the_engine(tmp_path, capsys, monkeypatch, command, pages):
     host_of(monkeypatch, pages)
@@ -619,11 +620,11 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
-# (divergence: its one check, the sup scan included, 2.13 MB; sign-changes:
-# 3.26 MB) and the check that counts eight (4.27 MB and 10.6 MB).
+# (divergence: its one check, the sup scan included, 3.15 MB; sign-changes:
+# 4.17 MB) and the check that counts eight (5.39 MB and 11.5 MB).
 @pytest.mark.parametrize("command, pages", [
-    (["divergence", "--limit", "20000", "--prime-limit", "10000"], 768),
-    (["sign-changes", "--limit", "100000"], 1024),
+    (["divergence", "--limit", "20000", "--prime-limit", "10000"], 1024),
+    (["sign-changes", "--limit", "100000"], 2048),
 ], ids=["divergence", "sign-changes"])
 def test_one_trial_on_many_threads_counts_the_buffers_of_one(tmp_path, monkeypatch, command, pages):
     host_of(monkeypatch, pages)
@@ -641,7 +642,7 @@ def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
 
 
 def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatch):
-    # a host of 10 MB holds the sieve and the engine at N = 10^5 (3.8 MB);
+    # a host of 10 MB holds the sieve and the engine at N = 10^5 (4.7 MB);
     # the CSVs are written and hashed a block of rows at a time
     host_of(monkeypatch, 2560)
     outdir = tmp_path / "s"

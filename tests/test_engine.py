@@ -16,11 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
 from rmflab.experiments import ExperimentConfig, run_experiment, trials_csv
-from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, spf_cofactors, squarefree_mask
+from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, squarefree_mask
 from rmflab.series import compute_series, engine_bytes, stream_trials
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
-from oracles import is_squarefree, records_csv, series_and_values, values_by_recurrence
+from oracles import (
+    is_squarefree, lanes_by_cofactors, records_csv, series_and_values, spf_cofactors, values_by_recurrence,
+)
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
 TRIAL_COUNTS = (1, 8, 9, 16, 17, 64, 65)  # every lane width and batch edge
@@ -137,11 +139,55 @@ def test_each_lane_is_its_own_trial(batch, table_1e5):
     primes = primes_up_to(table_1e5)
     primes = primes[primes <= limit]
     assignments = [SignAssignment.iid(1000 + k) for k in range(batch)]
-    lanes = sign_lanes([prime_sign_table(a, primes) for a in assignments], *spf_cofactors(table_1e5, limit))
+    lanes = sign_lanes([prime_sign_table(a, primes) for a in assignments], table_1e5, limit)
     assert lanes.dtype.itemsize == max(1, 2 ** math.ceil(math.log2(batch)) // 8)
     for k, assignment in enumerate(assignments):
         fstar = values_by_recurrence(MultiplicativeEvaluator(assignment, table_1e5), limit, "fstar")
         assert np.array_equal(1 - 2 * ((lanes[1:] >> k) & 1).astype(np.int8), fstar[1:])
+
+
+#: A sieve past three lane steps of 2^16, and the limits on both sides of
+#: every dyadic step edge up to it
+LANE_LIMIT = 3 * 2**16 + 1
+EDGES = sorted({1, 2, 3, LANE_LIMIT} | {2**k + d for k in range(1, 18) for d in (-1, 0, 1)})
+
+
+@pytest.fixture(scope="module")
+def lane_table():
+    return build_spf_sieve(LANE_LIMIT)
+
+
+@st.composite
+def lane_rows(draw, primes: np.ndarray):
+    """Sign rows of a batch of 1-64 assignments, each iid, all -1 or explicit."""
+    rows = []
+    for _ in range(draw(st.integers(1, 64))):
+        mode, seed = draw(st.sampled_from(["iid", "minus-one", "explicit"])), draw(st.integers(0, 2**64 - 1))
+        if mode == "explicit":
+            signs = np.random.default_rng(seed).choice([-1, 1], primes.size)
+            assignment = SignAssignment.explicit(dict(zip(primes.tolist(), signs.tolist())))
+        else:
+            assignment = SignAssignment.of(mode, seed)
+        rows.append(prime_sign_table(assignment, primes))
+    return rows
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_sign_lanes_match_the_cofactor_oracle(lane_table, data):
+    limit = data.draw(st.sampled_from(EDGES) | st.integers(1, LANE_LIMIT))
+    rows = data.draw(lane_rows(primes_up_to(lane_table, limit)))
+    lanes = sign_lanes(rows, lane_table, limit)
+    want = lanes_by_cofactors(rows, lane_table, limit)
+    assert lanes.dtype == want.dtype and np.array_equal(lanes, want)
+
+
+def test_sign_lanes_match_the_cofactor_oracle_at_every_step_edge(lane_table):
+    for k, limit in enumerate(EDGES):
+        primes = primes_up_to(lane_table, limit)
+        rows = [prime_sign_table(SignAssignment.iid(k + i), primes) for i in range(k % 64 + 1)]
+        rows[0] = prime_sign_table(SignAssignment.all_minus_one(), primes)
+        assert np.array_equal(sign_lanes(rows, lane_table, limit), lanes_by_cofactors(rows, lane_table, limit)), limit
 
 
 def test_cofactors_and_squarefree_mask(table_1e5):
@@ -169,9 +215,10 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
 
 def test_engine_bytes_count_only_the_trials_that_run_at_once():
     # a batch of 3 trials runs on at most 3 of 8 threads, one trial on one:
-    # seed-free arrays and mask (17), one-byte lane words, sign rows, and
-    # two 8-byte segment buffers per running trial
-    limit = 10**5
-    assert engine_bytes("f", limit, 3, 8) == 18 * (limit + 1) + 3 * prime_count_bound(limit) + 3 * 16 * 2**16
+    # weights and mask (9), one-byte lane words, sign rows and their packed
+    # one-byte words, a lane step's temporaries (24 + 2 bytes per integer of
+    # 2^16), and two 8-byte segment buffers per running trial
+    limit, step = 10**5, 26 * 2**16
+    assert engine_bytes("f", limit, 3, 8) == 10 * (limit + 1) + 4 * prime_count_bound(limit) + step + 3 * 16 * 2**16
     assert engine_bytes("f", limit, 1, 8, limit) == engine_bytes("f", limit, 1, 1, limit)
-    assert engine_bytes("f", limit, 1, 1, limit) == 18 * (limit + 1) + prime_count_bound(limit) + 16 * limit
+    assert engine_bytes("f", limit, 1, 1, limit) == 10 * (limit + 1) + 2 * prime_count_bound(limit) + step + 16 * limit

@@ -340,9 +340,10 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
     if experiment in ("harper", "divergence"):
         config.update(sigma_grid=grid, prime_limit=1000)
     # what the check counts that does not grow with the rows: the engine (its
-    # batch is capped), the sieve, divergence's kernels and a scan of no rows
+    # batch is capped), the sieve, divergence's kernels and integrand and a
+    # scan of no rows
     engine, scan = engine_bytes(model, 100, trials, 1), scan_bytes(0, grid, None, 1000) + 4 * 1001
-    fixed = {"harper": scan, "divergence": engine + 8 * 101 * len(grid) + scan}.get(experiment, engine + 4 * 101)
+    fixed = {"harper": scan, "divergence": engine + 8 * 101 * (len(grid) + 1) + scan}.get(experiment, engine + 4 * 101)
     run_experiment(ExperimentConfig(**config, trials=3))  # what a first run allocates once
     product = experiments_module.dirichlet.euler_product_F
 
@@ -364,6 +365,28 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
     assert peak / rows <= (asked[-1] - fixed) / rows
     # 16 a row: the interpreter keeps up to 2000 freed pairs for reuse (112 kB)
     assert held <= rows * (8 * len(stats.columns) + 16)
+
+
+@pytest.mark.parametrize("config", [
+    *(dict(experiment="sign-changes", model=model, alpha=alpha, trials=trials, threads=threads)
+      for model, alpha in (("f", 0.5), ("fstar", 0.25)) for trials in (16, 64) for threads in (1, 2)),
+    *(dict(experiment="divergence", model="f", alpha=0.5, trials=threads, threads=threads, prime_limit=1000)
+      for threads in (1, 2)),
+], ids=lambda c: "-".join(map(str, (c["experiment"], c["model"], c["alpha"], c["trials"], c["threads"]))))
+def test_the_memory_check_covers_the_peak_past_2_20(monkeypatch, config):
+    # past 2^20 integers the per-n arrays, lane steps and integrands make the
+    # peak, not the rows
+    asked = []
+    monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))
+    run_experiment(ExperimentConfig(**config, limit=100))  # what a first run allocates once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_experiment(ExperimentConfig(**config, limit=2**20 + 1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= asked[-1]
 
 
 def test_manifest_round_trip():
