@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
+from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for, threads_that_fit
 from .series import map_ordered, split_runs
 from .signs import SignAssignment, prime_sign_table
 
@@ -519,14 +519,18 @@ def sup_scans(
     one run per worker thread with its own weight matrix, each sigma
     scanned whole on its run's thread, with the loaded OpenBLAS held at one
     thread, so the columns depend on neither count.
-    Without a table, raises ResourceError before it builds its sieve if
-    scan_bytes (per concurrent sigma the weights, the cosine ring, the
-    lattice sums and the filter's blocks; the columns) and the sieve exceed
-    the host's physical memory; a caller that passes a table has counted
-    scan_bytes itself.
+    Without a table, it scans on the most threads, up to `threads`, at
+    which scan_bytes (per concurrent sigma the weights, the cosine ring, the
+    lattice sums and the filter's blocks; the columns) and the sieve fit in
+    the host's physical memory, and raises ResourceError before it builds
+    its sieve if they do not fit on one; a caller that passes a table has
+    counted scan_bytes itself.
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows = len(assignments)
+    if table is None:
+        threads = threads_that_fit(prime_limit, min(threads, len(grid)),
+                                   lambda t: scan_bytes(n_rows, grid, grid_step, prime_limit, t))
     more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit, threads)
     what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)

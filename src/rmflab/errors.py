@@ -23,14 +23,20 @@ class ResourceError(RuntimeError):
         self.requested_bytes = requested_bytes
 
 
+def physical_memory() -> int | None:
+    """The host's physical memory in bytes, as os.sysconf reports it; None
+    where there is no sysconf, and so nothing to check against."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def require_memory(requested: int, what: str) -> None:
     """Raise ResourceError if `what` needs more bytes than the host's
-    physical memory, as os.sysconf reports it; called before allocating."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # no sysconf on this platform: nothing to check against
-    if requested > physical:
+    physical memory; called before allocating."""
+    physical = physical_memory()
+    if physical is not None and requested > physical:
         raise ResourceError(
             f"{what} needs {requested} bytes, more than the {physical} bytes of physical memory",
             requested_bytes=requested,

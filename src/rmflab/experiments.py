@@ -198,7 +198,7 @@ def _series_sieve(config: ExperimentConfig, threads: int, columns: int, rows: in
     engine, `more` bytes and per CSV row (`rows` a trial) 8 bytes for each
     of `columns` columns and 128 for the Python objects of a reducer's
     result until they become columns (tracemalloc: 109 for sign-changes)."""
-    more += engine_bytes(config.model, config.limit, config.trials, threads)
+    more += engine_bytes(config.limit, config.trials, threads)
     more += config.trials * rows * (8 * columns + 128)
     what = f"{config.experiment} at N = {config.limit} with {config.trials} trials on {threads} threads"
     return sieve_for(max(config.limit, 2), None, more, what)

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .primes import sieve_for
+from .primes import sieve_for, threads_that_fit
 from .series import Model, WeightedSumSeries, WholeSeries, check_run, engine_bytes, map_ordered, stream_trials
 from .signs import SignAssignment
 from . import dirichlet
@@ -121,7 +121,7 @@ def truncated_identity_sides(
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
-    more = engine_bytes(model, limit, 1, 1, limit) + 56 * (limit + 1)
+    more = engine_bytes(limit, 1, 1, limit) + 56 * (limit + 1)
     table = sieve_for(max(limit, 2), None, more, f"the {model.value} series at N = {limit}")
     reducer = partial(WholeSeries, model, alpha, series_and_g)
     series, g = stream_trials(model, alpha, limit, [assignment], reducer, 1, limit, table)[0]
@@ -153,7 +153,10 @@ def divergence_rows(
     mixing realizations across sigma would destroy the phenomenon being
     compared.
 
-    The sieve first checks the engine (one segment of N), 8 bytes per n of
+    It runs on the most threads, up to `threads`, at which its one memory
+    check passes, as the columns do not depend on the count; on one thread
+    too much raises ResourceError.  The sieve first checks the engine (one
+    segment of N), 8 bytes per n of
     each sigma's kernel and of the integrand of each trial that runs at
     once (signed_and_absolute_integrals), the sup scan
     (dirichlet.scan_bytes), which then runs once for all assignments, and
@@ -171,9 +174,15 @@ def divergence_rows(
     model = check_run(model, alpha, limit)
     grid = dirichlet.check_sigma_grid(sigma_grid, grid_step, low=max(alpha, 0.5))
     shape = (len(assignments), len(grid))
-    more = engine_bytes(model, limit, shape[0], threads, limit) + 8 * (limit + 1) * (len(grid) + min(threads, shape[0]))
-    more += dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads) + (176 + 48 * len(grid)) * shape[0]
-    table = sieve_for(max(limit, prime_limit, 2), None, more, f"divergence at N = {limit}, P = {prime_limit}")
+
+    def ask(threads: int) -> int:
+        per_n = 8 * (limit + 1) * (len(grid) + min(threads, shape[0]))
+        scan = dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads)
+        return engine_bytes(limit, shape[0], threads, limit) + per_n + scan + (176 + 48 * len(grid)) * shape[0]
+
+    sieve = max(limit, prime_limit, 2)
+    threads = threads_that_fit(sieve, min(threads, max(shape)), ask)
+    table = sieve_for(sieve, None, ask(threads), f"divergence at N = {limit}, P = {prime_limit}")
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table, threads=threads)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]

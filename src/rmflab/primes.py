@@ -6,8 +6,9 @@ smallest prime factors from it, through sieve_for, the one gate that checks
 and builds a sieve.  The build stores p at every multiple of p from p^2 on,
 for the primes p <= sqrt(N) in descending order, so the smallest prime
 factor is stored last; the integers left at 0 are the primes, which the
-table keeps.  squarefree_mask derives the one per-n array that a run of
-model f builds once; the series engine reads spf straight from the table.
+table keeps.  squarefree_mask gives signs.MultiplicativeEvaluator its f;
+the series engine reads spf straight from the table and builds no per-n
+array for f, whose weights it zeroes at the multiples of p^2 per segment.
 
 Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
 plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8), and its int64
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, require_memory
+from .errors import DomainError, ResourceError, physical_memory, require_memory
 
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
@@ -107,6 +108,14 @@ def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTa
     if need:
         require_memory(need, what)
     return table if table is not None else build_spf_sieve(limit)
+
+
+def threads_that_fit(limit: int, threads: int, ask) -> int:
+    """The most threads t <= threads whose ask(t) bytes, with a new sieve to
+    limit, fit in physical memory; 1 if none does, whose ask sieve_for then
+    refuses.  For a computation whose results do not depend on t."""
+    physical = physical_memory()
+    return next((t for t in range(threads, 1, -1) if physical is None or ask(t) + 4 * (limit + 1) <= physical), 1)
 
 
 def squarefree_mask(table: SpfTable, limit: int) -> np.ndarray:

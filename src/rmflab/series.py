@@ -4,14 +4,14 @@ M_alpha is a right-continuous step function of x, constant between
 consecutive integers, so the integer samples stored here are a lossless
 representation; the mellin module relies on exactly this.
 
-Every M_alpha comes from one trial engine, stream_trials.  Each call does
-the seed-free work once (_seed_free): the primes and the weights n^-alpha,
-from the sieve of primes.sieve_for.  A batch of up to 64 trials gets g in
-one pass over the sieve's smallest prime factors, one bit lane per trial
-(signs.sign_lanes).  Each trial then accumulates its signed weights
-g(n)/n^alpha in fixed segments and hands each segment, sums and weights,
-to a reducer, so an experiment keeps its statistics, not its series; a
-single series (compute_series) is a batch of one in one segment.
+Every M_alpha comes from one trial engine, stream_trials, over the sieve
+of primes.sieve_for.  A batch of up to 64 trials gets g in one pass over
+the sieve's smallest prime factors, one bit lane per trial
+(signs.sign_lanes).  Each worker walks fixed segments of n, builds each
+segment's weights n^-alpha once (_weights) and accumulates each of its
+trials' signed weights g(n)/n^alpha over it, handing sums and weights to
+the trial's reducer, so an experiment keeps its statistics, not its
+series; a single series (compute_series) is a batch of one in one segment.
 sign_crossings states the crossing rule for a whole series
 (detect_sign_changes) and for one segment of it alike.
 
@@ -25,14 +25,16 @@ reconstruction test M_alpha(x) - M_alpha(x-1) = g(x)/x^alpha quantifies it.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for, squarefree_mask
+from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
 from .signs import LANE_STEP, SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
@@ -102,17 +104,18 @@ def check_run(model: Model | str, alpha: float, limit: int) -> Model:
     return model
 
 
-def _seed_free(model: Model, alpha: float, limit: int, table: SpfTable):
-    """stream_trials' seed-free arrays: the primes <= limit and weights[n] =
-    n^-alpha as float64, +0.0 at n = 0 and, for f, where n is not
-    squarefree, so that the lanes of fstar give f."""
-    weights = np.arange(limit + 1, dtype=np.float64)
-    weights[0] = 1.0
-    np.power(weights, -float(alpha), out=weights)
-    weights[0] = 0.0
+def _weights(model: Model, alpha: float, start: int, stop: int, table: SpfTable, out: np.ndarray) -> np.ndarray:
+    """out[: stop - start] set to n^-alpha at n = start + i >= 1, bit for bit
+    as one whole float64 array, and for f to +0.0 at the multiples of p^2,
+    p <= isqrt(stop - 1), so that the lanes of fstar give f."""
+    w = out[: stop - start]
+    w[:1], w[1:] = start, 1.0
+    np.cumsum(w, out=w)  # n = start + i: sums of ones are exact and need no temporary
+    np.power(w, -float(alpha), out=w)
     if model is Model.F:
-        weights *= squarefree_mask(table, limit)
-    return primes_up_to(table, limit), weights
+        for p in primes_up_to(table, math.isqrt(stop - 1)).tolist():
+            w[-start % (p * p) :: p * p] = 0.0
+    return w
 
 
 def stream_trials(model: Model | str, alpha: float, limit: int, assignments, reducer, threads: int,
@@ -123,66 +126,84 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     engine_bytes of this call first unless the caller gives a table.
     Assignments go in batches of up to LANES.  A batch's sign rows are built
     on `threads` worker threads, and one pass of sign_lanes over the sieve
-    gives fstar for the whole batch, one bit lane per trial.  Then each
-    trial, on the worker threads, turns its lane into weights +-w by XOR-ing
-    the float sign bit, accumulates them in ascending n one segment of
-    `segment` integers at a time (default SEGMENT), and calls feed(start,
-    values, weights) of its own reducer per segment: values[i] = M_alpha(n)
-    and weights[i] = g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of
-    both holds the sum before the segment, and a segment of size limit is a
-    whole series.  The arrays are the engine's buffers, valid only during
-    feed, except in one-segment runs, where they last through result().
-    np.sign(weights[1:]) is g (+0.0 where g = 0).  The sum is sequential,
+    gives fstar for the whole batch, one bit lane per trial.  Each run of
+    split_runs(threads, len(batch)), on its own thread, walks the segments
+    of `segment` integers (default SEGMENT) in ascending n, builds their
+    weights w = n^-alpha once each (_weights), and for each of its trials
+    turns the lane into +-w by XOR-ing the float sign bit, accumulates it
+    after the trial's own sum and calls feed(start, values, weights) of the
+    trial's reducer: values[i] = M_alpha(n) and weights[i] =
+    g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of both holds the
+    sum before the segment, and a segment of size limit is a whole series.
+    The arrays are the run's buffers, valid only during feed, except in
+    one-segment calls, whose weights are built once for every run and whose
+    trials each get buffers that last through result().
+    np.sign(weights[1:]) is g (+0.0 where g = 0).  Each sum is sequential,
     so results do not depend on the segment size, batch size or threads.
     """
     model = check_run(model, alpha, limit)
-    more = 0 if table is not None else engine_bytes(model, limit, len(assignments), threads, segment)
+    more = 0 if table is not None else engine_bytes(limit, len(assignments), threads, segment)
     table = sieve_for(max(limit, 2), table, more, f"{len(assignments)} {model.value} series at N = {limit}")
-    primes, weights = _seed_free(model, alpha, limit, table)
+    primes = primes_up_to(table, limit)
     size = min(segment or SEGMENT, limit)
+    whole = _weights(model, alpha, 1, limit + 1, table, np.empty(limit)) if size == limit else None
     results = []
     for first in range(0, len(assignments), LANES):
         batch = assignments[first : first + LANES]
         lanes = sign_lanes(map_ordered(lambda a: prime_sign_table(a, primes), batch, threads), table, limit)
-        results += map_ordered(lambda k: _stream_lane(weights, lanes, k, reducer(), size), range(len(batch)), threads)
+        work = partial(_stream_run, model, alpha, limit, table, whole, lanes, reducer, size)
+        results += [y for run in map_ordered(work, split_runs(threads, len(batch)), threads) for y in run]
     return results
 
 
-def _stream_lane(weights: np.ndarray, lanes: np.ndarray, k: int, reduce, size: int):
-    # signed[0] carries the sum before the segment, signed[1:] its weights
-    signed = np.empty(size + 1, dtype=np.uint64)
-    values = np.empty(size + 1, dtype=np.float64)
-    weight_bits = weights.view(np.uint64)
-    carry = 0.0
-    for start in range(1, weights.size, size):
-        stop = min(start + size, weights.size)
-        bits = signed[1 : stop - start + 1]
-        # bit k of the lane to the sign bit, where XOR turns w into -w
-        np.left_shift(lanes[start:stop], 63 - k, out=bits, dtype=np.uint64)
-        np.bitwise_and(bits, _SIGN_BIT, out=bits)
-        np.bitwise_xor(bits, weight_bits[start:stop], out=bits)
-        signed_weights = signed[: stop - start + 1].view(np.float64)
-        signed_weights[0] = carry
-        # into a separate buffer: an in-place cumsum barely uses a second thread
-        np.cumsum(signed_weights, out=values[: stop - start + 1])
-        reduce.feed(start, values[: stop - start + 1], signed_weights)
-        carry = values[stop - start]
-    return reduce.result()
+def _stream_run(model: Model, alpha: float, limit: int, table: SpfTable, whole, lanes: np.ndarray, reducer,
+                size: int, run: np.ndarray) -> list:
+    # [reducer().result() of each lane k of the run], a segment of every trial
+    # at a time, in the run's buffers, or in one segment a pair per trial
+    reduces, carry = [reducer() for _ in run], [0.0] * len(run)
+    pair = lambda: (np.empty(size + 1, dtype=np.uint64), np.empty(size + 1))
+    weights, shared = (np.empty(size), pair()) if whole is None else (None, None)
+    for start in range(1, limit + 1, size):
+        stop = min(start + size, limit + 1)
+        w = whole if whole is not None else _weights(model, alpha, start, stop, table, weights)
+        for i, k in enumerate(run.tolist()):
+            # a pair made here is held only by the reducer, until result()
+            carry[i] = _feed(reduces[i], start, lanes[start:stop], k, w, *(shared or pair()), carry[i])
+            if stop > limit:
+                reduces[i] = reduces[i].result()
+    return reduces
 
 
-def engine_bytes(model: Model | str, limit: int, trials: int, threads: int, segment: int | None = None) -> int:
-    """Bytes stream_trials holds at once: the weights (8 per n; f also
-    builds a squarefree mask, 1 per n), one batch's lane words (w per n), its
-    sign rows and their packed words (b + w per prime for b trials, counted
-    by prime_count_bound), a lane step's temporaries ((24 + 2 w) per integer
-    of LANE_STEP; signs.sign_lanes), and two 8-byte segment buffers for each
-    trial that runs at once."""
+def _feed(reduce, start: int, lanes: np.ndarray, k: int, weights, signed, values, carry: float) -> float:
+    # lane k of a segment to reduce, after the sum `carry`; returns the sum at its end
+    m = lanes.size
+    bits = signed[1 : m + 1]
+    # bit k of the lane to the sign bit, where XOR turns w into -w
+    np.left_shift(lanes, 63 - k, out=bits, dtype=np.uint64)
+    np.bitwise_and(bits, _SIGN_BIT, out=bits)
+    np.bitwise_xor(bits, weights.view(np.uint64), out=bits)
+    signed_weights = signed[: m + 1].view(np.float64)
+    signed_weights[0] = carry
+    # into a separate buffer: an in-place cumsum barely uses a second thread
+    np.cumsum(signed_weights, out=values[: m + 1])
+    reduce.feed(start, values[: m + 1], signed_weights)
+    return values[m]
+
+
+def engine_bytes(limit: int, trials: int, threads: int, segment: int | None = None) -> int:
+    """Bytes stream_trials holds at once, for either model: one batch's lane
+    words (w per n), its sign rows and their packed words (b + w per prime
+    for b trials, counted by prime_count_bound), a lane step's temporaries
+    (16 + 2 w per integer of the largest step; signs.sign_lanes), and the
+    floats of the runs at once (split_runs): over several segments of L, a
+    run's weights and pair of buffers, 24 bytes per integer of L; in one,
+    the shared weights (8 per n) and a pair per running trial, 16 per n."""
     batch = min(trials, LANES)
-    seed_free = 9 if Model(model) is Model.F else 8
     lane = np.dtype(lane_dtype(batch)).itemsize
-    buffers = len(split_runs(threads, batch)) * 16 * min(segment or SEGMENT, limit)
-    step = (24 + 2 * lane) * min(LANE_STEP, limit + 1)
-    return (seed_free + lane) * (limit + 1) + (batch + lane) * prime_count_bound(limit) + step + buffers
+    size, runs = min(segment or SEGMENT, limit), len(split_runs(threads, batch))
+    held = 8 * (limit + 1) + 16 * size * runs if size == limit else 24 * size * runs
+    step = (16 + 2 * lane) * min(LANE_STEP, (limit + 1) // 2)
+    return lane * (limit + 1) + (batch + lane) * prime_count_bound(limit) + step + held
 
 
 class WholeSeries:

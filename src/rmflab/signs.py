@@ -155,10 +155,12 @@ def sign_lanes(rows, table: SpfTable, limit: int) -> np.ndarray:
     its prime's word and fstar(n) = fstar(n/p) s(p); at a prime, n/p = 1
     and the word stays its own.  As n/p <= n/2, a step with hi <= 2 lo reads
     only finished words: a step is one XOR of gathered words for the whole
-    batch, and the cost O(limit).  Steps hold at most LANE_STEP integers;
+    batch, and the cost O(limit).  A step holds at most min(LANE_STEP,
+    (limit + 1) // 2) integers, as hi - lo <= min(lo, limit + 1 - lo);
     besides lanes and the packed words (w bytes per prime for words of w
-    bytes) their temporaries take at most (24 + 2 w) bytes per integer
-    (tracemalloc at limit = 10^6: 18, 20, 24, 32 for w = 1, 2, 4, 8).
+    bytes) its temporaries take (16 + 2 w) bytes per integer of that
+    largest step (tracemalloc at limit = 10^6: 18, 20, 24, 32 for w = 1, 2,
+    4, 8).
     """
     dtype = lane_dtype(len(rows))
     words = np.zeros(len(rows[0]), dtype=dtype)
@@ -166,7 +168,7 @@ def sign_lanes(rows, table: SpfTable, limit: int) -> np.ndarray:
         words |= (row < 0).astype(dtype) << k
     lanes = np.zeros(limit + 1, dtype=dtype)
     lanes[primes_up_to(table, limit)] = words
-    ints = np.empty(min(LANE_STEP, limit + 1), dtype=np.intp)
+    ints = np.empty(min(LANE_STEP, (limit + 1) // 2), dtype=np.intp)
     lo = 4
     while lo <= limit:
         hi = min(2 * lo, lo + LANE_STEP, limit + 1)

@@ -4,7 +4,8 @@ Each one recomputes something the package computes another way: the sieve
 by one mask pass per prime, the iid sign table by np.where, a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, g and M_alpha one trial at a time by the int8 recurrence,
-the lanes of fstar from per-n cofactor and spf-index arrays, a compensated
+the lanes of fstar from per-n cofactor and spf-index arrays, the weights
+n^-alpha of every n at once, a compensated
 running sum, fstar by Dirichlet convolution, the prime cosine sum and the
 Riesz mean at one point, the sup scan with a full cosine
 matrix, by the cosine recurrence and by a Chebyshev interpolant, the Mellin
@@ -24,7 +25,7 @@ from rmflab.errors import DomainError, MissingSignError
 from rmflab.experiments import GROWTH_CHECKPOINTS, GROWTH_THETAS
 from rmflab.mellin import boundary_term, divergence_rows, mellin_step_integral, signed_and_absolute_integrals
 from rmflab.output import fmt_float
-from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to
+from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to, squarefree_mask
 from rmflab.series import Model, WeightedSumSeries, detect_sign_changes, growth_norm
 from rmflab.signs import (
     _GOLDEN,
@@ -251,6 +252,19 @@ def lanes_by_cofactors(rows, table: SpfTable, limit: int) -> np.ndarray:
         np.bitwise_xor(lanes.take(cofactor[lo:hi]), words.take(spf_index[lo:hi]), out=lanes[lo:hi])
         lo = hi
     return lanes
+
+
+def seed_free_weights(model, alpha: float, limit: int, table: SpfTable) -> np.ndarray:
+    """weights[n] = n^-alpha for 0 <= n <= limit as float64, +0.0 at n = 0
+    and, for f, where n is not squarefree: the whole array the engine built
+    once per call before each worker built its segments' (series._weights)."""
+    weights = np.arange(limit + 1, dtype=np.float64)
+    weights[0] = 1.0
+    np.power(weights, -float(alpha), out=weights)
+    weights[0] = 0.0
+    if Model(model) is Model.F:
+        weights *= squarefree_mask(table, limit)
+    return weights
 
 
 def series_and_values(assignment, model, alpha: float, limit: int, table=None):

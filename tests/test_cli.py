@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmflab import errors, experiments, primes
+from rmflab import errors, experiments, mellin, primes
 from rmflab.cli import build_parser, parse_and_dispatch
 from rmflab.series import engine_bytes
 
@@ -516,11 +516,10 @@ def test_many_series_trials_exit_3_before_any_trial_runs(tmp_path, capsys, monke
 
 
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
-    # the sieve (4 bytes per n) and the engine's seed-free arrays (9 bytes
-    # per n for f: the weights and the squarefree mask) alone exceed
-    # physical memory at this N
+    # the sieve (4 bytes per n) and the engine's lane words (1 byte per n
+    # for one trial) alone exceed physical memory at this N
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = physical // 13 + 1
+    limit = physical // 5 + 1
     if limit > 2**32 - 1:
         pytest.skip("this host's memory holds the largest sieve")
     result = run_python(
@@ -540,7 +539,7 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
 ])
 def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
     # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
-    # whole series from the engine about 4.3 MB more
+    # whole series from the engine about 3.4 MB more
     host_of(monkeypatch, 256)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
@@ -550,7 +549,7 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
     assert not outdir.exists()
 
 
-# At N = 10^5 the sieve and the engine's whole series need about 4.7 MB.
+# At N = 10^5 the sieve and the engine's whole series need about 3.8 MB.
 # The complex temporaries of mellin-check raise its peak RSS by about 5 MB,
 # so a host of 6 MB passes a check that counts only the engine.
 @pytest.mark.parametrize("command, pages", [
@@ -620,16 +619,50 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
-# (divergence: its one check, the sup scan included, 3.15 MB; sign-changes:
-# 4.17 MB) and the check that counts eight (5.39 MB and 11.5 MB).
+# (divergence: its one check, the sup scan of three sigmas at once
+# included, 2.66 MB; sign-changes: 2.86 MB) and the check that counts eight
+# (5.86 MB and 13.36 MB).  Divergence would pass on fewer threads too, so
+# it must not have taken fewer.
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 1024),
     (["sign-changes", "--limit", "100000"], 2048),
 ], ids=["divergence", "sign-changes"])
 def test_one_trial_on_many_threads_counts_the_buffers_of_one(tmp_path, monkeypatch, command, pages):
     host_of(monkeypatch, pages)
+    fitted, fit = [], primes.threads_that_fit
+    monkeypatch.setattr(mellin, "threads_that_fit", lambda *args: fitted.append((args[1], fit(*args))) or fitted[-1][1])
     assert run_cli(*command, "--trials", "1", "--threads", "8", "--out", str(tmp_path / "o")) == 0
     assert (tmp_path / "o" / "trials.csv").exists()
+    assert all(threads == taken for threads, taken in fitted) and len(fitted) == (command[0] == "divergence")
+
+
+def _asked(monkeypatch, argv) -> int:
+    """The bytes that the one memory check of a CLI run asks for."""
+    asked = []
+    with monkeypatch.context() as patch:
+        patch.setattr(primes, "require_memory", lambda requested, what: asked.append(requested))
+        assert run_cli(*argv) == 0
+    return asked[-1]
+
+
+@pytest.mark.parametrize("command", [
+    ["harper", "--limit", "1", "--prime-limit", "20000", "--trials", "200"],
+    ["divergence", "--limit", "20000", "--prime-limit", "10000", "--trials", "20"],
+], ids=["harper", "divergence"])
+def test_the_sup_scan_takes_fewer_threads_where_more_do_not_fit(tmp_path, monkeypatch, command):
+    # the columns do not depend on the thread count, so a host between the
+    # 1- and 2-thread asks runs the 2-thread command on one thread
+    command = [*command, "--sigma-grid", "0.58,0.55"]
+    one, two = (_asked(monkeypatch, [*command, "--threads", t, "--out", str(tmp_path / t)]) for t in ("1", "2"))
+    pages = (one + two) // 2 // 4096
+    assert one < 4096 * pages < two
+    host_of(monkeypatch, pages)
+    assert run_cli(*command, "--threads", "2", "--out", str(tmp_path / "fit")) == 0
+    assert (tmp_path / "fit" / "trials.csv").read_bytes() == (tmp_path / "1" / "trials.csv").read_bytes()
+    # below the 1-thread ask nothing fits
+    host_of(monkeypatch, one // 4096 - 1)
+    assert run_cli(*command, "--threads", "2", "--out", str(tmp_path / "none")) == 3
+    assert not (tmp_path / "none").exists()
 
 
 def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
@@ -642,7 +675,7 @@ def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
 
 
 def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatch):
-    # a host of 10 MB holds the sieve and the engine at N = 10^5 (4.7 MB);
+    # a host of 10 MB holds the sieve and the engine at N = 10^5 (3.8 MB);
     # the CSVs are written and hashed a block of rows at a time
     host_of(monkeypatch, 2560)
     outdir = tmp_path / "s"
@@ -675,7 +708,7 @@ def test_series_memory_grows_as_its_engine(tmp_path):
     limits = (200_000, 400_000)
     peaks = [_peak_bytes(["series", "--model", "f", "--alpha", "0.5", "--limit", str(n), "--seed", "1",
                           "--out", str(tmp_path / str(n))]) for n in limits]
-    engine = [engine_bytes("f", n, 1, 1, n) for n in limits]
+    engine = [engine_bytes(n, 1, 1, n) for n in limits]
     per_n = (peaks[1] - peaks[0]) / (limits[1] - limits[0])
     assert per_n <= (engine[1] - engine[0]) / (limits[1] - limits[0]) + 4
 

@@ -7,6 +7,7 @@ M_alpha and the signed weights it hands each reducer, bit for bit whatever
 the segment size, lane batch and worker count.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -17,11 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
 from rmflab.experiments import ExperimentConfig, run_experiment, trials_csv
 from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, squarefree_mask
-from rmflab.series import compute_series, engine_bytes, stream_trials
+from rmflab.series import Model, compute_series, engine_bytes, stream_trials
 from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
 
 from oracles import (
-    is_squarefree, lanes_by_cofactors, records_csv, series_and_values, spf_cofactors, values_by_recurrence,
+    is_squarefree, lanes_by_cofactors, records_csv, seed_free_weights, series_and_values, spf_cofactors,
+    values_by_recurrence,
 )
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
@@ -190,6 +192,43 @@ def test_sign_lanes_match_the_cofactor_oracle_at_every_step_edge(lane_table):
         assert np.array_equal(sign_lanes(rows, lane_table, limit), lanes_by_cofactors(rows, lane_table, limit)), limit
 
 
+#: Limits and n on both sides of p^2 and of the segment edges, up to LANE_LIMIT
+WEIGHT_EDGES = (1, 2, 3, 4, 9, 25, 2**16 - 1, 2**16, 2**16 + 1, LANE_LIMIT)
+WEIGHT_SEGMENTS = (1, 2, 3, 4, 9, 2**10, 2**16)
+
+
+def _check_segment_weights(table, model: str, alpha: float, segment: int, limit: int, picks=()):
+    """series._weights of the whole series and of the engine's segments from
+    n = 1, in one reused buffer, bit for bit against the oracle's slices; of
+    more than 300 segments, the first and last 100, those holding an n of
+    WEIGHT_EDGES and those at `picks`."""
+    want = seed_free_weights(model, alpha, limit, table).view(np.uint64)
+    whole = series_module._weights(Model(model), alpha, 1, limit + 1, table, np.empty(limit))
+    assert np.array_equal(whole.view(np.uint64), want[1:])
+    starts = range(1, limit + 1, segment)
+    if len(starts) > 300:
+        edges = [starts[(n - 1) // segment] for n in WEIGHT_EDGES if n <= limit]
+        starts = sorted({*starts[:100], *starts[-100:], *edges, *(starts[i % len(starts)] for i in picks)})
+    out = np.full(segment, np.nan)
+    for start in starts:
+        stop = min(start + segment, limit + 1)
+        got = series_module._weights(Model(model), alpha, start, stop, table, out)
+        assert np.array_equal(got.view(np.uint64), want[start:stop]), (model, alpha, segment, limit, start)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["f", "fstar"]), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       st.sampled_from(WEIGHT_SEGMENTS), st.sampled_from(WEIGHT_EDGES) | st.integers(1, LANE_LIMIT),
+       st.lists(st.integers(0, LANE_LIMIT), max_size=50))
+def test_segment_weights_match_the_seed_free_oracle(lane_table, model, alpha, segment, limit, picks):
+    _check_segment_weights(lane_table, model, alpha, segment, limit, picks)
+
+
+def test_segment_weights_match_the_seed_free_oracle_past_every_edge(lane_table):
+    for model, alpha, segment in itertools.product(["f", "fstar"], [0.0, 0.25, 0.5, 1.0], WEIGHT_SEGMENTS):
+        _check_segment_weights(lane_table, model, alpha, segment, LANE_LIMIT)
+
+
 def test_cofactors_and_squarefree_mask(table_1e5):
     limit = 3000
     cofactor, spf_index = spf_cofactors(table_1e5, limit)
@@ -207,18 +246,22 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: checks.append(requested))
     limit, assignments = 10**4, [SignAssignment.iid(k) for k in range(65)]
     rows = stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2)
-    assert checks == [engine_bytes("f", limit, 65, 2, None) + 4 * (limit + 1)]
+    assert checks == [engine_bytes(limit, 65, 2, None) + 4 * (limit + 1)]
     # a caller that gives the table has checked what it needs
     assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
     assert len(checks) == 1
 
 
 def test_engine_bytes_count_only_the_trials_that_run_at_once():
-    # a batch of 3 trials runs on at most 3 of 8 threads, one trial on one:
-    # weights and mask (9), one-byte lane words, sign rows and their packed
-    # one-byte words, a lane step's temporaries (24 + 2 bytes per integer of
-    # 2^16), and two 8-byte segment buffers per running trial
-    limit, step = 10**5, 26 * 2**16
-    assert engine_bytes("f", limit, 3, 8) == 10 * (limit + 1) + 4 * prime_count_bound(limit) + step + 3 * 16 * 2**16
-    assert engine_bytes("f", limit, 1, 8, limit) == engine_bytes("f", limit, 1, 1, limit)
-    assert engine_bytes("f", limit, 1, 1, limit) == 10 * (limit + 1) + 2 * prime_count_bound(limit) + step + 16 * limit
+    # one-byte lane words, sign rows and their packed one-byte words, a lane
+    # step's temporaries (16 + 2 bytes per integer of the largest step,
+    # 50,000 at N = 10^5), and what the running trials' floats take: over
+    # segments of 2^16, a batch of 3 trials runs on at most 3 of 8 threads,
+    # each a run with the segment's weights and two buffers, 24 bytes per
+    # integer of 2^16; in one segment, the shared weights (8 per n) and two
+    # 8-byte buffers per running trial, one trial on one thread
+    limit, step = 10**5, 18 * 50_000
+    assert engine_bytes(limit, 3, 8) == (limit + 1) + 4 * prime_count_bound(limit) + step + 3 * 24 * 2**16
+    assert engine_bytes(limit, 1, 8, limit) == engine_bytes(limit, 1, 1, limit)
+    assert engine_bytes(limit, 1, 1, limit) == 9 * (limit + 1) + 2 * prime_count_bound(limit) + step + 16 * limit
+    assert engine_bytes(limit, 3, 2, limit) == 9 * (limit + 1) + 4 * prime_count_bound(limit) + step + 32 * limit

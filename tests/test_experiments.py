@@ -342,7 +342,7 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
     # what the check counts that does not grow with the rows: the engine (its
     # batch is capped), the sieve, divergence's kernels and integrand and a
     # scan of no rows
-    engine, scan = engine_bytes(model, 100, trials, 1), scan_bytes(0, grid, None, 1000) + 4 * 1001
+    engine, scan = engine_bytes(100, trials, 1), scan_bytes(0, grid, None, 1000) + 4 * 1001
     fixed = {"harper": scan, "divergence": engine + 8 * 101 * (len(grid) + 1) + scan}.get(experiment, engine + 4 * 101)
     run_experiment(ExperimentConfig(**config, trials=3))  # what a first run allocates once
     product = experiments_module.dirichlet.euler_product_F
@@ -369,13 +369,13 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
 
 @pytest.mark.parametrize("config", [
     *(dict(experiment="sign-changes", model=model, alpha=alpha, trials=trials, threads=threads)
-      for model, alpha in (("f", 0.5), ("fstar", 0.25)) for trials in (16, 64) for threads in (1, 2)),
+      for model, alpha in (("f", 0.5), ("fstar", 0.25)) for trials in (16, 64, 65) for threads in (1, 2)),
     *(dict(experiment="divergence", model="f", alpha=0.5, trials=threads, threads=threads, prime_limit=1000)
       for threads in (1, 2)),
 ], ids=lambda c: "-".join(map(str, (c["experiment"], c["model"], c["alpha"], c["trials"], c["threads"]))))
 def test_the_memory_check_covers_the_peak_past_2_20(monkeypatch, config):
-    # past 2^20 integers the per-n arrays, lane steps and integrands make the
-    # peak, not the rows
+    # past 2^20 integers the per-n arrays, lane steps, segment buffers and
+    # integrands make the peak, not the rows; 65 trials make a second batch
     asked = []
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))
     run_experiment(ExperimentConfig(**config, limit=100))  # what a first run allocates once

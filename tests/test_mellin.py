@@ -234,7 +234,7 @@ def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
     requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
     # one kernel and one running trial's integrand, 8 bytes per n each, and
     # 176 + 48 bytes for the trial's integrals, witness and columns at one sigma
-    run = engine_bytes("f", 10**3, 1, 1, 10**3) + 16 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
+    run = engine_bytes(10**3, 1, 1, 10**3) + 16 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
     assert requested == run + 4 * (10**6 + 1)
 
 
@@ -243,7 +243,7 @@ def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypat
     # whole series, the kernel and the integrand of the one running trial
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
-    run = engine_bytes("f", 10**5, 2, 1, 10**5) + 16 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
+    run = engine_bytes(10**5, 2, 1, 10**5) + 16 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
     assert requested == run + 4 * (10**5 + 1)
 
 

@@ -77,6 +77,8 @@ def test_public_surface():
         (rmflab.experiments, "_field_columns"),
         # one fan-out: map_ordered splits its items into one run per thread
         (rmflab.series, "map_runs"),
+        # each worker builds the weights n^-alpha a segment at a time
+        (rmflab.series, "_seed_free"),
     ]
     assert [name for owner, name in moved if hasattr(owner, name)] == []
 
