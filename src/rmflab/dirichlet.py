@@ -528,11 +528,11 @@ def sup_scans(
     """
     grid = check_sigma_grid(sigma_grid, grid_step)
     n_rows = len(assignments)
+    what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     if table is None:
         threads = threads_that_fit(prime_limit, min(threads, len(grid)),
-                                   lambda t: scan_bytes(n_rows, grid, grid_step, prime_limit, t))
+                                   lambda t: scan_bytes(n_rows, grid, grid_step, prime_limit, t), what)
     more = 0 if table is not None else scan_bytes(n_rows, grid, grid_step, prime_limit, threads)
-    what = f"sup scan of {n_rows} trials over the sieve to P = {prime_limit}"
     primes = primes_up_to(sieve_for(prime_limit, table, more, what), prime_limit)
     weights = np.empty((n_rows, len(primes)))  # the signs, then each sigma's weights
     for i, assignment in enumerate(assignments):

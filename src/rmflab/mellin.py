@@ -180,9 +180,9 @@ def divergence_rows(
         scan = dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads)
         return engine_bytes(limit, shape[0], threads, limit) + per_n + scan + (176 + 48 * len(grid)) * shape[0]
 
-    sieve = max(limit, prime_limit, 2)
-    threads = threads_that_fit(sieve, min(threads, max(shape)), ask)
-    table = sieve_for(sieve, None, ask(threads), f"divergence at N = {limit}, P = {prime_limit}")
+    sieve, what = max(limit, prime_limit, 2), f"divergence at N = {limit}, P = {prime_limit}"
+    threads = threads_that_fit(sieve, min(threads, max(shape)), ask, what)
+    table = sieve_for(sieve, None, ask(threads), what)
 
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table, threads=threads)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]

@@ -1,52 +1,50 @@
-"""Smallest-prime-factor sieve and the list of primes it yields.
+"""The primes up to a limit, found by a sieve, and the squarefree mask.
 
-The sieve is the only piece of shared number-theoretic state in the package:
-everything downstream (sign evaluation, partial sums, prime sums) reads
-smallest prime factors from it, through sieve_for, the one gate that checks
-and builds a sieve.  The build stores p at every multiple of p from p^2 on,
-for the primes p <= sqrt(N) in descending order, so the smallest prime
-factor is stored last; the integers left at 0 are the primes, which the
-table keeps.  squarefree_mask gives signs.MultiplicativeEvaluator its f;
-the series engine reads spf straight from the table and builds no per-n
-array for f, whose weights it zeroes at the multiples of p^2 per segment.
+The primes are the only piece of shared number-theoretic state in the
+package: everything downstream (sign evaluation, partial sums, prime sums)
+reads them from an SpfTable, through sieve_for, the one gate that checks
+and builds a sieve.  The build strikes the multiples of each prime p <=
+sqrt(N) from p^2 on out of a transient bool mask and keeps the primes.  No
+smallest prime factor is stored: signs.sign_lanes builds fstar from the
+primes alone, as fstar is completely multiplicative.  The names SpfTable
+and build_spf_sieve stay, as callers, the benchmark's set-up and traced
+layers among them, import them by name.
 
-Memory: entries are stored as uint32, so a table up to N costs 4*(N+1) bytes
-plus numpy overhead (40 MB at N=10^7, 400 MB at N=10^8), and its int64
-primes 8 pi(N) bytes more.  The build peaks below 4(N+1) + (N+1) +
-16 prime_count_bound(N) bytes, with its bool mask of zeros or two arrays of
-primes.  N may not exceed 2^32 - 1.  Construction is single-threaded; the
-finished table is immutable and safe for concurrent reads.
+Memory: the table holds 8 pi(N) bytes of int64 primes (0.63 MB at N=10^6,
+46 MB at N=10^8); the build peaks at sieve_bytes(N).  N may not exceed
+MAX_LIMIT.  Construction is single-threaded; the finished table is
+immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, physical_memory, require_memory
 
-#: Largest supported sieve limit (uint32 entries).
+#: Largest supported sieve limit.  No stored type sets it any more; it stays
+#: the documented domain of --limit and --prime-limit: nothing past it has
+#: run, and there the mask and one trial's lane words alone take 8.6 GB.
 MAX_LIMIT = 2**32 - 1
 
 
 @dataclass(frozen=True)
 class SpfTable:
-    """Smallest prime factor of every integer in [2, limit].
+    """The primes <= limit, as a sieve to limit yields them.
 
-    ``spf[n]`` is the smallest prime factor of n for 2 <= n <= limit
-    (entries 0 and 1 are unused and set to 0).  ``spf[p] == p`` exactly when
-    p is prime; ``primes`` holds all primes <= limit, strictly increasing, as
-    int64.  Both arrays are read-only.
+    ``primes`` holds all primes <= limit, strictly increasing, as read-only
+    int64.  The name is kept from when the table also stored the smallest
+    prime factor of every n; tests/oracles.py still builds that array.
     """
 
     limit: int
-    spf: np.ndarray = field(repr=False)
     primes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.spf.setflags(write=False)
         self.primes.setflags(write=False)
 
     def check_range(self, n: int) -> None:
@@ -55,35 +53,32 @@ class SpfTable:
 
 
 def build_spf_sieve(limit: int) -> SpfTable:
-    """Build the smallest-prime-factor table for [2, limit].
+    """The table of the primes <= limit, by a sieve of Eratosthenes.
 
-    Deterministic; raises DomainError for limit < 2 and ResourceError if the
-    4*(limit+1)-byte array cannot be allocated.
+    The name is kept from the smallest-prime-factor table it built before.
+    Deterministic; raises DomainError for limit < 2 or > MAX_LIMIT and
+    ResourceError if the mask cannot be allocated.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
-        raise DomainError(f"sieve limit {limit} exceeds uint32 bound {MAX_LIMIT}")
+        raise DomainError(f"sieve limit {limit} exceeds {MAX_LIMIT}")
     try:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
+        prime = np.zeros(limit + 1, dtype=bool)
     except MemoryError as exc:
-        raise ResourceError(
-            f"cannot allocate spf table for limit {limit}",
-            requested_bytes=4 * (limit + 1),
-        ) from exc
-    root = math.isqrt(limit)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for i in range(2, math.isqrt(root) + 1):
-        if small[i]:
-            small[i * i :: i] = False
-    # a smaller p overwrites a larger one, so n keeps its smallest prime
-    # factor, and only the primes stay 0
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    return SpfTable(limit=limit, spf=spf, primes=primes)
+        raise ResourceError(f"cannot allocate the sieve to {limit}", requested_bytes=sieve_bytes(limit)) from exc
+    prime[2:] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    return SpfTable(limit=limit, primes=np.flatnonzero(prime))
+
+
+def sieve_bytes(limit: int) -> int:
+    """What build_spf_sieve(limit) takes at its peak: its bool mask, and the
+    int64 primes (tracemalloc: 8 pi(N) and 0.4 kB) counted by
+    prime_count_bound; after the build, the table keeps only the primes."""
+    return limit + 1 + 8 * prime_count_bound(limit)
 
 
 def prime_count_bound(x: int) -> int:
@@ -97,25 +92,29 @@ def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTa
 
     Raises DomainError if limit < 2 or table covers less than limit.  Before
     anything is allocated, raises ResourceError if `more` bytes, which the
-    caller allocates besides, and a new sieve's 4*(limit+1) bytes exceed
+    caller allocates besides, and a new sieve's sieve_bytes(limit) exceed
     physical memory; with a table and more = 0 there is nothing to check.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if table is not None and table.limit < limit:
         raise DomainError(f"provided sieve covers {table.limit} < required {limit}")
-    need = more + (0 if table is not None else 4 * (limit + 1))
+    need = more + (0 if table is not None else sieve_bytes(limit))
     if need:
         require_memory(need, what)
     return table if table is not None else build_spf_sieve(limit)
 
 
-def threads_that_fit(limit: int, threads: int, ask) -> int:
+def threads_that_fit(limit: int, threads: int, ask, what: str) -> int:
     """The most threads t <= threads whose ask(t) bytes, with a new sieve to
     limit, fit in physical memory; 1 if none does, whose ask sieve_for then
-    refuses.  For a computation whose results do not depend on t."""
+    refuses.  For a computation whose results do not depend on t; taking
+    fewer than `threads`, it says so on stderr."""
     physical = physical_memory()
-    return next((t for t in range(threads, 1, -1) if physical is None or ask(t) + 4 * (limit + 1) <= physical), 1)
+    fit = next((t for t in range(threads, 1, -1) if physical is None or ask(t) + sieve_bytes(limit) <= physical), 1)
+    if fit < threads:
+        print(f"note: {what} runs on {fit} of {threads} threads: more do not fit in physical memory", file=sys.stderr)
+    return fit
 
 
 def squarefree_mask(table: SpfTable, limit: int) -> np.ndarray:

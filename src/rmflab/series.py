@@ -6,14 +6,14 @@ representation; the mellin module relies on exactly this.
 
 Every M_alpha comes from one trial engine, stream_trials, over the sieve
 of primes.sieve_for.  A batch of up to 64 trials gets g in one pass over
-the sieve's smallest prime factors, one bit lane per trial
-(signs.sign_lanes).  Each worker walks fixed segments of n, builds each
-segment's weights n^-alpha once (_weights) and accumulates each of its
-trials' signed weights g(n)/n^alpha over it, handing sums and weights to
-the trial's reducer, so an experiment keeps its statistics, not its
-series; a single series (compute_series) is a batch of one in one segment.
-sign_crossings states the crossing rule for a whole series
-(detect_sign_changes) and for one segment of it alike.
+the sieve's primes, one bit lane per trial (signs.sign_lanes).  Each
+worker walks fixed segments of n, builds each segment's weights n^-alpha
+once (_weights) and accumulates each of its trials' signed weights
+g(n)/n^alpha over it, handing sums and weights to the trial's reducer, so
+an experiment keeps its statistics, not its series; a single series
+(compute_series) is a batch of one in one segment.  sign_crossings states
+the crossing rule for a whole series (detect_sign_changes) and for one
+segment of it alike.
 
 Summation is plain float64 accumulation in ascending n (np.cumsum), carried
 from segment to segment, which is sequential and therefore bit-reproducible
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import SpfTable, prime_count_bound, primes_up_to, sieve_for
-from .signs import LANE_STEP, SignAssignment, lane_dtype, prime_sign_table, sign_lanes
+from .signs import SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 
 class Model(str, enum.Enum):
@@ -193,17 +193,16 @@ def _feed(reduce, start: int, lanes: np.ndarray, k: int, weights, signed, values
 def engine_bytes(limit: int, trials: int, threads: int, segment: int | None = None) -> int:
     """Bytes stream_trials holds at once, for either model: one batch's lane
     words (w per n), its sign rows and their packed words (b + w per prime
-    for b trials, counted by prime_count_bound), a lane step's temporaries
-    (16 + 2 w per integer of the largest step; signs.sign_lanes), and the
-    floats of the runs at once (split_runs): over several segments of L, a
-    run's weights and pair of buffers, 24 bytes per integer of L; in one,
-    the shared weights (8 per n) and a pair per running trial, 16 per n."""
+    for b trials, counted by prime_count_bound; signs.sign_lanes holds
+    nothing more once its lanes exist), and the floats of the runs at once
+    (split_runs): over several segments of L, a run's weights and pair of
+    buffers, 24 bytes per integer of L; in one, the shared weights (8 per
+    n) and a pair per running trial, 16 per n."""
     batch = min(trials, LANES)
     lane = np.dtype(lane_dtype(batch)).itemsize
     size, runs = min(segment or SEGMENT, limit), len(split_runs(threads, batch))
     held = 8 * (limit + 1) + 16 * size * runs if size == limit else 24 * size * runs
-    step = (16 + 2 * lane) * min(LANE_STEP, (limit + 1) // 2)
-    return lane * (limit + 1) + (batch + lane) * prime_count_bound(limit) + step + held
+    return lane * (limit + 1) + (batch + lane) * prime_count_bound(limit) + held
 
 
 class WholeSeries:

@@ -7,9 +7,9 @@ count, or machine: scattered and parallel evaluation agree bit-for-bit with
 sequential evaluation.
 
 From rows of signs at the primes, :func:`sign_lanes` evaluates fstar for up
-to 64 assignments at once, one bit lane each; from an assignment and an spf
-table, :class:`MultiplicativeEvaluator` evaluates in bulk, for every n up to
-a limit at once,
+to 64 assignments at once, one bit lane each; from an assignment and a
+sieve's primes, :class:`MultiplicativeEvaluator` evaluates in bulk, for
+every n up to a limit at once,
 
 * ``f(n)``  -- zero unless n is squarefree, otherwise the product of the
   signs at the distinct primes dividing n, and
@@ -24,6 +24,7 @@ tests check the bulk routes against them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,8 +38,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _TRIAL_SALT = 0x5851F42D4C957F2D
-#: Most integers per step of sign_lanes, which bounds its temporaries.
-LANE_STEP = 2**16
+#: Most bytes of lane words per step of sign_lanes, which keeps each
+#: prime's strided stores within a stretch that stays in cache.
+LANE_STEP = 2**20
 
 
 def mix64(z: int) -> int:
@@ -149,18 +151,17 @@ def sign_lanes(rows, table: SpfTable, limit: int) -> np.ndarray:
     rows[k] holds the signs at primes_up_to(table, limit), as
     prime_sign_table returns them; bit k of lanes[n] is set exactly when
     fstar(n) = -1 under rows[k] (bit 0 throughout at n = 0 and n = 1), in
-    words of lane_dtype(len(rows)).  Each prime gets its word first.  A step
-    over [lo, hi) then sets lanes[n] to lanes[n/p] XOR lanes[p] for p =
-    spf(n), read from the sieve.  At a composite n, p <= sqrt(n) < lo holds
-    its prime's word and fstar(n) = fstar(n/p) s(p); at a prime, n/p = 1
-    and the word stays its own.  As n/p <= n/2, a step with hi <= 2 lo reads
-    only finished words: a step is one XOR of gathered words for the whole
-    batch, and the cost O(limit).  A step holds at most min(LANE_STEP,
-    (limit + 1) // 2) integers, as hi - lo <= min(lo, limit + 1 - lo);
-    besides lanes and the packed words (w bytes per prime for words of w
-    bytes) its temporaries take (16 + 2 w) bytes per integer of that
-    largest step (tracemalloc at limit = 10^6: 18, 20, 24, 32 for w = 1, 2,
-    4, 8).
+    words of lane_dtype(len(rows)).  Each prime gets its word first.  As
+    fstar is completely multiplicative, lanes[p m] = lanes[m] XOR lanes[p]
+    for every prime p.  A step over [lo, hi), hi <= 2 lo, sets each
+    composite n in it so, once for each prime p <= sqrt(hi - 1) dividing
+    it, by one strided XOR per prime: every write to n gives the same word,
+    and reads an m = n/p <= n/2 < lo, which an earlier step finished.  A
+    prime n in the step is no such p m, as p <= sqrt(2 lo - 1) < lo, and
+    keeps its word.  A step holds at most LANE_STEP bytes of words, so each
+    prime's strided stores stay in cache.  Besides lanes and the packed
+    words (w bytes per prime for words of w bytes), it holds only the
+    packing's temporaries, 1 + 2 w bytes per prime, before lanes exists.
     """
     dtype = lane_dtype(len(rows))
     words = np.zeros(len(rows[0]), dtype=dtype)
@@ -168,14 +169,12 @@ def sign_lanes(rows, table: SpfTable, limit: int) -> np.ndarray:
         words |= (row < 0).astype(dtype) << k
     lanes = np.zeros(limit + 1, dtype=dtype)
     lanes[primes_up_to(table, limit)] = words
-    ints = np.empty(min(LANE_STEP, (limit + 1) // 2), dtype=np.intp)
     lo = 4
     while lo <= limit:
-        hi = min(2 * lo, lo + LANE_STEP, limit + 1)
-        spf, at = table.spf[lo:hi], ints[: hi - lo]
-        # n / spf(n) is exact in float64: spf(n) divides n < 2^32
-        np.divide(np.arange(lo, hi, dtype=np.float64), spf, out=at, casting="unsafe")
-        np.bitwise_xor(lanes.take(at), lanes.take(spf), out=lanes[lo:hi])
+        hi = min(2 * lo, lo + LANE_STEP // lanes.itemsize, limit + 1)
+        for p in primes_up_to(table, math.isqrt(hi - 1)).tolist():
+            m0 = -(-lo // p)  # the least m with p m >= lo
+            np.bitwise_xor(lanes[m0 : -(-hi // p)], lanes[p], out=lanes[m0 * p : hi : p])
         lo = hi
     return lanes
 

@@ -1,10 +1,12 @@
 """Slow or independent reference routes that only tests use.
 
-Each one recomputes something the package computes another way: the sieve
-by one mask pass per prime, the iid sign table by np.where, a sign or
+Each one recomputes something the package computes another way: the
+smallest prime factor of every n, by descending strided stores and by one
+mask pass per prime, the iid sign table by np.where, a sign or
 g(n) one prime or one n at a time by factorization, g by stripping smallest
 prime factors, g and M_alpha one trial at a time by the int8 recurrence,
-the lanes of fstar from per-n cofactor and spf-index arrays, the weights
+the lanes of fstar from the smallest prime factors, from per-n cofactor
+and spf-index arrays, the weights
 n^-alpha of every n at once, a compensated
 running sum, fstar by Dirichlet convolution, the prime cosine sum and the
 Riesz mean at one point, the sup scan with a full cosine
@@ -15,6 +17,7 @@ compare the package against them, and wrap synthetic series of explicit
 values (series_from_values).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,16 +87,40 @@ def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
     return float(np.max(np.abs(series.values[16:]) / growth_norm(x, theta)))
 
 
+@functools.lru_cache(maxsize=4)
+def spf_sieve(limit: int) -> np.ndarray:
+    """spf[n], the smallest prime factor of 2 <= n <= limit, as read-only
+    uint32 (entries 0 and 1 are 0): the table build_spf_sieve kept before
+    it kept only the primes, built as it built it, by storing p at every
+    multiple of p from p^2 on for the primes p <= sqrt(limit) in descending
+    order, so a smaller p overwrites a larger one, then n at each n >= 2
+    left at 0, the primes.  Cached, as the oracles below read it per n."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if small[i]:
+            small[i * i :: i] = False
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    spf.setflags(write=False)
+    return spf
+
+
 def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
     """Prime factorization of n as (prime, exponent) pairs, primes increasing.
 
     n = 1 yields the empty list (empty product).
     """
     table.check_range(n)
+    spf = spf_sieve(table.limit)
     out: list[tuple[int, int]] = []
     m = n
     while m > 1:
-        p = int(table.spf[m])
+        p = int(spf[m])
         a = 0
         while m % p == 0:
             m //= p
@@ -105,9 +132,10 @@ def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
 def is_squarefree(n: int, table: SpfTable) -> bool:
     """True iff no prime divides n twice (mu^2(n) = 1)."""
     table.check_range(n)
+    spf = spf_sieve(table.limit)
     m = n
     while m > 1:
-        p = int(table.spf[m])
+        p = int(spf[m])
         m //= p
         if m % p == 0:
             return False
@@ -115,8 +143,8 @@ def is_squarefree(n: int, table: SpfTable) -> bool:
 
 
 def spf_sieve_by_masks(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(spf, primes) as build_spf_sieve fills them, the route it took before
-    its descending strided stores: for each i <= sqrt(limit) still at 0, set
+    """(spf, primes) as spf_sieve and build_spf_sieve give them, by the
+    route the build took before its descending strided stores: for each i <= sqrt(limit) still at 0, set
     the entries of i^2, i^2 + i, ... that are still 0 to i, then each
     remaining 0 at n >= 2 to n; the primes are the n with spf[n] = n."""
     spf = np.zeros(limit + 1, dtype=np.uint32)
@@ -203,7 +231,7 @@ def values_by_recurrence(ev: MultiplicativeEvaluator, limit: int, model: str) ->
     f(q) s(p) when p does not divide q, else 0; q is found by dividing.
     """
     sign_of = sign_by_value(ev, limit)
-    spf = ev.table.spf
+    spf = spf_sieve(ev.table.limit)
     g = np.zeros(limit + 1, dtype=np.int8)
     g[1] = 1
     lo = 2
@@ -230,26 +258,51 @@ def spf_cofactors(table: SpfTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
     spf_index = np.zeros(limit + 1, dtype=np.int32)
     primes = primes_up_to(table, limit)
     spf_index[primes] = np.arange(primes.size, dtype=np.int32)
-    spf = table.spf[2 : limit + 1]
+    spf = spf_sieve(table.limit)[2 : limit + 1]
     cofactor[2:] = np.arange(2, limit + 1) // spf
     spf_index[2:] = spf_index.take(spf)
     return cofactor, spf_index
 
 
-def lanes_by_cofactors(rows, table: SpfTable, limit: int) -> np.ndarray:
-    """sign_lanes(rows, table, limit) by the pass it replaced: from n = 2 in
-    dyadic steps, lanes[n] = lanes[cofactor[n]] XOR words[spf_index[n]],
-    with the batch's words indexed by the position of the prime."""
-    cofactor, spf_index = spf_cofactors(table, limit)
+def _packed_words(rows) -> np.ndarray:
+    # the word of each prime, bit k set where rows[k] is -1
     dtype = lane_dtype(len(rows))
     words = np.zeros(len(rows[0]), dtype=dtype)
     for k, row in enumerate(rows):
         words |= (row < 0).astype(dtype) << k
-    lanes = np.zeros(limit + 1, dtype=dtype)
+    return words
+
+
+def lanes_by_cofactors(rows, table: SpfTable, limit: int) -> np.ndarray:
+    """sign_lanes(rows, table, limit) by the pass that read per-n arrays: from
+    n = 2 in dyadic steps, lanes[n] = lanes[cofactor[n]] XOR
+    words[spf_index[n]], with the batch's words indexed by the position of
+    the prime."""
+    cofactor, spf_index = spf_cofactors(table, limit)
+    words = _packed_words(rows)
+    lanes = np.zeros(limit + 1, dtype=words.dtype)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, limit + 1)
         np.bitwise_xor(lanes.take(cofactor[lo:hi]), words.take(spf_index[lo:hi]), out=lanes[lo:hi])
+        lo = hi
+    return lanes
+
+
+def lanes_by_spf(rows, table: SpfTable, limit: int) -> np.ndarray:
+    """sign_lanes(rows, table, limit) by the pass that read the smallest prime
+    factors: each prime gets its word, then from n = 4 in dyadic steps
+    lanes[n] = lanes[n / spf(n)] XOR lanes[spf(n)], one gather of each for
+    a whole step; at a prime n / spf(n) = 1, whose word is 0."""
+    spf = spf_sieve(table.limit)
+    words = _packed_words(rows)
+    lanes = np.zeros(limit + 1, dtype=words.dtype)
+    lanes[primes_up_to(table, limit)] = words
+    lo = 4
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        p = spf[lo:hi]
+        np.bitwise_xor(lanes.take(np.arange(lo, hi) // p), lanes.take(p), out=lanes[lo:hi])
         lo = hi
     return lanes
 
@@ -291,7 +344,7 @@ def values_by_stripping(ev: MultiplicativeEvaluator, limit: int, model: str) -> 
     sign_of = sign_by_value(ev, limit)
     fstar = np.ones(limit + 1, dtype=np.int8)
     squarefree = np.ones(limit + 1, dtype=bool)
-    spf = ev.table.spf
+    spf = spf_sieve(ev.table.limit)
     m = np.arange(limit + 1, dtype=np.int64)
     idx = np.flatnonzero(m > 1)
     while idx.size:

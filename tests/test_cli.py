@@ -516,14 +516,14 @@ def test_many_series_trials_exit_3_before_any_trial_runs(tmp_path, capsys, monke
 
 
 def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
-    # the sieve (4 bytes per n) and the engine's lane words (1 byte per n
-    # for one trial) alone exceed physical memory at this N
+    # the sieve's mask (1 byte per n) and the engine's lane words (8 bytes
+    # per n for 64 trials) alone exceed physical memory at this N
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = physical // 5 + 1
+    limit = physical // 9 + 1
     if limit > 2**32 - 1:
         pytest.skip("this host's memory holds the largest sieve")
     result = run_python(
-        "-c", _MAXRSS_GROWTH, "sign-changes", "--limit", str(limit), "--trials", "1",
+        "-c", _MAXRSS_GROWTH, "sign-changes", "--limit", str(limit), "--trials", "64",
         "--threads", "1", "--out", str(tmp_path / "sc"),
     )
     code, growth_kb = map(int, result.stdout.split())
@@ -538,8 +538,8 @@ def test_series_engine_larger_than_memory_exit_3_before_allocating(tmp_path):
     ["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"],
 ])
 def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, command):
-    # a host of 1 MB: the sieve alone (4 bytes per n) needs 0.4 MB, the
-    # whole series from the engine about 3.4 MB more
+    # a host of 1 MB: the sieve alone (its mask and primes) needs 0.2 MB,
+    # the whole series from the engine about 2.5 MB more
     host_of(monkeypatch, 256)
     outdir = tmp_path / "s"
     assert run_cli(*[str(outdir) if a == "OUT" else a for a in command]) == 3
@@ -549,7 +549,7 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
     assert not outdir.exists()
 
 
-# At N = 10^5 the sieve and the engine's whole series need about 3.8 MB.
+# At N = 10^5 the sieve and the engine's whole series need about 2.7 MB.
 # The complex temporaries of mellin-check raise its peak RSS by about 5 MB,
 # so a host of 6 MB passes a check that counts only the engine.
 @pytest.mark.parametrize("command, pages", [
@@ -620,8 +620,8 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
 # (divergence: its one check, the sup scan of three sigmas at once
-# included, 2.66 MB; sign-changes: 2.86 MB) and the check that counts eight
-# (5.86 MB and 13.36 MB).  Divergence would pass on fewer threads too, so
+# included, 2.45 MB; sign-changes: 1.80 MB) and the check that counts eight
+# (5.65 MB and 12.30 MB).  Divergence would pass on fewer threads too, so
 # it must not have taken fewer.
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 1024),
@@ -649,16 +649,19 @@ def _asked(monkeypatch, argv) -> int:
     ["harper", "--limit", "1", "--prime-limit", "20000", "--trials", "200"],
     ["divergence", "--limit", "20000", "--prime-limit", "10000", "--trials", "20"],
 ], ids=["harper", "divergence"])
-def test_the_sup_scan_takes_fewer_threads_where_more_do_not_fit(tmp_path, monkeypatch, command):
+def test_the_sup_scan_takes_fewer_threads_where_more_do_not_fit(tmp_path, capsys, monkeypatch, command):
     # the columns do not depend on the thread count, so a host between the
-    # 1- and 2-thread asks runs the 2-thread command on one thread
+    # 1- and 2-thread asks runs the 2-thread command on one thread, and says so
     command = [*command, "--sigma-grid", "0.58,0.55"]
     one, two = (_asked(monkeypatch, [*command, "--threads", t, "--out", str(tmp_path / t)]) for t in ("1", "2"))
     pages = (one + two) // 2 // 4096
     assert one < 4096 * pages < two
+    capsys.readouterr()
     host_of(monkeypatch, pages)
     assert run_cli(*command, "--threads", "2", "--out", str(tmp_path / "fit")) == 0
     assert (tmp_path / "fit" / "trials.csv").read_bytes() == (tmp_path / "1" / "trials.csv").read_bytes()
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 1 and notes[0].endswith("runs on 1 of 2 threads: more do not fit in physical memory")
     # below the 1-thread ask nothing fits
     host_of(monkeypatch, one // 4096 - 1)
     assert run_cli(*command, "--threads", "2", "--out", str(tmp_path / "none")) == 3
@@ -666,7 +669,7 @@ def test_the_sup_scan_takes_fewer_threads_where_more_do_not_fit(tmp_path, monkey
 
 
 def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
-    # a host of 1 MB: the sieve to 10^6 takes 4 MB
+    # a host of 1 MB: the sieve to 10^6 takes 1.7 MB
     host_of(monkeypatch, 256)
     assert run_cli("euler", "--sigma", "0.6", "--prime-limit", "1000000") == 3
     captured = capsys.readouterr()
@@ -675,7 +678,7 @@ def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
 
 
 def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatch):
-    # a host of 10 MB holds the sieve and the engine at N = 10^5 (3.8 MB);
+    # a host of 10 MB holds the sieve and the engine at N = 10^5 (2.7 MB);
     # the CSVs are written and hashed a block of rows at a time
     host_of(monkeypatch, 2560)
     outdir = tmp_path / "s"

@@ -25,7 +25,7 @@ from rmflab.dirichlet import (
 import rmflab.dirichlet as dirichlet_module
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
-from rmflab.primes import build_spf_sieve, primes_up_to
+from rmflab.primes import build_spf_sieve, primes_up_to, sieve_bytes
 from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
@@ -188,7 +188,7 @@ def test_a_table_short_of_the_prime_limit_raises(table_1e5):
 
 
 def test_products_and_scans_without_a_table_check_their_sieve(monkeypatch):
-    # a host of 1 MB; a sieve to 10^6 takes 4 MB
+    # a host of 1 MB; a sieve to 10^6 takes 1.7 MB
     host_of(monkeypatch, 256)
     monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
     a = SignAssignment.iid(3)
@@ -202,7 +202,7 @@ def test_products_and_scans_without_a_table_check_their_sieve(monkeypatch):
 
 
 def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
-    # a host of 8 MB holds the sieve to 10^6 (4 MB), not the scan: before
+    # a host of 8 MB holds the sieve to 10^6 (1.7 MB), not the scan: before
     # the sieve, pi(P) < 1.26 P / ln P stands for the 78498 primes, each
     # with 8 bytes of float64 weight per trial
     host_of(monkeypatch, 2048)
@@ -229,7 +229,7 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     for threads in (1, 2):
         with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
             sup_scans(assignments, (0.58,), None, 10**6, threads=threads)
-        assert info.value.requested_bytes == 4 * (10**6 + 1) + 8 * 100 * n_primes + scan
+        assert info.value.requested_bytes == sieve_bytes(10**6) + 8 * 100 * n_primes + scan
 
 
 def test_sup_scan_peak_stays_under_its_estimate(table_1e5):

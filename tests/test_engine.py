@@ -9,21 +9,22 @@ the segment size, lane batch and worker count.
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmflab import experiments as experiments_module, primes as primes_module, series as series_module
+from rmflab import experiments as experiments_module, primes as primes_module, series as series_module, signs as signs_module
 from rmflab.experiments import ExperimentConfig, run_experiment, trials_csv
-from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, squarefree_mask
+from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, sieve_bytes, squarefree_mask
 from rmflab.series import Model, compute_series, engine_bytes, stream_trials
-from rmflab.signs import MultiplicativeEvaluator, SignAssignment, prime_sign_table, sign_lanes
+from rmflab.signs import LANE_STEP, MultiplicativeEvaluator, SignAssignment, lane_dtype, prime_sign_table, sign_lanes
 
 from oracles import (
-    is_squarefree, lanes_by_cofactors, records_csv, seed_free_weights, series_and_values, spf_cofactors,
-    values_by_recurrence,
+    is_squarefree, lanes_by_cofactors, lanes_by_spf, records_csv, seed_free_weights, series_and_values, spf_cofactors,
+    spf_sieve, values_by_recurrence,
 )
 
 SEGMENTS = (1, 2**10, 2**16, None)  # None: one segment of size N
@@ -192,6 +193,58 @@ def test_sign_lanes_match_the_cofactor_oracle_at_every_step_edge(lane_table):
         assert np.array_equal(sign_lanes(rows, lane_table, limit), lanes_by_cofactors(rows, lane_table, limit)), limit
 
 
+#: Step caps of sign_lanes, in bytes of words: the default, and caps that
+#: make every word size take capped steps below 5,000 integers
+LANE_STEPS = (LANE_STEP, 8, 64, 512)
+
+
+def _cap_edges(cap: int) -> set[int]:
+    # limits on both sides of the first two capped steps' ends, for each word
+    # size: with c = cap // w integers, the steps double up to [c, 2c), then
+    # end at 3c and 4c
+    return {k * (cap // w) + d for w in (1, 2, 4, 8) for k in (2, 3, 4) for d in (-1, 0, 1)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_sign_lanes_match_the_spf_oracle(data):
+    cap = data.draw(st.sampled_from(LANE_STEPS))
+    edges = sorted({1, 2, 3} | {2**k + d for k in range(1, 13) for d in (-1, 1)} | _cap_edges(cap))
+    limit = data.draw(st.integers(1, 5000) | st.sampled_from([n for n in edges if n <= 5000]))
+    table = build_spf_sieve(max(limit, 2))
+    rows = data.draw(lane_rows(primes_up_to(table, limit)))
+    with mock.patch.object(signs_module, "LANE_STEP", cap):
+        lanes = sign_lanes(rows, table, limit)
+    want = lanes_by_spf(rows, table, limit)
+    assert lanes.dtype == want.dtype == lane_dtype(len(rows)) and np.array_equal(lanes, want)
+
+
+def test_sign_lanes_match_the_spf_oracle_past_the_default_step_cap():
+    # one-byte words take steps of 2^20 integers from 2^21 on, eight-byte
+    # words steps of 2^17 from 2^18 on
+    table = build_spf_sieve(4 * 2**17 + 1)
+    for batch, limit in itertools.product((1, 64), (3 * 2**17 - 1, 3 * 2**17 + 1, 4 * 2**17 + 1)):
+        rows = [prime_sign_table(SignAssignment.iid(k), primes_up_to(table, limit)) for k in range(batch)]
+        assert np.array_equal(sign_lanes(rows, table, limit), lanes_by_spf(rows, table, limit)), (batch, limit)
+
+
+def test_sign_lanes_hold_only_the_lanes_and_the_packed_words(table_1e6):
+    # engine_bytes counts no step term: at N = 10^6 and 64 trials the pass
+    # peaks at its 8-byte lane words and one word per prime, and 6 kB more
+    # (the list of the primes up to 1000), inside the 12,703 words by which
+    # prime_count_bound exceeds pi(10^6)
+    limit, primes = 10**6, primes_up_to(table_1e6)
+    rows = [prime_sign_table(SignAssignment.iid(k), primes) for k in range(64)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sign_lanes(rows, table_1e6, limit)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 8 * (limit + 1 + primes.size) <= peak <= 8 * (limit + 1 + prime_count_bound(limit))
+
+
 #: Limits and n on both sides of p^2 and of the segment edges, up to LANE_LIMIT
 WEIGHT_EDGES = (1, 2, 3, 4, 9, 25, 2**16 - 1, 2**16, 2**16 + 1, LANE_LIMIT)
 WEIGHT_SEGMENTS = (1, 2, 3, 4, 9, 2**10, 2**16)
@@ -235,7 +288,7 @@ def test_cofactors_and_squarefree_mask(table_1e5):
     primes = primes_up_to(table_1e5)
     n = np.arange(2, limit + 1)
     assert cofactor.dtype == spf_index.dtype == np.int32
-    assert np.array_equal(primes[spf_index[2:]], table_1e5.spf[2 : limit + 1])
+    assert np.array_equal(primes[spf_index[2:]], spf_sieve(10**5)[2 : limit + 1])
     assert np.array_equal(cofactor[2:] * primes[spf_index[2:]], n)
     mask = squarefree_mask(table_1e5, limit)
     assert mask[1:].tolist() == [is_squarefree(k, table_1e5) for k in range(1, limit + 1)]
@@ -246,22 +299,21 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: checks.append(requested))
     limit, assignments = 10**4, [SignAssignment.iid(k) for k in range(65)]
     rows = stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2)
-    assert checks == [engine_bytes(limit, 65, 2, None) + 4 * (limit + 1)]
+    assert checks == [engine_bytes(limit, 65, 2, None) + sieve_bytes(limit)]
     # a caller that gives the table has checked what it needs
     assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
     assert len(checks) == 1
 
 
 def test_engine_bytes_count_only_the_trials_that_run_at_once():
-    # one-byte lane words, sign rows and their packed one-byte words, a lane
-    # step's temporaries (16 + 2 bytes per integer of the largest step,
-    # 50,000 at N = 10^5), and what the running trials' floats take: over
-    # segments of 2^16, a batch of 3 trials runs on at most 3 of 8 threads,
-    # each a run with the segment's weights and two buffers, 24 bytes per
-    # integer of 2^16; in one segment, the shared weights (8 per n) and two
-    # 8-byte buffers per running trial, one trial on one thread
-    limit, step = 10**5, 18 * 50_000
-    assert engine_bytes(limit, 3, 8) == (limit + 1) + 4 * prime_count_bound(limit) + step + 3 * 24 * 2**16
+    # one-byte lane words, sign rows and their packed one-byte words, and
+    # what the running trials' floats take: over segments of 2^16, a batch
+    # of 3 trials runs on at most 3 of 8 threads, each a run with the
+    # segment's weights and two buffers, 24 bytes per integer of 2^16; in one
+    # segment, the shared weights (8 per n) and two 8-byte buffers per
+    # running trial, one trial on one thread
+    limit = 10**5
+    assert engine_bytes(limit, 3, 8) == (limit + 1) + 4 * prime_count_bound(limit) + 3 * 24 * 2**16
     assert engine_bytes(limit, 1, 8, limit) == engine_bytes(limit, 1, 1, limit)
-    assert engine_bytes(limit, 1, 1, limit) == 9 * (limit + 1) + 2 * prime_count_bound(limit) + step + 16 * limit
-    assert engine_bytes(limit, 3, 2, limit) == 9 * (limit + 1) + 4 * prime_count_bound(limit) + step + 32 * limit
+    assert engine_bytes(limit, 1, 1, limit) == 9 * (limit + 1) + 2 * prime_count_bound(limit) + 16 * limit
+    assert engine_bytes(limit, 3, 2, limit) == 9 * (limit + 1) + 4 * prime_count_bound(limit) + 32 * limit

@@ -13,7 +13,7 @@ from rmflab.mellin import (
     divergence_rows,
     truncated_identity_sides,
 )
-from rmflab.primes import primes_up_to
+from rmflab.primes import primes_up_to, sieve_bytes
 from rmflab.series import compute_series, engine_bytes
 from rmflab.signs import SignAssignment, prime_sign_table
 
@@ -230,21 +230,21 @@ def _refused_bytes(monkeypatch, pages: int, *args) -> int:
 
 
 def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
-    # a host of 1 MB; the sieve to P = 10^6 takes 4 MB, the run at N = 10^3 little
+    # a host of 1 MB; the sieve to P = 10^6 takes 1.7 MB, the run at N = 10^3 little
     requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
     # one kernel and one running trial's integrand, 8 bytes per n each, and
     # 176 + 48 bytes for the trial's integrals, witness and columns at one sigma
     run = engine_bytes(10**3, 1, 1, 10**3) + 16 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
-    assert requested == run + 4 * (10**6 + 1)
+    assert requested == run + sieve_bytes(10**6)
 
 
 def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch):
-    # a host of 1 MB holds the sieve to 10^5 (0.4 MB), not the engine's two
+    # a host of 1 MB holds the sieve to 10^5 (0.2 MB), not the engine's two
     # whole series, the kernel and the integrand of the one running trial
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
     run = engine_bytes(10**5, 2, 1, 10**5) + 16 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
-    assert requested == run + 4 * (10**5 + 1)
+    assert requested == run + sieve_bytes(10**5)
 
 
 def test_divergence_rows_check_their_scan_before_the_sieve(monkeypatch):

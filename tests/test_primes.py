@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,38 +7,39 @@ from hypothesis import given, settings, strategies as st
 
 import rmflab.primes as primes_module
 from rmflab.errors import DomainError, ResourceError
-from rmflab.primes import build_spf_sieve, prime_count_bound, primes_up_to, sieve_for
+from rmflab.primes import SpfTable, build_spf_sieve, prime_count_bound, primes_up_to, sieve_bytes, sieve_for
 
 from conftest import host_of, oracle_prime_mask
-from oracles import factorize, is_squarefree, spf_sieve_by_masks
+from oracles import factorize, is_squarefree, spf_sieve, spf_sieve_by_masks
 
 
 def test_spf_limit_10():
     table = build_spf_sieve(10)
     expected = {2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
     for n, spf in expected.items():
-        assert table.spf[n] == spf
+        assert spf_sieve(10)[n] == spf
+    assert table.primes.tolist() == [n for n, spf in expected.items() if n == spf]
 
 
 def test_spf_smallest_case():
     table = build_spf_sieve(2)
     assert table.limit == 2
-    assert table.spf[2] == 2
+    assert spf_sieve(2)[2] == 2 and table.primes.tolist() == [2]
 
 
 def test_spf_fixed_point_count_is_prime_count(table_1e6):
     # number of n with spf[n] = n equals pi(10^6), checked against the
     # independent trial-division sieve
     n = np.arange(table_1e6.limit + 1, dtype=np.uint32)
-    fixed = int(np.count_nonzero(table_1e6.spf[2:] == n[2:]))
+    fixed = int(np.count_nonzero(spf_sieve(10**6)[2:] == n[2:]))
     oracle = int(np.count_nonzero(oracle_prime_mask(10**6)))
-    assert fixed == oracle == 78498
+    assert fixed == oracle == table_1e6.primes.size == 78498
 
 
 def _assert_sieve_matches_mask_route(limit):
     table = build_spf_sieve(limit)
     spf, primes = spf_sieve_by_masks(limit)
-    assert table.spf.dtype == np.uint32 and np.array_equal(table.spf, spf)
+    assert spf_sieve(limit).dtype == np.uint32 and np.array_equal(spf_sieve(limit), spf)
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
 
 
@@ -61,13 +63,13 @@ def test_sieve_build_peaks_at_the_table_a_mask_and_two_prime_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (n + 1) + (n + 1) + 16 * prime_count_bound(n)
+    assert peak <= sieve_bytes(n)
 
 
 def test_prime_count_bound_bounds_pi_up_to_1e6(table_1e6):
     # pi[i] = pi(i + 2)
     x = np.arange(2, 10**6 + 1)
-    pi = np.cumsum(table_1e6.spf[2:] == x)
+    pi = np.cumsum(spf_sieve(10**6)[2:] == x)
     assert pi[-1] == 78498 and prime_count_bound(10**6) == 91201
     assert np.all(pi <= [prime_count_bound(v) for v in x.tolist()])
 
@@ -146,7 +148,7 @@ def test_spf_divides_and_is_prime(table_1e6):
     rng = np.random.default_rng(5)
     for n in rng.integers(2, 10**6, size=2000):
         n = int(n)
-        p = int(table_1e6.spf[n])
+        p = int(spf_sieve(10**6)[n])
         assert n % p == 0
         if p < len(mask):
             assert mask[p]
@@ -184,14 +186,15 @@ def test_sieve_for_passes_on_a_covering_table_and_refuses_a_short_one(table_1e5)
 
 
 def test_sieve_for_checks_memory_before_it_builds(monkeypatch, table_1e5):
-    # a host of 1 MB; a sieve to 10^6 takes 4 MB
+    # a host of 1 MB; a sieve to 10^6 takes 1.7 MB: its mask, 1 byte per n,
+    # and 8 bytes for each of 91,201 primes that prime_count_bound allows
     host_of(monkeypatch, 256)
     monkeypatch.setattr(primes_module, "build_spf_sieve", lambda limit: pytest.fail("sieve built"))
     with pytest.raises(ResourceError, match="^a sum needs") as info:
         sieve_for(10**6, None, 0, "a sum")
-    assert info.value.requested_bytes == 4 * (10**6 + 1)
+    assert info.value.requested_bytes == sieve_bytes(10**6) == 10**6 + 1 + 8 * 91201
     with pytest.raises(ResourceError) as info:
-        sieve_for(10**3, None, 2**20 - 4003, "a sum")
+        sieve_for(10**3, None, 2**20 - sieve_bytes(10**3) + 1, "a sum")
     assert info.value.requested_bytes == 2**20 + 1
     # with a table, only what the caller allocates besides is checked
     assert sieve_for(10**5, table_1e5, 2**20, "a sum") is table_1e5
@@ -206,12 +209,15 @@ def test_allocation_failure_reports_size(monkeypatch):
     monkeypatch.setattr(primes_module.np, "zeros", failing_zeros)
     with pytest.raises(ResourceError) as info:
         build_spf_sieve(10**6)
-    assert info.value.requested_bytes == 4 * (10**6 + 1)
+    assert info.value.requested_bytes == sieve_bytes(10**6)
 
 
 def test_table_is_immutable(table_1e5):
+    # the table keeps its primes and no per-n array; the oracle's smallest
+    # prime factors are read-only too
+    assert [f.name for f in dataclasses.fields(SpfTable)] == ["limit", "primes"]
     with pytest.raises(ValueError):
-        table_1e5.spf[10] = 3
+        spf_sieve(10**5)[10] = 3
     # the primes are built with the table, and every call shares them
     assert primes_up_to(table_1e5) is table_1e5.primes is primes_up_to(table_1e5)
     with pytest.raises(ValueError):
