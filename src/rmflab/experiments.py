@@ -54,7 +54,6 @@ from .series import (
     compute_series,
     detect_sign_changes,
     engine_bytes,
-    growth_norm,
     sign_crossings,
     stream_trials,
 )
@@ -246,7 +245,7 @@ class _GrowthMaxima:
     """max over 16 <= x <= N of |M_0(x)| / norms[theta][x] at each checkpoint
     N and theta: running maxima, recorded as x passes each N, theta fastest."""
 
-    def __init__(self, norms: list[np.ndarray], checkpoints: list[int]):
+    def __init__(self, norms: np.ndarray, checkpoints: list[int]):
         self.norms, self.checkpoints = norms, checkpoints
         self.best = [-math.inf] * len(norms)
         self.values: list[float] = []
@@ -357,13 +356,19 @@ def _growth(config: ExperimentConfig, assignments, threads: int):
 
     Reporting-only: quantiles per (theta, checkpoint N); asymptotic claims
     admit no finite-N pass/fail.  The sieve first checks the engine, the
-    CSV rows and the float64 norms, 8 bytes per n and theta.
+    CSV rows, the float64 norms, 8 bytes per n and theta, and the two per-n
+    arrays they are built from, sqrt(x) and log log x, freed before the
+    engine runs.
     """
     checkpoints = [n for n in GROWTH_CHECKPOINTS if n <= config.limit] or [config.limit]
     thetas, ns = np.tile(GROWTH_THETAS, len(checkpoints)), np.repeat(checkpoints, len(GROWTH_THETAS))
-    table = _series_sieve(config, threads, 5, thetas.size, 8 * (config.limit + 1) * len(GROWTH_THETAS))
-    x = np.arange(16, config.limit + 1, dtype=np.float64)
-    norms = [np.concatenate([np.ones(16), growth_norm(x, theta)]) for theta in GROWTH_THETAS]
+    table = _series_sieve(config, threads, 5, thetas.size, 8 * (config.limit + 1) * (len(GROWTH_THETAS) + 2))
+    # norms[k][x] = sqrt(x) (log log x)^theta_k at x >= 16 (1 below), in place
+    norms, x = np.ones((len(GROWTH_THETAS), config.limit + 1)), np.arange(16, config.limit + 1, dtype=np.float64)
+    root, loglog = np.sqrt(x), np.log(np.log(x, out=x), out=x)
+    for norm, theta in zip(norms, GROWTH_THETAS):
+        np.multiply(root, np.power(loglog, theta, out=norm[16:]), out=norm[16:])
+    del root, loglog, x
     values = np.array(stream_trials(config.model, config.alpha, config.limit, assignments,
                                     partial(_GrowthMaxima, norms, checkpoints), threads, table=table))
     cells = [{"theta": float(t), "N": int(n), "median": float(m), "q95": float(q)} for t, n, m, q in

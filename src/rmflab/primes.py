@@ -74,11 +74,12 @@ def build_spf_sieve(limit: int) -> SpfTable:
     return SpfTable(limit=limit, primes=np.flatnonzero(prime))
 
 
-def sieve_bytes(limit: int) -> int:
-    """What build_spf_sieve(limit) takes at its peak: its bool mask, and the
-    int64 primes (tracemalloc: 8 pi(N) and 0.4 kB) counted by
-    prime_count_bound; after the build, the table keeps only the primes."""
-    return limit + 1 + 8 * prime_count_bound(limit)
+def sieve_bytes(limit: int, more: int = 0) -> int:
+    """What build_spf_sieve(limit), and `more` bytes allocated after it, take
+    at their peak: the int64 primes (tracemalloc: 8 pi(N) and 0.4 kB)
+    counted by prime_count_bound, which the table keeps, and its bool mask,
+    which the build frees, or `more`, whichever is larger."""
+    return 8 * prime_count_bound(limit) + max(limit + 1, more)
 
 
 def prime_count_bound(x: int) -> int:
@@ -92,26 +93,27 @@ def sieve_for(limit: int, table: SpfTable | None, more: int, what: str) -> SpfTa
 
     Raises DomainError if limit < 2 or table covers less than limit.  Before
     anything is allocated, raises ResourceError if `more` bytes, which the
-    caller allocates besides, and a new sieve's sieve_bytes(limit) exceed
-    physical memory; with a table and more = 0 there is nothing to check.
+    caller allocates once it has the sieve, exceed physical memory, with a
+    new sieve counted at sieve_bytes(limit, more); with a table and more = 0
+    there is nothing to check.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if table is not None and table.limit < limit:
         raise DomainError(f"provided sieve covers {table.limit} < required {limit}")
-    need = more + (0 if table is not None else sieve_bytes(limit))
+    need = more if table is not None else sieve_bytes(limit, more)
     if need:
         require_memory(need, what)
     return table if table is not None else build_spf_sieve(limit)
 
 
 def threads_that_fit(limit: int, threads: int, ask, what: str) -> int:
-    """The most threads t <= threads whose ask(t) bytes, with a new sieve to
-    limit, fit in physical memory; 1 if none does, whose ask sieve_for then
-    refuses.  For a computation whose results do not depend on t; taking
-    fewer than `threads`, it says so on stderr."""
+    """The most threads t <= threads whose ask(t) bytes, after a new sieve to
+    limit (sieve_bytes(limit, ask(t))), fit in physical memory; 1 if none
+    does, whose ask sieve_for then refuses.  For a computation whose results
+    do not depend on t; taking fewer than `threads`, it says so on stderr."""
     physical = physical_memory()
-    fit = next((t for t in range(threads, 1, -1) if physical is None or ask(t) + sieve_bytes(limit) <= physical), 1)
+    fit = next((t for t in range(threads, 1, -1) if physical is None or sieve_bytes(limit, ask(t)) <= physical), 1)
     if fit < threads:
         print(f"note: {what} runs on {fit} of {threads} threads: more do not fit in physical memory", file=sys.stderr)
     return fit

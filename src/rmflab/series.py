@@ -135,9 +135,10 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     trial's reducer: values[i] = M_alpha(n) and weights[i] =
     g(n)/n^alpha at n = start - 1 + i for i >= 1, slot 0 of both holds the
     sum before the segment, and a segment of size limit is a whole series.
-    The arrays are the run's buffers, valid only during feed, except in
-    one-segment calls, whose weights are built once for every run and whose
-    trials each get buffers that last through result().
+    The arrays are the run's buffers, which its next trial reuses: they stay
+    valid through the result() that follows the trial's last segment, so a
+    result that keeps them (compute_series, mellin-check) must come from a
+    batch of one.
     np.sign(weights[1:]) is g (+0.0 where g = 0).  Each sum is sequential,
     so results do not depend on the segment size, batch size or threads.
     """
@@ -146,29 +147,26 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     table = sieve_for(max(limit, 2), table, more, f"{len(assignments)} {model.value} series at N = {limit}")
     primes = primes_up_to(table, limit)
     size = min(segment or SEGMENT, limit)
-    whole = _weights(model, alpha, 1, limit + 1, table, np.empty(limit)) if size == limit else None
     results = []
     for first in range(0, len(assignments), LANES):
         batch = assignments[first : first + LANES]
         lanes = sign_lanes(map_ordered(lambda a: prime_sign_table(a, primes), batch, threads), table, limit)
-        work = partial(_stream_run, model, alpha, limit, table, whole, lanes, reducer, size)
+        work = partial(_stream_run, model, alpha, limit, table, lanes, reducer, size)
         results += [y for run in map_ordered(work, split_runs(threads, len(batch)), threads) for y in run]
     return results
 
 
-def _stream_run(model: Model, alpha: float, limit: int, table: SpfTable, whole, lanes: np.ndarray, reducer,
-                size: int, run: np.ndarray) -> list:
+def _stream_run(model: Model, alpha: float, limit: int, table: SpfTable, lanes: np.ndarray, reducer, size: int,
+                run: np.ndarray) -> list:
     # [reducer().result() of each lane k of the run], a segment of every trial
-    # at a time, in the run's buffers, or in one segment a pair per trial
+    # at a time, in the run's buffers
     reduces, carry = [reducer() for _ in run], [0.0] * len(run)
-    pair = lambda: (np.empty(size + 1, dtype=np.uint64), np.empty(size + 1))
-    weights, shared = (np.empty(size), pair()) if whole is None else (None, None)
+    weights, signed, values = np.empty(size), np.empty(size + 1, dtype=np.uint64), np.empty(size + 1)
     for start in range(1, limit + 1, size):
         stop = min(start + size, limit + 1)
-        w = whole if whole is not None else _weights(model, alpha, start, stop, table, weights)
+        w = _weights(model, alpha, start, stop, table, weights)
         for i, k in enumerate(run.tolist()):
-            # a pair made here is held only by the reducer, until result()
-            carry[i] = _feed(reduces[i], start, lanes[start:stop], k, w, *(shared or pair()), carry[i])
+            carry[i] = _feed(reduces[i], start, lanes[start:stop], k, w, signed, values, carry[i])
             if stop > limit:
                 reduces[i] = reduces[i].result()
     return reduces
@@ -194,20 +192,20 @@ def engine_bytes(limit: int, trials: int, threads: int, segment: int | None = No
     """Bytes stream_trials holds at once, for either model: one batch's lane
     words (w per n), its sign rows and their packed words (b + w per prime
     for b trials, counted by prime_count_bound; signs.sign_lanes holds
-    nothing more once its lanes exist), and the floats of the runs at once
-    (split_runs): over several segments of L, a run's weights and pair of
-    buffers, 24 bytes per integer of L; in one, the shared weights (8 per
-    n) and a pair per running trial, 16 per n."""
+    nothing more once its lanes exist), and for each run at once
+    (split_runs) its segment's weights and pair of buffers, 24 bytes per
+    integer of the segment."""
     batch = min(trials, LANES)
     lane = np.dtype(lane_dtype(batch)).itemsize
-    size, runs = min(segment or SEGMENT, limit), len(split_runs(threads, batch))
-    held = 8 * (limit + 1) + 16 * size * runs if size == limit else 24 * size * runs
-    return lane * (limit + 1) + (batch + lane) * prime_count_bound(limit) + held
+    floats = 24 * min(segment or SEGMENT, limit) * len(split_runs(threads, batch))
+    return lane * (limit + 1) + (batch + lane) * prime_count_bound(limit) + floats
 
 
 class WholeSeries:
     """Reducer of one segment of size limit: result() is the series, or
-    fn(series, weights)."""
+    fn(series, weights).  Both arrays are the run's buffers (stream_trials),
+    valid through result(): a result that keeps them (compute_series,
+    mellin-check) must come from a batch of one."""
 
     def __init__(self, model: Model | str, alpha: float, fn=None):
         self.model, self.alpha, self.fn = Model(model), float(alpha), fn
@@ -252,11 +250,6 @@ def detect_sign_changes(series: WeightedSumSeries) -> SignChangeLog:
     """Crossing positions of the whole series, by sign_crossings."""
     at, last = sign_crossings(series.values[1:], 0)
     return SignChangeLog(positions=at + 1, count=int(at.size), first_sign=last * (-1) ** at.size)
-
-
-def growth_norm(x: np.ndarray, theta: float) -> np.ndarray:
-    """sqrt(x) (log log x)^theta, the growth envelope at x >= 16."""
-    return np.sqrt(x) * np.log(np.log(x)) ** float(theta)
 
 
 def split_runs(threads: int, items: int) -> list[np.ndarray]:

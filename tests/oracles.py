@@ -29,7 +29,7 @@ from rmflab.experiments import GROWTH_CHECKPOINTS, GROWTH_THETAS
 from rmflab.mellin import boundary_term, divergence_rows, mellin_step_integral, signed_and_absolute_integrals
 from rmflab.output import fmt_float
 from rmflab.primes import SpfTable, build_spf_sieve, primes_up_to, squarefree_mask
-from rmflab.series import Model, WeightedSumSeries, detect_sign_changes, growth_norm
+from rmflab.series import Model, WeightedSumSeries, detect_sign_changes
 from rmflab.signs import (
     _GOLDEN,
     _MASK64,
@@ -84,7 +84,7 @@ def growth_statistic(series: WeightedSumSeries, theta: float) -> float:
     if series.limit < 16:
         raise DomainError(f"growth statistic needs limit >= 16, got {series.limit}")
     x = np.arange(16, series.limit + 1, dtype=np.float64)
-    return float(np.max(np.abs(series.values[16:]) / growth_norm(x, theta)))
+    return float(np.max(np.abs(series.values[16:]) / (np.sqrt(x) * np.log(np.log(x)) ** float(theta))))
 
 
 @functools.lru_cache(maxsize=4)

@@ -620,8 +620,8 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
 # (divergence: its one check, the sup scan of three sigmas at once
-# included, 2.45 MB; sign-changes: 1.80 MB) and the check that counts eight
-# (5.65 MB and 12.30 MB).  Divergence would pass on fewer threads too, so
+# included, 2.43 MB; sign-changes: 1.70 MB) and the check that counts eight
+# (6.70 MB and 12.20 MB).  Divergence would pass on fewer threads too, so
 # it must not have taken fewer.
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 1024),
@@ -678,7 +678,7 @@ def test_euler_sieve_larger_than_memory_exit_3(capsys, monkeypatch):
 
 
 def test_series_and_its_replay_need_only_the_engine(tmp_path, capsys, monkeypatch):
-    # a host of 10 MB holds the sieve and the engine at N = 10^5 (2.7 MB);
+    # a host of 10 MB holds the sieve and the engine at N = 10^5 (2.6 MB);
     # the CSVs are written and hashed a block of rows at a time
     host_of(monkeypatch, 2560)
     outdir = tmp_path / "s"
@@ -718,9 +718,9 @@ def test_series_memory_grows_as_its_engine(tmp_path):
 
 def test_sup_scan_counts_its_cosine_block(tmp_path, capsys, monkeypatch):
     # 2262 primes below 20000: their signs and weights take 20 kB, the
-    # scan's slab of 64 cosine rows 1.3 MB (counted with pi(P) < 2545),
-    # more than a 1 MB host
-    host_of(monkeypatch, 256)
+    # scan's 2 cos(theta) row and ring of 32 cosine rows 0.67 MB (counted
+    # with pi(P) < 2545), which with the rest (1.03 MB) a 768 kB host lacks
+    host_of(monkeypatch, 192)
     outdir = tmp_path / "h"
     code = run_cli("harper", "--trials", "1", "--limit", "1", "--prime-limit", "20000",
                    "--sigma-grid", "0.58", "--out", str(outdir))

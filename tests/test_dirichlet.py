@@ -229,7 +229,7 @@ def test_sup_scan_checks_its_memory_before_its_sieve(monkeypatch):
     for threads in (1, 2):
         with pytest.raises(ResourceError, match="sup scan of 100 trials over the sieve to P = 1000000") as info:
             sup_scans(assignments, (0.58,), None, 10**6, threads=threads)
-        assert info.value.requested_bytes == sieve_bytes(10**6) + 8 * 100 * n_primes + scan
+        assert info.value.requested_bytes == sieve_bytes(10**6, 8 * 100 * n_primes + scan)
 
 
 def test_sup_scan_peak_stays_under_its_estimate(table_1e5):

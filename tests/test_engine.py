@@ -299,7 +299,7 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: checks.append(requested))
     limit, assignments = 10**4, [SignAssignment.iid(k) for k in range(65)]
     rows = stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2)
-    assert checks == [engine_bytes(limit, 65, 2, None) + sieve_bytes(limit)]
+    assert checks == [sieve_bytes(limit, engine_bytes(limit, 65, 2, None))]
     # a caller that gives the table has checked what it needs
     assert stream_trials("f", 0.25, limit, assignments, experiments_module._Crossings, 2, table=table_1e5) == rows
     assert len(checks) == 1
@@ -307,13 +307,13 @@ def test_stream_trials_checks_the_memory_of_its_own_call(monkeypatch, table_1e5)
 
 def test_engine_bytes_count_only_the_trials_that_run_at_once():
     # one-byte lane words, sign rows and their packed one-byte words, and
-    # what the running trials' floats take: over segments of 2^16, a batch
-    # of 3 trials runs on at most 3 of 8 threads, each a run with the
-    # segment's weights and two buffers, 24 bytes per integer of 2^16; in one
-    # segment, the shared weights (8 per n) and two 8-byte buffers per
-    # running trial, one trial on one thread
+    # what the running trials' floats take: a batch of 3 trials runs on at
+    # most 3 of 8 threads, each a run with its segment's weights and two
+    # buffers, 24 bytes per integer of the segment, 2^16 or all of N
     limit = 10**5
-    assert engine_bytes(limit, 3, 8) == (limit + 1) + 4 * prime_count_bound(limit) + 3 * 24 * 2**16
+    words = (limit + 1) + 4 * prime_count_bound(limit)
+    assert engine_bytes(limit, 3, 8) == words + 3 * 24 * 2**16
+    assert engine_bytes(limit, 3, 2, limit) == words + 2 * 24 * limit
+    assert engine_bytes(limit, 3, 8, 2 * limit) == engine_bytes(limit, 3, 8, limit) == words + 3 * 24 * limit
     assert engine_bytes(limit, 1, 8, limit) == engine_bytes(limit, 1, 1, limit)
-    assert engine_bytes(limit, 1, 1, limit) == 9 * (limit + 1) + 2 * prime_count_bound(limit) + 16 * limit
-    assert engine_bytes(limit, 3, 2, limit) == 9 * (limit + 1) + 4 * prime_count_bound(limit) + 32 * limit
+    assert engine_bytes(limit, 1, 1, limit) == (limit + 1) + 2 * prime_count_bound(limit) + 24 * limit

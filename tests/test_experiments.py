@@ -372,10 +372,13 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
       for model, alpha in (("f", 0.5), ("fstar", 0.25)) for trials in (16, 64, 65) for threads in (1, 2)),
     *(dict(experiment="divergence", model="f", alpha=0.5, trials=threads, threads=threads, prime_limit=1000)
       for threads in (1, 2)),
+    *(dict(experiment="growth", model="f", alpha=0.0, trials=trials, threads=threads)
+      for trials, threads in ((2, 1), (16, 1), (16, 2))),
 ], ids=lambda c: "-".join(map(str, (c["experiment"], c["model"], c["alpha"], c["trials"], c["threads"]))))
 def test_the_memory_check_covers_the_peak_past_2_20(monkeypatch, config):
-    # past 2^20 integers the per-n arrays, lane steps, segment buffers and
-    # integrands make the peak, not the rows; 65 trials make a second batch
+    # past 2^20 integers the per-n arrays, lane steps, segment buffers,
+    # integrands and growth norms make the peak, not the rows; 65 trials make
+    # a second batch
     asked = []
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))
     run_experiment(ExperimentConfig(**config, limit=100))  # what a first run allocates once

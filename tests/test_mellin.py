@@ -235,16 +235,16 @@ def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
     # one kernel and one running trial's integrand, 8 bytes per n each, and
     # 176 + 48 bytes for the trial's integrals, witness and columns at one sigma
     run = engine_bytes(10**3, 1, 1, 10**3) + 16 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
-    assert requested == run + sieve_bytes(10**6)
+    assert requested == sieve_bytes(10**6, run)
 
 
 def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch):
-    # a host of 1 MB holds the sieve to 10^5 (0.2 MB), not the engine's two
-    # whole series, the kernel and the integrand of the one running trial
+    # a host of 1 MB holds the sieve to 10^5 (0.2 MB), not the engine's run
+    # over the whole series, the kernel and the integrand of the running trial
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
     run = engine_bytes(10**5, 2, 1, 10**5) + 16 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
-    assert requested == run + sieve_bytes(10**5)
+    assert requested == sieve_bytes(10**5, run)
 
 
 def test_divergence_rows_check_their_scan_before_the_sieve(monkeypatch):
@@ -279,6 +279,20 @@ def test_divergence_rows_do_not_depend_on_the_thread_count(step):
         assert list(rows) == list(one)
         for name, column in one.items():
             assert np.array_equal(rows[name], column), (threads, name)
+
+
+@pytest.mark.parametrize("model, alpha", [("f", 0.5), ("fstar", 0.0)])
+def test_divergence_rows_of_two_batches_match_batches_of_one(model, alpha):
+    # 65 assignments make batches of 64 and 1; on 2 and 3 threads each run
+    # of a batch holds several trials, which take turns in the run's buffers
+    assignments = [SignAssignment.iid(k) for k in range(65)]
+    args = (model, alpha, (0.56, 0.53), 300, 500)
+    alone = [divergence_rows([a], *args) for a in assignments]
+    for threads in (1, 2, 3):
+        rows = divergence_rows(assignments, *args, threads=threads)
+        assert list(rows) == list(alone[0])
+        for name, column in rows.items():
+            assert column.tobytes() == np.concatenate([one[name] for one in alone]).tobytes(), (threads, name)
 
 
 def test_comparison_csv_schema():

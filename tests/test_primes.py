@@ -193,8 +193,12 @@ def test_sieve_for_checks_memory_before_it_builds(monkeypatch, table_1e5):
     with pytest.raises(ResourceError, match="^a sum needs") as info:
         sieve_for(10**6, None, 0, "a sum")
     assert info.value.requested_bytes == sieve_bytes(10**6) == 10**6 + 1 + 8 * 91201
+    # the build frees its mask before the caller allocates: a new sieve adds
+    # its primes to what the caller allocates, or its mask if that is more
+    assert sieve_bytes(10**3, 2**20) == 8 * prime_count_bound(10**3) + 2**20
+    assert sieve_bytes(10**3, 1001) == sieve_bytes(10**3, 0) == sieve_bytes(10**3)
     with pytest.raises(ResourceError) as info:
-        sieve_for(10**3, None, 2**20 - sieve_bytes(10**3) + 1, "a sum")
+        sieve_for(10**3, None, 2**20 - 8 * prime_count_bound(10**3) + 1, "a sum")
     assert info.value.requested_bytes == 2**20 + 1
     # with a table, only what the caller allocates besides is checked
     assert sieve_for(10**5, table_1e5, 2**20, "a sum") is table_1e5
