@@ -37,14 +37,23 @@ from .signs import SignAssignment
 from . import dirichlet
 
 
+def _powers(limit: int, exponent: complex) -> np.ndarray:
+    """n^-e for n = 1..N in one array, written over its arange: float64 for
+    a real exponent e, complex128 for a complex one."""
+    n = np.arange(1, limit + 1, dtype=np.complex128 if isinstance(exponent, complex) else np.float64)
+    n **= -exponent
+    return n
+
+
 def _kernel(limit: int, exponent: complex, times_exponent: bool = False) -> np.ndarray:
     """The integrals of x^-(e+1) over [n, n+1) for n = 1..N-1, in closed form
     (n^-e - (n+1)^-e) / e; with times_exponent, e times them, which skips
-    the division: the weights of (s - alpha) * integral at e = s - alpha."""
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    powers = n ** (-exponent)
+    the division: the weights of (s - alpha) * integral at e = s - alpha.
+    Only the powers (_powers) and their differences are allocated, 16 bytes
+    per n for a real e and 32 for a complex one; the division is in place."""
+    powers = _powers(limit, exponent)
     weights = powers[:-1] - powers[1:]
-    return weights if times_exponent else weights / exponent
+    return weights if times_exponent else np.divide(weights, exponent, out=weights)
 
 
 def _convergent(s: complex, alpha: float, name: str, limit: int) -> None:
@@ -66,7 +75,7 @@ def mellin_step_integral(series: WeightedSumSeries, s: complex) -> complex:
     s = complex(s)
     _convergent(s, series.alpha, "Re s", series.limit)
     w = _kernel(series.limit, s - series.alpha, times_exponent=True)
-    return complex(np.sum(series.values[1 : series.limit] * w))
+    return complex(np.sum(np.multiply(series.values[1 : series.limit], w, out=w)))
 
 
 def boundary_term(series: WeightedSumSeries, s: complex) -> complex:
@@ -77,7 +86,7 @@ def boundary_term(series: WeightedSumSeries, s: complex) -> complex:
 
 
 def signed_and_absolute_integrals(
-    series: WeightedSumSeries, sigma: float, kernel: np.ndarray | None = None
+    series: WeightedSumSeries, sigma: float, kernel: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> tuple[float, float]:
     """(integral of M_alpha, integral of |M_alpha|) against x^-(sigma+1-alpha).
 
@@ -86,13 +95,15 @@ def signed_and_absolute_integrals(
     exactly in floating point (rounding is monotone), not just up to error.
     kernel, if given, is _kernel(series.limit, sigma - series.alpha), which
     depends on no seed, so a run computes it once per sigma.  The products
-    take one temporary, 8 bytes per n, made absolute in place once summed.
+    go into out[: N - 1], a float64 buffer of at least N - 1 entries (or a
+    new array, 8 bytes per n, if out is None), made absolute in place once
+    summed, so with out nothing per n is allocated.
     """
     sigma = float(sigma)
     _convergent(complex(sigma), series.alpha, "sigma", series.limit)
     if kernel is None:
         kernel = _kernel(series.limit, sigma - series.alpha)
-    v = series.values[1 : series.limit] * kernel
+    v = np.multiply(series.values[1 : series.limit], kernel, out=None if out is None else out[: series.limit - 1])
     signed = float(np.sum(v))
     return signed, float(np.sum(np.abs(v, out=v)))
 
@@ -110,9 +121,9 @@ def truncated_identity_sides(
     their difference is pure rounding, below 1e-9 relative to |sum| + 1 at
     desk scale.  One engine pass gives the series and g = np.sign of its
     signed weights.  After the arguments, the one memory check counts the
-    engine and the 56 bytes per n held after it: the series and g, then n,
-    n^-s and their product (the peak RSS of `mellin-check` grows by 51 bytes
-    per n).
+    engine and the 48 bytes per n held after it: the series and g, and
+    beside them at most the kernel's complex powers n^-(s - alpha) and
+    their differences (_kernel), or n^-s, multiplied by g in place.
     """
     s = complex(s)
     model = check_run(model, alpha, limit)
@@ -121,13 +132,13 @@ def truncated_identity_sides(
     def series_and_g(series: WeightedSumSeries, weights: np.ndarray):
         return series, np.sign(weights[1:])
 
-    more = engine_bytes(limit, 1, 1, limit) + 56 * (limit + 1)
+    more = engine_bytes(limit, 1, 1, limit) + 48 * (limit + 1)
     table = sieve_for(max(limit, 2), None, more, f"the {model.value} series at N = {limit}")
     reducer = partial(WholeSeries, model, alpha, series_and_g)
     series, g = stream_trials(model, alpha, limit, [assignment], reducer, 1, limit, table)[0]
     integral_side = mellin_step_integral(series, s) + boundary_term(series, s)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    return complex(np.sum(g * n ** (-s))), integral_side
+    terms = _powers(limit, s)
+    return complex(np.sum(np.multiply(g, terms, out=terms))), integral_side
 
 
 def divergence_rows(
@@ -156,9 +167,7 @@ def divergence_rows(
     It runs on the most threads, up to `threads`, at which its one memory
     check passes, as the columns do not depend on the count; on one thread
     too much raises ResourceError.  The sieve first checks the engine (one
-    segment of N), 8 bytes per n of
-    each sigma's kernel and of the integrand of each trial that runs at
-    once (signed_and_absolute_integrals), the sup scan
+    segment of N), 8 bytes per n of each sigma's kernel, the sup scan
     (dirichlet.scan_bytes), which then runs once for all assignments, and
     what is held here: 176 bytes per assignment for the array of its
     integrals that the engine returns (tracemalloc: 169 with the
@@ -166,7 +175,10 @@ def divergence_rows(
     stacked, the witness and three columns.  The
     engine builds each whole series (one segment: np.sum adds pairwise, so
     the integrals cannot be summed per segment) on up to `threads` threads
-    and integrates it against each sigma's kernel, computed once per run.
+    and integrates it against each sigma's kernel, computed once per run,
+    writing the integrand over the trial's signed weights (the engine
+    rebuilds them for its next trial), so no trial holds an integrand.  A
+    kernel's build holds 8 bytes per n more, before the engine runs.
     The sup scan scans up to `threads` sigmas at once, each whole on one
     thread, and then the witness products at each assignment's t* for each
     sigma take the same threads by runs of assignments.
@@ -176,7 +188,7 @@ def divergence_rows(
     shape = (len(assignments), len(grid))
 
     def ask(threads: int) -> int:
-        per_n = 8 * (limit + 1) * (len(grid) + min(threads, shape[0]))
+        per_n = 8 * (limit + 1) * len(grid)
         scan = dirichlet.scan_bytes(shape[0], grid, grid_step, prime_limit, threads)
         return engine_bytes(limit, shape[0], threads, limit) + per_n + scan + (176 + 48 * len(grid)) * shape[0]
 
@@ -187,8 +199,8 @@ def divergence_rows(
     scans = dirichlet.sup_scans(assignments, grid, grid_step, prime_limit, table, threads=threads)
     kernels = [_kernel(limit, sig - alpha) for sig in grid]
 
-    def integrals(series: WeightedSumSeries, _weights) -> np.ndarray:
-        return np.array([signed_and_absolute_integrals(series, sig, k) for sig, k in zip(grid, kernels)])
+    def integrals(series: WeightedSumSeries, weights: np.ndarray) -> np.ndarray:
+        return np.array([signed_and_absolute_integrals(series, sig, k, weights) for sig, k in zip(grid, kernels)])
 
     reducer = partial(WholeSeries, model, alpha, integrals)
     pairs = np.array(stream_trials(model, alpha, limit, assignments, reducer, threads, limit, table))

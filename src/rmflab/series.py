@@ -138,7 +138,9 @@ def stream_trials(model: Model | str, alpha: float, limit: int, assignments, red
     The arrays are the run's buffers, which its next trial reuses: they stay
     valid through the result() that follows the trial's last segment, so a
     result that keeps them (compute_series, mellin-check) must come from a
-    batch of one.
+    batch of one.  A result() may use the weights it was fed as scratch
+    (divergence): they are the trial's own, never the run's n^-alpha, and
+    the run's next trial rebuilds them.
     np.sign(weights[1:]) is g (+0.0 where g = 0).  Each sum is sequential,
     so results do not depend on the segment size, batch size or threads.
     """
@@ -182,7 +184,8 @@ def _feed(reduce, start: int, lanes: np.ndarray, k: int, weights, signed, values
     np.bitwise_xor(bits, weights.view(np.uint64), out=bits)
     signed_weights = signed[: m + 1].view(np.float64)
     signed_weights[0] = carry
-    # into a separate buffer: an in-place cumsum barely uses a second thread
+    # into a separate buffer: numpy's in-place cumsum holds the GIL, so two
+    # threads of it take turns
     np.cumsum(signed_weights, out=values[: m + 1])
     reduce.feed(start, values[: m + 1], signed_weights)
     return values[m]
@@ -205,7 +208,8 @@ class WholeSeries:
     """Reducer of one segment of size limit: result() is the series, or
     fn(series, weights).  Both arrays are the run's buffers (stream_trials),
     valid through result(): a result that keeps them (compute_series,
-    mellin-check) must come from a batch of one."""
+    mellin-check) must come from a batch of one, and fn may use the
+    weights as scratch (divergence)."""
 
     def __init__(self, model: Model | str, alpha: float, fn=None):
         self.model, self.alpha, self.fn = Model(model), float(alpha), fn

@@ -11,7 +11,8 @@ n^-alpha of every n at once, a compensated
 running sum, fstar by Dirichlet convolution, the prime cosine sum and the
 Riesz mean at one point, the sup scan with a full cosine
 matrix, by the cosine recurrence and by a Chebyshev interpolant, the Mellin
-record at one point, the growth statistic over a whole series, a CSV file
+record at one point, the Mellin kernel, step integral and truncated
+Dirichlet sum from whole-array temporaries, the growth statistic over a whole series, a CSV file
 as one string, and trials.csv by one dict per row (records_csv).  Tests
 compare the package against them, and wrap synthetic series of explicit
 values (series_from_values).
@@ -589,6 +590,30 @@ def abs_mellin_integral(series: WeightedSumSeries, sigma: float) -> float:
     positive, so this dominates |signed integral| / (sigma - alpha).
     """
     return signed_and_absolute_integrals(series, sigma)[1]
+
+
+def kernel_by_four_arrays(limit: int, exponent: complex, times_exponent: bool = False) -> np.ndarray:
+    """(n^-e - (n+1)^-e) / e for n = 1..N-1 (without the division with
+    times_exponent) from n, n^-e, their differences and the quotient, four
+    arrays: how mellin._kernel built it before it worked in place."""
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    powers = n ** (-exponent)
+    weights = powers[:-1] - powers[1:]
+    return weights if times_exponent else weights / exponent
+
+
+def mellin_step_by_products(series: WeightedSumSeries, s: complex) -> complex:
+    """mellin_step_integral's sum from a new array of products against the
+    four-array kernel."""
+    s = complex(s)
+    w = kernel_by_four_arrays(series.limit, s - series.alpha, times_exponent=True)
+    return complex(np.sum(series.values[1 : series.limit] * w))
+
+
+def dirichlet_sum_by_products(g: np.ndarray, s: complex) -> complex:
+    """sum_{n<=N} g(n) n^-s for g(1..N), from n, n^-s and their product."""
+    n = np.arange(1, g.size + 1, dtype=np.float64)
+    return complex(np.sum(g * n ** (-complex(s))))
 
 
 @dataclass(frozen=True)

@@ -549,9 +549,10 @@ def test_single_series_larger_than_memory_exit_3_before_the_sieve(tmp_path, caps
     assert not outdir.exists()
 
 
-# At N = 10^5 the sieve and the engine's whole series need about 2.7 MB.
-# The complex temporaries of mellin-check raise its peak RSS by about 5 MB,
-# so a host of 6 MB passes a check that counts only the engine.
+# At N = 10^5 the sieve and the engine's whole series need about 2.6 MB.
+# What mellin-check holds after the engine, the series, g and its complex
+# kernel or terms, 48 bytes per n, raises its check to 7.4 MB, so a host
+# of 6.3 MB (1536 pages) passes a check that counts only the engine.
 @pytest.mark.parametrize("command, pages", [
     (["mellin-check", "--alpha", "0.5", "--sigma", "0.75", "--limit", "100000"], 1536),
 ], ids=["mellin-check"])
@@ -620,8 +621,9 @@ def test_bad_arguments_exit_3_before_the_sieve(tmp_path, capsys, monkeypatch, co
 # One trial runs on one thread whatever --threads says.  Each host lies
 # between the largest request that counts one thread's segment buffers
 # (divergence: its one check, the sup scan of three sigmas at once
-# included, 2.43 MB; sign-changes: 1.70 MB) and the check that counts eight
-# (6.70 MB and 12.20 MB).  Divergence would pass on fewer threads too, so
+# included, 2.28 MB; sign-changes: 1.70 MB) and the check that counts eight
+# (5.48 MB and 12.20 MB; MB here are 2^20 bytes, as the hosts' 4 KiB pages
+# give them).  Divergence would pass on fewer threads too, so
 # it must not have taken fewer.
 @pytest.mark.parametrize("command, pages", [
     (["divergence", "--limit", "20000", "--prime-limit", "10000"], 1024),

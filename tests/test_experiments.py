@@ -340,10 +340,9 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
     if experiment in ("harper", "divergence"):
         config.update(sigma_grid=grid, prime_limit=1000)
     # what the check counts that does not grow with the rows: the engine (its
-    # batch is capped), the sieve, divergence's kernels and integrand and a
-    # scan of no rows
+    # batch is capped), the sieve, divergence's kernels and a scan of no rows
     engine, scan = engine_bytes(100, trials, 1), scan_bytes(0, grid, None, 1000) + 4 * 1001
-    fixed = {"harper": scan, "divergence": engine + 8 * 101 * (len(grid) + 1) + scan}.get(experiment, engine + 4 * 101)
+    fixed = {"harper": scan, "divergence": engine + 8 * 101 * len(grid) + scan}.get(experiment, engine + 4 * 101)
     run_experiment(ExperimentConfig(**config, trials=3))  # what a first run allocates once
     product = experiments_module.dirichlet.euler_product_F
 
@@ -377,7 +376,7 @@ def test_the_memory_check_counts_what_a_run_holds(monkeypatch, experiment, model
 ], ids=lambda c: "-".join(map(str, (c["experiment"], c["model"], c["alpha"], c["trials"], c["threads"]))))
 def test_the_memory_check_covers_the_peak_past_2_20(monkeypatch, config):
     # past 2^20 integers the per-n arrays, lane steps, segment buffers,
-    # integrands and growth norms make the peak, not the rows; 65 trials make
+    # kernels and growth norms make the peak, not the rows; 65 trials make
     # a second batch
     asked = []
     monkeypatch.setattr(primes_module, "require_memory", lambda requested, what: asked.append(requested))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ import rmflab.primes as primes_module
 from rmflab.dirichlet import scan_bytes
 from rmflab.errors import DomainError, ResourceError
 from rmflab.mellin import (
+    _kernel,
     boundary_term,
     mellin_step_integral,
     signed_and_absolute_integrals,
@@ -19,7 +22,8 @@ from rmflab.signs import SignAssignment, prime_sign_table
 
 from conftest import host_of
 from oracles import (
-    MellinEvaluation, abs_mellin_integral, csv_text, evaluate_mellin, series_and_values, series_from_values,
+    MellinEvaluation, abs_mellin_integral, csv_text, dirichlet_sum_by_products, evaluate_mellin,
+    kernel_by_four_arrays, mellin_step_by_products, series_and_values, series_from_values,
 )
 
 
@@ -145,9 +149,64 @@ def test_truncated_identity_sides_equal_the_two_pass_route(table_1e5, data, limi
     assignment = data.draw(assignments(limit, table_1e5))
     s = complex(alpha + re_above, im_s)
     series, g = series_and_values(assignment, model, alpha, limit, table_1e5)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    two_pass = (complex(np.sum(g[1:] * n ** (-s))), mellin_step_integral(series, s) + boundary_term(series, s))
+    two_pass = (dirichlet_sum_by_products(g[1:], s), mellin_step_by_products(series, s) + boundary_term(series, s))
     assert truncated_identity_sides(assignment, model, alpha, s, limit) == two_pass
+
+
+def _bits(*numbers) -> bytes:
+    return np.array(numbers, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("limit", [2, 1000, 10**5 + 7])
+@pytest.mark.parametrize("model, alpha, s", [
+    ("f", 0.5, 0.8), ("f", 0.5, 0.75 - 3.0j), ("fstar", 0.0, 1.0), ("fstar", 0.25, 0.6 + 40.0j),
+])
+def test_mellin_sums_in_place_equal_their_product_routes(limit, model, alpha, s):
+    # n^-s written over its arange and the products over their kernel, bit for
+    # bit as the sums over new arrays of products; real s too
+    assignment = SignAssignment.iid(limit)
+    series, g = series_and_values(assignment, model, alpha, limit)
+    assert _bits(mellin_step_integral(series, s)) == _bits(mellin_step_by_products(series, s))
+    sides = truncated_identity_sides(assignment, model, alpha, s, limit)
+    oracle = (dirichlet_sum_by_products(g[1:], s), mellin_step_by_products(series, s) + boundary_term(series, s))
+    assert _bits(*sides) == _bits(*oracle)
+
+
+@settings(deadline=None, max_examples=60)
+@given(limit=st.sampled_from([2, 3, 4, 2**16 - 1, 2**16 + 1]) | st.integers(2, 10**5),
+       exponent=st.floats(0.0, 1.5, exclude_min=True)
+       | st.builds(complex, st.floats(0.0, 1.5, exclude_min=True), st.floats(-100.0, 100.0)),
+       times_exponent=st.booleans())
+def test_kernel_built_in_place_equals_the_four_array_kernel(limit, exponent, times_exponent):
+    with np.errstate(all="ignore"):  # a subnormal exponent overflows both quotients
+        mine, oracle = _kernel(limit, exponent, times_exponent), kernel_by_four_arrays(limit, exponent, times_exponent)
+    assert mine.dtype == oracle.dtype and mine.shape == oracle.shape == (limit - 1,)
+    assert np.array_equal(mine.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("limit", [2, 1000, 10**5])
+def test_integrals_into_a_buffer_equal_those_into_a_new_array(table_1e5, limit):
+    series = compute_series(SignAssignment.iid(31), "f", 0.5, limit, table_1e5)
+    buffer = np.full(limit + 1, np.nan)
+    for sigma in (0.55, 0.6):
+        kernel = _kernel(limit, sigma - 0.5)
+        alone = signed_and_absolute_integrals(series, sigma, kernel)
+        assert _bits(*signed_and_absolute_integrals(series, sigma, kernel, buffer)) == _bits(*alone)
+        assert _bits(*signed_and_absolute_integrals(series, sigma, None, buffer)) == _bits(*alone)
+
+
+def test_integrals_into_a_buffer_allocate_nothing_per_n(table_1e5):
+    # at N = 10^5 a product array would take 800 kB
+    series = compute_series(SignAssignment.iid(32), "fstar", 0.25, 10**5, table_1e5)
+    kernel, buffer = _kernel(10**5, 0.55 - 0.25), np.empty(10**5 + 1)
+    signed_and_absolute_integrals(series, 0.55, kernel, buffer)
+    tracemalloc.start()
+    try:
+        signed_and_absolute_integrals(series, 0.55, kernel, buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_kernel_positivity():
@@ -232,18 +291,19 @@ def _refused_bytes(monkeypatch, pages: int, *args) -> int:
 def test_divergence_rows_check_their_sieve_to_the_prime_limit(monkeypatch):
     # a host of 1 MB; the sieve to P = 10^6 takes 1.7 MB, the run at N = 10^3 little
     requested = _refused_bytes(monkeypatch, 256, [SignAssignment.iid(3)], "f", 0.5, (0.55,), 10**3, 10**6)
-    # one kernel and one running trial's integrand, 8 bytes per n each, and
-    # 176 + 48 bytes for the trial's integrals, witness and columns at one sigma
-    run = engine_bytes(10**3, 1, 1, 10**3) + 16 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
+    # one kernel, 8 bytes per n (each integrand is written over its trial's
+    # signed weights), and 176 + 48 bytes for the trial's integrals, witness
+    # and columns at one sigma
+    run = engine_bytes(10**3, 1, 1, 10**3) + 8 * (10**3 + 1) + scan_bytes(1, (0.55,), None, 10**6) + 224
     assert requested == sieve_bytes(10**6, run)
 
 
 def test_divergence_rows_check_the_engine_and_kernels_before_the_sieve(monkeypatch):
     # a host of 1 MB holds the sieve to 10^5 (0.2 MB), not the engine's run
-    # over the whole series, the kernel and the integrand of the running trial
+    # over the whole series and the kernel
     assignments = [SignAssignment.iid(1), SignAssignment.iid(2)]
     requested = _refused_bytes(monkeypatch, 256, assignments, "f", 0.5, (0.55,), 10**5, 10**3)
-    run = engine_bytes(10**5, 2, 1, 10**5) + 16 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
+    run = engine_bytes(10**5, 2, 1, 10**5) + 8 * (10**5 + 1) + scan_bytes(2, (0.55,), None, 10**3) + 2 * 224
     assert requested == sieve_bytes(10**5, run)
 
 
